@@ -16,6 +16,8 @@ import (
 	"specpersist/internal/cluster"
 	"specpersist/internal/core"
 	"specpersist/internal/exec"
+	"specpersist/internal/fault"
+	"specpersist/internal/pstruct"
 	"specpersist/internal/report"
 	"specpersist/internal/sp"
 	"specpersist/internal/vstore"
@@ -315,5 +317,33 @@ func BenchmarkVstoreCommit(b *testing.B) {
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(float64(commits)/secs, "sim-commits/s")
+	}
+}
+
+// BenchmarkFaultCampaign measures the crash-campaign engine's own speed:
+// the exhaustive torn+recrash campaign over every structure
+// (pstruct.AllNames) with one probed operation, on one worker, as trials
+// per wall-clock second. scripts/bench_core.sh appends the metric to
+// BENCH_core.json, so per-trial work creeping back into the campaign path
+// (rebuilding the warm-up prefix, say) fails the benchtrend regression
+// gate.
+func BenchmarkFaultCampaign(b *testing.B) {
+	var trials int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := (&fault.Engine{Workers: 1, Samples: 1, Torn: true, Recrash: true}).Run(fault.Campaign{
+			Structures: pstruct.AllNames(), Variant: core.VariantLogPSf, Seed: 1, Ops: 1, Exhaustive: true,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Violations != 0 {
+			b.Fatalf("%d violations under the fenced variant", rep.Violations)
+		}
+		trials += rep.Trials
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(trials)/secs, "trials/s")
 	}
 }

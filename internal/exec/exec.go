@@ -62,8 +62,10 @@ type Env struct {
 	Level Level
 
 	// Reorder, when non-nil and Level==LevelLogP, enables the ordering
-	// adversary for unfenced persist sequences.
-	Reorder *rand.Rand
+	// adversary for unfenced persist sequences. Install it with
+	// SeedReorder when the env will be forked.
+	Reorder    *rand.Rand
+	reorderSrc *countingSource // Reorder's source when set by SeedReorder
 
 	// Hook, when non-nil, runs before every state-changing operation
 	// (stores, flushes, commits, fences). Crash-injection tests use it to
@@ -108,6 +110,76 @@ func (e *Env) WithHook(fn func()) (restore func()) {
 // trace emission.
 func New() *Env {
 	return &Env{M: pmem.New(), Level: LevelFull}
+}
+
+// SeedReorder installs the Log+P ordering adversary drawing from seed. Its
+// source counts the draws taken, which is what lets Fork resume the
+// adversary's sequence at the same position.
+func (e *Env) SeedReorder(seed int64) {
+	e.reorderSrc = newCountingSource(seed)
+	e.Reorder = rand.New(e.reorderSrc)
+}
+
+// Fork returns an independent copy of the environment: a deep copy of the
+// persistence model (pmem.Model.Clone), the level, the adversary's pending
+// clwbs and draw position, and the group-commit state. The fork starts
+// without a hook. An env emitting a trace cannot be forked (the builder
+// would be shared), nor can one whose adversary was installed other than by
+// SeedReorder (its position is unknown).
+func (e *Env) Fork() *Env {
+	if e.B != nil {
+		panic("exec: Fork of an env that emits a trace")
+	}
+	c := *e
+	c.M = e.M.Clone()
+	c.Hook = nil
+	c.pendingClwb = append([]uint64(nil), e.pendingClwb...)
+	if e.Reorder != nil {
+		if e.reorderSrc == nil {
+			panic("exec: Fork needs an adversary installed by SeedReorder")
+		}
+		c.reorderSrc = e.reorderSrc.fork()
+		c.Reorder = rand.New(c.reorderSrc)
+	}
+	return &c
+}
+
+// countingSource is a math/rand source that counts its draws. A
+// *rand.Rand's state cannot be copied, but the standard source advances
+// one step per Int63 or Uint64 call, so re-seeding and skipping the
+// counted draws reproduces its position exactly.
+type countingSource struct {
+	seed int64
+	n    uint64
+	src  rand.Source64
+}
+
+func newCountingSource(seed int64) *countingSource {
+	return &countingSource{seed: seed, src: rand.NewSource(seed).(rand.Source64)}
+}
+
+func (s *countingSource) Int63() int64 {
+	s.n++
+	return s.src.Int63()
+}
+
+func (s *countingSource) Uint64() uint64 {
+	s.n++
+	return s.src.Uint64()
+}
+
+func (s *countingSource) Seed(seed int64) {
+	s.seed, s.n = seed, 0
+	s.src.Seed(seed)
+}
+
+// fork returns a fresh source at the same position as s.
+func (s *countingSource) fork() *countingSource {
+	c := newCountingSource(s.seed)
+	for c.n < s.n {
+		c.Uint64()
+	}
+	return c
 }
 
 // SetBuilder installs (or removes, with nil) the trace builder.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"specpersist/internal/isa"
@@ -115,5 +116,60 @@ func TestBarrierCoalescing(t *testing.T) {
 	}
 	if got := e.DeferredBarriers(); got != 4 {
 		t.Fatalf("DeferredBarriers moved to %d with coalescing off", got)
+	}
+}
+
+// TestForkResumesAdversary checks what Fork carries beyond the persistence
+// model: the Log+P adversary continues its draw sequence exactly where the
+// parent stands (compared with a plain source skipped by hand), in-flight
+// clwbs and the group-commit state are copied, and the two envs then evolve
+// independently.
+func TestForkResumesAdversary(t *testing.T) {
+	const seed = 42
+	e := New()
+	e.Level = LevelLogP
+	e.SeedReorder(seed)
+	e.SetBarrierCoalescing(true)
+	addr := e.AllocLines(16)
+	for i := uint64(0); i < 16; i++ {
+		e.StoreU64(addr+i*64, i, isa.NoReg, isa.NoReg)
+		e.Clwb(addr + i*64)
+		if i%3 == 2 {
+			e.Pcommit()
+		}
+	}
+	e.PersistBarrier() // deferred under coalescing
+	if len(e.pendingClwb) == 0 {
+		t.Fatal("no clwb left in flight; pick another seed")
+	}
+
+	f := e.Fork()
+	if f.M == e.M || f.Level != e.Level || f.DeferredBarriers() != e.DeferredBarriers() || !f.pendingTrio {
+		t.Fatal("fork did not carry the model, level or group-commit state")
+	}
+	if !reflect.DeepEqual(f.pendingClwb, e.pendingClwb) {
+		t.Fatalf("in-flight clwbs %v, want %v", f.pendingClwb, e.pendingClwb)
+	}
+	e.pendingClwb[0] ^= 1
+	if f.pendingClwb[0] == e.pendingClwb[0] {
+		t.Fatal("fork shares the parent's in-flight clwb list")
+	}
+
+	// A plain source skipped by hand is where both envs must stand.
+	at := func() *rand.Rand {
+		r := rand.New(rand.NewSource(seed))
+		for i := uint64(0); i < e.reorderSrc.n; i++ {
+			r.Int63()
+		}
+		return r
+	}
+	ref := at()
+	for i := 0; i < 100; i++ {
+		if got, want := f.Reorder.Int63(), ref.Int63(); got != want {
+			t.Fatalf("fork draw %d = %d, want %d", i, got, want)
+		}
+	}
+	if want := at().Int63(); e.Reorder.Int63() != want {
+		t.Fatal("the fork's draws moved the parent's adversary")
 	}
 }

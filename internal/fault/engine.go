@@ -139,27 +139,23 @@ func fateSeed(seed int64, op, ci, sample int) int64 {
 	return int64(x)
 }
 
-// runTrials executes plans on the pool, updating counters; sampled[i] != 0
-// means plans[i] draws fresh random fates (seeded by sampled[i]) instead of
+// runTrials executes plans on the pool, each on a fork of the prefix of
+// its probed operation, and updates the counters; sampled[i] != 0 means
+// plans[i] draws fresh random fates (seeded by sampled[i]) instead of
 // replaying plan.Fates, and the recorded fates are folded back into the
 // returned plan.
-func (e *Engine) runTrials(plans []Plan, sampled []int64) ([]trialResult, error) {
+func (e *Engine) runTrials(pres []prefix, plans []Plan, sampled []int64) []trialResult {
 	out := make([]trialResult, len(plans))
-	err := sweep.Pool(e.Workers, len(plans), func(i int) error {
+	// The trial function never fails, so neither does the pool.
+	_ = sweep.Pool(e.Workers, len(plans), func(i int) error {
 		p := plans[i]
-		var (
-			o   Outcome
-			err error
-		)
+		var o Outcome
 		if sampled != nil && sampled[i] != 0 {
 			var rec []LineFate
-			o, err = runPlan(p, samplingFates(sampled[i], e.Torn, &rec), nil)
+			o = runTrial(&pres[p.Op], p, samplingFates(sampled[i], e.Torn, &rec))
 			p.Fates = rec
 		} else {
-			o, err = Run(p)
-		}
-		if err != nil {
-			return err
+			o = runTrial(&pres[p.Op], p, replayFates(p.Fates))
 		}
 		e.trials.Add(1)
 		if o.Crashed {
@@ -172,10 +168,7 @@ func (e *Engine) runTrials(plans []Plan, sampled []int64) ([]trialResult, error)
 		out[i] = trialResult{plan: p, out: o}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return out
 }
 
 // Run executes the campaign and returns its report. Results are
@@ -209,26 +202,33 @@ func (e *Engine) Run(c Campaign) (Report, error) {
 	return rep, nil
 }
 
-func (e *Engine) runStructure(name string, c Campaign) (StructureReport, error) {
+// randomOps is how many operations randomized campaigns probe (trial t
+// probes operation t % randomOps).
+const randomOps = 4
+
+// basePlan returns the plan every trial of the campaign on one structure
+// starts from, and how many operations the campaign probes.
+func (c Campaign) basePlan(name string) (Plan, int) {
 	base := DefaultPlan(name, c.Variant, c.Seed)
 	if c.Warmup > 0 {
 		base.Warmup = c.Warmup
 	}
-	base.VstoreUnsafeFlip = c.VstoreUnsafeFlip
-	ops := c.Ops
-	if ops <= 0 {
-		ops = 3
+	base.VstoreUnsafeFlip = c.VstoreUnsafeFlip && name == "VT"
+	if !c.Exhaustive {
+		return base, randomOps
 	}
+	if c.Ops <= 0 {
+		return base, 3
+	}
+	return base, c.Ops
+}
 
-	var (
-		plans   []Plan
-		sampled []int64
-	)
+// trialPlans lists one structure's primary trials. Exhaustive campaigns
+// crash before every counted persistence event of every probed operation,
+// once strictly and Samples times with sampled fates; randomized ones draw
+// Trials crash points. sampled[i] != 0 seeds plans[i]'s sampled fates.
+func (e *Engine) trialPlans(base Plan, c Campaign, counts []int) (plans []Plan, sampled []int64) {
 	if c.Exhaustive {
-		counts, err := countOpEvents(base, ops)
-		if err != nil {
-			return StructureReport{}, err
-		}
 		for op, events := range counts {
 			for ci := 0; ci < events; ci++ {
 				for s := 0; s <= e.Samples; s++ {
@@ -243,30 +243,58 @@ func (e *Engine) runStructure(name string, c Campaign) (StructureReport, error) 
 				}
 			}
 		}
-	} else {
-		trials := c.Trials
-		if trials <= 0 {
-			trials = 200
+		return plans, sampled
+	}
+	trials := c.Trials
+	if trials <= 0 {
+		trials = 200
+	}
+	maxCI := c.MaxCrashIndex
+	if maxCI <= 0 {
+		maxCI = 200
+	}
+	for t := 0; t < trials; t++ {
+		p := base
+		p.Op = t % randomOps
+		// Derive the crash index from the fate seed so randomized
+		// campaigns replay without carrying an RNG around.
+		p.CrashIndex = int(uint64(fateSeed(c.Seed, p.Op, t, 0)) % uint64(maxCI))
+		plans = append(plans, p)
+		sampled = append(sampled, fateSeed(c.Seed, p.Op, t, 1))
+	}
+	return plans, sampled
+}
+
+// recrashPlans is the crash-during-recovery expansion: every trial whose
+// recovery did work spawns one child per recovery persistence event. The
+// child replays the parent's recorded primary fates, so the pre-recovery
+// durable image is identical; only the second crash point varies.
+func recrashPlans(results []trialResult) []Plan {
+	var children []Plan
+	for _, r := range results {
+		if !r.out.Crashed || r.out.RecoveryEvents == 0 {
+			continue
 		}
-		maxCI := c.MaxCrashIndex
-		if maxCI <= 0 {
-			maxCI = 200
-		}
-		for t := 0; t < trials; t++ {
-			p := base
-			p.Op = t % 4
-			// Derive the crash index from the fate seed so randomized
-			// campaigns replay without carrying an RNG around.
-			p.CrashIndex = int(uint64(fateSeed(c.Seed, p.Op, t, 0)) % uint64(maxCI))
-			plans = append(plans, p)
-			sampled = append(sampled, fateSeed(c.Seed, p.Op, t, 1))
+		for rc := 0; rc < r.out.RecoveryEvents; rc++ {
+			p := r.plan
+			p.RecoveryCrash = rc
+			children = append(children, p)
 		}
 	}
+	return children
+}
 
-	results, err := e.runTrials(plans, sampled)
+// runStructure runs one structure's campaign. Its prefixes — one per
+// probed operation, built by the counting pass — live only for this call,
+// so no campaign reuses another's work.
+func (e *Engine) runStructure(name string, c Campaign) (StructureReport, error) {
+	base, nops := c.basePlan(name)
+	pres, counts, err := prefixes(base, 0, nops)
 	if err != nil {
 		return StructureReport{}, err
 	}
+	plans, sampled := e.trialPlans(base, c, counts)
+	results := e.runTrials(pres, plans, sampled)
 
 	sr := StructureReport{Structure: name, Trials: len(results)}
 	for _, r := range results {
@@ -276,26 +304,8 @@ func (e *Engine) runStructure(name string, c Campaign) (StructureReport, error) 
 		sr.TornLines += r.out.TornLines
 	}
 
-	// Crash-during-recovery expansion: every trial whose recovery did work
-	// spawns one child per recovery persistence event. The child replays
-	// the parent's recorded primary fates, so the pre-recovery durable
-	// image is identical; only the second crash point varies.
 	if e.Recrash {
-		var children []Plan
-		for _, r := range results {
-			if !r.out.Crashed || r.out.RecoveryEvents == 0 {
-				continue
-			}
-			for rc := 0; rc < r.out.RecoveryEvents; rc++ {
-				p := r.plan
-				p.RecoveryCrash = rc
-				children = append(children, p)
-			}
-		}
-		childResults, err := e.runTrials(children, nil)
-		if err != nil {
-			return StructureReport{}, err
-		}
+		childResults := e.runTrials(pres, recrashPlans(results), nil)
 		sr.RecrashTrials = len(childResults)
 		sr.Trials += len(childResults)
 		for _, r := range childResults {

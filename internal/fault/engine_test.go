@@ -1,8 +1,8 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"specpersist/internal/core"
@@ -110,27 +110,31 @@ func TestLogPViolationFoundAndShrunk(t *testing.T) {
 	}
 }
 
-// TestCampaignDeterministicAcrossWorkers re-runs the same campaign with
-// different worker counts; the reports must be identical.
+// TestCampaignDeterministicAcrossWorkers re-runs the same campaigns with 1
+// and 8 workers; the report JSON must be byte-identical. Every trial forks
+// from a prefix the workers share, and the Log+P campaign shrinks its
+// violations, so under -race this also checks that concurrent trials only
+// read the prefixes.
 func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) Report {
-		e := &Engine{Workers: workers, Samples: 1, Torn: true}
-		rep, err := e.Run(Campaign{
-			Structures: []string{"HM"},
-			Variant:    core.VariantLogPSf,
-			Seed:       21,
-			Warmup:     30,
-			Ops:        2,
-			Exhaustive: true,
-		})
+	run := func(workers int, c Campaign) []byte {
+		e := &Engine{Workers: workers, Samples: 1, Torn: true, Recrash: true, Shrink: true}
+		rep, err := e.Run(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		data, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
-	a, b := run(1), run(8)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("worker count changed the report:\n1 worker:  %+v\n8 workers: %+v", a, b)
+	for _, c := range []Campaign{
+		{Structures: []string{"HM", "BT", "VT"}, Variant: core.VariantLogPSf, Seed: 21, Warmup: 30, Ops: 2, Exhaustive: true},
+		{Structures: []string{"LL"}, Variant: core.VariantLogP, Seed: 5, Warmup: 20, Ops: 2, Exhaustive: true},
+	} {
+		if a, b := run(1, c), run(8, c); !bytes.Equal(a, b) {
+			t.Fatalf("%s: worker count changed the report:\n1 worker:  %s\n8 workers: %s", c.Variant, a, b)
+		}
 	}
 }
 

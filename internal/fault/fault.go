@@ -14,6 +14,10 @@
 //   - Every trial is a Plan — a small JSON value that fully determines the
 //     run. A failing plan replays byte-for-byte, and the delta-debugging
 //     shrinker reduces it to a minimal reproducer.
+//   - Shared prefixes: the counting pass keeps the state before each probed
+//     operation (built, warmed up, persisted, completed operations applied),
+//     and every trial runs on a deep-copy fork of it instead of rebuilding
+//     it, which yields the identical outcome.
 //
 // Campaigns fan trials out over internal/sweep's worker pool and publish
 // fault.* counters through internal/obs.
@@ -25,6 +29,7 @@ import (
 
 	"specpersist/internal/core"
 	"specpersist/internal/exec"
+	"specpersist/internal/mem"
 	"specpersist/internal/pmem"
 	"specpersist/internal/pstruct"
 	"specpersist/internal/txn"
@@ -139,10 +144,15 @@ func (p Plan) config() pstruct.Config {
 	}
 }
 
-// validate rejects plans that cannot be executed.
+// validate rejects plans that cannot be executed, and fields a run would
+// silently ignore.
 func (p Plan) validate() error {
-	if _, err := core.ParseVariant(p.Variant); err != nil {
+	v, err := core.ParseVariant(p.Variant)
+	if err != nil {
 		return err
+	}
+	if !v.Transactional() {
+		return fmt.Errorf("fault: variant %s has no recovery to test", v)
 	}
 	found := false
 	for _, n := range pstruct.AllNames() {
@@ -152,6 +162,9 @@ func (p Plan) validate() error {
 	}
 	if !found {
 		return fmt.Errorf("fault: unknown structure %q", p.Structure)
+	}
+	if p.VstoreUnsafeFlip && p.Structure != "VT" {
+		return fmt.Errorf("fault: vstore_unsafe_flip applies to structure VT only, not %s", p.Structure)
 	}
 	if p.Keyspace <= 0 || p.LogCapacity <= 0 || p.Strings <= 0 ||
 		p.HashCapacity <= 0 || p.GraphVerts <= 0 {
@@ -166,6 +179,9 @@ func (p Plan) validate() error {
 		}
 		if f.Mask > pmem.FullMask {
 			return fmt.Errorf("fault: fate mask %#x exceeds %#x", f.Mask, pmem.FullMask)
+		}
+		if f.Line%mem.LineSize != 0 {
+			return fmt.Errorf("fault: fate line %#x is not %d-byte aligned", f.Line, mem.LineSize)
 		}
 	}
 	return nil
@@ -236,58 +252,120 @@ func CrashOptionsSampled(seed int64, torn bool, out *[]LineFate) pmem.CrashOptio
 }
 
 // Run executes the plan exactly as recorded and reports the outcome. It is
-// the single execution path for exploration (with sampled fates already
-// recorded into the plan), replay of serialized plans, and shrinking.
+// the execution path for replay of serialized plans and for shrinking: it
+// builds the plan's own prefix and runs the trial on a fork of it, exactly
+// as a campaign trial does.
 func Run(p Plan) (Outcome, error) {
-	return runPlan(p, replayFates(p.Fates), nil)
-}
-
-// runPlan executes one trial. primary decides the primary crash's line
-// fates (nil = strict). When record is non-nil, the sampled primary fates
-// have already been captured through it by the caller's fateFunc closure —
-// runPlan itself only needs the function.
-func runPlan(p Plan, primary fateFunc, recoveryFates fateFunc) (Outcome, error) {
-	if err := p.validate(); err != nil {
+	pres, _, err := prefixes(p, p.Op, p.Op+1)
+	if err != nil {
 		return Outcome{}, err
 	}
-	v, _ := core.ParseVariant(p.Variant)
-	if !v.Transactional() {
-		return Outcome{}, fmt.Errorf("fault: variant %s has no recovery to test", v)
-	}
-	if recoveryFates == nil {
-		recoveryFates = replayFates(p.RecoveryFates)
-	}
+	return runTrial(&pres[0], p, replayFates(p.Fates)), nil
+}
 
+// machine is one trial's live state: the environment, its undo-log manager
+// and the structure built on both.
+type machine struct {
+	env *exec.Env
+	mgr *txn.Manager
+	s   pstruct.Structure
+}
+
+// fork returns an independent deep copy of the machine.
+func (m machine) fork() machine {
+	env := m.env.Fork()
+	mgr := m.mgr.Fork(env)
+	return machine{env: env, mgr: mgr, s: pstruct.Fork(m.s, env, mgr)}
+}
+
+// recoverFn returns the machine's recovery pass. Structures owning their
+// recovery (the versioned COW store) dispatch there; the WAL structures
+// recover through the undo log.
+func (m machine) recoverFn() func() bool {
+	if vr, ok := m.s.(interface{ Recover() bool }); ok {
+		return vr.Recover
+	}
+	return m.mgr.Recover
+}
+
+// prefix is the state every trial probing one operation starts from: the
+// structure built, warmed up, persisted wholesale and advanced through the
+// completed operations, with the probed key and the pre-op snapshot. It is
+// shared read-only by concurrent trials; each trial runs on a fork.
+type prefix struct {
+	m   machine
+	key uint64
+	pre []uint64
+}
+
+// prefixes is the single place a plan's structure is built and warmed up.
+// It builds the structure, runs the warm-up, persists the whole image, and
+// then walks operations [0, nops) under a counting hook. Before each
+// operation i >= from it keeps a fork of the state as prefix i-from; it
+// returns those prefixes and the number of persistence events of every
+// operation — the exhaustive campaign's counting pass, where each index in
+// [0, counts[i]) is a distinct crash point of operation i. A panic while
+// building (a log capacity or structure size the workload cannot run with)
+// is the plan's error, not a violation.
+func prefixes(p Plan, from, nops int) (pres []prefix, counts []int, err error) {
+	if err := p.validate(); err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			pres, counts, err = nil, nil, fmt.Errorf("fault: building the %s prefix: %v", p.Structure, r)
+		}
+	}()
+	v, _ := core.ParseVariant(p.Variant)
 	env := exec.New()
 	env.Level = v.Level()
 	if v.Level() == exec.LevelLogP {
 		// The ordering adversary models the persist reordering the elided
 		// fences permit; its seed is part of the plan's determinism.
-		env.Reorder = rand.New(rand.NewSource(p.Seed + 99))
+		env.SeedReorder(p.Seed + 99)
 	}
 	mgr := txn.NewManager(env, p.LogCapacity)
-	s := pstruct.Build(p.Structure, env, mgr, p.config())
-
-	// Structures owning their recovery (the versioned COW store) dispatch
-	// there; the WAL structures recover through the undo log.
-	recoverFn := mgr.Recover
-	if vr, ok := s.(interface{ Recover() bool }); ok {
-		recoverFn = vr.Recover
-	}
+	m := machine{env: env, mgr: mgr, s: pstruct.Build(p.Structure, env, mgr, p.config())}
 
 	rng := rand.New(rand.NewSource(p.Seed))
 	for i := 0; i < p.Warmup; i++ {
-		s.Apply(uint64(rng.Intn(p.Keyspace)))
+		m.s.Apply(uint64(rng.Intn(p.Keyspace)))
 	}
 	env.M.PersistAll()
 
-	// Completed operations before the probe.
-	for i := 0; i < p.Op; i++ {
-		s.Apply(uint64(rng.Intn(p.Keyspace)))
+	counts = make([]int, nops)
+	for i := range counts {
+		key := uint64(rng.Intn(p.Keyspace))
+		if i >= from {
+			// Snapshot the fork, not the walked machine, so the walk's
+			// later operations see exactly the state a straight-line run
+			// would.
+			f := m.fork()
+			pres = append(pres, prefix{m: f, key: key, pre: snapshot(f.s, p)})
+		}
+		n := 0
+		restore := env.WithHook(func() { n++ })
+		m.s.Apply(key)
+		restore()
+		counts[i] = n
 	}
-	key := uint64(rng.Intn(p.Keyspace))
+	return pres, counts, nil
+}
 
-	pre := snapshot(s, p)
+// runTrial runs one trial on a fork of its prefix. primary decides the
+// primary crash's line fates (nil = strict); a crash inside recovery
+// replays p.RecoveryFates.
+func runTrial(pf *prefix, p Plan, primary fateFunc) Outcome {
+	return probe(pf.m.fork(), pf.key, pf.pre, p, primary)
+}
+
+// probe is a trial's tail on a machine positioned just before the probed
+// operation: apply key up to the crash point, crash, recover (possibly
+// crashing again inside recovery) and check the recovered state against
+// the pre-op snapshot pre and its post-op image.
+func probe(m machine, key uint64, pre []uint64, p Plan, primary fateFunc) Outcome {
+	env, s := m.env, m.s
+	recoverFn := m.recoverFn()
 	var out Outcome
 	out.Crashed, out.Events = applyWithCrash(env, s, key, p.CrashIndex)
 
@@ -305,7 +383,7 @@ func runPlan(p Plan, primary fateFunc, recoveryFates fateFunc) (Outcome, error) 
 		}()
 		if p.RecoveryCrash >= 0 {
 			if crashed, _ := recoverWithCrash(env, recoverFn, p.RecoveryCrash); crashed {
-				env.Crash(crashOptions(recoveryFates))
+				env.Crash(crashOptions(replayFates(p.RecoveryFates)))
 			}
 			// The machine reboots once more; this recovery must finish.
 			out.Recovered = recoverFn() || out.Recovered
@@ -334,7 +412,7 @@ func runPlan(p Plan, primary fateFunc, recoveryFates fateFunc) (Outcome, error) 
 	}()
 	out.Violation = violation
 	out.TornLines = env.M.Stats().TornLines - base
-	return out, nil
+	return out
 }
 
 // applyWithCrash runs s.Apply(key), cutting power before persistence event
@@ -380,38 +458,6 @@ func recoverWithCrash(env *exec.Env, recoverFn func() bool, at int) (crashed boo
 	}()
 	recoverFn()
 	return false, events
-}
-
-// countOpEvents runs the plan's workload without any crash and returns the
-// number of persistence events of each of the first nops operations after
-// warmup. This is the exhaustive campaign's counting pass: every index in
-// [0, counts[i]) is a distinct crash point of operation i.
-func countOpEvents(p Plan, nops int) ([]int, error) {
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	v, _ := core.ParseVariant(p.Variant)
-	env := exec.New()
-	env.Level = v.Level()
-	if v.Level() == exec.LevelLogP {
-		env.Reorder = rand.New(rand.NewSource(p.Seed + 99))
-	}
-	mgr := txn.NewManager(env, p.LogCapacity)
-	s := pstruct.Build(p.Structure, env, mgr, p.config())
-	rng := rand.New(rand.NewSource(p.Seed))
-	for i := 0; i < p.Warmup; i++ {
-		s.Apply(uint64(rng.Intn(p.Keyspace)))
-	}
-	env.M.PersistAll()
-	counts := make([]int, nops)
-	for i := range counts {
-		n := 0
-		restore := env.WithHook(func() { n++ })
-		s.Apply(uint64(rng.Intn(p.Keyspace)))
-		restore()
-		counts[i] = n
-	}
-	return counts, nil
 }
 
 // snapshot captures the observable state: membership over the keyspace for

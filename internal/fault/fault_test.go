@@ -42,6 +42,10 @@ func TestPlanValidation(t *testing.T) {
 		"negative crash":     func(p *Plan) { p.CrashIndex = -1 },
 		"zero log capacity":  func(p *Plan) { p.LogCapacity = 0 },
 		"zero hash capacity": func(p *Plan) { p.HashCapacity = 0 },
+		"no recovery":        func(p *Plan) { p.Variant = core.VariantBase.String() },
+		"misaligned fate":    func(p *Plan) { p.Fates = []LineFate{{Line: 1<<20 + 8, Src: "cache", Mask: 1}} },
+		"misaligned refate":  func(p *Plan) { p.RecoveryFates = []LineFate{{Line: 3, Src: "wpq", Mask: 1}} },
+		"flip on a WAL list": func(p *Plan) { p.VstoreUnsafeFlip = true },
 	} {
 		p := good
 		mutate(&p)
@@ -54,6 +58,22 @@ func TestPlanValidation(t *testing.T) {
 	}
 }
 
+// TestRunReportsUnbuildablePlans checks that a plan whose prefix cannot
+// be built — the structure's constructor or the warm-up panics — comes
+// back from Run as an error, neither a crash of the caller nor a violation.
+func TestRunReportsUnbuildablePlans(t *testing.T) {
+	for name, mutate := range map[string]func(*Plan){
+		"log capacity": func(p *Plan) { p.Structure, p.LogCapacity = "BT", 1 },
+		"one string":   func(p *Plan) { p.Structure, p.Strings = "SS", 1 },
+	} {
+		p := DefaultPlan("LL", core.VariantLogPSf, 1)
+		mutate(&p)
+		if out, err := Run(p); err == nil {
+			t.Errorf("%s: Run accepted the plan: %+v", name, out)
+		}
+	}
+}
+
 func TestRunIsDeterministic(t *testing.T) {
 	// A sampled trial records its fates; replaying the recorded plan must
 	// reproduce the identical outcome, byte for byte.
@@ -61,10 +81,11 @@ func TestRunIsDeterministic(t *testing.T) {
 	p.Op = 1
 	p.CrashIndex = 25
 	var rec []LineFate
-	first, err := runPlan(p, samplingFates(12345, true, &rec), nil)
+	pres, _, err := prefixes(p, p.Op, p.Op+1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := runTrial(&pres[0], p, samplingFates(12345, true, &rec))
 	p.Fates = rec
 	for i := 0; i < 2; i++ {
 		again, err := Run(p)
@@ -79,7 +100,7 @@ func TestRunIsDeterministic(t *testing.T) {
 
 func TestCountOpEvents(t *testing.T) {
 	p := DefaultPlan("LL", core.VariantLogPSf, 1)
-	counts, err := countOpEvents(p, 3)
+	_, counts, err := prefixes(p, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +147,7 @@ func TestRecrashTrialConverges(t *testing.T) {
 	// atomicity) and must pass at LevelFull.
 	base := DefaultPlan("HM", core.VariantLogPSf, 5)
 	base.Op = 0
-	counts, err := countOpEvents(base, 1)
+	_, counts, err := prefixes(base, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,6 +366,27 @@ func (m *Model) PersistAll() {
 	m.Pcommit()
 }
 
+// Clone returns a deep copy of the model: the volatile and durable images,
+// the dirty set, the WPQ snapshots and the stats. The copy shares no memory
+// with m, so either can run on (and crash) without disturbing the other —
+// the fault engine forks every crash trial from one shared prefix this way.
+func (m *Model) Clone() *Model {
+	c := &Model{
+		volatile: m.volatile.Clone(),
+		durable:  m.durable.Clone(),
+		dirty:    make(map[uint64]struct{}, len(m.dirty)),
+		wpq:      make(map[uint64][]byte, len(m.wpq)),
+		stats:    m.stats,
+	}
+	for line := range m.dirty {
+		c.dirty[line] = struct{}{}
+	}
+	for line, buf := range m.wpq {
+		c.wpq[line] = append([]byte(nil), buf...)
+	}
+	return c
+}
+
 // Stats returns a copy of the event counters.
 func (m *Model) Stats() Stats { return m.stats }
 

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -417,5 +418,90 @@ func TestParseCrashSource(t *testing.T) {
 	}
 	if CrashSource(99).String() != "invalid" {
 		t.Error("invalid source name")
+	}
+}
+
+// modelImage is a deep, comparable capture of everything a Model owns.
+type modelImage struct {
+	volatile, durable []byte
+	dirty             map[uint64]bool
+	wpq               map[uint64]string
+	stats             Stats
+}
+
+// imageOf captures m over the address range [mem.DefaultBase, brk).
+func imageOf(m *Model) modelImage {
+	n := int(m.volatile.Brk() - mem.DefaultBase)
+	img := modelImage{
+		volatile: make([]byte, n),
+		durable:  make([]byte, n),
+		dirty:    make(map[uint64]bool),
+		wpq:      make(map[uint64]string),
+		stats:    m.stats,
+	}
+	m.volatile.Read(mem.DefaultBase, img.volatile)
+	m.durable.Read(mem.DefaultBase, img.durable)
+	for line := range m.dirty {
+		img.dirty[line] = true
+	}
+	for line, buf := range m.wpq {
+		img.wpq[line] = string(buf)
+	}
+	return img
+}
+
+// TestCloneIsIsolated runs writes, clwbs, pcommits, a direct edit of a WPQ
+// snapshot and a crash on one side of a Clone, and requires the other
+// side's volatile and durable images, dirty set, WPQ and stats to stay
+// byte-identical — in both directions, so neither shared mem pages nor
+// shared WPQ snapshot buffers go unnoticed.
+func TestCloneIsIsolated(t *testing.T) {
+	setup := func() *Model {
+		m := New()
+		base := m.AllocLines(8)
+		for i := uint64(0); i < 8; i++ {
+			m.WriteU64(base+i*mem.LineSize, 100+i)
+		}
+		m.Clwb(base)
+		m.Clwb(base + mem.LineSize)
+		m.Pcommit() // lines 0-1 durable
+		m.Clwb(base + 2*mem.LineSize)
+		m.Clwb(base + 3*mem.LineSize) // lines 2-3 in the WPQ, 4-7 dirty
+		return m
+	}
+	mutate := func(m *Model) {
+		base := uint64(mem.DefaultBase)
+		for line := range m.wpq {
+			m.wpq[line][0] ^= 0xff
+		}
+		for i := uint64(0); i < 8; i++ {
+			m.WriteU64(base+i*mem.LineSize, 900+i)
+		}
+		m.Write(base+5*mem.LineSize+8, []byte("scribble"))
+		m.Clwb(base + 4*mem.LineSize)
+		m.Pcommit()
+		m.Clwb(base + 6*mem.LineSize)
+		m.Crash(CrashOptions{LineFate: func(uint64, CrashSource) uint8 { return 0x0f }})
+		m.WriteU64(base+7*mem.LineSize, 1)
+	}
+	for _, forkSide := range []bool{true, false} {
+		parent := setup()
+		fork := parent.Clone()
+		if !reflect.DeepEqual(imageOf(parent), imageOf(fork)) {
+			t.Fatal("clone differs from its parent")
+		}
+		kept, changed := parent, fork
+		if !forkSide {
+			kept, changed = fork, parent
+		}
+		before := imageOf(kept)
+		mutate(changed)
+		if reflect.DeepEqual(imageOf(changed), before) {
+			t.Fatal("mutation changed nothing; the test is vacuous")
+		}
+		if after := imageOf(kept); !reflect.DeepEqual(after, before) {
+			t.Fatalf("mutating the %s changed the other side:\nbefore: %+v\nafter:  %+v",
+				map[bool]string{true: "fork", false: "parent"}[forkSide], before, after)
+		}
 	}
 }

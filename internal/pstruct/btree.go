@@ -367,6 +367,13 @@ func (t *BTree) Check() error {
 	var leaves uint64
 	var walk func(addr uint64, depth int) (leafDepth int, minKey, maxKey uint64, err error)
 	walk = func(addr uint64, depth int) (int, uint64, uint64, error) {
+		// A crash-corrupted tree may link a node into a cycle through first
+		// children, which the ordering checks (made after the first child
+		// returns) never reach. A real 2-3 tree this deep would need 2^64
+		// leaves.
+		if depth > 64 {
+			return 0, 0, 0, fmt.Errorf("btree: deeper than 64 levels (cycle)")
+		}
 		if m.ReadU64(addr+btFlags) == 1 {
 			leaves++
 			k := m.ReadU64(addr + btKey0)

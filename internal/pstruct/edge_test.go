@@ -135,3 +135,18 @@ func TestLargeRandomMixAllStructures(t *testing.T) {
 		})
 	}
 }
+
+func TestBTreeCheckRejectsCycle(t *testing.T) {
+	// A crash can leave a node linking back to itself through its first
+	// child; Check must report it, not recurse until the stack overflows.
+	env, mgr := newFullEnv(t)
+	bt := NewBTree(env, mgr)
+	for k := uint64(0); k < 8; k++ {
+		bt.Apply(k)
+	}
+	root := env.M.ReadU64(bt.hdr)
+	env.M.WriteU64(root+btKid0, root)
+	if err := bt.Check(); err == nil {
+		t.Fatal("Check accepted a cyclic tree")
+	}
+}

@@ -152,6 +152,52 @@ func Build(name string, env *exec.Env, mgr *txn.Manager, cfg Config) Structure {
 	}
 }
 
+// Fork returns a copy of s bound to env and mgr, which must be forks of the
+// env and manager s was built on (exec.Env.Fork, txn.Manager.Fork). The WAL
+// structures keep their state in simulated memory and hold only addresses
+// fixed at construction and plain values (SS's swap count and scratch
+// buffers), so a value copy with the bindings swapped is independent; the
+// versioned store also copies its Go-side working set.
+func Fork(s Structure, env *exec.Env, mgr *txn.Manager) Structure {
+	b := base{env: env, mgr: mgr}
+	switch t := s.(type) {
+	case *Graph:
+		c := *t
+		c.base = b
+		return &c
+	case *HashMap:
+		c := *t
+		c.base = b
+		return &c
+	case *List:
+		c := *t
+		c.base = b
+		return &c
+	case *StringSwap:
+		c := *t
+		c.base = b
+		return &c
+	case *AVL:
+		c := *t
+		c.base = b
+		return &c
+	case *BTree:
+		c := *t
+		c.base = b
+		return &c
+	case *RBTree:
+		c := *t
+		c.base = b
+		return &c
+	case *VTree:
+		c := *t
+		c.S = t.S.Fork(env)
+		return &c
+	default:
+		panic(fmt.Sprintf("pstruct: cannot fork %T", s))
+	}
+}
+
 // mix64 is the functional hash used by the hash map and key-splitting
 // helpers (SplitMix64 finalizer).
 func mix64(x uint64) uint64 {

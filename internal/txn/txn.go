@@ -77,6 +77,19 @@ func NewManager(env *exec.Env, capacity int) *Manager {
 	return m
 }
 
+// Fork returns a copy of the manager bound to env, which must be a fork of
+// the manager's own env (exec.Env.Fork): the log region's addresses, the
+// capacity and the stats carry over. Forking inside a transaction is a bug
+// (the transaction's Go-side state would be shared) and panics.
+func (m *Manager) Fork(env *exec.Env) *Manager {
+	if m.active != nil {
+		panic("txn: Fork inside a transaction")
+	}
+	c := *m
+	c.env = env
+	return &c
+}
+
 // Env returns the execution environment the manager runs on.
 func (m *Manager) Env() *exec.Env { return m.env }
 

@@ -142,6 +142,21 @@ func New(env *exec.Env, cfg Config) *Store {
 	return s
 }
 
+// Fork returns a copy of the store bound to env, which must be a fork of
+// the store's own env (exec.Env.Fork). The durable layout lives in env's
+// memory; the copy gets its own Go-side working set (fresh lines and the
+// in-flight map) and stats.
+func (s *Store) Fork(env *exec.Env) *Store {
+	c := *s
+	c.env = env
+	c.fresh = append([]uint64(nil), s.fresh...)
+	c.inflight = make(map[uint64]bool, len(s.inflight))
+	for a, v := range s.inflight {
+		c.inflight[a] = v
+	}
+	return &c
+}
+
 // entryAddr returns version v's manifest line.
 func (s *Store) entryAddr(v uint64) uint64 { return s.manifest + v*mem.LineSize }
 

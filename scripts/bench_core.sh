@@ -2,8 +2,9 @@
 # Measure the simulator hot loops and append the results to
 # BENCH_core.json, the checked-in perf trajectory: the single-core
 # instruction rate, the replicated-fleet request rate (chaos fabric
-# compiled in, disabled — the chaos-off overhead guard) and the versioned
-# store's changeset-commit rate. Run from anywhere:
+# compiled in, disabled — the chaos-off overhead guard), the versioned
+# store's changeset-commit rate and the crash-campaign trial rate. Run from
+# anywhere:
 #
 #   scripts/bench_core.sh              # 3 iterations (default)
 #   BENCHTIME=10x scripts/bench_core.sh
@@ -33,5 +34,10 @@ out=$(go test -run '^$' -bench '^BenchmarkVstoreCommit$' -benchtime "$benchtime"
 printf '%s\n' "$out" >&2
 printf '%s\n' "$out" |
   go run ./cmd/benchtrend -file BENCH_core.json -metric sim-commits/s -commit "$commit" -date "$date"
+
+out=$(go test -run '^$' -bench '^BenchmarkFaultCampaign$' -benchtime "$benchtime" .)
+printf '%s\n' "$out" >&2
+printf '%s\n' "$out" |
+  go run ./cmd/benchtrend -file BENCH_core.json -metric trials/s -commit "$commit" -date "$date"
 
 go run ./cmd/benchtrend -file BENCH_core.json -check
