@@ -61,6 +61,7 @@ import (
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
 	"specpersist/internal/pstruct"
+	"specpersist/internal/sched"
 	"specpersist/internal/service"
 )
 
@@ -648,17 +649,18 @@ type fleet struct {
 // than oracle-instant.
 func (s *fleet) detection() bool { return s.cfg.HeartbeatEvery > 0 }
 
-// event kinds, in tie-break priority order at equal cycles. A delivery
-// beats a timer at the same cycle, so an ack arriving exactly at the
-// deadline still completes its request.
+// event kinds, in tie-break priority order at equal cycles. The periodic
+// heartbeat and rebalance ticks win every tie. A delivery beats a timer at
+// the same cycle, so an ack arriving exactly at the deadline still
+// completes its request.
 const (
-	evArrival = iota
+	evHeartbeat = iota
+	evRebalance
+	evArrival
 	evDeliver
 	evTimer
 	evCrash
 	evRecover
-	evRebalance
-	evHeartbeat
 	evStart
 	evStep
 )
@@ -842,79 +844,52 @@ func (s *fleet) span(t uint64) {
 	}
 }
 
-// startTime mirrors internal/service's group-commit trigger: the K-th
-// enqueue starts a run immediately; otherwise the head waits out the batch
-// deadline. Either way the core must be free.
-func (s *fleet) startTime(n *node) uint64 {
-	t := n.sim.Core(0).Now()
-	var ready uint64
-	if len(n.queue) >= s.cfg.BatchMax {
-		ready = n.queue[len(n.queue)-1].enq
-	} else {
-		ready = n.queue[0].enq + s.cfg.BatchDeadline
-	}
-	if ready > t {
-		t = ready
-	}
-	return t
-}
-
 // loop is the deterministic scheduler: always the globally earliest event,
-// with a fixed kind order at equal cycles (arrival < delivery < crash <
-// recover < rebalance < run start < core step) and the lowest node index
-// breaking remaining ties. Network deliveries are already totally ordered
-// by (cycle, send sequence).
+// with a fixed kind order at equal cycles (heartbeat < rebalance < arrival
+// < delivery < timer < crash < recover < run start < core step) and the
+// lowest node index breaking remaining ties. Network deliveries are
+// already totally ordered by (cycle, send sequence).
 func (s *fleet) loop(arrivals []request) error {
 	idx := 0
+	var p sched.Pick
 	for {
-		bestT := ^uint64(0)
-		secondT := ^uint64(0) // earliest non-best event: the step-batch limit
-		bestKind, bestNode := -1, -1
-		consider := func(t uint64, kind, nodeIdx int) {
-			if t < bestT || (t == bestT && (kind < bestKind || (kind == bestKind && nodeIdx < bestNode))) {
-				if bestT < secondT {
-					secondT = bestT
-				}
-				bestT, bestKind, bestNode = t, kind, nodeIdx
-			} else if t < secondT {
-				secondT = t
-			}
-		}
+		p.Reset()
 		if idx < len(arrivals) {
-			consider(arrivals[idx].at, evArrival, -1)
+			p.Add(sched.Key{T: arrivals[idx].at, Kind: evArrival, Idx: -1})
 		}
 		if at, ok := s.net.nextAt(); ok {
-			consider(at, evDeliver, -1)
+			p.Add(sched.Key{T: at, Kind: evDeliver, Idx: -1})
 		}
 		if len(s.timers) > 0 {
-			consider(s.timers[0].at, evTimer, -1)
+			p.Add(sched.Key{T: s.timers[0].at, Kind: evTimer, Idx: -1})
 		}
 		if s.cfg.CrashAt > 0 && !s.crashDone {
-			consider(s.cfg.CrashAt, evCrash, -1)
+			p.Add(sched.Key{T: s.cfg.CrashAt, Kind: evCrash, Idx: -1})
 		}
 		if s.crashDone && !s.recoverDone && s.cfg.RecoverAfter > 0 {
-			consider(s.cfg.CrashAt+s.cfg.RecoverAfter, evRecover, -1)
+			p.Add(sched.Key{T: s.cfg.CrashAt + s.cfg.RecoverAfter, Kind: evRecover, Idx: -1})
 		}
 		for i, n := range s.nodes {
 			if n.busy {
-				consider(n.sim.Core(0).Now(), evStep, i)
+				p.Add(sched.Key{T: n.sim.Core(0).Now(), Kind: evStep, Idx: i})
 			} else if n.state != stateCrashed && len(n.queue) > 0 {
-				consider(s.startTime(n), evStart, i)
+				q := n.queue
+				t := service.GroupStart(n.sim.Core(0).Now(), len(q), s.cfg.BatchMax, q[0].enq, q[len(q)-1].enq, s.cfg.BatchDeadline)
+				p.Add(sched.Key{T: t, Kind: evStart, Idx: i})
 			}
 		}
-		if bestKind == -1 {
+		if !p.Ok() {
 			break
 		}
-		// The rebalance and heartbeat ticks only compete while other work
-		// is pending, so a periodic event can never keep a drained fleet
-		// alive. Heartbeats win equal-cycle ties (checked last).
-		if s.cfg.RebalanceEvery > 0 && s.nextRebal <= bestT {
-			bestT, bestKind, bestNode = s.nextRebal, evRebalance, -1
+		// The periodic ticks only compete while other work is pending, so
+		// a tick can never keep a drained fleet alive.
+		if s.cfg.RebalanceEvery > 0 {
+			p.Add(sched.Key{T: s.nextRebal, Kind: evRebalance, Idx: -1})
 		}
-		if s.cfg.HeartbeatEvery > 0 && s.nextBeat <= bestT {
-			bestT, bestKind, bestNode = s.nextBeat, evHeartbeat, -1
+		if s.cfg.HeartbeatEvery > 0 {
+			p.Add(sched.Key{T: s.nextBeat, Kind: evHeartbeat, Idx: -1})
 		}
-		switch bestKind {
+		switch best := p.Best(); best.Kind {
 		case evArrival:
 			r := arrivals[idx]
 			idx++
@@ -922,23 +897,23 @@ func (s *fleet) loop(arrivals []request) error {
 		case evDeliver:
 			s.deliver(s.net.pop())
 		case evTimer:
-			s.fireTimer(bestT)
+			s.fireTimer(best.T)
 		case evCrash:
 			s.crashDone = true
-			s.crashNode(s.cfg.CrashNode, bestT)
+			s.crashNode(s.cfg.CrashNode, best.T)
 		case evRecover:
 			s.recoverDone = true
-			s.recoverNode(s.cfg.CrashNode, bestT)
+			s.recoverNode(s.cfg.CrashNode, best.T)
 		case evRebalance:
-			s.rebalance(bestT)
+			s.rebalance(best.T)
 			s.nextRebal += s.cfg.RebalanceEvery
 		case evHeartbeat:
-			s.heartbeatTick(bestT)
+			s.heartbeatTick(best.T)
 			s.nextBeat += s.cfg.HeartbeatEvery
 		case evStart:
-			s.startRun(s.nodes[bestNode], bestT)
+			s.startRun(s.nodes[best.Idx], best.T)
 		case evStep:
-			s.stepNode(s.nodes[bestNode], secondT)
+			s.stepNode(s.nodes[best.Idx], p.Next())
 		}
 		if s.err != nil {
 			return s.err
@@ -1369,36 +1344,27 @@ func (s *fleet) startRun(n *node, t uint64) {
 }
 
 // stepNode advances one busy node; completions fire via the sentinel
-// commit hook. The node steps in a batch while its clock stays strictly
-// below limit — the next scheduler event at scan time. Unlike the service
-// loop, stepping can *create* events: a sentinel commit sends acks and
-// catch-up fetches into the network, so each iteration re-peeks the net
-// queue; and the periodic rebalance tick preempts a step whose cycle it
-// reaches, so it caps the batch too. Nodes own disjoint simulators, so no
-// other event time can move while this node runs.
-func (s *fleet) stepNode(n *node, limit uint64) {
-	if s.cfg.RebalanceEvery > 0 && s.nextRebal < limit {
-		limit = s.nextRebal
-	}
-	if s.cfg.HeartbeatEvery > 0 && s.nextBeat < limit {
-		limit = s.nextBeat
-	}
-	for {
-		if !n.sim.StepCore(0) {
-			if len(n.inflight) > 0 && s.err == nil {
-				s.err = fmt.Errorf("cluster: node %d drained with %d in-flight groups", n.idx, len(n.inflight))
-			}
-			n.busy = false
-			return
+// commit hook. The node steps in a batch while its event still orders
+// before next, the runner-up of the scan (the periodic ticks included).
+// Unlike the service loop, stepping can *create* events: a sentinel
+// commit sends acks and catch-up fetches into the network, so a delivery
+// due at or before the node's clock also ends the batch. Nodes own
+// disjoint simulators, so no other event time can move while this node
+// runs.
+func (s *fleet) stepNode(n *node, next sched.Key) {
+	if n.sim.StepWhile(0, func(now uint64) bool {
+		if s.err != nil || !(sched.Key{T: now, Kind: evStep, Idx: n.idx}).Less(next) {
+			return false
 		}
-		now := n.sim.Core(0).Now()
-		if s.err != nil || now >= limit {
-			return
-		}
-		if at, ok := s.net.nextAt(); ok && at <= now {
-			return
-		}
+		at, ok := s.net.nextAt()
+		return !ok || at > now
+	}) {
+		return
 	}
+	if len(n.inflight) > 0 && s.err == nil {
+		s.err = fmt.Errorf("cluster: node %d drained with %d in-flight groups", n.idx, len(n.inflight))
+	}
+	n.busy = false
 }
 
 // sentinelCommit fires when node n's oldest in-flight commit group becomes

@@ -30,6 +30,7 @@ import (
 	"specpersist/internal/isa"
 	"specpersist/internal/memctl"
 	"specpersist/internal/obs"
+	"specpersist/internal/sched"
 	"specpersist/internal/trace"
 )
 
@@ -219,9 +220,6 @@ func (s *Sim) deliver(cs *coreState, addr uint64, first bool) {
 
 // retryDeferred re-delivers NACKed probes before the core steps again.
 func (s *Sim) retryDeferred(cs *coreState) {
-	if len(cs.deferred) == 0 {
-		return
-	}
 	pending := cs.deferred
 	cs.deferred = nil
 	clear(cs.deferredAt)
@@ -247,20 +245,27 @@ func (s *Sim) StartCore(i int, src trace.Source) {
 	cs.done = false
 }
 
-// StepCore retries any NACKed probes against core i and advances it one
-// step. It returns false once the core has drained, mirroring Run's
-// completion handling (pending probes resolve trivially on a finished
-// core: it is no longer speculating, so every retry would miss).
-func (s *Sim) StepCore(i int) bool {
+// StepWhile is the schedulers' batch step: it advances core i one step at
+// a time, retrying any NACKed probes against it before each step, until
+// the core drains (false) or more, asked with the core's clock after each
+// step, says stop (true). Probes still pending on a drained core resolve
+// trivially: it is no longer speculating, so every retry would miss.
+func (s *Sim) StepWhile(i int, more func(now uint64) bool) bool {
 	cs := s.cores[i]
-	s.retryDeferred(cs)
-	if !cs.cpu.Step() {
-		cs.done = true
-		cs.deferred = nil
-		clear(cs.deferredAt)
-		return false
+	for {
+		if len(cs.deferred) > 0 {
+			s.retryDeferred(cs)
+		}
+		if !cs.cpu.Step() {
+			cs.done = true
+			cs.deferred = nil
+			clear(cs.deferredAt)
+			return false
+		}
+		if !more(cs.cpu.Now()) {
+			return true
+		}
 	}
-	return true
 }
 
 // Run simulates every core to completion, interleaved by earliest Now()
@@ -282,58 +287,23 @@ func (s *Sim) Run(srcs []trace.Source) Stats {
 		cs.cpu.Start(cs.src)
 		cs.done = false
 	}
+	// Other cores' clocks only ever increase while the pick steps (a
+	// delivered probe can add a rollback penalty, never rewind), so the
+	// runner-up found by one scan stays a safe batch limit.
+	var p sched.Pick
 	for {
-		// Pick the earliest core and the earliest *other* core's time: the
-		// pick keeps the floor until its clock reaches that limit, so one
-		// scan pays for a whole batch of steps instead of one.
-		var pick *coreState
-		pi := -1
+		p.Reset()
 		for i, cs := range s.cores {
-			if cs.done {
-				continue
-			}
-			if pick == nil || cs.cpu.Now() < pick.cpu.Now() {
-				pick, pi = cs, i
+			if !cs.done {
+				p.Add(sched.Key{T: cs.cpu.Now(), Idx: i})
 			}
 		}
-		if pick == nil {
-			break
+		if !p.Ok() {
+			return s.Stats()
 		}
-		limit := ^uint64(0)
-		li := -1
-		for i, cs := range s.cores {
-			if cs.done || i == pi {
-				continue
-			}
-			if n := cs.cpu.Now(); n < limit {
-				limit, li = n, i
-			}
-		}
-		// Inner batch: other cores' clocks only ever increase (a delivered
-		// probe can add a rollback penalty, never rewind), so while the
-		// pick stays strictly below the cached limit — or ties it from a
-		// lower index — it would win the scan again; re-scanning is wasted
-		// work. Each step still retries NACKed probes first, exactly as the
-		// one-step-per-scan loop did.
-		for {
-			s.retryDeferred(pick)
-			if !pick.cpu.Step() {
-				pick.done = true
-				// Anything still NACKed resolves trivially: the core is no
-				// longer speculating, so the retried probes would all miss.
-				pick.deferred = nil
-				clear(pick.deferredAt)
-				break
-			}
-			if li == -1 {
-				continue // sole live core: run it to completion
-			}
-			if n := pick.cpu.Now(); n > limit || (n == limit && pi > li) {
-				break
-			}
-		}
+		i, next := p.Best().Idx, p.Next()
+		s.StepWhile(i, func(now uint64) bool { return sched.Key{T: now, Idx: i}.Less(next) })
 	}
-	return s.Stats()
 }
 
 // Stats returns the conflict-engine counters plus per-core CPU stats.

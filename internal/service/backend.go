@@ -188,6 +188,21 @@ func (b *Backend) ServingPcommits() uint64 {
 	return b.Env.M.Stats().Pcommits - b.WarmupPcommits
 }
 
+// GroupStart is the group-commit start trigger: the cycle at which an idle
+// core, free from cycle free, starts a run over its queue of queued
+// requests, the oldest enqueued at head and the newest at tail. The
+// batch-full trigger fires the moment the batchMax-th request arrives —
+// not at the head's arrival, which would start the run in the past — and
+// the deadline trigger fires once the head has waited deadline cycles.
+// Either way the core must also be free.
+func GroupStart(free uint64, queued, batchMax int, head, tail, deadline uint64) uint64 {
+	ready := head + deadline
+	if queued >= batchMax {
+		ready = tail
+	}
+	return max(free, ready)
+}
+
 // BindSentinel subscribes fn to core k's commit stream, firing once per
 // committed store to the backend's sentinel line — the durability point
 // of each commit group. The service and cluster layers share this single

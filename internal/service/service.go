@@ -53,6 +53,7 @@ import (
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
 	"specpersist/internal/pstruct"
+	"specpersist/internal/sched"
 )
 
 // Histogram aliases the shared log-bucketed latency histogram
@@ -470,26 +471,6 @@ func (s *server) registerCounters() {
 	s.reg.RegisterFunc("service.latency.max", func() uint64 { return s.hist.Max })
 }
 
-// startTime returns the cycle at which an idle shard's next batch begins
-// under the group-commit policy. The batch-full trigger fires the moment
-// the K-th request arrives — not at the head's arrival, which would start
-// the run in the past — and the deadline trigger fires once the head has
-// waited out the batch deadline since arriving. Either way the core must
-// also be free.
-func (s *server) startTime(sh *shard, k int) uint64 {
-	t := s.sim.Core(k).Now()
-	var ready uint64
-	if len(sh.queue) >= s.cfg.BatchMax {
-		ready = sh.queue[len(sh.queue)-1].at
-	} else {
-		ready = sh.queue[0].at + s.cfg.BatchDeadline
-	}
-	if ready > t {
-		t = ready
-	}
-	return t
-}
-
 // noteDepth accrues the queue-depth time integral up to cycle t.
 func (s *server) noteDepth(sh *shard, t uint64) {
 	if t > sh.depthAt {
@@ -505,42 +486,33 @@ func (s *server) noteDepth(sh *shard, t uint64) {
 // multicore.Sim.Run.
 func (s *server) loop(arrivals []request) error {
 	idx := 0
+	var p sched.Pick
 	for {
-		bestT := ^uint64(0)
-		secondT := ^uint64(0) // earliest non-best event: the step-batch limit
-		bestKind, bestShard := -1, -1
-		consider := func(t uint64, kind, shardIdx int) {
-			if t < bestT || (t == bestT && (kind < bestKind || (kind == bestKind && shardIdx < bestShard))) {
-				if bestT < secondT {
-					secondT = bestT
-				}
-				bestT, bestKind, bestShard = t, kind, shardIdx
-			} else if t < secondT {
-				secondT = t
-			}
-		}
+		p.Reset()
 		if idx < len(arrivals) {
-			consider(arrivals[idx].at, evArrival, -1)
+			p.Add(sched.Key{T: arrivals[idx].at, Kind: evArrival, Idx: -1})
 		}
 		for k, sh := range s.shards {
 			if sh.busy {
-				consider(s.sim.Core(k).Now(), evStep, k)
+				p.Add(sched.Key{T: s.sim.Core(k).Now(), Kind: evStep, Idx: k})
 			} else if len(sh.queue) > 0 {
-				consider(s.startTime(sh, k), evStart, k)
+				q := sh.queue
+				t := GroupStart(s.sim.Core(k).Now(), len(q), s.cfg.BatchMax, q[0].at, q[len(q)-1].at, s.cfg.BatchDeadline)
+				p.Add(sched.Key{T: t, Kind: evStart, Idx: k})
 			}
 		}
-		if bestKind == -1 {
+		if !p.Ok() {
 			break
 		}
-		switch bestKind {
+		switch best := p.Best(); best.Kind {
 		case evArrival:
 			r := arrivals[idx]
 			idx++
 			s.arrive(r)
 		case evStart:
-			s.startRun(s.shards[bestShard], bestShard, bestT)
+			s.startRun(s.shards[best.Idx], best.Idx, best.T)
 		case evStep:
-			s.stepShard(s.shards[bestShard], bestShard, secondT)
+			s.stepShard(s.shards[best.Idx], best.Idx, p.Next())
 		}
 		if s.err != nil {
 			return s.err
@@ -648,27 +620,23 @@ func (s *server) completeGroup(sh *shard, k int) {
 
 // stepShard advances one busy core; completions happen via the commit
 // hook as sentinels drain, and the run ends when the core drains fully.
-// The core steps in a batch while its clock stays strictly below limit —
-// the next scheduler event. Every competing event time is frozen while
-// this core runs (arrivals are precomputed, idle shards' start times
-// depend only on their queue and their own clock, and other busy cores'
-// clocks only increase), so re-scanning per cycle would pick this core
-// again; the batch is exact, not approximate. Equal-cycle events win
-// against a step (evStep orders last), hence the strict comparison.
-func (s *server) stepShard(sh *shard, k int, limit uint64) {
-	for {
-		if !s.sim.StepCore(k) {
-			if len(sh.inflight) > 0 && s.err == nil {
-				s.err = fmt.Errorf("service: shard %d drained with %d in-flight groups", k, len(sh.inflight))
-			}
-			s.tl.Span(obs.TrackService, "service.run", sh.runStart, s.sim.Core(k).Now())
-			sh.busy = false
-			return
-		}
-		if s.err != nil || s.sim.Core(k).Now() >= limit {
-			return
-		}
+// The core steps in a batch while its event still orders before next, the
+// runner-up of the scan. Every competing event time is frozen while this
+// core runs (arrivals are precomputed, idle shards' start times depend
+// only on their queue and their own clock, and other busy cores' clocks
+// only increase), so re-scanning per step would pick this core again; the
+// batch is exact, not approximate.
+func (s *server) stepShard(sh *shard, k int, next sched.Key) {
+	if s.sim.StepWhile(k, func(now uint64) bool {
+		return s.err == nil && sched.Key{T: now, Kind: evStep, Idx: k}.Less(next)
+	}) {
+		return
 	}
+	if len(sh.inflight) > 0 && s.err == nil {
+		s.err = fmt.Errorf("service: shard %d drained with %d in-flight groups", k, len(sh.inflight))
+	}
+	s.tl.Span(obs.TrackService, "service.run", sh.runStart, s.sim.Core(k).Now())
+	sh.busy = false
 }
 
 // result assembles the Result from the finished server.
