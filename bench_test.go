@@ -17,6 +17,7 @@ import (
 	"specpersist/internal/core"
 	"specpersist/internal/exec"
 	"specpersist/internal/fault"
+	"specpersist/internal/litmus"
 	"specpersist/internal/pstruct"
 	"specpersist/internal/report"
 	"specpersist/internal/sp"
@@ -341,6 +342,55 @@ func BenchmarkFaultCampaign(b *testing.B) {
 			b.Fatalf("%d violations under the fenced variant", rep.Violations)
 		}
 		trials += rep.Trials
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(trials)/secs, "trials/s")
+	}
+}
+
+// BenchmarkLitmusCampaign measures the litmus engine's own speed: the
+// curated corpus plus 40 seeded programs, each checked against the
+// reference and run on the machine in every mode, on one worker, as trials
+// per wall-clock second. scripts/bench_core.sh appends the metric to
+// BENCH_core.json.
+func BenchmarkLitmusCampaign(b *testing.B) {
+	var trials int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := litmus.Campaign(litmus.CampaignConfig{Curated: true, Programs: 40, Seed: 1, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Violations != 0 {
+			b.Fatalf("%d violations against the strict reference", res.Violations)
+		}
+		trials += len(res.Trials)
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(trials)/secs, "trials/s")
+	}
+}
+
+// BenchmarkChaosCampaign measures the chaos engine's own speed: eight
+// audited trials of the default chaos fleet (cluster.DefaultChaosBase) on
+// one worker, as trials per wall-clock second. scripts/bench_core.sh
+// appends the metric to BENCH_core.json.
+func BenchmarkChaosCampaign(b *testing.B) {
+	var trials int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := cluster.Campaign(cluster.CampaignConfig{
+			Base: cluster.DefaultChaosBase(), Trials: 8, Seed: 1, Workers: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Violations != 0 {
+			b.Fatalf("%d violations in a healthy fleet", res.Violations)
+		}
+		trials += len(res.Trials)
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {

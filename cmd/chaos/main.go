@@ -170,7 +170,7 @@ func runCampaign(o options) error {
 		fmt.Printf("requests             %d completed / %d offered across all trials\n",
 			res.Completed, res.Offered)
 		fmt.Printf("tail latency         worst per-trial p99 %d cycles\n", res.P99Max)
-		fmt.Printf("violations           %d across %d trials\n", res.Violations, len(res.BadTrials))
+		fmt.Printf("violations           %d in %d of %d trials\n", res.Violations, len(res.BadTrials), len(res.Trials))
 		if doc.Minimal != nil {
 			fmt.Printf("first bad trial      %d (minimized in %d replays", res.BadTrials[0], doc.Shrinks)
 			if o.out != "" {

@@ -105,6 +105,30 @@ func TestCampaignJSONDocument(t *testing.T) {
 	}
 }
 
+// TestSummaryLineCountsAllTrials: the text summary's violation line names
+// the violating trials out of every trial run, so a clean campaign does not
+// read as if nothing ran.
+func TestSummaryLineCountsAllTrials(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trials", "3", "-seed", "3"}, "violations           0 in 0 of 3 trials\n"},
+		{[]string{"-trials", "8", "-seed", "7", "-break-dedup", "-expect-violations", "-shrink-budget", "10"},
+			"violations           730 in 8 of 8 trials\n"},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run", "TestHelperChaosMain")
+		cmd.Env = append(os.Environ(), "CHAOS_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%v: summary lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
 // TestHelperChaosMain is not a real test: when re-executed with
 // CHAOS_HELPER_ARGS set, it becomes the chaos binary.
 func TestHelperChaosMain(t *testing.T) {

@@ -152,7 +152,7 @@ func runCampaign(o options, w *os.File) error {
 		if res.Capped > 0 {
 			fmt.Fprintf(w, "capped               %d programs exceeded the state budget and were skipped\n", res.Capped)
 		}
-		fmt.Fprintf(w, "violations           %d across %d programs\n", res.Violations, len(res.BadTrials))
+		fmt.Fprintf(w, "violations           %d in %d of %d programs\n", res.Violations, len(res.BadTrials), len(res.Trials))
 		if doc.Minimal != nil {
 			tr := res.Trials[res.BadTrials[0]]
 			fmt.Fprintf(w, "first bad program    %s: %s\n", tr.Name, tr.Violations[0])

@@ -96,3 +96,24 @@ func TestReplayRejectsGarbage(t *testing.T) {
 		t.Fatal("invalid reproducer accepted")
 	}
 }
+
+// TestSummaryLineCountsAllPrograms: the text summary's violation line
+// names the violating programs out of every program run, so a clean
+// campaign does not read as if nothing ran.
+func TestSummaryLineCountsAllPrograms(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-programs", "0"}, "violations           0 in 0 of 5 programs\n"},
+		{[]string{"-programs", "0", "-weaken-ref", "-expect-violations"}, "violations           33 in 5 of 5 programs\n"},
+	} {
+		out, err := capture(t, tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(out, tc.want) {
+			t.Errorf("%v: summary lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}

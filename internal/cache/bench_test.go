@@ -49,3 +49,13 @@ func BenchmarkHierarchyFlush(b *testing.B) {
 		now = h.Flush(a, now, false)
 	}
 }
+
+// BenchmarkHierarchyNew measures building a Table 2 hierarchy, which every
+// litmus machine run and every chaos fleet node pays once.
+func BenchmarkHierarchyNew(b *testing.B) {
+	mc := memctl.New(memctl.DefaultConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(DefaultConfig(), mc)
+	}
+}

@@ -11,6 +11,8 @@
 package cache
 
 import (
+	"math/bits"
+
 	"specpersist/internal/mem"
 	"specpersist/internal/memctl"
 	"specpersist/internal/obs"
@@ -57,10 +59,14 @@ type line struct {
 	lru   uint64
 }
 
+// A level's sets are built on first fill: a nil set holds no valid line,
+// so construction costs O(sets) and a machine pays only for the sets its
+// program touches.
 type level struct {
 	cfg     LevelConfig
 	sets    [][]line
 	setMask uint64
+	shift   uint // log2(set count): tag = block >> shift
 	tick    uint64
 	stats   *LevelStats
 }
@@ -71,24 +77,13 @@ func newLevel(cfg LevelConfig, stats *LevelStats) *level {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	sets := make([][]line, nsets)
-	for i := range sets {
-		sets[i] = make([]line, cfg.Ways)
-	}
-	return &level{cfg: cfg, sets: sets, setMask: uint64(nsets - 1), stats: stats}
+	return &level{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1),
+		shift: uint(bits.TrailingZeros(uint(nsets))), stats: stats}
 }
 
 func (l *level) index(lineAddr uint64) (set uint64, tag uint64) {
 	blk := lineAddr / mem.LineSize
-	return blk & l.setMask, blk >> uint(popcount(l.setMask))
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for ; x != 0; x >>= 1 {
-		n += int(x & 1)
-	}
-	return n
+	return blk & l.setMask, blk >> l.shift
 }
 
 // lookup finds the way holding lineAddr, or -1.
@@ -114,6 +109,10 @@ func (l *level) touch(lineAddr uint64, way int) {
 func (l *level) insert(lineAddr uint64, dirty bool) (victimAddr uint64, victimDirty, evicted bool) {
 	set, tag := l.index(lineAddr)
 	ways := l.sets[set]
+	if ways == nil {
+		ways = make([]line, l.cfg.Ways)
+		l.sets[set] = ways
+	}
 	victim := 0
 	for w := range ways {
 		if !ways[w].valid {
@@ -126,7 +125,7 @@ func (l *level) insert(lineAddr uint64, dirty bool) (victimAddr uint64, victimDi
 		}
 	}
 	evicted = true
-	victimAddr = ((ways[victim].tag << uint(popcount(l.setMask))) | set) * mem.LineSize
+	victimAddr = ((ways[victim].tag << l.shift) | set) * mem.LineSize
 	victimDirty = ways[victim].dirty
 	l.stats.Evictions++
 	if victimDirty {

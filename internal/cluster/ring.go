@@ -25,6 +25,7 @@ type ringPoint struct {
 type Ring struct {
 	points    []ringPoint
 	owners    [][]int // per range: distinct owner nodes, clockwise order
+	owned     [][]int // per node: ranges it owns, ascending
 	primaries []int   // per range: current primary (always an owner)
 }
 
@@ -45,7 +46,7 @@ func NewRing(nodes, vnodes, replicas int) *Ring {
 	if nodes < 1 || vnodes < 1 || replicas < 1 || replicas > nodes {
 		panic(fmt.Sprintf("cluster: invalid ring shape nodes=%d vnodes=%d replicas=%d", nodes, vnodes, replicas))
 	}
-	r := &Ring{}
+	r := &Ring{owned: make([][]int, nodes)}
 	for n := 0; n < nodes; n++ {
 		for v := 0; v < vnodes; v++ {
 			h := splitmix64(uint64(n)<<32 | uint64(v) + 0x9e3779b97f4a7c15)
@@ -71,6 +72,9 @@ func NewRing(nodes, vnodes, replicas int) *Ring {
 			if !dup {
 				owners = append(owners, cand)
 			}
+		}
+		for _, o := range owners {
+			r.owned[o] = append(r.owned[o], i)
 		}
 		r.owners = append(r.owners, owners)
 		r.primaries = append(r.primaries, p.node)
@@ -118,13 +122,6 @@ func (r *Ring) SetPrimary(rid, node int) {
 	r.primaries[rid] = node
 }
 
-// RangesOwnedBy returns every range in node's owner set, ascending.
-func (r *Ring) RangesOwnedBy(node int) []int {
-	var out []int
-	for rid := range r.owners {
-		if r.IsOwner(rid, node) {
-			out = append(out, rid)
-		}
-	}
-	return out
-}
+// RangesOwnedBy returns every range whose owner set holds node, ascending
+// (fixed at NewRing; do not mutate).
+func (r *Ring) RangesOwnedBy(node int) []int { return r.owned[node] }

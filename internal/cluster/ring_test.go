@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestRingShape(t *testing.T) {
 	for _, tc := range []struct{ nodes, vnodes, replicas int }{
@@ -84,6 +87,16 @@ func TestRingRangesOwnedBy(t *testing.T) {
 			if !r.IsOwner(rid, n) {
 				t.Fatalf("RangesOwnedBy(%d) returned non-owned range %d", n, rid)
 			}
+		}
+		// The precomputed list is exactly an ascending scan of the owner sets.
+		var want []int
+		for rid := 0; rid < r.NumRanges(); rid++ {
+			if r.IsOwner(rid, n) {
+				want = append(want, rid)
+			}
+		}
+		if fmt.Sprint(rids) != fmt.Sprint(want) {
+			t.Fatalf("RangesOwnedBy(%d) = %v, want %v", n, rids, want)
 		}
 	}
 	if want := r.NumRanges() * 2; total != want {

@@ -3,8 +3,8 @@
 # BENCH_core.json, the checked-in perf trajectory: the single-core
 # instruction rate, the replicated-fleet request rate (chaos fabric
 # compiled in, disabled — the chaos-off overhead guard), the versioned
-# store's changeset-commit rate and the crash-campaign trial rate. Run from
-# anywhere:
+# store's changeset-commit rate and the trial rates of the crash, litmus and
+# chaos campaign engines. Run from anywhere:
 #
 #   scripts/bench_core.sh              # 3 iterations (default)
 #   BENCHTIME=10x scripts/bench_core.sh
@@ -35,9 +35,11 @@ printf '%s\n' "$out" >&2
 printf '%s\n' "$out" |
   go run ./cmd/benchtrend -file BENCH_core.json -metric sim-commits/s -commit "$commit" -date "$date"
 
-out=$(go test -run '^$' -bench '^BenchmarkFaultCampaign$' -benchtime "$benchtime" .)
-printf '%s\n' "$out" >&2
-printf '%s\n' "$out" |
-  go run ./cmd/benchtrend -file BENCH_core.json -metric trials/s -commit "$commit" -date "$date"
+for bench in BenchmarkFaultCampaign BenchmarkLitmusCampaign BenchmarkChaosCampaign; do
+  out=$(go test -run '^$' -bench "^$bench\$" -benchtime "$benchtime" .)
+  printf '%s\n' "$out" >&2
+  printf '%s\n' "$out" |
+    go run ./cmd/benchtrend -file BENCH_core.json -metric trials/s -commit "$commit" -date "$date"
+done
 
 go run ./cmd/benchtrend -file BENCH_core.json -check
