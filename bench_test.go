@@ -38,10 +38,17 @@ func benchScale() float64 {
 
 // BenchmarkCoreInstrRate measures the simulator's own speed, not the
 // simulated machine's: committed (simulated) instructions retired per
-// wall-clock second by the single-core hot loop. scripts/bench_core.sh
-// appends the metric to BENCH_core.json so the trajectory of the
-// simulator's performance is tracked across commits.
-func BenchmarkCoreInstrRate(b *testing.B) {
+// wall-clock second by the single-core hot loop, on HM under SP.
+// scripts/bench_core.sh appends the metric to BENCH_core.json so the
+// trajectory of the simulator's performance is tracked across commits.
+func BenchmarkCoreInstrRate(b *testing.B) { coreInstrRate(b, core.VariantSP) }
+
+// BenchmarkCoreInstrRateLogPSf is BenchmarkCoreInstrRate on the fenced
+// Log+P+Sf machine, whose preamble chains start behind a fence stall
+// instead of under speculation.
+func BenchmarkCoreInstrRateLogPSf(b *testing.B) { coreInstrRate(b, core.VariantLogPSf) }
+
+func coreInstrRate(b *testing.B, v core.Variant) {
 	bench, err := workload.FindBench("HM")
 	if err != nil {
 		b.Fatal(err)
@@ -50,7 +57,7 @@ func BenchmarkCoreInstrRate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := workload.MustRun(bench, workload.RunConfig{
-			Variant: core.VariantSP, Scale: benchScale(), Seed: 1,
+			Variant: v, Scale: benchScale(), Seed: 1,
 		})
 		committed += r.Stats.Committed
 	}

@@ -12,16 +12,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 
 	"specpersist/internal/core"
-	"specpersist/internal/exec"
 	"specpersist/internal/isa"
 	"specpersist/internal/obs"
-	"specpersist/internal/pstruct"
 	"specpersist/internal/trace"
-	"specpersist/internal/txn"
 	"specpersist/internal/workload"
 )
 
@@ -49,7 +45,7 @@ func record(args []string) {
 	variant := fs.String("variant", "Log+P+Sf", "software variant to record")
 	scale := fs.Float64("scale", 0.01, "Table 1 op-count scale")
 	seed := fs.Int64("seed", 1, "operation stream seed")
-	overhead := fs.Int("op-overhead", 0, "per-op preamble length (0 = default)")
+	overhead := fs.Int("op-overhead", 0, "per-op preamble length (0 = default, negative = none)")
 	out := fs.String("o", "trace.sptrace", "output file")
 	fs.Parse(args)
 
@@ -79,52 +75,16 @@ func record(args []string) {
 	fmt.Printf("recorded %d instructions to %s\n", w.Count(), *out)
 }
 
-// recordWorkload re-creates the workload harness flow with the file writer
-// as the trace sink.
+// recordWorkload writes the measured phase workload.Run simulates for the
+// same bench, variant, scale, seed and preamble length to sink.
 func recordWorkload(b workload.Bench, v core.Variant, scale float64, seed int64, overhead int, sink trace.Sink) error {
-	env := exec.New()
-	env.Level = v.Level()
-	var mgr *txn.Manager
-	if v.Transactional() {
-		mgr = txn.NewManager(env, b.LogCap)
-	}
-	cfg := pstruct.DefaultConfig()
-	st := pstruct.Build(b.Name, env, mgr, cfg)
-
-	keyspace := b.Keyspace
-	rng := rand.New(rand.NewSource(seed + 1))
-	initOps := int(float64(b.InitOps) * scale)
-	if b.Name == "SS" {
-		initOps = 0
-	}
-	for i := 0; i < initOps; i++ {
-		st.Apply(rng.Uint64() % keyspace)
-	}
-	env.M.PersistAll()
-	if err := st.Check(); err != nil {
+	gen, err := workload.NewGenerator(b, workload.RunConfig{Variant: v, Scale: scale, Seed: seed, OpOverhead: overhead}, sink)
+	if err != nil {
 		return err
 	}
-
-	bld := trace.NewBuilder(sink)
-	env.SetBuilder(bld)
-	if overhead == 0 {
-		overhead = workload.DefaultOpOverhead
+	for gen.Next() {
 	}
-	opRng := rand.New(rand.NewSource(seed + 2))
-	simOps := int(float64(b.SimOps) * scale)
-	if simOps < 8 {
-		simOps = 8
-	}
-	for i := 0; i < simOps; i++ {
-		if overhead > 0 {
-			r := bld.ALU(0)
-			for j := 1; j < overhead; j++ {
-				r = bld.ALU(0, r)
-			}
-		}
-		st.Apply(opRng.Uint64() % keyspace)
-	}
-	return st.Check()
+	return gen.Check()
 }
 
 func replay(args []string) {
@@ -146,18 +106,11 @@ func replay(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	variant := core.VariantLogPSf
-	copts := []core.Option{core.WithControllers(*controllers)}
-	if *sp {
-		variant = core.VariantSP
-		copts = append(copts, core.WithSSB(*ssb), core.WithCheckpoints(*ckpts))
-	}
 	var tl *obs.Timeline
 	if *timeline != "" {
 		tl = obs.NewTimeline(obs.DefaultTimelineCap)
-		copts = append(copts, core.WithTimeline(tl))
 	}
-	sys := core.New(variant, copts...)
+	sys := replaySystem(*sp, *ssb, *ckpts, *controllers, tl)
 	st := sys.Run(r)
 	if err := r.Err(); err != nil {
 		log.Fatal(err)
@@ -183,6 +136,22 @@ func replay(args []string) {
 			st.SpecEntries, st.SpecEpochs, st.CheckpointsMaxUsed, st.SSBMaxUsed)
 	}
 	fmt.Printf("\n%s", obs.FormatStallReport(sys.Metrics()))
+}
+
+// replaySystem builds the machine a recording replays on: the fenced
+// Log+P+Sf core, or with sp the SP core with the given SSB and checkpoint
+// sizes. tl, when non-nil, records the replay's timeline.
+func replaySystem(sp bool, ssb, ckpts, controllers int, tl *obs.Timeline) *core.System {
+	variant := core.VariantLogPSf
+	copts := []core.Option{core.WithControllers(controllers)}
+	if sp {
+		variant = core.VariantSP
+		copts = append(copts, core.WithSSB(ssb), core.WithCheckpoints(ckpts))
+	}
+	if tl != nil {
+		copts = append(copts, core.WithTimeline(tl))
+	}
+	return core.New(variant, copts...)
 }
 
 func info(args []string) {

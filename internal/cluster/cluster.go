@@ -1316,10 +1316,6 @@ func (s *fleet) ackArrived(p *pendingReq, from int, t uint64) {
 func (s *fleet) startRun(n *node, t uint64) {
 	run := n.queue
 	n.queue = nil
-	overhead := s.cfg.OpOverhead
-	if overhead < 0 {
-		overhead = 0
-	}
 	n.be.BeginRun()
 	for len(run) > 0 {
 		k := len(run)
@@ -1332,7 +1328,7 @@ func (s *fleet) startRun(n *node, t uint64) {
 		for i, it := range group {
 			ops[i] = service.Op{Key: it.key, Get: it.get}
 		}
-		n.be.AppendGroup(ops, overhead)
+		n.be.AppendGroup(ops, s.cfg.OpOverhead)
 		n.inflight = append(n.inflight, group)
 		s.stats.Groups++
 	}
@@ -1352,12 +1348,15 @@ func (s *fleet) startRun(n *node, t uint64) {
 // disjoint simulators, so no other event time can move while this node
 // runs.
 func (s *fleet) stepNode(n *node, next sched.Key) {
-	if n.sim.StepWhile(0, func(now uint64) bool {
-		if s.err != nil || !(sched.Key{T: now, Kind: evStep, Idx: n.idx}).Less(next) {
-			return false
+	until := sched.Key{Kind: evStep, Idx: n.idx}.Until(next)
+	if n.sim.StepWhile(0, func() uint64 {
+		if s.err != nil {
+			return 0
 		}
-		at, ok := s.net.nextAt()
-		return !ok || at > now
+		if at, ok := s.net.nextAt(); ok && at < until {
+			return at
+		}
+		return until
 	}) {
 		return
 	}

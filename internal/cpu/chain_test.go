@@ -1,0 +1,386 @@
+package cpu
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"specpersist/internal/cache"
+	"specpersist/internal/isa"
+	"specpersist/internal/memctl"
+	"specpersist/internal/obs"
+	"specpersist/internal/trace"
+)
+
+// The chain fast-forward is checked three ways on every program: in
+// lockstep against single Steps of the same fast path, comparing the whole
+// scheduler state after every StepTo (so a batch must leave exactly what
+// its cycles would); and at the end against the reference scheduler
+// (Stats, commit log, metric snapshot).
+
+// cutSource is a seekable block source that splits its stream into blocks
+// at the given positions, so chains can end exactly at a block boundary.
+type cutSource struct {
+	ins  []isa.Instr
+	cuts []int // ascending block boundaries
+	pos  int
+}
+
+func (s *cutSource) Next() (isa.Instr, bool) {
+	if s.pos >= len(s.ins) {
+		return isa.Instr{}, false
+	}
+	s.pos++
+	return s.ins[s.pos-1], true
+}
+
+func (s *cutSource) NextBlock() []isa.Instr {
+	end := len(s.ins)
+	for _, c := range s.cuts {
+		if c > s.pos && c < end {
+			end = c
+			break
+		}
+	}
+	blk := s.ins[s.pos:end]
+	s.pos = end
+	return blk
+}
+
+func (s *cutSource) Seek(pos uint64) { s.pos = int(pos) }
+
+// chainProg is one decoded fuzz program: a shrunk core, a trace mixing
+// preamble chains with persist-barrier bodies, block cuts, and a probe
+// period (0 = no probes) at which every store line is probed.
+type chainProg struct {
+	cfg        Config
+	ins        []isa.Instr
+	cuts       []int
+	lines      []uint64
+	probeEvery uint64
+}
+
+var chainLens = []int{1, 47, 48, 49, 200, 1600}
+
+// decodeChainProg turns fuzz bytes into a program: six header bytes size
+// the core and pick SP and the probe period, then (op, arg) pairs append
+// trace segments.
+func decodeChainProg(data []byte) chainProg {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	cfg := DefaultConfig()
+	cfg.ROB = 2 + at(0)%128
+	cfg.IssueQ = 1 + at(1)%48
+	cfg.FetchQ = 1 + at(2)%48
+	cfg.FetchWidth = 1 + at(3)%4
+	cfg.IssueWidth = 1 + at(3)>>2%4
+	cfg.RetireWidth = 1 + at(3)>>4%4
+	cfg.IssueWindow = 1 + at(4)%32
+	cfg.LSQ = 1 + at(4)>>5*8
+	if at(5)&1 == 1 {
+		cfg.SP = DefaultSPConfig()
+	}
+	p := chainProg{
+		cfg:        cfg,
+		lines:      []uint64{0x1000, 0x1040, 0x2000, 0x2040},
+		probeEvery: uint64(at(5)>>1) * 16,
+	}
+	var buf trace.Buffer
+	bld := trace.NewBuilder(&buf)
+	last := func() isa.Reg { return isa.Reg(bld.RegCount()) }
+	for i := 6; i+1 < len(data) && buf.Len() < 8000; i += 2 {
+		op, arg := data[i]%8, int(data[i+1])
+		line := p.lines[arg%len(p.lines)]
+		switch op {
+		case 0:
+			bld.Chain(1 + arg)
+		case 1:
+			bld.Chain(chainLens[arg%len(chainLens)])
+		case 2: // one logged update behind the canonical persist barrier
+			v := bld.Load(line, 8, isa.NoReg)
+			bld.Store(line, 8, v, isa.NoReg)
+			bld.Clwb(line)
+			bld.Sfence()
+			bld.Pcommit()
+			bld.Sfence()
+		case 3:
+			p.cuts = append(p.cuts, buf.Len())
+		case 4:
+			bld.Sfence()
+		case 5:
+			bld.ALU(arg%4, last())
+		case 6:
+			bld.Store(line+uint64(arg>>2%8)*8, 8, last(), isa.NoReg)
+		case 7:
+			if arg%2 == 0 {
+				bld.Pcommit()
+			} else {
+				bld.Clflushopt(line)
+			}
+		}
+	}
+	p.ins = buf.Instrs()
+	return p
+}
+
+func (p chainProg) source() *cutSource { return &cutSource{ins: p.ins, cuts: p.cuts} }
+
+// newChainCore builds a core over a private memory system with its
+// counters registered and its commit log on.
+func newChainCore(cfg Config) (*CPU, *obs.Registry) {
+	mc := memctl.New(memctl.DefaultConfig())
+	h := cache.New(cache.DefaultConfig(), mc)
+	c := New(cfg, h, mc)
+	reg := obs.NewRegistry()
+	c.Register(reg)
+	h.Register(reg)
+	mc.Register(reg)
+	c.EnableCommitLog()
+	return c, reg
+}
+
+// chainSnap is the scheduler state a fast-forward must reproduce: the live
+// fetch-queue and ROB windows, the scoreboard by register, the wake heap,
+// the unissued list, the counters and the fetch position.
+type chainSnap struct {
+	Now, Seq, FetchPos                  uint64
+	BlkPos, FqHead, RobHead, RobLen     int
+	Unissued, ReadyCount, Unlinked, LSQ int
+	UnissHead, UnissTail                int32
+	FetchDst                            isa.Reg
+	SrcDone                             bool
+	Fq                                  []isa.Instr
+	FqLink                              []bool
+	Rob                                 []robEntry
+	Sbrd                                map[uint32]sbdSlot
+	Wakes                               []wake
+	Stats                               Stats
+	IdleSteps                           int
+}
+
+func snapChain(c *CPU) chainSnap {
+	s := chainSnap{
+		Now: c.now, Seq: c.seq, FetchPos: c.fetchPos,
+		BlkPos: c.blkPos, FqHead: c.fqHead, RobHead: c.robHead, RobLen: c.robLen,
+		Unissued: c.unissued, ReadyCount: c.readyCount, Unlinked: c.unlinked, LSQ: c.lsqCount,
+		UnissHead: c.unissHead, UnissTail: c.unissTail, FetchDst: c.fetchDst, SrcDone: c.srcDone,
+		Sbrd:  map[uint32]sbdSlot{},
+		Wakes: append([]wake(nil), c.wakes...),
+		Stats: c.Stats(), IdleSteps: c.idleSteps,
+	}
+	for i := 0; i < c.fqLen; i++ {
+		j := (c.fqHead + i) % len(c.fq)
+		s.Fq = append(s.Fq, c.fq[j])
+		s.FqLink = append(s.FqLink, c.fqLink[j])
+	}
+	for i := 0; i < c.robLen; i++ {
+		s.Rob = append(s.Rob, c.rob[c.robSlot(i)])
+	}
+	for _, sl := range c.sbrd.slots {
+		if sl.key != 0 {
+			s.Sbrd[sl.key] = sl
+		}
+	}
+	return s
+}
+
+// probeLines probes every store line until one rolls the core back.
+func probeLines(c *CPU, lines []uint64) {
+	for _, l := range lines {
+		if c.Probe(l) == ProbeRollback {
+			return
+		}
+	}
+}
+
+// runChainProg checks one program and returns how many StepTo calls and
+// how many single Steps the run took.
+func runChainProg(t *testing.T, p chainProg) (calls, steps int) {
+	t.Helper()
+	a, aReg := newChainCore(p.cfg)
+	b, _ := newChainCore(p.cfg)
+	a.Start(p.source())
+	b.Start(p.source())
+	next := func(fire uint64) uint64 {
+		if p.probeEvery == 0 {
+			return math.MaxUint64
+		}
+		return fire + p.probeEvery
+	}
+	fire := next(0)
+	for {
+		calls++
+		if !a.StepTo(fire) {
+			if b.Step() {
+				t.Fatalf("fast-forward core finished at cycle %d, single-stepped core did not", a.now)
+			}
+			break
+		}
+		for b.now < a.now {
+			if !b.Step() {
+				t.Fatalf("single-stepped core finished at cycle %d before %d", b.now, a.now)
+			}
+			steps++
+		}
+		if sa, sb := snapChain(a), snapChain(b); !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("state diverges at cycle %d (after %d StepTo calls):\nstepTo %+v\nstep   %+v", a.now, calls, sa, sb)
+		}
+		if a.now >= fire {
+			probeLines(a, p.lines)
+			probeLines(b, p.lines)
+			fire = next(fire)
+		}
+	}
+
+	ref, refReg := newChainCore(p.cfg)
+	ref.SetReferenceStepping(true)
+	ref.Start(p.source())
+	for fire = next(0); ref.StepTo(fire); {
+		if ref.now >= fire {
+			probeLines(ref, p.lines)
+			fire = next(fire)
+		}
+	}
+	if as, rs := a.Stats(), ref.Stats(); as != rs {
+		t.Fatalf("stats diverge from the reference scheduler:\nfast %+v\nref  %+v", as, rs)
+	}
+	if !reflect.DeepEqual(a.CommitLog(), ref.CommitLog()) {
+		t.Fatalf("commit logs diverge (fast %d events, ref %d)", len(a.CommitLog()), len(ref.CommitLog()))
+	}
+	if !reflect.DeepEqual(aReg.Snapshot(), refReg.Snapshot()) {
+		t.Fatal("metric snapshots diverge from the reference scheduler")
+	}
+	return calls, steps
+}
+
+// chainSeed builds a fuzz input from a header and (op, arg) pairs.
+func chainSeed(header [6]byte, body ...byte) []byte {
+	return append(header[:], body...)
+}
+
+// Headers for the Table 2 core (ROB 128, issue and fetch queues 48,
+// 4-wide, window 32), fenced and SP, and for a shrunk 2-wide one.
+var (
+	wideLogP = [6]byte{126, 47, 47, 0xFF, 0xFF, 0}
+	wideSP   = [6]byte{126, 47, 47, 0xFF, 0xFF, 1}
+	shrunkSP = [6]byte{14, 5, 7, 0x15, 0xE7, 1}
+)
+
+// chainSeeds are the scenarios the fast-forward must get right, as fuzz
+// inputs: chains shorter than the issue queue, a chain cut at a block
+// boundary, a fence stall followed by a chain, a pcommit whose ack lands
+// mid-chain, one-wide and tiny cores, and probes under SP.
+var chainSeeds = [][]byte{
+	// Chains shorter than the issue queue, between barriers.
+	chainSeed(wideLogP, 0, 5, 2, 0, 0, 20, 2, 1, 0, 9),
+	// A long chain cut by a block boundary, then another chain.
+	chainSeed(wideLogP, 0, 200, 3, 0, 0, 120, 0, 90),
+	// Fence stall (barrier) then a 1,600-link chain, twice.
+	chainSeed(wideLogP, 2, 0, 1, 5, 2, 1, 1, 5),
+	// The pcommit ack lands mid-chain under SP.
+	chainSeed(wideSP, 2, 0, 1, 4, 2, 1, 1, 3, 6, 2, 0, 250),
+	// All chain lengths of the equivalence suite, under SP.
+	chainSeed(wideSP, 1, 0, 2, 0, 1, 1, 2, 1, 1, 2, 2, 2, 1, 3, 2, 3, 1, 4, 2, 0, 1, 5),
+	// One-wide core with a two-entry ROB.
+	chainSeed([6]byte{0, 0, 0, 0, 0, 0}, 0, 60, 2, 0, 0, 30, 5, 2, 0, 40),
+	// Issue queue much smaller than the ROB, long latency ALUs between.
+	chainSeed([6]byte{30, 3, 10, 0x55, 7, 1}, 0, 100, 5, 3, 0, 100, 2, 1, 0, 100),
+	// SP with probes every 16*5 cycles over mid-chain speculation.
+	chainSeed([6]byte{126, 47, 47, 0xFF, 0xFF, 11}, 6, 1, 2, 1, 1, 4, 6, 3, 2, 3, 1, 4, 2, 0, 1, 3),
+	// A shrunk SP core: chains longer and shorter than its queues.
+	chainSeed(shrunkSP, 2, 0, 0, 3, 1, 2, 2, 1, 0, 9, 3, 0, 1, 4, 7, 0, 0, 200),
+	// Fetch 4-wide, issue 2-wide into an 8-entry fetch queue: the queue
+	// is full while dispatch still moves two links a cycle, until the
+	// issue queue fills.
+	chainSeed([6]byte{126, 47, 7, 0x37, 0xFF, 0}, 1, 4, 2, 0, 1, 5),
+}
+
+func FuzzChainFastForward(f *testing.F) {
+	for _, s := range chainSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runChainProg(t, decodeChainProg(data))
+	})
+}
+
+// TestChainFastForwardBatches runs the scenario seeds and requires the
+// long-chain ones to actually batch: far fewer StepTo calls than Steps.
+func TestChainFastForwardBatches(t *testing.T) {
+	for i, s := range chainSeeds {
+		calls, steps := runChainProg(t, decodeChainProg(s))
+		if i == 2 && calls*4 > steps {
+			t.Errorf("seed %d: %d StepTo calls for %d steps; the 1,600-link chains did not batch", i, calls, steps)
+		}
+	}
+}
+
+// TestStepToHonoursCycleHook: with a cycle hook installed StepTo never
+// batches, so the hook runs once per cycle exactly as under Step.
+func TestStepToHonoursCycleHook(t *testing.T) {
+	p := decodeChainProg(chainSeed(wideLogP, 1, 5, 2, 0, 1, 4))
+	hooks := func(step func(*CPU) bool) int {
+		c, _ := newChainCore(p.cfg)
+		n := 0
+		c.OnCycle(func(*CPU) { n++ })
+		c.Start(p.source())
+		for step(c) {
+		}
+		return n
+	}
+	batched := hooks(func(c *CPU) bool { return c.StepTo(math.MaxUint64) })
+	single := hooks((*CPU).Step)
+	if batched != single {
+		t.Fatalf("cycle hook ran %d times under StepTo, %d under Step", batched, single)
+	}
+}
+
+// TestChainForwardRollbackMidChain probes the speculating SP core right
+// after a fast-forward, while every in-flight instruction is a chain link,
+// so the rollback squashes a batched chain and the core refetches it from
+// the checkpoint. Single Steps of the fast path and the reference
+// scheduler, probed at the same cycles, must end identically.
+func TestChainForwardRollbackMidChain(t *testing.T) {
+	p := decodeChainProg(chainSeed(wideSP, 2, 0, 1, 5, 2, 1, 1, 4, 2, 2, 1, 5, 2, 3, 1, 4))
+	fast, fastReg := newChainCore(p.cfg)
+	fast.Start(p.source())
+	var fires []uint64
+	for {
+		before := fast.now
+		if !fast.StepTo(math.MaxUint64) {
+			break
+		}
+		if len(fires) < 3 && fast.now-before > 1 && fast.unlinked == 0 && fast.speculating() {
+			fires = append(fires, fast.now)
+			probeLines(fast, p.lines)
+		}
+	}
+	if fast.stats.Rollbacks == 0 {
+		t.Fatalf("no mid-chain rollback (%d probes)", len(fires))
+	}
+	for _, ref := range []bool{false, true} {
+		c, reg := newChainCore(p.cfg)
+		c.SetReferenceStepping(ref)
+		c.Start(p.source())
+		i := 0
+		for c.Step() {
+			if i < len(fires) && c.now >= fires[i] {
+				probeLines(c, p.lines)
+				i++
+			}
+		}
+		if fs, cs := fast.Stats(), c.Stats(); fs != cs {
+			t.Errorf("ref=%v: stats diverge:\nfast %+v\nstep %+v", ref, fs, cs)
+		}
+		if !reflect.DeepEqual(fast.CommitLog(), c.CommitLog()) {
+			t.Errorf("ref=%v: commit logs diverge", ref)
+		}
+		if !reflect.DeepEqual(fastReg.Snapshot(), reg.Snapshot()) {
+			t.Errorf("ref=%v: metric snapshots diverge", ref)
+		}
+	}
+}

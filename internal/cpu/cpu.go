@@ -180,6 +180,7 @@ type robEntry struct {
 	waitNext [2]int32 // waiter-chain links, one per source operand
 	waiting  uint8    // source operands whose producer has not executed
 	armed    bool     // reg-ready at the current cycle (counted in readyCount)
+	link     bool     // a chain link of its stream predecessor (see chainLink)
 }
 
 type sbEntry struct {
@@ -246,6 +247,7 @@ type CPU struct {
 	// rings dimensioned by the Config, so the steady state allocates
 	// nothing and the ROB never shifts.
 	fq     []isa.Instr
+	fqLink []bool // parallels fq: the entry's chain-link flag
 	fqHead int
 	fqLen  int
 
@@ -288,6 +290,17 @@ type CPU struct {
 	ssqHead   int
 	ssqLen    int
 	seq       uint64
+
+	// Chain fast-forward state (chain.go). unlinked counts the in-flight
+	// fetch-queue and ROB entries that are not chain links, so the
+	// steady-state screen is O(1); fetchDst is the destination of the last
+	// fetched instruction, the predecessor the next fetch is linked to.
+	// blk[blkPos:linkEnd] is the scanned run of links ahead of fetch
+	// (stale once blkPos reaches linkEnd; zeroed whenever fetch takes a new
+	// block, the only way blk becomes non-empty).
+	unlinked int
+	fetchDst isa.Reg
+	linkEnd  int
 
 	// ref, when non-nil, switches Step to the straight-line reference
 	// scheduler (maps plus linear scans) the indexed fast path is verified
@@ -351,6 +364,7 @@ type CPU struct {
 func New(cfg Config, h *cache.Hierarchy, mc memctl.Memory) *CPU {
 	c := &CPU{cfg: cfg, h: h, mc: mc,
 		fq:             make([]isa.Instr, cfg.FetchQ),
+		fqLink:         make([]bool, cfg.FetchQ),
 		rob:            make([]robEntry, cfg.ROB),
 		sbuf:           make([]sbEntry, cfg.StoreBuf),
 		storeSeqQ:      make([]uint64, cfg.ROB),

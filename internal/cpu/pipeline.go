@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"math"
+
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
 	"specpersist/internal/obs"
@@ -8,10 +10,11 @@ import (
 )
 
 // Run simulates the instruction stream to completion and returns the final
-// statistics.
+// statistics. Nothing outside the core observes it between cycles, so it
+// steps with no horizon.
 func (c *CPU) Run(src trace.Source) Stats {
 	c.Start(src)
-	for c.Step() {
+	for c.StepTo(math.MaxUint64) {
 	}
 	return c.Stats()
 }
@@ -30,6 +33,7 @@ func (c *CPU) Start(src trace.Source) {
 	}
 	c.blk = nil
 	c.blkPos = 0
+	c.fetchDst = isa.NoReg
 	c.srcDone = false
 	c.idleSteps = 0
 	// Fetch position is relative to the bound source. A core restarted on
@@ -152,6 +156,7 @@ func (c *CPU) fetch() bool {
 			c.blkPos++
 		} else if c.bsrc != nil {
 			c.blk = c.bsrc.NextBlock()
+			c.linkEnd = 0
 			if len(c.blk) == 0 {
 				c.srcDone = true
 				break
@@ -172,6 +177,12 @@ func (c *CPU) fetch() bool {
 			j -= len(c.fq)
 		}
 		c.fq[j] = in
+		link := chainLink(c.fetchDst, in)
+		c.fqLink[j] = link
+		if !link {
+			c.unlinked++
+		}
+		c.fetchDst = in.Dst
 		c.fqLen++
 		fetched = true
 	}
@@ -188,7 +199,7 @@ func (c *CPU) dispatch() bool {
 		if c.robLen >= c.cfg.ROB || c.unissued >= c.cfg.IssueQ {
 			break
 		}
-		in := c.fq[c.fqHead]
+		in, link := c.fq[c.fqHead], c.fqLink[c.fqHead]
 		if in.Op.IsMemAccess() && c.lsqCount >= c.cfg.LSQ {
 			break
 		}
@@ -206,8 +217,12 @@ func (c *CPU) dispatch() bool {
 			slot -= len(c.rob)
 		}
 		c.robLen++
+		// Field by field: a composite-literal store copies the whole
+		// entry through a temporary.
 		e := &c.rob[slot]
-		*e = robEntry{in: in, seq: c.seq, done: notIssued, next: -1, prev: -1, waitNext: [2]int32{-1, -1}}
+		e.in, e.seq, e.done, e.rdy, e.blockSeq = in, c.seq, notIssued, 0, 0
+		e.next, e.prev, e.waitNext = -1, -1, [2]int32{-1, -1}
+		e.waiting, e.armed, e.link = 0, false, link
 		// Destination before sources: a self-dependent instruction must
 		// wait on itself, as it would under the always-re-read map.
 		if in.Dst != isa.NoReg {
@@ -377,6 +392,9 @@ func (c *CPU) retire() bool {
 		}
 		if e.in.Op.IsMemAccess() {
 			c.lsqCount--
+		}
+		if !e.link {
+			c.unlinked--
 		}
 		if e.in.Op == isa.Store {
 			if c.ssqLen == 0 || c.storeSeqQ[c.ssqHead] != e.seq {

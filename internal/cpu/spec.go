@@ -329,6 +329,8 @@ func (c *CPU) rollback() {
 		// any store dispatched after the rollback.
 		c.blk = nil
 		c.blkPos = 0
+		c.unlinked = 0
+		c.fetchDst = isa.NoReg
 	}
 	c.unissued = 0
 	c.lsqCount = 0

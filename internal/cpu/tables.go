@@ -169,11 +169,9 @@ func (s *scoreboard) lookup(reg uint32) *sbdSlot {
 	}
 }
 
-// insertUnknown registers reg's producer as dispatched-but-not-executed.
-// Re-inserting an existing register (a trace that rewrites a register)
-// keeps the waiter chain: the waiters now wait on the newest producer,
-// matching the map-based scheduler's always-re-read semantics.
-func (s *scoreboard) insertUnknown(reg uint32) {
+// claim returns reg's slot, inserting an empty one (no producer state, no
+// waiters) if the register is absent.
+func (s *scoreboard) claim(reg uint32) *sbdSlot {
 	if 2*(s.n+1) > len(s.slots) {
 		s.grow()
 	}
@@ -181,15 +179,27 @@ func (s *scoreboard) insertUnknown(reg uint32) {
 	for i := uint32(mix64(uint64(reg))) & mask; ; i = (i + 1) & mask {
 		sl := &s.slots[i]
 		if sl.key == reg {
-			sl.done = regUnknown
-			return
+			return sl
 		}
 		if sl.key == 0 {
-			*sl = sbdSlot{key: reg, chain: -1, done: regUnknown}
+			*sl = sbdSlot{key: reg, chain: -1}
 			s.n++
-			return
+			return sl
 		}
 	}
+}
+
+// insertUnknown registers reg's producer as dispatched-but-not-executed.
+// Re-inserting an existing register (a trace that rewrites a register)
+// keeps the waiter chain: the waiters now wait on the newest producer,
+// matching the map-based scheduler's always-re-read semantics.
+func (s *scoreboard) insertUnknown(reg uint32) { s.claim(reg).done = regUnknown }
+
+// put sets reg's producer state outright, inserting the register if absent
+// (the chain fast-forward writes the scoreboard its batch would leave).
+func (s *scoreboard) put(reg uint32, done uint64, chain int32) {
+	sl := s.claim(reg)
+	sl.done, sl.chain = done, chain
 }
 
 // del removes reg's entry (producer retired), backward-shifting the probe

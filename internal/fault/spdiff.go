@@ -139,11 +139,7 @@ func SPDifferentialReal(structure string, seed int64, warmup, ops int) error {
 	rounds := int(2*baseStats.Cycles/perRound) + 2
 	for r := 0; r < rounds; r++ {
 		for _, line := range candidates {
-			v := bld.ALU(0)
-			for i := 0; i < 63; i++ {
-				v = bld.ALU(0, v)
-			}
-			bld.Store(line, 8, v, isa.NoReg)
+			bld.Store(line, 8, bld.Chain(64), isa.NoReg)
 		}
 	}
 

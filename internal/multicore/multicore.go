@@ -245,24 +245,32 @@ func (s *Sim) StartCore(i int, src trace.Source) {
 	cs.done = false
 }
 
-// StepWhile is the schedulers' batch step: it advances core i one step at
-// a time, retrying any NACKed probes against it before each step, until
-// the core drains (false) or more, asked with the core's clock after each
-// step, says stop (true). Probes still pending on a drained core resolve
-// trivially: it is no longer speculating, so every retry would miss.
-func (s *Sim) StepWhile(i int, more func(now uint64) bool) bool {
+// StepWhile is the schedulers' batch step: it advances core i, retrying
+// any NACKed probes against it before each step, until the core drains
+// (false) or its clock reaches horizon() (true) — the first cycle at which
+// the caller would stop the core, asked again after each step. A step may
+// cover several chain cycles (cpu.StepTo), never past the horizon and
+// never while NACKed probes are pending: their retries must see every
+// cycle. Probes still pending on a drained core resolve trivially: it is
+// no longer speculating, so every retry would miss.
+func (s *Sim) StepWhile(i int, horizon func() uint64) bool {
 	cs := s.cores[i]
+	h := horizon()
 	for {
+		limit := h
 		if len(cs.deferred) > 0 {
 			s.retryDeferred(cs)
+			if len(cs.deferred) > 0 {
+				limit = 0
+			}
 		}
-		if !cs.cpu.Step() {
+		if !cs.cpu.StepTo(limit) {
 			cs.done = true
 			cs.deferred = nil
 			clear(cs.deferredAt)
 			return false
 		}
-		if !more(cs.cpu.Now()) {
+		if h = horizon(); cs.cpu.Now() >= h {
 			return true
 		}
 	}
@@ -301,8 +309,9 @@ func (s *Sim) Run(srcs []trace.Source) Stats {
 		if !p.Ok() {
 			return s.Stats()
 		}
-		i, next := p.Best().Idx, p.Next()
-		s.StepWhile(i, func(now uint64) bool { return sched.Key{T: now, Idx: i}.Less(next) })
+		i := p.Best().Idx
+		h := sched.Key{Idx: i}.Until(p.Next())
+		s.StepWhile(i, func() uint64 { return h })
 	}
 }
 

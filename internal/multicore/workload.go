@@ -193,12 +193,7 @@ func buildCoreTrace(w Workload, k int, reg *obs.Registry) (*trace.Buffer, error)
 	env.SetBuilder(bld)
 	overhead := w.effOpOverhead()
 	for i := 0; i < w.Ops; i++ {
-		if overhead > 0 {
-			r := bld.ALU(0)
-			for j := 1; j < overhead; j++ {
-				r = bld.ALU(0, r)
-			}
-		}
+		bld.Chain(overhead)
 		if rng.Float64() < w.SharedFrac {
 			var line int
 			if w.Disjoint {

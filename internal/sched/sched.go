@@ -22,6 +22,17 @@ func (k Key) Less(o Key) bool {
 	return k.T < o.T || k.T == o.T && int64(k.Kind)<<32+int64(k.Idx) < int64(o.Kind)<<32+int64(o.Idx)
 }
 
+// Until returns the first cycle at which an event of k's kind and index no
+// longer orders before next: Key{T: t, Kind: k.Kind, Idx: k.Idx}.Less(next)
+// holds exactly for t < k.Until(next) (saturating at the largest cycle).
+// It is the horizon a stepping core may run to without another scan.
+func (k Key) Until(next Key) uint64 {
+	if (Key{T: next.T, Kind: k.Kind, Idx: k.Idx}).Less(next) && next.T < math.MaxUint64 {
+		return next.T + 1
+	}
+	return next.T
+}
+
 // never orders after every real event.
 var never = Key{T: math.MaxUint64, Kind: math.MaxInt32, Idx: math.MaxInt32}
 

@@ -187,3 +187,27 @@ func TestBatchedScheduleMatchesUnbatched(t *testing.T) {
 		}
 	}
 }
+
+// TestUntilIsTheHorizon: a key of k's kind and index at cycle t orders
+// before next exactly while t < k.Until(next), including at the top of the
+// cycle range, where the horizon saturates.
+func TestUntilIsTheHorizon(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 5000; trial++ {
+		ks := randKeys(rng, 2)
+		k, next := ks[0], ks[1]
+		h := k.Until(next)
+		for c := uint64(0); c < 6; c++ {
+			if got := (Key{T: c, Kind: k.Kind, Idx: k.Idx}).Less(next); got != (c < h) {
+				t.Fatalf("k=%v next=%v: Less at %d = %v, Until %d", k, next, c, got, h)
+			}
+		}
+	}
+	if h := (Key{Idx: 0}).Until(never); h != math.MaxUint64 {
+		t.Errorf("Until(never) = %d, want the largest cycle", h)
+	}
+	end := Key{T: math.MaxUint64, Kind: 1, Idx: 1}
+	if h := (Key{Kind: 1, Idx: 2}).Until(end); h != math.MaxUint64 {
+		t.Errorf("Until past a last-cycle event = %d", h)
+	}
+}

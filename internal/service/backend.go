@@ -147,18 +147,14 @@ func (b *Backend) BeginRun() {
 }
 
 // AppendGroup appends one commit group to the current run: per op an
-// overhead-long dependent-ALU application preamble then the structure
+// overhead-long dependent-ALU application preamble (none when overhead is
+// not positive) then the structure
 // operation, and at the group boundary the coalesced persist trio (when
 // coalescing is on) followed by the sentinel store that marks the group's
 // durability point.
 func (b *Backend) AppendGroup(ops []Op, overhead int) {
 	for _, op := range ops {
-		if overhead > 0 {
-			reg := b.bld.ALU(0)
-			for i := 1; i < overhead; i++ {
-				reg = b.bld.ALU(0, reg)
-			}
-		}
+		b.bld.Chain(overhead)
 		if op.Get {
 			b.St.Contains(op.Key)
 		} else {

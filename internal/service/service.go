@@ -560,10 +560,6 @@ func (s *server) startRun(sh *shard, k int, t uint64) {
 	s.stats.Runs++
 
 	sh.be.BeginRun()
-	overhead := s.cfg.OpOverhead
-	if overhead < 0 {
-		overhead = 0
-	}
 	for len(run) > 0 {
 		n := len(run)
 		if n > s.cfg.BatchMax {
@@ -575,7 +571,7 @@ func (s *server) startRun(sh *shard, k int, t uint64) {
 		for i, r := range group {
 			ops[i] = Op{Key: r.key, Get: r.get}
 		}
-		sh.be.AppendGroup(ops, overhead)
+		sh.be.AppendGroup(ops, s.cfg.OpOverhead)
 		sh.inflight = append(sh.inflight, group)
 		s.stats.Batches++
 		if n > 1 {
@@ -627,8 +623,12 @@ func (s *server) completeGroup(sh *shard, k int) {
 // only increase), so re-scanning per step would pick this core again; the
 // batch is exact, not approximate.
 func (s *server) stepShard(sh *shard, k int, next sched.Key) {
-	if s.sim.StepWhile(k, func(now uint64) bool {
-		return s.err == nil && sched.Key{T: now, Kind: evStep, Idx: k}.Less(next)
+	h := sched.Key{Kind: evStep, Idx: k}.Until(next)
+	if s.sim.StepWhile(k, func() uint64 {
+		if s.err != nil {
+			return 0
+		}
+		return h
 	}) {
 		return
 	}

@@ -13,6 +13,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"specpersist/internal/isa"
 )
@@ -248,9 +250,14 @@ func (b *Builder) Store(addr uint64, size int, dataDep, addrDep isa.Reg) {
 
 // ALU emits a compute chain consuming all deps (two per instruction) with
 // per-instruction latency lat (0 = default) and returns the result register.
+// lat must fit the instruction's 8-bit latency field: a value outside
+// [0, 255] panics rather than wrapping to a different latency.
 func (b *Builder) ALU(lat int, deps ...isa.Reg) isa.Reg {
 	if b == nil {
 		return isa.NoReg
+	}
+	if lat < 0 || lat > math.MaxUint8 {
+		panic(fmt.Sprintf("trace: ALU latency %d outside [0, 255]", lat))
 	}
 	// Pick the first two present operands in place: this runs once per
 	// emitted ALU op (the hottest emit path), so it must not materialize a
@@ -280,6 +287,33 @@ func (b *Builder) ALU(lat int, deps ...isa.Reg) isa.Reg {
 		dst = next
 	}
 	return dst
+}
+
+// Chain emits n dependent default-latency ALU instructions — the serial
+// application preamble the workloads put before each operation — and
+// returns the last one's register: the first link has no source, and link
+// i reads link i-1. It emits exactly what ALU(0) followed by n-1 calls of
+// ALU(0, previous) would, appending straight into a Buffer sink in one
+// growth. Chain(0) emits nothing and returns NoReg.
+func (b *Builder) Chain(n int) isa.Reg {
+	if b == nil || n <= 0 {
+		return isa.NoReg
+	}
+	first := b.nextReg
+	b.nextReg += isa.Reg(n)
+	if buf, ok := b.sink.(*Buffer); ok {
+		buf.ins = slices.Grow(buf.ins, n)
+		buf.ins = append(buf.ins, isa.Instr{Op: isa.ALU, Dst: first})
+		for r := first + 1; r < b.nextReg; r++ {
+			buf.ins = append(buf.ins, isa.Instr{Op: isa.ALU, Dst: r, Src1: r - 1})
+		}
+		return b.nextReg - 1
+	}
+	b.sink.Emit(isa.Instr{Op: isa.ALU, Dst: first})
+	for r := first + 1; r < b.nextReg; r++ {
+		b.sink.Emit(isa.Instr{Op: isa.ALU, Dst: r, Src1: r - 1})
+	}
+	return b.nextReg - 1
 }
 
 // Clwb emits a clwb of the line containing addr.

@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +127,75 @@ func TestBuilderALUChain(t *testing.T) {
 	v := NewValidator(nil)
 	for _, in := range buf.Instrs() {
 		v.Emit(in)
+	}
+}
+
+// TestBuilderChainMatchesLoop: Chain(n) emits exactly the hand-written
+// preamble loop it replaced, through a Buffer (the bulk path) and through
+// any other sink, and leaves the builder's register allocation in step.
+func TestBuilderChainMatchesLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 63, 1600} {
+		var want Buffer
+		wb := NewBuilder(&want)
+		wb.Load(0x40, 8, isa.NoReg) // a non-empty prefix: links start past r1
+		wantReg := isa.NoReg
+		if n > 0 {
+			wantReg = wb.ALU(0)
+			for i := 1; i < n; i++ {
+				wantReg = wb.ALU(0, wantReg)
+			}
+		}
+		wantNext := wb.ALU(0)
+
+		var bulk, viaSink Buffer
+		for _, sink := range []Sink{&bulk, NewValidator(&viaSink)} {
+			b := NewBuilder(sink)
+			b.Load(0x40, 8, isa.NoReg)
+			if got := b.Chain(n); got != wantReg {
+				t.Errorf("Chain(%d) returned r%d, want r%d", n, got, wantReg)
+			}
+			if got := b.ALU(0); got != wantNext {
+				t.Errorf("Chain(%d): next register r%d, want r%d", n, got, wantNext)
+			}
+		}
+		for _, got := range []*Buffer{&bulk, &viaSink} {
+			if !slices.Equal(got.Instrs(), want.Instrs()) {
+				t.Errorf("Chain(%d) emitted %d instrs that differ from the loop's %d", n, got.Len(), want.Len())
+			}
+		}
+	}
+	var nb *Builder
+	if nb.Chain(5) != isa.NoReg {
+		t.Error("nil Chain returned a register")
+	}
+}
+
+// TestBuilderALULatencyRange: a latency that does not fit the 8-bit field
+// panics with the value instead of silently wrapping (256 would run as the
+// 1-cycle default).
+func TestBuilderALULatencyRange(t *testing.T) {
+	var buf Buffer
+	b := NewBuilder(&buf)
+	b.ALU(255)
+	if got := buf.Instrs()[0].Lat; got != 255 {
+		t.Fatalf("latency 255 stored as %d", got)
+	}
+	for _, lat := range []int{-1, 256, 1000} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("ALU(%d) did not panic", lat)
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, strconv.Itoa(lat)) {
+					t.Errorf("ALU(%d) panic %q does not name the value", lat, msg)
+				}
+			}()
+			b.ALU(lat)
+		}()
+	}
+	if buf.Len() != 1 {
+		t.Errorf("rejected ALUs emitted instructions: len %d", buf.Len())
 	}
 }
 

@@ -211,9 +211,29 @@ func (o *opSource) NextBlock() []isa.Instr {
 	}
 }
 
-// Run executes one benchmark under one configuration and returns the
-// timing statistics.
-func Run(b Bench, rc RunConfig) (Result, error) {
+// Generator is a benchmark's measured phase: the structure populated the
+// way Run populates it (InitOps fast-forwarded functionally, §5.2), and the
+// seeded operation stream Run feeds the timing model. Each Next emits one
+// traced operation — the application preamble chain, then the structure
+// update — into the generator's sink. cmd/tracer records the same stream to
+// a file, so a recording replays the run spsim simulates.
+type Generator struct {
+	env      *exec.Env
+	mgr      *txn.Manager // nil for the Base variant
+	st       pstruct.Structure
+	bld      *trace.Builder
+	rng      *rand.Rand
+	b        Bench
+	keyspace uint64
+	overhead int
+	simOps   int
+	done     int
+}
+
+// NewGenerator builds and populates b's structure for rc (variant, scale,
+// seed and the trace knobs) and returns the generator of its measured
+// phase, emitting into sink.
+func NewGenerator(b Bench, rc RunConfig, sink trace.Sink) (*Generator, error) {
 	s := rc.EffectiveScale()
 	env := exec.New()
 	env.Level = rc.Variant.Level()
@@ -222,8 +242,7 @@ func Run(b Bench, rc RunConfig) (Result, error) {
 	if rc.Variant.Transactional() {
 		mgr = txn.NewManager(env, b.LogCap)
 	}
-	cfg := structConfig(b, s)
-	st := pstruct.Build(b.Name, env, mgr, cfg)
+	st := pstruct.Build(b.Name, env, mgr, structConfig(b, s))
 	if bt, ok := st.(*pstruct.BTree); ok && rc.IncrementalBT {
 		bt.SetIncremental(true)
 	}
@@ -247,36 +266,54 @@ func Run(b Bench, rc RunConfig) (Result, error) {
 	}
 	env.M.PersistAll()
 	if err := st.Check(); err != nil {
-		return Result{}, fmt.Errorf("workload %s: after init: %w", b.Name, err)
+		return nil, fmt.Errorf("workload %s: after init: %w", b.Name, err)
 	}
 
-	// Measured phase: stream traced operations into the simulator.
 	simOps := scaled(b.SimOps, s, 8)
 	if rc.MaxTraceOps > 0 && simOps > rc.MaxTraceOps {
 		simOps = rc.MaxTraceOps
 	}
-	opRng := rand.New(rand.NewSource(rc.Seed + 2))
-	src := &opSource{}
-	bld := trace.NewBuilder(&src.buf)
+	bld := trace.NewBuilder(sink)
 	env.SetBuilder(bld)
-	overhead := rc.EffectiveOpOverhead()
-	done := 0
-	src.next = func() bool {
-		if done >= simOps {
-			return false
-		}
-		done++
-		// Application preamble: serial dependent work (key generation,
-		// allocation, frame setup).
-		if overhead > 0 {
-			r := bld.ALU(0)
-			for i := 1; i < overhead; i++ {
-				r = bld.ALU(0, r)
-			}
-		}
-		st.Apply(keyFor(b, opRng, keyspace))
-		return true
+	return &Generator{
+		env: env, mgr: mgr, st: st, bld: bld, b: b, keyspace: keyspace,
+		rng:      rand.New(rand.NewSource(rc.Seed + 2)),
+		overhead: rc.EffectiveOpOverhead(),
+		simOps:   simOps,
+	}, nil
+}
+
+// Next emits the next measured operation; it returns false once all
+// SimOps have been emitted.
+func (g *Generator) Next() bool {
+	if g.done >= g.simOps {
+		return false
 	}
+	g.done++
+	// Application preamble: serial dependent work (key generation,
+	// allocation, frame setup).
+	g.bld.Chain(g.overhead)
+	g.st.Apply(keyFor(g.b, g.rng, g.keyspace))
+	return true
+}
+
+// SimOps reports how many operations the measured phase emits.
+func (g *Generator) SimOps() int { return g.simOps }
+
+// Check verifies the structure's invariants.
+func (g *Generator) Check() error { return g.st.Check() }
+
+// Run executes one benchmark under one configuration and returns the
+// timing statistics.
+func Run(b Bench, rc RunConfig) (Result, error) {
+	// Populate, then stream the measured phase's traced operations into
+	// the simulator as the core fetches them.
+	src := &opSource{}
+	gen, err := NewGenerator(b, rc, &src.buf)
+	if err != nil {
+		return Result{}, err
+	}
+	src.next = gen.Next
 
 	opts := core.DefaultOptions()
 	if rc.Options != nil {
@@ -304,18 +341,18 @@ func Run(b Bench, rc RunConfig) (Result, error) {
 	sys := core.New(rc.Variant, copts...)
 	// Fold the functional layers into the system registry so one snapshot
 	// covers the whole run.
-	env.M.Register(sys.Obs())
-	if mgr != nil {
-		mgr.Register(sys.Obs())
+	gen.env.M.Register(sys.Obs())
+	if gen.mgr != nil {
+		gen.mgr.Register(sys.Obs())
 	}
 	stats := sys.Run(src)
 
-	if err := st.Check(); err != nil {
+	if err := gen.Check(); err != nil {
 		return Result{}, fmt.Errorf("workload %s: after sim: %w", b.Name, err)
 	}
-	res := Result{Bench: b.Name, Variant: rc.Variant, SimOps: simOps, Stats: stats, Metrics: sys.Metrics()}
-	if mgr != nil {
-		res.Txn = mgr.Stats()
+	res := Result{Bench: b.Name, Variant: rc.Variant, SimOps: gen.simOps, Stats: stats, Metrics: sys.Metrics()}
+	if gen.mgr != nil {
+		res.Txn = gen.mgr.Stats()
 	}
 	return res, nil
 }

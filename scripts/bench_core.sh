@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Measure the simulator hot loops and append the results to
 # BENCH_core.json, the checked-in perf trajectory: the single-core
-# instruction rate, the replicated-fleet request rate (chaos fabric
-# compiled in, disabled — the chaos-off overhead guard), the versioned
-# store's changeset-commit rate and the trial rates of the crash, litmus and
-# chaos campaign engines. Run from anywhere:
+# instruction rate under SP and under the fenced Log+P+Sf variant, the
+# replicated-fleet request rate (chaos fabric compiled in, disabled — the
+# chaos-off overhead guard), the versioned store's changeset-commit rate
+# and the trial rates of the crash, litmus and chaos campaign engines. Run
+# from anywhere:
 #
 #   scripts/bench_core.sh              # 3 iterations (default)
 #   BENCHTIME=10x scripts/bench_core.sh
@@ -20,10 +21,12 @@ benchtime="${BENCHTIME:-3x}"
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 date=$(date -u +%Y-%m-%d)
 
-out=$(go test -run '^$' -bench '^BenchmarkCoreInstrRate$' -benchtime "$benchtime" .)
-printf '%s\n' "$out" >&2
-printf '%s\n' "$out" |
-  go run ./cmd/benchtrend -file BENCH_core.json -commit "$commit" -date "$date"
+for bench in BenchmarkCoreInstrRate BenchmarkCoreInstrRateLogPSf; do
+  out=$(go test -run '^$' -bench "^$bench\$" -benchtime "$benchtime" .)
+  printf '%s\n' "$out" >&2
+  printf '%s\n' "$out" |
+    go run ./cmd/benchtrend -file BENCH_core.json -commit "$commit" -date "$date"
+done
 
 out=$(go test -run '^$' -bench '^BenchmarkClusterFleet$' -benchtime "$benchtime" .)
 printf '%s\n' "$out" >&2

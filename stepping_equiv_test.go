@@ -1,6 +1,7 @@
 package specpersist
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -25,9 +26,10 @@ import (
 // would be a divergence), same metric snapshot.
 
 // materializeEquivTrace functionally executes a structure's operation
-// stream and returns the traced measured phase plus the distinct store
+// stream, each operation behind a chain-long application preamble (0 =
+// none), and returns the traced measured phase plus the distinct store
 // lines it touches (the conflict surface for forced rollbacks).
-func materializeEquivTrace(t *testing.T, structure string, seed int64, warmup, ops int) (*trace.Buffer, []uint64) {
+func materializeEquivTrace(t *testing.T, structure string, seed int64, warmup, ops, chain int) (*trace.Buffer, []uint64) {
 	t.Helper()
 	buf := &trace.Buffer{}
 	env := exec.New()
@@ -39,8 +41,10 @@ func materializeEquivTrace(t *testing.T, structure string, seed int64, warmup, o
 		s.Apply(rng.Uint64() % 512)
 	}
 	env.M.PersistAll()
-	env.SetBuilder(trace.NewBuilder(buf))
+	bld := trace.NewBuilder(buf)
+	env.SetBuilder(bld)
 	for i := 0; i < ops; i++ {
+		bld.Chain(chain)
 		s.Apply(rng.Uint64() % 512)
 	}
 	env.SetBuilder(nil)
@@ -87,13 +91,72 @@ func compareRuns(t *testing.T, label string, v core.Variant, buf *trace.Buffer) 
 	}
 }
 
+// preambleLens are the application-preamble chain lengths the suite runs
+// every structure with: none, chains around the 48-entry issue and fetch
+// queues, and the serving (200) and paper-suite (1,600) preambles, which
+// the fast path covers with the chain fast-forward.
+var preambleLens = []int{0, 1, 47, 48, 49, 200, 1600}
+
 // TestSteppingEquivalenceStructures replays every Table 1 structure's trace
 // under the stalling and speculative machines in both stepping modes.
 func TestSteppingEquivalenceStructures(t *testing.T) {
 	for _, name := range pstruct.Names() {
-		buf, _ := materializeEquivTrace(t, name, 41, 64, 24)
-		for _, v := range []core.Variant{core.VariantLogPSf, core.VariantSP} {
-			compareRuns(t, name, v, buf)
+		for _, chain := range preambleLens {
+			buf, _ := materializeEquivTrace(t, name, 41, 64, 24, chain)
+			for _, v := range []core.Variant{core.VariantLogPSf, core.VariantSP} {
+				compareRuns(t, fmt.Sprintf("%s/chain%d", name, chain), v, buf)
+			}
+		}
+	}
+}
+
+// TestSteppingEquivalenceChainRollback forces coherence-probe rollbacks on
+// the speculating core of every structure while it runs preamble chains,
+// driven the way the multi-core schedulers drive cores: the fast path
+// steps with a horizon at the next probe cycle, so chains fast-forward up
+// to the probe and the rollback squashes chain links in flight. The
+// reference scheduler, probed at the same cycles, must end identically.
+func TestSteppingEquivalenceChainRollback(t *testing.T) {
+	const period = 1500
+	for _, name := range pstruct.Names() {
+		for _, chain := range []int{200, 1600} {
+			buf, lines := materializeEquivTrace(t, name, 29, 64, 12, chain)
+			run := func(ref bool) (cpu.Stats, []cpu.CommitEvent, obs.Snapshot) {
+				sys := core.New(core.VariantSP)
+				sys.CPU.SetReferenceStepping(ref)
+				sys.CPU.EnableCommitLog()
+				buf.Rewind()
+				sys.CPU.Start(buf)
+				rolled := 0
+				for fire := uint64(period); sys.CPU.StepTo(fire); {
+					if sys.CPU.Now() < fire {
+						continue
+					}
+					fire += period
+					for _, a := range lines {
+						if rolled < 3 && sys.CPU.CoherenceProbe(a) {
+							rolled++
+							break
+						}
+					}
+				}
+				return sys.CPU.Stats(), sys.CPU.CommitLog(), sys.Metrics()
+			}
+			label := fmt.Sprintf("%s/chain%d", name, chain)
+			fastSt, fastLog, fastM := run(false)
+			refSt, refLog, refM := run(true)
+			if fastSt.Rollbacks == 0 {
+				t.Errorf("%s: no rollback triggered", label)
+			}
+			if fastSt != refSt {
+				t.Errorf("%s: stats diverge:\nfast %+v\nref  %+v", label, fastSt, refSt)
+			}
+			if !reflect.DeepEqual(fastLog, refLog) {
+				t.Errorf("%s: commit logs diverge (fast %d events, ref %d)", label, len(fastLog), len(refLog))
+			}
+			if !reflect.DeepEqual(fastM, refM) {
+				t.Errorf("%s: metric snapshots diverge", label)
+			}
 		}
 	}
 }
@@ -102,7 +165,7 @@ func TestSteppingEquivalenceStructures(t *testing.T) {
 // mid-speculation (the §4.2.2 squash path exercises the scheduler's full
 // state reset) and requires both modes to roll back and converge.
 func TestSteppingEquivalenceForcedRollback(t *testing.T) {
-	buf, lines := materializeEquivTrace(t, "HM", 17, 64, 16)
+	buf, lines := materializeEquivTrace(t, "HM", 17, 64, 16, 0)
 	run := func(ref bool) (cpu.Stats, []cpu.CommitEvent, obs.Snapshot) {
 		sys := core.New(core.VariantSP)
 		sys.CPU.SetReferenceStepping(ref)
@@ -142,10 +205,17 @@ func TestSteppingEquivalenceForcedRollback(t *testing.T) {
 // TestSteppingEquivalenceMulticore runs the 2-core conflict engine — a
 // speculating workload core under fire from an adversary core storing to
 // its lines, the same shape as the fault harness's real-probe differential
-// — in both modes and requires identical machine-wide outcomes, including
-// the probe/NACK/rollback counters.
+// — in both modes, with and without preamble chains (both cores' chains
+// fast-forward up to the scheduler's horizons), and requires identical
+// machine-wide outcomes, including the probe/NACK/rollback counters.
 func TestSteppingEquivalenceMulticore(t *testing.T) {
-	buf, lines := materializeEquivTrace(t, "LL", 23, 32, 12)
+	for _, chain := range []int{0, 200} {
+		t.Run(fmt.Sprintf("chain%d", chain), func(t *testing.T) { multicoreEquiv(t, chain) })
+	}
+}
+
+func multicoreEquiv(t *testing.T, chain int) {
+	buf, lines := materializeEquivTrace(t, "LL", 23, 32, 12, chain)
 	mkAdversary := func(cycles uint64) *trace.Buffer {
 		adv := &trace.Buffer{}
 		bld := trace.NewBuilder(adv)
@@ -153,11 +223,7 @@ func TestSteppingEquivalenceMulticore(t *testing.T) {
 		rounds := int(2*cycles/perRound) + 2
 		for r := 0; r < rounds; r++ {
 			for _, line := range lines {
-				v := bld.ALU(0)
-				for i := 0; i < 63; i++ {
-					v = bld.ALU(0, v)
-				}
-				bld.Store(line, 8, v, isa.NoReg)
+				bld.Store(line, 8, bld.Chain(64), isa.NoReg)
 			}
 		}
 		return adv
