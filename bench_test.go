@@ -291,6 +291,52 @@ func BenchmarkClusterFleet(b *testing.B) {
 	}
 }
 
+// fleetServeConfig is simbench's fleet-serve shape at the given request
+// count: 16 SP nodes serving the versioned store, R=3 with a majority
+// quorum, group commit K=4 with a 2,000-cycle batch deadline and Poisson
+// arrivals at 6,400 req/Mcycle over 4,096 keys.
+func fleetServeConfig(requests int) cluster.Config {
+	cfg := cluster.DefaultConfig()
+	cfg.Structure = "VT"
+	cfg.Variant = core.VariantSP
+	cfg.Nodes = 16
+	cfg.Replicas = 3
+	cfg.Quorum = 0
+	cfg.BatchMax = 4
+	cfg.BatchDeadline = 2000
+	cfg.Rate = 6400
+	cfg.Requests = requests
+	cfg.Keyspace = 4096
+	cfg.Warmup = 256
+	cfg.Seed = 1
+	return cfg
+}
+
+// BenchmarkClusterFleetServe measures the fleet-serve shape, audited, as
+// offered requests simulated per wall-clock second. Sixteen busy nodes
+// make this the event loop's densest shape, where every node's run
+// overlaps its neighbours'. 2,000 requests keep one iteration well under
+// a second. scripts/bench_core.sh appends the metric to BENCH_core.json.
+func BenchmarkClusterFleetServe(b *testing.B) {
+	cfg := fleetServeConfig(2000)
+	var offered uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := cluster.RunAudited(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !r.Audit.Clean() {
+			b.Fatalf("audit found %d violations", r.Audit.Total)
+		}
+		offered += r.Stats.Offered
+	}
+	b.StopTimer()
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(offered)/secs, "sim-reqs/s")
+	}
+}
+
 // BenchmarkVstoreCommit measures the versioned COW store's changeset-commit
 // hot path: groups of toggles over a bounded keyspace, each group sealed by
 // one two-barrier Commit, as commits per wall-clock second.

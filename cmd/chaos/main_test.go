@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -59,6 +61,17 @@ func TestRunNegativeControl(t *testing.T) {
 
 // TestRunRejectsBadFlags: user errors exit with diagnostics, not runs.
 func TestRunRejectsBadFlags(t *testing.T) {
+	wrapping := filepath.Join(t.TempDir(), "wrap.json")
+	cfg := cluster.DefaultChaosBase()
+	cfg.CrashAt = 120_000
+	cfg.RecoverAfter = math.MaxUint64 - 60_000
+	blob, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wrapping, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -68,6 +81,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad variant", []string{"-variant", "Warp"}, "variant"},
 		{"positional junk", []string{"-trials", "2", "extra"}, "unexpected"},
 		{"missing replay file", []string{"-replay", "nope.json"}, "nope.json"},
+		{"replay with a wrapping recovery cycle", []string{"-replay", wrapping}, "overflows"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args)

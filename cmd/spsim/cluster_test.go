@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"os"
 	"os/exec"
 	"strings"
@@ -34,6 +35,23 @@ func TestBuildClusterConfigValid(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("assembled config fails validation: %v", err)
+	}
+}
+
+// TestBuildClusterConfigLargestCrashWindow: the crash flags are signed
+// 64-bit, so even both at their maximum the recovery cycle fits in the
+// fleet's unsigned cycle counter; Config.Validate's overflow check is for
+// configs built elsewhere (chaos -replay JSON), and the flags pass it.
+func TestBuildClusterConfigLargestCrashWindow(t *testing.T) {
+	o := validClusterOptions()
+	o.CrashAt = math.MaxInt64
+	o.RecoverAfter = math.MaxInt64
+	cfg, err := buildClusterConfig(o)
+	if err != nil {
+		t.Fatalf("largest crash window rejected: %v", err)
+	}
+	if cfg.CrashAt+cfg.RecoverAfter < cfg.CrashAt {
+		t.Fatalf("recovery cycle wrapped: crash %d + %d", cfg.CrashAt, cfg.RecoverAfter)
 	}
 }
 

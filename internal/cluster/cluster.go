@@ -50,6 +50,7 @@ package cluster
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -337,6 +338,9 @@ func (c Config) Validate() error {
 	if d.CrashAt == 0 && d.RecoverAfter > 0 {
 		return fmt.Errorf("cluster: recover-after needs a crash (set crash-at)")
 	}
+	if d.RecoverAfter > math.MaxUint64-d.CrashAt {
+		return fmt.Errorf("cluster: crash-at %d plus recover-after %d overflows the cycle counter", d.CrashAt, d.RecoverAfter)
+	}
 	if d.SSBEntries < 0 {
 		return fmt.Errorf("cluster: SSB size must be non-negative, got %d", d.SSBEntries)
 	}
@@ -491,6 +495,15 @@ func (s nodeState) String() string {
 	}
 }
 
+// effect is one outcome of a node's run that the rest of the fleet can
+// observe: a sentinel commit at cycle at, or (drain) the core finishing
+// the run at cycle at. A run is timed to its end as soon as it starts, and
+// its effects wait in the node's queue until the loop reaches them.
+type effect struct {
+	at    uint64
+	drain bool
+}
+
 // rangeGate applies one range's updates in sequence order on one node,
 // buffering out-of-order deliveries.
 type rangeGate struct {
@@ -508,7 +521,7 @@ type node struct {
 	queue    []item
 	inflight [][]item
 	busy     bool
-	runStart uint64
+	effects  []effect // the timed-ahead run's outcomes not yet applied
 
 	gates      map[int]*rangeGate
 	appliedDur map[int]uint64 // per range: durable in-order applied count
@@ -662,7 +675,7 @@ const (
 	evCrash
 	evRecover
 	evStart
-	evStep
+	evStep // a busy node's next effect
 )
 
 // timerKind discriminates client-side timers.
@@ -719,8 +732,30 @@ func RunAudited(cfg Config) (Result, error) {
 }
 
 func run(cfg Config, audited bool) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	s, err := newFleet(cfg)
+	if err != nil {
 		return Result{}, err
+	}
+	if err := s.loop(genArrivals(s.cfg)); err != nil {
+		return Result{}, err
+	}
+	if audited {
+		a := s.audit()
+		r := s.result()
+		r.Audit = &a
+		return r, nil
+	}
+	if err := s.check(); err != nil {
+		return Result{}, err
+	}
+	return s.result(), nil
+}
+
+// newFleet validates cfg and builds its fleet: ring, network and every
+// node's machine, ready for the loop.
+func newFleet(cfg Config) (*fleet, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 
@@ -743,24 +778,11 @@ func run(cfg Config, audited bool) (Result, error) {
 		n := &node{idx: i, gates: map[int]*rangeGate{}, appliedDur: map[int]uint64{},
 			lastBeat: make([]uint64, cfg.Nodes)}
 		if err := s.buildMachine(n); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		s.nodes = append(s.nodes, n)
 	}
-
-	if err := s.loop(genArrivals(cfg)); err != nil {
-		return Result{}, err
-	}
-	if audited {
-		a := s.audit()
-		r := s.result()
-		r.Audit = &a
-		return r, nil
-	}
-	if err := s.check(); err != nil {
-		return Result{}, err
-	}
-	return s.result(), nil
+	return s, nil
 }
 
 // MustRun is Run panicking on error (experiment drivers).
@@ -797,7 +819,10 @@ func (s *fleet) buildMachine(n *node) error {
 		return fmt.Errorf("cluster: node %d: %w", n.idx, err)
 	}
 	n.sim, n.be = sim, be
-	be.BindSentinel(sim, 0, func() { s.sentinelCommit(n) })
+	// The core fires commit callbacks before it advances its clock, so
+	// Now is the cycle of the step that made the sentinel durable.
+	c := sim.Core(0)
+	be.BindSentinel(sim, 0, func() { n.effects = append(n.effects, effect{at: c.Now()}) })
 	return nil
 }
 
@@ -846,9 +871,11 @@ func (s *fleet) span(t uint64) {
 
 // loop is the deterministic scheduler: always the globally earliest event,
 // with a fixed kind order at equal cycles (heartbeat < rebalance < arrival
-// < delivery < timer < crash < recover < run start < core step) and the
+// < delivery < timer < crash < recover < run start < node effect) and the
 // lowest node index breaking remaining ties. Network deliveries are
-// already totally ordered by (cycle, send sequence).
+// already totally ordered by (cycle, send sequence). A busy node offers
+// the head of its effect queue under the key its core step would have had
+// (see startRun), so the scan runs once per effect, not once per cycle.
 func (s *fleet) loop(arrivals []request) error {
 	idx := 0
 	var p sched.Pick
@@ -871,7 +898,11 @@ func (s *fleet) loop(arrivals []request) error {
 		}
 		for i, n := range s.nodes {
 			if n.busy {
-				p.Add(sched.Key{T: n.sim.Core(0).Now(), Kind: evStep, Idx: i})
+				// A run stopped short at the pending crash has no effect
+				// left; the crash event, due first, ends it.
+				if len(n.effects) > 0 {
+					p.Add(sched.Key{T: n.effects[0].at, Kind: evStep, Idx: i})
+				}
 			} else if n.state != stateCrashed && len(n.queue) > 0 {
 				q := n.queue
 				t := service.GroupStart(n.sim.Core(0).Now(), len(q), s.cfg.BatchMax, q[0].enq, q[len(q)-1].enq, s.cfg.BatchDeadline)
@@ -913,7 +944,7 @@ func (s *fleet) loop(arrivals []request) error {
 		case evStart:
 			s.startRun(s.nodes[best.Idx], best.T)
 		case evStep:
-			s.stepNode(s.nodes[best.Idx], p.Next())
+			s.stepNode(s.nodes[best.Idx])
 		}
 		if s.err != nil {
 			return s.err
@@ -1310,10 +1341,30 @@ func (s *fleet) ackArrived(p *pendingReq, from int, t uint64) {
 	s.tl.Instant(obs.TrackCluster, "cluster.quorum_ack", t)
 }
 
-// startRun admits node n's whole queue at cycle t as one back-to-back
-// trace, partitioned into commit groups of up to BatchMax — exactly
-// internal/service's admission discipline, via the shared Backend.
+// startRun admits node n's whole queue at cycle t and times the run ahead
+// to its end in one call. Nothing the rest of the fleet does can change a
+// running core: nodes own disjoint machines, the trace is fixed at
+// admission, and arrivals, deliveries, timers and ticks touch only queues
+// and fleet state (TestNodeRunIsolation checks this). So the run's only
+// outputs, its sentinel commits and its drain, are recorded as effects
+// for the loop to apply in event order. The one exception is a crash: the
+// crash node's run stops at CrashAt, where the crash cuts it off.
 func (s *fleet) startRun(n *node, t uint64) {
+	s.admit(n, t)
+	horizon := uint64(math.MaxUint64)
+	if n.idx == s.cfg.CrashNode && s.cfg.CrashAt > 0 && !s.crashDone {
+		horizon = s.cfg.CrashAt
+	}
+	if !n.sim.StepWhile(0, func() uint64 { return horizon }) {
+		n.effects = append(n.effects, effect{at: n.sim.Core(0).Now(), drain: true})
+	}
+}
+
+// admit turns node n's whole queue into one back-to-back trace,
+// partitioned into commit groups of up to BatchMax — exactly
+// internal/service's admission discipline, via the shared Backend — and
+// starts the core on it at cycle t.
+func (s *fleet) admit(n *node, t uint64) {
 	run := n.queue
 	n.queue = nil
 	n.be.BeginRun()
@@ -1336,45 +1387,32 @@ func (s *fleet) startRun(n *node, t uint64) {
 	n.sim.Core(0).AdvanceTo(t)
 	n.sim.StartCore(0, &n.be.Buf)
 	n.busy = true
-	n.runStart = t
 }
 
-// stepNode advances one busy node; completions fire via the sentinel
-// commit hook. The node steps in a batch while its event still orders
-// before next, the runner-up of the scan (the periodic ticks included).
-// Unlike the service loop, stepping can *create* events: a sentinel
-// commit sends acks and catch-up fetches into the network, so a delivery
-// due at or before the node's clock also ends the batch. Nodes own
-// disjoint simulators, so no other event time can move while this node
-// runs.
-func (s *fleet) stepNode(n *node, next sched.Key) {
-	until := sched.Key{Kind: evStep, Idx: n.idx}.Until(next)
-	if n.sim.StepWhile(0, func() uint64 {
-		if s.err != nil {
-			return 0
-		}
-		if at, ok := s.net.nextAt(); ok && at < until {
-			return at
-		}
-		return until
-	}) {
+// stepNode applies busy node n's next effect: a sentinel commit, or the
+// drain that frees the node for its next run.
+func (s *fleet) stepNode(n *node) {
+	e := n.effects[0]
+	n.effects = n.effects[1:]
+	if !e.drain {
+		s.sentinelCommit(n, e.at)
 		return
 	}
-	if len(n.inflight) > 0 && s.err == nil {
+	if len(n.inflight) > 0 {
 		s.err = fmt.Errorf("cluster: node %d drained with %d in-flight groups", n.idx, len(n.inflight))
 	}
 	n.busy = false
 }
 
-// sentinelCommit fires when node n's oldest in-flight commit group becomes
-// durable: updates join the durable log in order and are acknowledged to
-// their collector; a recovering node checks whether it has caught up.
-func (s *fleet) sentinelCommit(n *node) {
+// sentinelCommit applies node n's oldest in-flight commit group becoming
+// durable at cycle now: updates join the durable log in order and are
+// acknowledged to their collector; a recovering node checks whether it
+// has caught up.
+func (s *fleet) sentinelCommit(n *node, now uint64) {
 	if len(n.inflight) == 0 {
 		s.err = fmt.Errorf("cluster: node %d sentinel committed with no in-flight group", n.idx)
 		return
 	}
-	now := n.sim.Core(0).Now()
 	group := n.inflight[0]
 	n.inflight = n.inflight[1:]
 	for _, it := range group {
@@ -1460,8 +1498,9 @@ func (s *fleet) crashNode(idx int, t uint64) {
 		return
 	}
 
-	// Volatile state is gone.
-	c.queue, c.inflight, c.busy = nil, nil, false
+	// Volatile state is gone. The run was timed only up to this cycle (see
+	// startRun), so every effect it recorded has already been applied.
+	c.queue, c.inflight, c.busy, c.effects = nil, nil, false, nil
 	c.gates = map[int]*rangeGate{}
 
 	if s.detection() {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -214,6 +215,25 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+}
+
+// TestValidateRecoveryOverflow: a recovery cycle that wraps past the
+// largest cycle would recover the node before its crash. The last
+// representable recovery cycle is still accepted.
+func TestValidateRecoveryOverflow(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CrashAt = 120_000
+	cfg.RecoverAfter = math.MaxUint64 - 60_000
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("wrapping recovery cycle: Validate returned %v", err)
+	}
+	if _, err := RunAudited(cfg); err == nil {
+		t.Fatal("RunAudited accepted a wrapping recovery cycle")
+	}
+	cfg.RecoverAfter = math.MaxUint64 - cfg.CrashAt
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("recovery at the last cycle rejected: %v", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"specpersist/internal/cpu"
-	"specpersist/internal/memctl"
 	"specpersist/internal/obs"
 )
 
@@ -26,16 +25,6 @@ type sysConfig struct {
 // Knob-style Options applied after it still refine the result.
 func WithOptions(o Options) Option {
 	return func(c *sysConfig) { c.opts = o }
-}
-
-// WithCPU replaces the core configuration.
-func WithCPU(cfg cpu.Config) Option {
-	return func(c *sysConfig) { c.opts.CPU = cfg }
-}
-
-// WithMem replaces the memory-controller configuration.
-func WithMem(cfg memctl.Config) Option {
-	return func(c *sysConfig) { c.opts.Mem = cfg }
 }
 
 // WithBanks sets the NVMM bank count per controller.
@@ -86,11 +75,6 @@ func WithCheckpoints(n int) Option {
 		ensureSP(&c.opts)
 		c.opts.CPU.SP.Checkpoints = n
 	}
-}
-
-// WithSPConfig replaces the entire SP hardware configuration (ablations).
-func WithSPConfig(sp cpu.SPConfig) Option {
-	return func(c *sysConfig) { c.opts.CPU.SP = sp }
 }
 
 // WithTimeline attaches a cycle-resolved event recorder to every component

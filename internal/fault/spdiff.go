@@ -164,18 +164,6 @@ func SPDifferentialReal(structure string, seed int64, warmup, ops int) error {
 // applied to it (stores and flushes; the delimiting pcommits are implicit).
 type segment map[uint64][]isa.Op
 
-// CompareCommitLogs checks canonical equality of two commit logs: split on
-// pcommits into persist-epoch segments, then compare the per-line op order
-// inside each segment — the strongest ordering both a plain store-buffer
-// machine and an SP SSB machine guarantee for a flush-fence-disciplined
-// workload. (internal/litmus uses its own comparison: on arbitrary litmus
-// programs an unflushed store's drain may legally land in a different
-// segment than its program position, which this segment-membership check
-// would flag.)
-func CompareCommitLogs(base, sp []cpu.CommitEvent) error {
-	return compareCommitLogs(base, sp)
-}
-
 // canonicalSegments splits a commit log on pcommits and canonicalizes each
 // piece to per-line order, the strongest ordering both machines guarantee.
 func canonicalSegments(events []cpu.CommitEvent) []segment {
@@ -192,7 +180,14 @@ func canonicalSegments(events []cpu.CommitEvent) []segment {
 	return segs
 }
 
-// compareCommitLogs checks canonical equality of two commit logs.
+// compareCommitLogs checks canonical equality of two commit logs: split on
+// pcommits into persist-epoch segments, then compare the per-line op order
+// inside each segment — the strongest ordering both a plain store-buffer
+// machine and an SP SSB machine guarantee for a flush-fence-disciplined
+// workload. (internal/litmus uses its own comparison: on arbitrary litmus
+// programs an unflushed store's drain may legally land in a different
+// segment than its program position, which this segment-membership check
+// would flag.)
 func compareCommitLogs(base, sp []cpu.CommitEvent) error {
 	a, b := canonicalSegments(base), canonicalSegments(sp)
 	if len(a) != len(b) {

@@ -86,8 +86,10 @@ type coreState struct {
 	deferredAt map[uint64]struct{} // addrs present in deferred
 }
 
-// Sim is the N-core harness. Build with New, attach trace sources with
-// SetSource (or pass them to Run), then Run to completion.
+// Sim is the N-core harness. Build with New, then either Run one trace
+// source per core to completion or feed cores work in batches with
+// StartCore and StepWhile. Sources must implement trace.Seeker (e.g.
+// *trace.Buffer) for rollbacks to be possible.
 type Sim struct {
 	cfg   Config
 	mc    memctl.Memory
@@ -228,10 +230,6 @@ func (s *Sim) retryDeferred(cs *coreState) {
 		s.deliver(cs, p.addr, false)
 	}
 }
-
-// SetSource binds core i's trace source. Sources must implement
-// trace.Seeker (e.g. *trace.Buffer) for rollbacks to be possible.
-func (s *Sim) SetSource(i int, src trace.Source) { s.cores[i].src = src }
 
 // StartCore binds a trace source to core i and marks it runnable, for
 // harnesses (internal/service) that feed cores work in batches instead of

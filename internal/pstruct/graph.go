@@ -51,9 +51,6 @@ func (g *Graph) Name() string { return "GH" }
 // Size returns the number of edges.
 func (g *Graph) Size() int { return int(g.env.M.ReadU64(g.hdr + 16)) }
 
-// Vertices returns the vertex count.
-func (g *Graph) Vertices() int { return int(g.nv) }
-
 // edgeFromKey derives the (from, to) pair for an operation key.
 func (g *Graph) edgeFromKey(key uint64) (u, v uint64) {
 	u = key % g.nv

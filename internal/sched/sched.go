@@ -1,7 +1,10 @@
 // Package sched is the event-pick kernel of the simulators that interleave
-// cores (multicore, service, cluster): each scan Adds every pending event,
-// the Best one runs, and a stepping core keeps running while its own key
-// still orders before Next, so one scan pays for a batch of steps.
+// cores (multicore, service, cluster): each scan Adds every pending event
+// and the Best one runs. In multicore and service a stepping core keeps
+// running while its own key still orders before Next, so one scan pays
+// for a batch of steps. The cluster needs no such bound: each node owns
+// its machine, so a node's run is timed to its end at once and the scan
+// only orders the run's recorded effects.
 package sched
 
 import "math"

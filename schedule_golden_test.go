@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"specpersist/internal/cluster"
-	"specpersist/internal/core"
 	"specpersist/internal/litmus"
 	"specpersist/internal/multicore"
 	"specpersist/internal/service"
@@ -81,20 +80,7 @@ var scheduleScenarios = []struct {
 		return cluster.Run(cfg)
 	}},
 	{"fleet-serve-vt16", func() (any, error) {
-		cfg := cluster.DefaultConfig()
-		cfg.Structure = "VT"
-		cfg.Variant = core.VariantSP
-		cfg.Nodes = 16
-		cfg.Replicas = 3
-		cfg.Quorum = 0
-		cfg.BatchMax = 4
-		cfg.BatchDeadline = 2000
-		cfg.Rate = 6400
-		cfg.Requests = 2000
-		cfg.Keyspace = 4096
-		cfg.Warmup = 256
-		cfg.Seed = 1
-		return cluster.RunAudited(cfg)
+		return cluster.RunAudited(fleetServeConfig(2000))
 	}},
 	{"chaos-24-trials", func() (any, error) {
 		return cluster.Campaign(cluster.CampaignConfig{Base: cluster.DefaultChaosBase(), Trials: 24, Seed: 1, Workers: 2})

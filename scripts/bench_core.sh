@@ -2,8 +2,9 @@
 # Measure the simulator hot loops and append the results to
 # BENCH_core.json, the checked-in perf trajectory: the single-core
 # instruction rate under SP and under the fenced Log+P+Sf variant, the
-# replicated-fleet request rate (chaos fabric compiled in, disabled — the
-# chaos-off overhead guard), the versioned store's changeset-commit rate
+# replicated-fleet request rates (a small fleet with the chaos fabric
+# compiled in but disabled — the chaos-off overhead guard — and the
+# 16-node fleet-serve shape), the versioned store's changeset-commit rate
 # and the trial rates of the crash, litmus and chaos campaign engines. Run
 # from anywhere:
 #
@@ -28,10 +29,12 @@ for bench in BenchmarkCoreInstrRate BenchmarkCoreInstrRateLogPSf; do
     go run ./cmd/benchtrend -file BENCH_core.json -commit "$commit" -date "$date"
 done
 
-out=$(go test -run '^$' -bench '^BenchmarkClusterFleet$' -benchtime "$benchtime" .)
-printf '%s\n' "$out" >&2
-printf '%s\n' "$out" |
-  go run ./cmd/benchtrend -file BENCH_core.json -metric sim-reqs/s -commit "$commit" -date "$date"
+for bench in BenchmarkClusterFleet BenchmarkClusterFleetServe; do
+  out=$(go test -run '^$' -bench "^$bench\$" -benchtime "$benchtime" .)
+  printf '%s\n' "$out" >&2
+  printf '%s\n' "$out" |
+    go run ./cmd/benchtrend -file BENCH_core.json -metric sim-reqs/s -commit "$commit" -date "$date"
+done
 
 out=$(go test -run '^$' -bench '^BenchmarkVstoreCommit$' -benchtime "$benchtime" .)
 printf '%s\n' "$out" >&2
