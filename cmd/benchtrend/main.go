@@ -29,6 +29,9 @@ type Entry struct {
 	Bench  string  `json:"bench"`
 	Metric string  `json:"metric"`
 	Value  float64 `json:"value"`
+	// Note, set by hand, says why a value stepped (e.g. the benchmark's
+	// work changed); benchtrend only carries it along.
+	Note string `json:"note,omitempty"`
 }
 
 // parseMetric scans `go test -bench` output for the first benchmark line

@@ -53,3 +53,28 @@ func TestReplayReproducesRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordTwiceIdentical: a second recording in the same process forks
+// the image the first one populated, and must write the same bytes.
+func TestRecordTwiceIdentical(t *testing.T) {
+	b, err := workload.FindBench("HM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files [2]bytes.Buffer
+	for i := range files {
+		w, err := trace.NewWriter(&files[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recordWorkload(b, core.VariantLogPSf, 0.002, 5, 100, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if files[0].Len() == 0 || !bytes.Equal(files[0].Bytes(), files[1].Bytes()) {
+		t.Errorf("two recordings differ: %d and %d bytes", files[0].Len(), files[1].Len())
+	}
+}

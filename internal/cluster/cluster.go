@@ -1513,6 +1513,9 @@ func (s *fleet) crashNode(idx int, t uint64) {
 	// Repair pending quorums: requests collected here can no longer be
 	// acknowledged; elsewhere, this node's ack is off the table unless the
 	// update was already durable here (its ack survives in flight).
+	// possible counts every owner that was up at arrival, the ones that
+	// have acked included, so it alone bounds the acks the request can
+	// end with.
 	for _, id := range s.sortedPendingIDs() {
 		p, ok := s.pending.get(id)
 		if !ok {
@@ -1524,7 +1527,7 @@ func (s *fleet) crashNode(idx int, t uint64) {
 		}
 		if !p.get && s.ring.IsOwner(p.rid, idx) && p.seq >= c.appliedDur[p.rid] {
 			p.possible--
-			if p.got+p.possible < p.need {
+			if p.possible < p.need {
 				s.fail(p, t)
 			}
 		}

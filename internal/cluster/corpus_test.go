@@ -151,3 +151,27 @@ func TestFleetCorpusDigests(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashRepairCountsAckOnce replays corpus entry 3 (BT, R=W=2, node 1
+// crashes mid-run and recovers, rebalancing on). At the crash, request 31
+// holds node 0's ack and node 1 has not applied it durably. Its quorum is
+// then out of reach, so the oracle repair must fail it. Counting node 0's
+// ack both as got and as a possible ack left it pending, and the run
+// ended with its request accounting broken.
+func TestCrashRepairCountsAckOnce(t *testing.T) {
+	r, err := RunAudited(corpusConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Audit.Clean() {
+		t.Errorf("audit found %d violations: %+v", r.Audit.Total, r.Audit.Violations)
+	}
+	st := r.Stats
+	if sum := st.Completed + st.Dropped + st.Shed + st.TimedOut + st.Failed + st.Unavailable; sum != st.Offered {
+		t.Errorf("%d completed + %d dropped + %d shed + %d timed-out + %d failed + %d unavailable = %d, offered %d",
+			st.Completed, st.Dropped, st.Shed, st.TimedOut, st.Failed, st.Unavailable, sum, st.Offered)
+	}
+	if st.Failed == 0 {
+		t.Error("no request failed at the crash")
+	}
+}

@@ -51,7 +51,8 @@ type Structure interface {
 	// Size returns the element count.
 	Size() int
 	// Check validates all structural invariants against the current
-	// (volatile) view.
+	// (volatile) view. It reads through the model, so it adds to
+	// pmem.loads: a check is not free for a run's metrics.
 	Check() error
 }
 

@@ -25,6 +25,9 @@ import (
 //
 // v4: the SP registry gained "cpu.sp.rollback_cycles", so v3 SP snapshots
 // have a different key set than the current model produces.
+//
+// Forking each run from a shared populated image (workload.NewGenerator)
+// needed no bump: every Result, Metrics included, is byte-identical.
 const schemaVersion = 4
 
 // DefaultCacheDir is where sweeps cache results unless told otherwise.

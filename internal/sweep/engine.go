@@ -41,7 +41,8 @@ func (e *Engine) workers() int {
 
 // Run executes every job and returns the outcomes in job order. Result
 // order, and the results themselves, are independent of the worker count:
-// workload.Run is deterministic and shares no state between jobs. The
+// workload.Run is deterministic, and jobs that share a populated image
+// share it read-only and each simulate their own fork of it. The
 // first job error aborts the sweep (already-started jobs finish; their
 // results are still cached).
 func (e *Engine) Run(jobs []workload.Job) ([]JobResult, error) {

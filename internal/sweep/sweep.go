@@ -6,9 +6,10 @@
 //
 // The engine is what makes a paper-scale reproduction practical: the full
 // Figure 8–14 grid is an embarrassingly parallel cross-product of
-// independent simulations (workload.Run shares no mutable state between
-// runs), so wall-clock time divides by the worker count, and a sweep
-// killed halfway resumes from the cache instead of from zero.
+// independent simulations (runs that share a populated image share it
+// read-only and each simulate a fork of it, see workload.NewGenerator),
+// so wall-clock time divides by the worker count, and a sweep killed
+// halfway resumes from the cache instead of from zero.
 package sweep
 
 import (

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -182,6 +183,50 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i].Result, parallel[i].Result) {
 			t.Errorf("job %d (%s): parallel result differs from serial", i, jobs[i].Label())
+		}
+	}
+}
+
+// TestParallelForksOneImage: every job of this grid (one bench under
+// Log+P+Sf and under SP at several SSB and checkpoint sizes) forks the
+// same populated image, so at 8 workers the jobs build it once and fork it
+// concurrently. Their results must be byte-identical to a serial sweep's.
+// The seed is this test's own, so the parallel sweep, which runs first,
+// finds no image to reuse. Run under -race this also proves the forks
+// share no mutable state.
+func TestParallelForksOneImage(t *testing.T) {
+	jobs, err := Plan(Spec{
+		Benches:     []string{"HM"},
+		Variants:    []string{"Log+P+Sf", "SP"},
+		Scale:       0.002,
+		Seeds:       []int64{11},
+		SSB:         []int{64, 128, 256, 512},
+		Checkpoints: []int{2, 4},
+		OpOverhead:  []int{50},
+		MaxTraceOps: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := (&Engine{Workers: 8}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := (&Engine{Workers: 1}).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial {
+		s, err := json.Marshal(serial[i].Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := json.Marshal(parallel[i].Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(s, p) {
+			t.Errorf("job %d (%s): parallel result differs from serial:\n%s\n%s", i, jobs[i].Label(), p, s)
 		}
 	}
 }

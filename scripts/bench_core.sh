@@ -2,6 +2,7 @@
 # Measure the simulator hot loops and append the results to
 # BENCH_core.json, the checked-in perf trajectory: the single-core
 # instruction rate under SP and under the fenced Log+P+Sf variant, the
+# paper-suite round's run rate (population included), the
 # replicated-fleet request rates (a small fleet with the chaos fabric
 # compiled in but disabled — the chaos-off overhead guard — and the
 # 16-node fleet-serve shape), the versioned store's changeset-commit rate
@@ -28,6 +29,11 @@ for bench in BenchmarkCoreInstrRate BenchmarkCoreInstrRateLogPSf; do
   printf '%s\n' "$out" |
     go run ./cmd/benchtrend -file BENCH_core.json -commit "$commit" -date "$date"
 done
+
+out=$(go test -run '^$' -bench '^BenchmarkPaperSuite$' -benchtime "$benchtime" .)
+printf '%s\n' "$out" >&2
+printf '%s\n' "$out" |
+  go run ./cmd/benchtrend -file BENCH_core.json -metric runs/s -commit "$commit" -date "$date"
 
 for bench in BenchmarkClusterFleet BenchmarkClusterFleetServe; do
   out=$(go test -run '^$' -bench "^$bench\$" -benchtime "$benchtime" .)
