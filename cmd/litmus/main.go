@@ -93,6 +93,14 @@ func run(args []string, w *os.File) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"programs", o.programs}, {"workers", o.workers}, {"max-states", o.maxStates}, {"shrink-budget", o.shrinkBudget}} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s must be non-negative, got %d", f.name, f.v)
+		}
+	}
 	if o.replay != "" {
 		return runReplay(o, w)
 	}
@@ -100,9 +108,6 @@ func run(args []string, w *os.File) error {
 }
 
 func runCampaign(o options, w *os.File) error {
-	if o.programs < 0 {
-		return fmt.Errorf("-programs must be non-negative, got %d", o.programs)
-	}
 	res, err := litmus.Campaign(litmus.CampaignConfig{
 		Curated:   o.curated,
 		Programs:  o.programs,

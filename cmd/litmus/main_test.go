@@ -87,6 +87,27 @@ func TestRejectsPositionalArgs(t *testing.T) {
 	}
 }
 
+// TestRejectsBadFlags: negative counts and budgets are refused before any
+// work starts, in campaign and in replay mode alike.
+func TestRejectsBadFlags(t *testing.T) {
+	rep := filepath.Join(t.TempDir(), "rep.json")
+	if err := os.WriteFile(rep, []byte(`{"program":{"name":"x","locs":[{"name":"a","line":0,"off":0,"size":8}],"threads":[[{"op":"st","loc":"a","val":1}]]},"kind":"outcome-not-allowed"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, flag := range []string{"-programs", "-workers", "-max-states", "-shrink-budget"} {
+		for _, mode := range [][]string{{"-programs", "0", "-curated=false"}, {"-replay", rep}} {
+			args := append(append([]string(nil), mode...), flag, "-1")
+			out, err := capture(t, args...)
+			if err == nil || !strings.Contains(err.Error(), flag+" must be non-negative") {
+				t.Errorf("%v: err = %v, want a %s rejection", args, err, flag)
+			}
+			if out != "" {
+				t.Errorf("%v: printed %q before rejecting", args, out)
+			}
+		}
+	}
+}
+
 func TestReplayRejectsGarbage(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(bad, []byte("{\"program\":{\"threads\":[]}}"), 0o644); err != nil {

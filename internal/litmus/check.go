@@ -2,6 +2,7 @@ package litmus
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Violation kinds. Harness errors (invalid program, state-cap overflow)
@@ -178,7 +179,7 @@ func Check(p Program, cfg Config) (Result, error) {
 				})
 			}
 		}
-		if m.Name != "plain" && plainOutcomes != nil && !stringsEqual(mr.Outcomes, plainOutcomes) {
+		if m.Name != "plain" && plainOutcomes != nil && !slices.Equal(mr.Outcomes, plainOutcomes) {
 			// Raw sets differ — usually byte-equal, but a difference is only
 			// a violation if it exceeds store-buffer drain slack: every
 			// outcome of both runs must sit inside the drain-placement
@@ -208,16 +209,4 @@ func Check(p Program, cfg Config) (Result, error) {
 		res.Modes = append(res.Modes, mr)
 	}
 	return res, nil
-}
-
-func stringsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

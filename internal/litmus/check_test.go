@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -108,7 +109,7 @@ func TestCheckDeterministic(t *testing.T) {
 		t.Fatalf("mode counts differ: %d vs %d", len(a.Modes), len(b.Modes))
 	}
 	for i := range a.Modes {
-		if !stringsEqual(a.Modes[i].Outcomes, b.Modes[i].Outcomes) {
+		if !slices.Equal(a.Modes[i].Outcomes, b.Modes[i].Outcomes) {
 			t.Errorf("mode %s: outcome sets differ between runs", a.Modes[i].Mode.Name)
 		}
 		if a.Modes[i].Rollbacks != b.Modes[i].Rollbacks {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -177,7 +178,7 @@ func CheckGolden(p Program, g Golden, sem Semantics, maxStates int) ([]Violation
 	}
 	allowed := sortedOutcomes(set)
 	var vs []Violation
-	if !stringsEqual(allowed, g.Allowed) {
+	if !slices.Equal(allowed, g.Allowed) {
 		vs = append(vs, Violation{
 			Kind:   KindGoldenMismatch,
 			Detail: fmt.Sprintf("computed %d allowed outcomes, golden has %d; first extra: %q", len(allowed), len(g.Allowed), firstDiff(allowed, g.Allowed)),

@@ -19,7 +19,9 @@ package litmus
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 
 	"specpersist/internal/mem"
 )
@@ -151,19 +153,31 @@ func (p *Program) String() string {
 	return string(blob)
 }
 
-// chunkRef identifies one 8-byte atomic write unit of the footprint.
-type chunkRef struct{ line, idx int }
+// locRef is a location resolved against the footprint: its dense line
+// index and the (chunk, byte) position of each of its bytes, least
+// significant first.
+type locRef struct {
+	line int
+	at   [][2]uint8
+}
 
 // plan is a validated program compiled for the explorers: dense line and
 // chunk indices, resolved locations, simulator addresses.
 type plan struct {
-	p        *Program
-	locIdx   map[string]int
-	lines    []int       // distinct line numbers used, ascending
-	lineIdx  map[int]int // line number -> dense index
-	chunks   []chunkRef  // footprint chunks, sorted (line, idx)
-	chunkIdx map[chunkRef]int
-	byName   []int // loc indices sorted by name (outcome order)
+	p       *Program
+	locIdx  map[string]int
+	lines   []int       // distinct line numbers used, ascending
+	lineIdx map[int]int // line number -> dense index
+	// chunkLine is the dense line of each footprint chunk (the 8-byte
+	// NVM write units), chunks ordered by (line, offset).
+	chunkLine []int
+	locs      []locRef // parallel to p.Locs
+	// stores lists every program store op, thread by thread in program
+	// order; thread t's are stores[storeBase[t]:storeBase[t+1]]. The
+	// ordinals are the store actions of the explorer kernel.
+	stores    []Op
+	storeBase []int
+	byName    []int // loc indices sorted by name (outcome order)
 }
 
 // compile validates and indexes the program.
@@ -172,42 +186,48 @@ func compile(p *Program) (*plan, error) {
 		return nil, err
 	}
 	pl := &plan{
-		p:        p,
-		locIdx:   make(map[string]int, len(p.Locs)),
-		lineIdx:  make(map[int]int),
-		chunkIdx: make(map[chunkRef]int),
+		p:       p,
+		locIdx:  make(map[string]int, len(p.Locs)),
+		lineIdx: make(map[int]int),
 	}
+	// Lines and chunks get dense indices in ascending (line, offset)
+	// order: mark the used chunk slots, then number them.
+	var chunkIdx [MaxLines * mem.LineSize / 8]int // slot line*8+idx
 	for i, l := range p.Locs {
 		pl.locIdx[l.Name] = i
-		if _, ok := pl.lineIdx[l.Line]; !ok {
-			pl.lineIdx[l.Line] = 0 // assigned after sorting
-			pl.lines = append(pl.lines, l.Line)
+		pl.byName = append(pl.byName, i)
+		for b := 0; b < l.Size; b++ {
+			chunkIdx[l.Line*8+(l.Off+b)/8] = 1
 		}
 	}
-	sort.Ints(pl.lines)
-	for i, line := range pl.lines {
-		pl.lineIdx[line] = i
+	for slot, used := range chunkIdx {
+		if used == 0 {
+			continue
+		}
+		if _, ok := pl.lineIdx[slot/8]; !ok {
+			pl.lineIdx[slot/8] = len(pl.lines)
+			pl.lines = append(pl.lines, slot/8)
+		}
+		chunkIdx[slot] = len(pl.chunkLine)
+		pl.chunkLine = append(pl.chunkLine, pl.lineIdx[slot/8])
 	}
-	for _, l := range p.Locs {
+	pl.locs = make([]locRef, len(p.Locs))
+	for i, l := range p.Locs {
+		pl.locs[i].line = pl.lineIdx[l.Line]
 		for b := 0; b < l.Size; b++ {
-			c := chunkRef{line: l.Line, idx: (l.Off + b) / 8}
-			if _, ok := pl.chunkIdx[c]; !ok {
-				pl.chunkIdx[c] = 0
-				pl.chunks = append(pl.chunks, c)
+			ci := chunkIdx[l.Line*8+(l.Off+b)/8]
+			pl.locs[i].at = append(pl.locs[i].at, [2]uint8{uint8(ci), uint8((l.Off + b) % 8)})
+		}
+	}
+	for _, ops := range p.Threads {
+		pl.storeBase = append(pl.storeBase, len(pl.stores))
+		for _, op := range ops {
+			if op.Kind == OpStore {
+				pl.stores = append(pl.stores, op)
 			}
 		}
 	}
-	sort.Slice(pl.chunks, func(i, j int) bool {
-		a, b := pl.chunks[i], pl.chunks[j]
-		return a.line < b.line || (a.line == b.line && a.idx < b.idx)
-	})
-	for i, c := range pl.chunks {
-		pl.chunkIdx[c] = i
-	}
-	pl.byName = make([]int, len(p.Locs))
-	for i := range pl.byName {
-		pl.byName[i] = i
-	}
+	pl.storeBase = append(pl.storeBase, len(pl.stores))
 	sort.Slice(pl.byName, func(i, j int) bool {
 		return p.Locs[pl.byName[i]].Name < p.Locs[pl.byName[j]].Name
 	})
@@ -240,7 +260,8 @@ type chunk [8]byte
 // internal/pmem at chunk granularity: the volatile view (caches + store
 // buffers), the controller WPQ (one line snapshot, taken at flush time),
 // and the durable image. Masks are per dense line index. The struct is
-// comparable, so explorers memoize on it directly.
+// comparable (194 bytes), so the explorer kernel interns it directly as
+// a map key.
 type memState struct {
 	vol, dur, wpq [maxChunks]chunk
 	wpqMask       uint8 // line has a snapshot pending in the WPQ
@@ -248,13 +269,12 @@ type memState struct {
 }
 
 // storeLoc applies a store to the volatile view and dirties the line.
-func (pl *plan) storeLoc(st *memState, li int, val uint64) {
-	l := pl.p.Locs[li]
-	for b := 0; b < l.Size; b++ {
-		ci := pl.chunkIdx[chunkRef{line: l.Line, idx: (l.Off + b) / 8}]
-		st.vol[ci][(l.Off+b)%8] = byte(val >> (8 * b))
+func (pl *plan) storeLoc(st *memState, loc int, val uint64) {
+	lr := &pl.locs[loc]
+	for b, at := range lr.at {
+		st.vol[at[0]][at[1]] = byte(val >> (8 * b))
 	}
-	st.dirty |= 1 << pl.lineIdx[l.Line]
+	st.dirty |= 1 << lr.line
 }
 
 // flushLine snapshots a dirty line into the WPQ (pmem.Clwb semantics: a
@@ -264,9 +284,8 @@ func (pl *plan) flushLine(st *memState, li int) {
 	if st.dirty&bit == 0 {
 		return
 	}
-	line := pl.lines[li]
-	for ci, c := range pl.chunks {
-		if c.line == line {
+	for ci, cl := range pl.chunkLine {
+		if cl == li {
 			st.wpq[ci] = st.vol[ci]
 		}
 	}
@@ -279,8 +298,8 @@ func (pl *plan) drainWPQ(st *memState) {
 	if st.wpqMask == 0 {
 		return
 	}
-	for ci, c := range pl.chunks {
-		if st.wpqMask&(1<<pl.lineIdx[c.line]) != 0 {
+	for ci, cl := range pl.chunkLine {
+		if st.wpqMask&(1<<cl) != 0 {
 			st.dur[ci] = st.wpq[ci]
 		}
 	}
@@ -288,29 +307,26 @@ func (pl *plan) drainWPQ(st *memState) {
 }
 
 // readLoc extracts a location's little-endian value from a chunk image.
-func (pl *plan) readLoc(img *[maxChunks]chunk, li int) uint64 {
-	l := pl.p.Locs[li]
+func (pl *plan) readLoc(img *[maxChunks]chunk, loc int) uint64 {
 	var v uint64
-	for b := 0; b < l.Size; b++ {
-		ci := pl.chunkIdx[chunkRef{line: l.Line, idx: (l.Off + b) / 8}]
-		v |= uint64(img[ci][(l.Off+b)%8]) << (8 * b)
+	for b, at := range pl.locs[loc].at {
+		v |= uint64(img[at[0]][at[1]]) << (8 * b)
 	}
 	return v
 }
 
-// outcome renders a chunk image as the canonical outcome string: locations
-// in name order, "name=value", space-separated.
-func (pl *plan) outcome(img *[maxChunks]chunk) string {
-	buf := make([]byte, 0, 16*len(pl.byName))
+// appendOutcome renders a chunk image as the canonical outcome string:
+// locations in name order, "name=value", space-separated.
+func (pl *plan) appendOutcome(buf []byte, img *[maxChunks]chunk) []byte {
 	for i, li := range pl.byName {
 		if i > 0 {
 			buf = append(buf, ' ')
 		}
 		buf = append(buf, pl.p.Locs[li].Name...)
 		buf = append(buf, '=')
-		buf = fmt.Appendf(buf, "%d", pl.readLoc(img, li))
+		buf = strconv.AppendUint(buf, pl.readLoc(img, li), 10)
 	}
-	return string(buf)
+	return buf
 }
 
 // crashOutcomes enumerates every durable image a crash at this state can
@@ -322,35 +338,29 @@ func (pl *plan) outcome(img *[maxChunks]chunk) string {
 func (pl *plan) crashOutcomes(st *memState, set map[string]struct{}) {
 	var opts [maxChunks][3]chunk
 	var nOpts [maxChunks]int
-	n := len(pl.chunks)
-	for ci, c := range pl.chunks {
-		bit := uint8(1) << pl.lineIdx[c.line]
+	n := len(pl.chunkLine)
+	for ci, cl := range pl.chunkLine {
+		bit := uint8(1) << cl
 		opts[ci][0] = st.dur[ci]
 		nOpts[ci] = 1
 		if st.wpqMask&bit != 0 && st.wpq[ci] != st.dur[ci] {
 			opts[ci][nOpts[ci]] = st.wpq[ci]
 			nOpts[ci]++
 		}
-		if st.dirty&bit != 0 {
-			v := st.vol[ci]
-			dup := false
-			for k := 0; k < nOpts[ci]; k++ {
-				if opts[ci][k] == v {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				opts[ci][nOpts[ci]] = v
-				nOpts[ci]++
-			}
+		if st.dirty&bit != 0 && !slices.Contains(opts[ci][:nOpts[ci]], st.vol[ci]) {
+			opts[ci][nOpts[ci]] = st.vol[ci]
+			nOpts[ci]++
 		}
 	}
 	var img [maxChunks]chunk
+	var buf []byte
 	var rec func(ci int)
 	rec = func(ci int) {
 		if ci == n {
-			set[outcomeKey(pl, &img)] = struct{}{}
+			buf = pl.appendOutcome(buf[:0], &img)
+			if _, ok := set[string(buf)]; !ok {
+				set[string(buf)] = struct{}{}
+			}
 			return
 		}
 		for k := 0; k < nOpts[ci]; k++ {
@@ -360,9 +370,6 @@ func (pl *plan) crashOutcomes(st *memState, set map[string]struct{}) {
 	}
 	rec(0)
 }
-
-// outcomeKey is pl.outcome; split out so crashOutcomes reads clearly.
-func outcomeKey(pl *plan, img *[maxChunks]chunk) string { return pl.outcome(img) }
 
 // sortedOutcomes flattens an outcome set into its canonical sorted list.
 func sortedOutcomes(set map[string]struct{}) []string {

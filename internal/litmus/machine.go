@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"specpersist/internal/core"
@@ -59,14 +60,14 @@ func Modes(p *Program) []Mode {
 	return modes
 }
 
-// mevent is one canonical-stream entry: a store (with its reconstructed
-// payload), a flush, or a pcommit, attributed to a dense line index.
+// mevent is one canonical-stream entry: a store, a flush, or a pcommit,
+// attributed to a dense line index, with the explorer-kernel action it
+// performs (for a store, the ordinal of the program store it commits,
+// which carries the payload).
 type mevent struct {
 	op   isa.Op
 	line int // dense line index; -1 for pcommit
-	off  int // store only: byte offset within the line
-	size int
-	val  uint64
+	act  int
 }
 
 // machineRun is one mode's raw results.
@@ -179,16 +180,11 @@ func runMachine(pl *plan, m Mode) (*machineRun, error) {
 // machine's store buffer drains lazily, so an unflushed store's commit
 // event may legally trail a later pcommit's.
 func attachValues(pl *plan, t int, log []cpu.CommitEvent) ([]mevent, error) {
-	type progStore struct {
-		loc int
-		val uint64
-	}
-	var stores []progStore
+	first := pl.storeBase[t]
+	stores := pl.stores[first:pl.storeBase[t+1]]
 	var persists []Op // flushes and pcommits, program order
 	for _, op := range pl.p.Threads[t] {
 		switch op.Kind {
-		case OpStore:
-			stores = append(stores, progStore{loc: pl.locIdx[op.Loc], val: op.Val})
 		case OpClwb, OpClflushOpt, OpPcommit:
 			persists = append(persists, op)
 		}
@@ -201,11 +197,11 @@ func attachValues(pl *plan, t int, log []cpu.CommitEvent) ([]mevent, error) {
 			if k >= len(stores) {
 				return nil, fmt.Errorf("core %d committed %d stores, program has %d", t, k+1, len(stores))
 			}
-			l := pl.p.Locs[stores[k].loc]
+			l := pl.p.Locs[pl.locIdx[stores[k].Loc]]
 			if want := pl.addr(l); e.Addr != want {
 				return nil, fmt.Errorf("core %d store commit %d at %#x, program order says %#x (%s)", t, k, e.Addr, want, l.Name)
 			}
-			out = append(out, mevent{op: isa.Store, line: pl.lineIdx[l.Line], off: l.Off, size: l.Size, val: stores[k].val})
+			out = append(out, mevent{op: isa.Store, line: pl.lineIdx[l.Line], act: first + k})
 			k++
 		case isa.Clwb, isa.Clflushopt, isa.Clflush:
 			li := pl.lineOf(mem.LineAddr(e.Addr))
@@ -220,7 +216,7 @@ func attachValues(pl *plan, t int, log []cpu.CommitEvent) ([]mevent, error) {
 			} else if want := pl.lineIdx[pl.p.Locs[pl.locIdx[p.Loc]].Line]; want != li {
 				return nil, fmt.Errorf("core %d persist commit %d flushes line %d, program order says %d", t, j, li, want)
 			}
-			out = append(out, mevent{op: e.Op, line: li})
+			out = append(out, mevent{op: e.Op, line: li, act: pl.flushAct(li)})
 			j++
 		case isa.Pcommit:
 			if j >= len(persists) {
@@ -229,7 +225,7 @@ func attachValues(pl *plan, t int, log []cpu.CommitEvent) ([]mevent, error) {
 			if persists[j].Kind != OpPcommit {
 				return nil, fmt.Errorf("core %d persist commit %d is a pcommit, program order says %s %s", t, j, persists[j].Kind, persists[j].Loc)
 			}
-			out = append(out, mevent{op: isa.Pcommit, line: -1})
+			out = append(out, mevent{op: isa.Pcommit, line: -1, act: pl.drainAct()})
 			j++
 		default:
 			return nil, fmt.Errorf("core %d committed unexpected op %v", t, e.Op)
@@ -293,10 +289,15 @@ func streamsEqual(a, b [][]mevent) (bool, string) {
 }
 
 // machineKey is one machine-explorer state: the persistence state plus a
-// position in each core's canonical stream.
+// position in each core's raw stream (at most MaxOpsPerThread: attachValues
+// pairs every stream event with a program op).
 type machineKey struct {
-	mem uint32 // interned memState id
-	pos [MaxThreads]uint16
+	mem uint32 // interned image id
+	pos [MaxThreads]uint8
+}
+
+func (k machineKey) hash() uint64 {
+	return uint64(k.mem)<<32 | uint64(binary.LittleEndian.Uint32(k.pos[:]))
 }
 
 // machineOutcomes enumerates the crash-visible outcome set of a machine
@@ -308,53 +309,15 @@ type machineKey struct {
 // produce — makes the observed set a pure function of the streams, so
 // SP-vs-plain set equality is meaningful and timing-independent.
 func machineOutcomes(pl *plan, streams [][]mevent, maxStates int) (map[string]struct{}, int, error) {
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	for _, s := range streams {
-		if len(s) > 1<<16-1 {
-			return nil, 0, fmt.Errorf("litmus: stream too long (%d events)", len(s))
-		}
-	}
-	set := make(map[string]struct{})
-	visited := make(map[machineKey]struct{})
-	mi := newMemInterner(pl, set)
-	var start machineKey
-	queue := []machineKey{start}
-	visited[start] = struct{}{}
-	for len(queue) > 0 {
-		if len(visited) > maxStates {
-			return nil, len(visited), fmt.Errorf("litmus: machine explorer exceeded %d states on %q: %w", maxStates, pl.p.Name, ErrStateCap)
-		}
-		k := queue[0]
-		queue = queue[1:]
-		mem := mi.tab[k.mem]
+	return explore(pl, maxStates, "machine", func(x *explorer[machineKey], k machineKey) {
 		for c := range streams {
 			if int(k.pos[c]) >= len(streams[c]) {
 				continue
 			}
-			e := streams[c][k.pos[c]]
-			next, m := k, mem
+			next := k
+			next.mem = x.step(k.mem, streams[c][k.pos[c]].act)
 			next.pos[c]++
-			switch e.op {
-			case isa.Store:
-				line := pl.lines[e.line]
-				for b := 0; b < e.size; b++ {
-					ci := pl.chunkIdx[chunkRef{line: line, idx: (e.off + b) / 8}]
-					m.vol[ci][(e.off+b)%8] = byte(e.val >> (8 * b))
-				}
-				m.dirty |= 1 << e.line
-			case isa.Clwb, isa.Clflushopt, isa.Clflush:
-				pl.flushLine(&m, e.line)
-			case isa.Pcommit:
-				pl.drainWPQ(&m)
-			}
-			next.mem = mi.intern(&m)
-			if _, ok := visited[next]; !ok {
-				visited[next] = struct{}{}
-				queue = append(queue, next)
-			}
+			x.push(next)
 		}
-	}
-	return set, len(visited), nil
+	})
 }

@@ -1,8 +1,8 @@
 package litmus
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // ErrStateCap marks a state-budget overflow in either explorer. Campaigns
@@ -41,18 +41,18 @@ func (s Semantics) String() string {
 
 // DefaultMaxStates bounds both explorers' interleaving state spaces. The
 // caps in Validate keep real programs far below it; hitting the bound is
-// reported as a harness error, never a panic. The reference explorer
-// interns memStates so a visited entry costs ~16 bytes, which is what
-// makes a budget this size affordable.
+// reported as a harness error, never a panic. The explorer kernel interns
+// images, so a visited state costs its 16-byte key plus 8–16 bytes of hash
+// index, not a 194-byte image: that makes a budget this size affordable.
 const DefaultMaxStates = 1_000_000
 
 // refKey is one explored interpreter state: the persistence state (as an
-// interned memState id — the 196-byte images repeat heavily across
-// control states, so the BFS keys and queues 16-byte records) plus each
-// thread's program counter, the number of its stores drained from the
-// store buffer, and the set of lines with issued but not yet completed
-// flushes. The store buffer's contents need no explicit field — they are
-// exactly the program's stores with ordinal in [drained, executed).
+// interned image id — the 194-byte images repeat heavily across control
+// states) plus each thread's program counter, the number of its stores
+// drained from the store buffer, and the set of lines with issued but not
+// yet completed flushes. The store buffer's contents need no explicit
+// field — they are exactly the program's stores with ordinal in
+// [drained, executed).
 type refKey struct {
 	mem     uint32
 	pc      [MaxThreads]uint8
@@ -60,10 +60,10 @@ type refKey struct {
 	pending [MaxThreads]uint8 // per-thread line mask of in-flight flushes
 }
 
-// refStore is one program store as seen by the drain transition.
-type refStore struct {
-	loc int
-	val uint64
+func (k refKey) hash() uint64 {
+	le := binary.LittleEndian
+	return uint64(k.mem)<<32 | uint64(le.Uint32(k.pc[:])) ^
+		(uint64(le.Uint32(k.drained[:]))|uint64(le.Uint32(k.pending[:]))<<32)*0xbf58476d1ce4e5b9
 }
 
 // refThread is a thread's store-buffer ordering metadata: storesBefore[i]
@@ -74,39 +74,8 @@ type refStore struct {
 // store for an sfence (the fence completes the store buffer), zero
 // otherwise.
 type refThread struct {
-	stores       []refStore
 	storesBefore []int
 	needDrain    []int
-}
-
-// memInterner maps memStates to dense ids so explorer keys and queues
-// hold 4 bytes instead of a 196-byte image (which repeats across most
-// control states). Crash outcomes are a pure function of the memState,
-// so they are collected exactly once per distinct image — at intern
-// time, which covers every reachable state.
-type memInterner struct {
-	tab []memState
-	ids map[memState]uint32
-	pl  *plan
-	set map[string]struct{}
-}
-
-func newMemInterner(pl *plan, set map[string]struct{}) *memInterner {
-	mi := &memInterner{tab: make([]memState, 1, 64), ids: make(map[memState]uint32, 64), pl: pl, set: set}
-	mi.ids[mi.tab[0]] = 0
-	pl.crashOutcomes(&mi.tab[0], set)
-	return mi
-}
-
-func (mi *memInterner) intern(m *memState) uint32 {
-	if id, ok := mi.ids[*m]; ok {
-		return id
-	}
-	id := uint32(len(mi.tab))
-	mi.tab = append(mi.tab, *m)
-	mi.ids[*m] = id
-	mi.pl.crashOutcomes(m, mi.set)
-	return id
 }
 
 func buildRefThreads(pl *plan) []refThread {
@@ -115,21 +84,21 @@ func buildRefThreads(pl *plan) []refThread {
 		th := &out[t]
 		th.storesBefore = make([]int, len(ops)+1)
 		th.needDrain = make([]int, len(ops))
+		stores := 0
 		lastSameLine := make(map[int]int) // dense line -> last store ordinal + 1
 		for i, op := range ops {
-			th.storesBefore[i] = len(th.stores)
+			th.storesBefore[i] = stores
 			switch op.Kind {
 			case OpStore:
-				li := pl.lineIdx[pl.p.Locs[pl.locIdx[op.Loc]].Line]
-				th.stores = append(th.stores, refStore{loc: pl.locIdx[op.Loc], val: op.Val})
-				lastSameLine[li] = len(th.stores)
+				stores++
+				lastSameLine[pl.locs[pl.locIdx[op.Loc]].line] = stores
 			case OpClwb, OpClflushOpt:
-				th.needDrain[i] = lastSameLine[pl.lineIdx[pl.p.Locs[pl.locIdx[op.Loc]].Line]]
+				th.needDrain[i] = lastSameLine[pl.locs[pl.locIdx[op.Loc]].line]
 			case OpSfence:
-				th.needDrain[i] = len(th.stores)
+				th.needDrain[i] = stores
 			}
 		}
-		th.storesBefore[len(ops)] = len(th.stores)
+		th.storesBefore[len(ops)] = stores
 	}
 	return out
 }
@@ -168,88 +137,63 @@ func (s Semantics) Enumerate(p *Program, maxStates int) (map[string]struct{}, in
 }
 
 func (s Semantics) enumerate(pl *plan, maxStates int) (map[string]struct{}, int, error) {
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
 	threads := buildRefThreads(pl)
-	set := make(map[string]struct{})
-	visited := make(map[refKey]struct{})
-	mi := newMemInterner(pl, set)
-
-	var start refKey
-	queue := []refKey{start}
-	visited[start] = struct{}{}
-	push := func(k refKey, m *memState) {
-		k.mem = mi.intern(m)
-		if _, ok := visited[k]; !ok {
-			visited[k] = struct{}{}
-			queue = append(queue, k)
-		}
-	}
-	for len(queue) > 0 {
-		if len(visited) > maxStates {
-			return nil, len(visited), fmt.Errorf("litmus: reference explorer exceeded %d states on %q: %w", maxStates, pl.p.Name, ErrStateCap)
-		}
-		k := queue[0]
-		queue = queue[1:]
-		mem := mi.tab[k.mem]
+	return explore(pl, maxStates, "reference", func(x *explorer[refKey], k refKey) {
 		for t := range pl.p.Threads {
 			th := &threads[t]
 			// Asynchronous flush completions: any single in-flight flush
 			// may land now.
-			for li := 0; li < len(pl.lines); li++ {
+			for li := range pl.lines {
 				bit := uint8(1) << li
 				if k.pending[t]&bit == 0 {
 					continue
 				}
-				next, m := k, mem
-				pl.flushLine(&m, li)
+				next := k
+				next.mem = x.step(k.mem, pl.flushAct(li))
 				next.pending[t] &^= bit
-				push(next, &m)
+				x.push(next)
 			}
 			// Store-buffer drain: the thread's oldest buffered store may
 			// become globally visible now. (Crashes lose the buffer — a
 			// state's crash outcomes see only drained stores.)
 			if d := int(k.drained[t]); d < th.storesBefore[k.pc[t]] {
-				next, m := k, mem
-				pl.storeLoc(&m, th.stores[d].loc, th.stores[d].val)
+				next := k
+				next.mem = x.step(k.mem, pl.storeBase[t]+d)
 				next.drained[t]++
-				push(next, &m)
+				x.push(next)
 			}
 			// Program step, gated on the op's drain requirement (same-line
 			// stores for a flush, the whole buffer for an sfence).
 			ops := pl.p.Threads[t]
-			if int(k.pc[t]) >= len(ops) {
+			pc := int(k.pc[t])
+			if pc >= len(ops) || th.needDrain[pc] > int(k.drained[t]) {
 				continue
 			}
-			if th.needDrain[k.pc[t]] > int(k.drained[t]) {
-				continue
-			}
-			op := ops[k.pc[t]]
-			next, m := k, mem
+			next := k
 			next.pc[t]++
-			switch op.Kind {
+			switch ops[pc].Kind {
 			case OpStore:
 				// Retires into the store buffer; visibility comes from the
 				// drain transition above.
 			case OpClwb, OpClflushOpt:
-				next.pending[t] |= 1 << pl.lineIdx[pl.p.Locs[pl.locIdx[op.Loc]].Line]
+				next.pending[t] |= 1 << pl.locs[pl.locIdx[ops[pc].Loc]].line
 			case OpSfence:
 				if s.SfenceOrdersFlushes {
-					for li := 0; li < len(pl.lines); li++ {
+					// Flushes of distinct lines commute, so the fence
+					// lands them as memoized single-line flushes.
+					for li := range pl.lines {
 						if next.pending[t]&(1<<li) != 0 {
-							pl.flushLine(&m, li)
+							next.mem = x.step(next.mem, pl.flushAct(li))
 						}
 					}
 					next.pending[t] = 0
 				}
 			case OpPcommit:
-				pl.drainWPQ(&m)
+				next.mem = x.step(k.mem, pl.drainAct())
 			case OpLoad, OpNop:
 				// No persistence effect.
 			}
-			push(next, &m)
+			x.push(next)
 		}
-	}
-	return set, len(visited), nil
+	})
 }

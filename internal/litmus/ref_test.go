@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -100,7 +101,7 @@ func TestReferenceSingleThread(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := sortedOutcomes(set)
-			if !stringsEqual(got, tc.want) {
+			if !slices.Equal(got, tc.want) {
 				t.Fatalf("allowed = %v, want %v", got, tc.want)
 			}
 		})

@@ -1,7 +1,7 @@
 package litmus
 
 import (
-	"fmt"
+	"encoding/binary"
 
 	"specpersist/internal/isa"
 )
@@ -43,21 +43,20 @@ func buildSlack(pl *plan) []slackThread {
 		for _, op := range th {
 			switch op.Kind {
 			case OpStore:
-				l := pl.p.Locs[pl.locIdx[op.Loc]]
-				li := pl.lineIdx[l.Line]
-				st.stores = append(st.stores, mevent{op: isa.Store, line: li, off: l.Off, size: l.Size, val: op.Val})
+				li := pl.locs[pl.locIdx[op.Loc]].line
+				st.stores = append(st.stores, mevent{op: isa.Store, line: li, act: pl.storeBase[t] + len(st.stores)})
 				st.storeMinJ = append(st.storeMinJ, len(st.persists))
 				lastSameLine[li] = len(st.stores)
 			case OpClwb, OpClflushOpt:
-				li := pl.lineIdx[pl.p.Locs[pl.locIdx[op.Loc]].Line]
+				li := pl.locs[pl.locIdx[op.Loc]].line
 				minK := lastSameLine[li]
 				if fenceBound > minK {
 					minK = fenceBound
 				}
-				st.persists = append(st.persists, mevent{op: isa.Clwb, line: li})
+				st.persists = append(st.persists, mevent{op: isa.Clwb, line: li, act: pl.flushAct(li)})
 				st.persistMinK = append(st.persistMinK, minK)
 			case OpPcommit:
-				st.persists = append(st.persists, mevent{op: isa.Pcommit, line: -1})
+				st.persists = append(st.persists, mevent{op: isa.Pcommit, line: -1, act: pl.drainAct()})
 				st.persistMinK = append(st.persistMinK, fenceBound)
 			case OpSfence:
 				fenceBound = len(st.stores)
@@ -68,11 +67,16 @@ func buildSlack(pl *plan) []slackThread {
 }
 
 // slackKey is one envelope-explorer state: the persistence state (as an
-// interned memState id) plus each thread's progress through its persist
+// interned image id) plus each thread's progress through its persist
 // sequence (j) and store drains (k).
 type slackKey struct {
 	mem  uint32
 	j, k [MaxThreads]uint8
+}
+
+func (s slackKey) hash() uint64 {
+	le := binary.LittleEndian
+	return uint64(s.mem)<<32 | uint64(le.Uint32(s.j[:])) ^ uint64(le.Uint32(s.k[:]))*0xbf58476d1ce4e5b9
 }
 
 // slackOutcomes enumerates the crash-visible outcome envelope over every
@@ -81,55 +85,22 @@ type slackKey struct {
 // and remains inside the reference-allowed set (a delayed drain only
 // removes a volatile value a crash fate could drop anyway).
 func slackOutcomes(pl *plan, maxStates int) (map[string]struct{}, int, error) {
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
 	threads := buildSlack(pl)
-	set := make(map[string]struct{})
-	visited := make(map[slackKey]struct{})
-	mi := newMemInterner(pl, set)
-	var start slackKey
-	queue := []slackKey{start}
-	visited[start] = struct{}{}
-	push := func(k slackKey, m *memState) {
-		k.mem = mi.intern(m)
-		if _, ok := visited[k]; !ok {
-			visited[k] = struct{}{}
-			queue = append(queue, k)
-		}
-	}
-	for len(queue) > 0 {
-		if len(visited) > maxStates {
-			return nil, len(visited), fmt.Errorf("litmus: slack-envelope explorer exceeded %d states on %q: %w", maxStates, pl.p.Name, ErrStateCap)
-		}
-		s := queue[0]
-		queue = queue[1:]
-		mem := mi.tab[s.mem]
+	return explore(pl, maxStates, "slack-envelope", func(x *explorer[slackKey], s slackKey) {
 		for t := range threads {
 			th := &threads[t]
 			if k := int(s.k[t]); k < len(th.stores) && th.storeMinJ[k] <= int(s.j[t]) {
-				e := th.stores[k]
-				next, m := s, mem
+				next := s
+				next.mem = x.step(s.mem, th.stores[k].act)
 				next.k[t]++
-				for b := 0; b < e.size; b++ {
-					ci := pl.chunkIdx[chunkRef{line: pl.lines[e.line], idx: (e.off + b) / 8}]
-					m.vol[ci][(e.off+b)%8] = byte(e.val >> (8 * b))
-				}
-				m.dirty |= 1 << e.line
-				push(next, &m)
+				x.push(next)
 			}
 			if j := int(s.j[t]); j < len(th.persists) && th.persistMinK[j] <= int(s.k[t]) {
-				e := th.persists[j]
-				next, m := s, mem
+				next := s
+				next.mem = x.step(s.mem, th.persists[j].act)
 				next.j[t]++
-				if e.op == isa.Pcommit {
-					pl.drainWPQ(&m)
-				} else {
-					pl.flushLine(&m, e.line)
-				}
-				push(next, &m)
+				x.push(next)
 			}
 		}
-	}
-	return set, len(visited), nil
+	})
 }
