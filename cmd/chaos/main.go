@@ -16,16 +16,17 @@
 // dials and windows) and written to -out as a replayable JSON reproducer.
 //
 // -expect-violations flips the exit-status contract: the run fails unless
-// at least one violation is found — proof the checker is alive.
+// at least one violation is found — proof the checker is alive. A campaign
+// flag on a -replay run is an error, not ignored.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
+	"specpersist/internal/cli"
 	"specpersist/internal/cluster"
 	"specpersist/internal/core"
 )
@@ -49,6 +50,12 @@ type options struct {
 	jsonOut          bool
 }
 
+// The run modes: a campaign, or the replay of one reproducer.
+const (
+	campaignMode cli.Mode = 1 << iota
+	replayMode
+)
+
 // jsonDoc is the -json document: the campaign summary (or the single
 // replayed trial) plus the minimized reproducer when one was found.
 type jsonDoc struct {
@@ -61,39 +68,43 @@ type jsonDoc struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("chaos: ")
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
+func run(args []string, w io.Writer) error {
+	fs := cli.NewSet("chaos", "campaign", "-replay")
 	var o options
-	fs.IntVar(&o.trials, "trials", 200, "audited runs in the campaign")
-	fs.Int64Var(&o.seed, "seed", 1, "campaign seed (drives every trial's plan, crash schedule and workload)")
-	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS; never changes the results)")
-	fs.IntVar(&o.nodes, "nodes", 0, "fleet size (0 = campaign default 3)")
-	fs.IntVar(&o.replicas, "replicas", 0, "replication factor R (0 = campaign default 2)")
-	fs.StringVar(&o.structure, "bench", "", "structure under test (default HM)")
-	fs.StringVar(&o.variant, "variant", "", "persistence variant (default SP)")
-	fs.IntVar(&o.requests, "requests", 0, "requests per trial (0 = campaign default)")
-	fs.Float64Var(&o.rate, "rate", 0, "offered load per trial in requests per Mcycle (0 = campaign default)")
-	fs.BoolVar(&o.breakDedup, "break-dedup", false, "negative control: disable the duplicate gate so the auditor has something to catch")
-	fs.BoolVar(&o.expectViolations, "expect-violations", false, "exit non-zero unless at least one violation is found")
-	fs.IntVar(&o.shrinkBudget, "shrink-budget", 0, "replays the shrinker may spend on a violating trial (0 = default)")
-	fs.StringVar(&o.out, "out", "", "write the minimized violating config JSON here")
-	fs.StringVar(&o.replay, "replay", "", "replay one audited run from a config JSON file instead of a campaign")
-	fs.BoolVar(&o.jsonOut, "json", false, "emit the summary as JSON")
+	both := campaignMode | replayMode
+	fs.Int(&o.trials, "trials", 200, campaignMode, "audited runs in the campaign").Min(1)
+	fs.Int64(&o.seed, "seed", 1, campaignMode, "campaign seed (drives every trial's plan, crash schedule and workload)")
+	fs.Int(&o.workers, "workers", 0, campaignMode, "worker pool size (0 = GOMAXPROCS; never changes the results)").Min(0)
+	fs.Int(&o.nodes, "nodes", 0, campaignMode, "fleet size (0 = campaign default 3)").Min(0)
+	fs.Int(&o.replicas, "replicas", 0, campaignMode, "replication factor R (0 = campaign default 2)").Min(0)
+	fs.String(&o.structure, "bench", "", campaignMode, "structure under test (default HM)")
+	fs.String(&o.variant, "variant", "", campaignMode, "persistence variant (default SP)")
+	fs.Int(&o.requests, "requests", 0, campaignMode, "requests per trial (0 = campaign default)").Min(0)
+	fs.Float64(&o.rate, "rate", 0, campaignMode, "offered load per trial in requests per Mcycle (0 = campaign default)")
+	fs.Bool(&o.breakDedup, "break-dedup", false, campaignMode, "negative control: disable the duplicate gate so the auditor has something to catch")
+	fs.Bool(&o.expectViolations, "expect-violations", false, both, "exit non-zero unless at least one violation is found")
+	fs.Int(&o.shrinkBudget, "shrink-budget", 0, campaignMode, "replays the shrinker may spend on a violating trial (0 = default)").Min(0)
+	fs.String(&o.out, "out", "", campaignMode, "write the minimized violating config JSON here")
+	fs.String(&o.replay, "replay", "", replayMode, "replay one audited run from a config JSON file instead of a campaign")
+	fs.Bool(&o.jsonOut, "json", false, both, "emit the summary as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
 	if o.replay != "" {
-		return runReplay(o)
+		if err := fs.Check(replayMode); err != nil {
+			return err
+		}
+		return runReplay(o, w)
 	}
-	return runCampaign(o)
+	if err := fs.Check(campaignMode); err != nil {
+		return err
+	}
+	return runCampaign(o, w)
 }
 
 // baseConfig assembles the per-trial base fleet from the flags.
@@ -119,17 +130,14 @@ func baseConfig(o options) (cluster.Config, error) {
 	if o.requests > 0 {
 		base.Requests = o.requests
 	}
-	if o.rate > 0 {
-		base.Rate = o.rate
+	if o.rate != 0 {
+		base.Rate = o.rate // Campaign validates it
 	}
 	base.BreakDedup = o.breakDedup
 	return base, nil
 }
 
-func runCampaign(o options) error {
-	if o.trials < 1 {
-		return fmt.Errorf("-trials must be at least 1, got %d", o.trials)
-	}
+func runCampaign(o options, w io.Writer) error {
 	base, err := baseConfig(o)
 	if err != nil {
 		return err
@@ -148,87 +156,59 @@ func runCampaign(o options) error {
 		doc.Minimal = &min
 		doc.Shrinks = steps
 		if o.out != "" {
-			blob, err := json.MarshalIndent(min, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(o.out, append(blob, '\n'), 0o644); err != nil {
+			if err := cli.WriteJSONFile(o.out, min); err != nil {
 				return err
 			}
 		}
 	}
 
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		if err := cli.WriteJSON(w, doc); err != nil {
 			return err
 		}
 	} else {
-		fmt.Printf("campaign             %d trials, seed %d, %s on %s, %d nodes R=%d\n",
+		fmt.Fprintf(w, "campaign             %d trials, seed %d, %s on %s, %d nodes R=%d\n",
 			o.trials, o.seed, base.Variant, base.Structure, base.Nodes, base.Replicas)
-		fmt.Printf("requests             %d completed / %d offered across all trials\n",
+		fmt.Fprintf(w, "requests             %d completed / %d offered across all trials\n",
 			res.Completed, res.Offered)
-		fmt.Printf("tail latency         worst per-trial p99 %d cycles\n", res.P99Max)
-		fmt.Printf("violations           %d in %d of %d trials\n", res.Violations, len(res.BadTrials), len(res.Trials))
+		fmt.Fprintf(w, "tail latency         worst per-trial p99 %d cycles\n", res.P99Max)
+		fmt.Fprintf(w, "violations           %d in %d of %d trials\n", res.Violations, len(res.BadTrials), len(res.Trials))
 		if doc.Minimal != nil {
-			fmt.Printf("first bad trial      %d (minimized in %d replays", res.BadTrials[0], doc.Shrinks)
+			fmt.Fprintf(w, "first bad trial      %d (minimized in %d replays", res.BadTrials[0], doc.Shrinks)
 			if o.out != "" {
-				fmt.Printf(", reproducer written to %s", o.out)
+				fmt.Fprintf(w, ", reproducer written to %s", o.out)
 			}
-			fmt.Println(")")
-			blob, _ := json.MarshalIndent(doc.Minimal.Chaos, "", "  ")
-			fmt.Printf("minimal plan         %s\n", blob)
+			fmt.Fprintln(w, ")")
+			fmt.Fprint(w, "minimal plan         ")
+			if err := cli.WriteJSON(w, doc.Minimal.Chaos); err != nil {
+				return err
+			}
 		}
 	}
-	return exitContract(o, res.Violations)
+	return cli.Exit(o.expectViolations, res.Violations)
 }
 
-func runReplay(o options) error {
-	blob, err := os.ReadFile(o.replay)
-	if err != nil {
-		return err
-	}
+func runReplay(o options, w io.Writer) error {
 	var cfg cluster.Config
-	if err := json.Unmarshal(blob, &cfg); err != nil {
-		return fmt.Errorf("-replay %s: %w", o.replay, err)
+	if err := cli.ReadJSON("replay", o.replay, &cfg, func() error { return cfg.Validate() }); err != nil {
+		return err
 	}
 	res, err := cluster.RunAudited(cfg)
 	if err != nil {
 		return err
 	}
-	if res.Audit == nil {
-		return fmt.Errorf("replay produced no audit")
-	}
 	if o.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonDoc{Replay: &res}); err != nil {
+		if err := cli.WriteJSON(w, jsonDoc{Replay: &res}); err != nil {
 			return err
 		}
 	} else {
-		fmt.Printf("replay               %s: %d completed / %d offered\n",
+		fmt.Fprintf(w, "replay               %s: %d completed / %d offered\n",
 			o.replay, res.Stats.Completed, res.Stats.Offered)
-		fmt.Printf("audit                %d acked updates checked, %d violations\n",
+		fmt.Fprintf(w, "audit                %d acked updates checked, %d violations\n",
 			res.Audit.Checked, res.Audit.Total)
 		for _, v := range res.Audit.Violations {
-			fmt.Printf("  VIOLATION          %s\n", v)
+			fmt.Fprintf(w, "  VIOLATION          %s\n", v)
 		}
 	}
-	return exitContract(o, res.Audit.Total)
-}
-
-// exitContract maps the violation count onto the exit status: campaigns
-// fail on violations, negative controls fail without them.
-func exitContract(o options, violations int) error {
-	if o.expectViolations {
-		if violations == 0 {
-			return fmt.Errorf("expected violations, found none (is the checker alive?)")
-		}
-		return nil
-	}
-	if violations > 0 {
-		return fmt.Errorf("%d invariant violations found", violations)
-	}
-	return nil
+	return cli.Exit(o.expectViolations, res.Audit.Total)
 }

@@ -1,10 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // TestRunSmallCampaignClean: a few healthy trials audit clean and the
 // command returns nil.
 func TestRunSmallCampaignClean(t *testing.T) {
-	if err := run([]string{"-trials", "4", "-seed", "3"}); err != nil {
+	if err := run([]string{"-trials", "4", "-seed", "3"}, io.Discard); err != nil {
 		t.Fatalf("clean campaign failed: %v", err)
 	}
 }
@@ -25,7 +26,7 @@ func TestRunSmallCampaignClean(t *testing.T) {
 // with -expect-violations.
 func TestRunNegativeControl(t *testing.T) {
 	out := t.TempDir() + "/minimal.json"
-	err := run([]string{"-trials", "8", "-seed", "7", "-break-dedup", "-out", out, "-shrink-budget", "60"})
+	err := run([]string{"-trials", "8", "-seed", "7", "-break-dedup", "-out", out, "-shrink-budget", "60"}, io.Discard)
 	if err == nil {
 		t.Fatal("broken-dedup campaign exited clean")
 	}
@@ -45,16 +46,16 @@ func TestRunNegativeControl(t *testing.T) {
 	}
 
 	// The same campaign as an expected negative control passes...
-	if err := run([]string{"-trials", "8", "-seed", "7", "-break-dedup", "-expect-violations"}); err != nil {
+	if err := run([]string{"-trials", "8", "-seed", "7", "-break-dedup", "-expect-violations"}, io.Discard); err != nil {
 		t.Fatalf("-expect-violations rejected a violating campaign: %v", err)
 	}
 	// ...and a healthy campaign under -expect-violations fails.
-	if err := run([]string{"-trials", "2", "-seed", "3", "-expect-violations"}); err == nil {
+	if err := run([]string{"-trials", "2", "-seed", "3", "-expect-violations"}, io.Discard); err == nil {
 		t.Fatal("-expect-violations passed a clean campaign")
 	}
 
 	// The written reproducer replays to a violation.
-	if err := run([]string{"-replay", out, "-expect-violations"}); err != nil {
+	if err := run([]string{"-replay", out, "-expect-violations"}, io.Discard); err != nil {
 		t.Fatalf("minimized reproducer did not replay: %v", err)
 	}
 }
@@ -72,6 +73,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := os.WriteFile(wrapping, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	tinyLog := filepath.Join(t.TempDir(), "tiny-log.json")
+	if err := os.WriteFile(tinyLog, []byte(`{"structure":"HM","variant":4,"rate":50,"requests":8,"warmup":8,"log_cap":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -82,9 +87,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"positional junk", []string{"-trials", "2", "extra"}, "unexpected"},
 		{"missing replay file", []string{"-replay", "nope.json"}, "nope.json"},
 		{"replay with a wrapping recovery cycle", []string{"-replay", wrapping}, "overflows"},
+		{"negative workers", []string{"-workers", "-1"}, "-workers must be non-negative"},
+		{"negative rate", []string{"-rate", "-5"}, "rate"},
+		{"negative shrink budget", []string{"-shrink-budget", "-1"}, "-shrink-budget must be non-negative"},
+		{"campaign flag on a replay", []string{"-replay", wrapping, "-trials", "5"}, "flags [-trials] do not apply to -replay runs"},
+		{"replay config with a one-entry undo log", []string{"-replay", tinyLog}, "log capacity 1 exceeded"},
 	}
 	for _, tc := range cases {
-		err := run(tc.args)
+		var out bytes.Buffer
+		err := run(tc.args, &out)
 		if err == nil {
 			t.Errorf("%s: accepted %v", tc.name, tc.args)
 			continue
@@ -92,24 +103,22 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+		if out.Len() > 0 {
+			t.Errorf("%s: printed %q before rejecting", tc.name, out.String())
+		}
 	}
 }
 
 // TestCampaignJSONDocument: -json emits the campaign summary with every
-// trial present, via the re-exec helper so stdout is the real stream.
+// trial present.
 func TestCampaignJSONDocument(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-test.run", "TestHelperChaosMain")
-	cmd.Env = append(os.Environ(), "CHAOS_HELPER_ARGS="+strings.Join(
-		[]string{"-trials", "3", "-seed", "3", "-json"}, "\x1f"))
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("json campaign failed: %v\n%s", err, out)
+	var out bytes.Buffer
+	if err := run([]string{"-trials", "3", "-seed", "3", "-json"}, &out); err != nil {
+		t.Fatalf("json campaign failed: %v\n%s", err, out.String())
 	}
-	// The helper prints test-harness chatter after main returns; decode
-	// just the leading JSON document.
 	var doc jsonDoc
-	if err := json.NewDecoder(strings.NewReader(string(out))).Decode(&doc); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out)
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("output is not JSON: %v\n%s", err, out.String())
 	}
 	if doc.Campaign == nil || len(doc.Campaign.Trials) != 3 {
 		t.Fatalf("campaign document incomplete: %+v", doc.Campaign)
@@ -131,25 +140,12 @@ func TestSummaryLineCountsAllTrials(t *testing.T) {
 		{[]string{"-trials", "8", "-seed", "7", "-break-dedup", "-expect-violations", "-shrink-budget", "10"},
 			"violations           730 in 8 of 8 trials\n"},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run", "TestHelperChaosMain")
-		cmd.Env = append(os.Environ(), "CHAOS_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("%v: %v\n%s", tc.args, err, out)
+		var out bytes.Buffer
+		if err := run(tc.args, &out); err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, out.String())
 		}
-		if !strings.Contains(string(out), tc.want) {
-			t.Errorf("%v: summary lacks %q:\n%s", tc.args, tc.want, out)
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: summary lacks %q:\n%s", tc.args, tc.want, out.String())
 		}
 	}
-}
-
-// TestHelperChaosMain is not a real test: when re-executed with
-// CHAOS_HELPER_ARGS set, it becomes the chaos binary.
-func TestHelperChaosMain(t *testing.T) {
-	raw, ok := os.LookupEnv("CHAOS_HELPER_ARGS")
-	if !ok {
-		t.Skip("helper process only")
-	}
-	os.Args = append([]string{"chaos"}, strings.Split(raw, "\x1f")...)
-	main()
 }

@@ -13,17 +13,20 @@
 //	crashtest -replay plan.json                     # replay one reproducer
 //	crashtest -replay min.json -expect-violations   # a control's reproducer must violate
 //	crashtest -spdiff                               # SP rollback differential
+//
+// A flag the run's mode (campaign, -replay or -spdiff) does not read is an
+// error, not ignored.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"strings"
 
+	"specpersist/internal/cli"
 	"specpersist/internal/core"
 	"specpersist/internal/fault"
 	"specpersist/internal/obs"
@@ -42,6 +45,29 @@ var aliases = map[string]string{
 	"vt": "VT", "vstore": "VT", "vtree": "VT",
 }
 
+// options holds every crashtest flag; the campaign's own dials are bound
+// into its fault.Campaign.
+type options struct {
+	structures, variant string
+	campaign            fault.Campaign
+	torn, recrash       bool
+	samples, workers    int
+	maxViolations       int
+	jsonOut             bool
+	replay              string
+	spdiff              bool
+	probe               string
+	expectViolations    bool
+}
+
+// The run modes: a crash campaign, the replay of one reproducer plan, or
+// the SP rollback differential.
+const (
+	campaignMode cli.Mode = 1 << iota
+	replayMode
+	spdiffMode
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("crashtest: ")
@@ -51,81 +77,79 @@ func main() {
 }
 
 func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("crashtest", flag.ExitOnError)
-	var (
-		structuresF = fs.String("structures", "", "comma-separated structures (default: all); aliases like list,hash,avl work")
-		variantF    = fs.String("variant", "Log+P+Sf", "software variant (Log, Log+P, Log+P+Sf)")
-		seed        = fs.Int64("seed", 1, "campaign seed")
-		warmup      = fs.Int("warmup", 60, "warmup operations before the probed ops")
-		ops         = fs.Int("ops", 3, "operations probed per structure")
-		exhaustive  = fs.Bool("exhaustive", false, "enumerate every crash point (counting pass first)")
-		trials      = fs.Int("trials", 200, "randomized-mode trials per structure")
-		torn        = fs.Bool("torn", false, "tear lines at 8-byte chunks in sampled trials")
-		recrash     = fs.Bool("recrash", false, "re-crash at every persistence event inside recovery")
-		samples     = fs.Int("samples", 1, "randomized fate sets per crash point besides the strict crash")
-		workers     = fs.Int("workers", 0, "worker pool size (0 = one per CPU)")
-		maxViol     = fs.Int("max-violations", 3, "violation details kept per structure")
-		jsonOut     = fs.Bool("json", false, "emit the machine-readable report as JSON on stdout")
-		replayFile  = fs.String("replay", "", "replay one plan from a JSON reproducer file and exit")
-		spdiff      = fs.Bool("spdiff", false, "run the SP rollback differential instead of a crash campaign")
-		probeMode   = fs.String("probe", "forced", "spdiff probe source: forced (harness-injected) or real (2-core adversary via internal/multicore)")
-		expectViol  = fs.Bool("expect-violations", false, "negative control: exit nonzero unless violations are found")
-		unsafeFlip  = fs.Bool("vstore-unsafe-flip", false, "negative control for structure VT: commit flips the root selector before the changeset flush behind one shared barrier")
-	)
+	fs := cli.NewSet("crashtest", "campaign", "-replay", "-spdiff")
+	var o options
+	probed := campaignMode | spdiffMode
+	reported := campaignMode | replayMode
+	fs.String(&o.structures, "structures", "", probed, "comma-separated structures (default: all); aliases like list,hash,avl work")
+	fs.String(&o.variant, "variant", "Log+P+Sf", campaignMode, "software variant (Log, Log+P, Log+P+Sf)")
+	fs.Int64(&o.campaign.Seed, "seed", 1, probed, "campaign seed")
+	fs.Int(&o.campaign.Warmup, "warmup", 60, probed, "warmup operations before the probed ops").Min(0)
+	fs.Int(&o.campaign.Ops, "ops", 3, probed, "operations probed per structure").Min(0)
+	fs.Bool(&o.campaign.Exhaustive, "exhaustive", false, campaignMode, "enumerate every crash point (counting pass first)")
+	fs.Int(&o.campaign.Trials, "trials", 200, campaignMode, "randomized-mode trials per structure").Min(0)
+	fs.Bool(&o.torn, "torn", false, campaignMode, "tear lines at 8-byte chunks in sampled trials")
+	fs.Bool(&o.recrash, "recrash", false, campaignMode, "re-crash at every persistence event inside recovery")
+	fs.Int(&o.samples, "samples", 1, campaignMode, "randomized fate sets per crash point besides the strict crash").Min(0)
+	fs.Int(&o.workers, "workers", 0, campaignMode, "worker pool size (0 = one per CPU)").Min(0)
+	fs.Int(&o.maxViolations, "max-violations", 3, campaignMode, "violation details kept per structure").Min(0)
+	fs.Bool(&o.jsonOut, "json", false, reported, "emit the machine-readable report as JSON on stdout")
+	fs.String(&o.replay, "replay", "", replayMode, "replay one plan from a JSON reproducer file and exit")
+	fs.Bool(&o.spdiff, "spdiff", false, spdiffMode, "run the SP rollback differential instead of a crash campaign")
+	fs.String(&o.probe, "probe", "forced", spdiffMode, "spdiff probe source: forced (harness-injected) or real (2-core adversary via internal/multicore)")
+	fs.Bool(&o.expectViolations, "expect-violations", false, reported, "negative control: exit nonzero unless violations are found")
+	fs.Bool(&o.campaign.VstoreUnsafeFlip, "vstore-unsafe-flip", false, campaignMode, "negative control for structure VT: commit flips the root selector before the changeset flush behind one shared barrier")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	mode := campaignMode
+	switch {
+	case o.replay != "":
+		mode = replayMode
+	case o.spdiff:
+		mode = spdiffMode
+	}
+	err := fs.Check(mode)
+	if err != nil {
+		return err
+	}
+	if mode == replayMode {
+		return replay(w, o)
 	}
 
-	if *replayFile != "" {
-		return replay(w, *replayFile, *jsonOut, *expectViol)
-	}
-
-	structures, err := parseStructures(*structuresF)
+	c := o.campaign
+	c.Structures, err = parseStructures(o.structures)
 	if err != nil {
 		return err
 	}
 
-	if *spdiff {
-		return runSPDiff(w, structures, *probeMode, *seed, *warmup, *ops)
+	if mode == spdiffMode {
+		return runSPDiff(w, c.Structures, o.probe, c.Seed, c.Warmup, c.Ops)
 	}
 
-	v, err := core.ParseVariant(*variantF)
-	if err != nil || !v.Transactional() {
+	c.Variant, err = core.ParseVariant(o.variant)
+	if err != nil || !c.Variant.Transactional() {
 		return fmt.Errorf("variant must be Log, Log+P or Log+P+Sf")
 	}
 
 	eng := &fault.Engine{
-		Workers:       *workers,
-		Samples:       *samples,
-		Torn:          *torn,
-		Recrash:       *recrash,
+		Workers:       o.workers,
+		Samples:       o.samples,
+		Torn:          o.torn,
+		Recrash:       o.recrash,
 		Shrink:        true,
-		MaxViolations: *maxViol,
+		MaxViolations: o.maxViolations,
 	}
 	reg := obs.NewRegistry()
 	eng.Register(reg)
 
-	rep, err := eng.Run(fault.Campaign{
-		Structures:       structures,
-		Variant:          v,
-		Seed:             *seed,
-		Warmup:           *warmup,
-		Ops:              *ops,
-		Exhaustive:       *exhaustive,
-		Trials:           *trials,
-		VstoreUnsafeFlip: *unsafeFlip,
-	})
+	rep, err := eng.Run(c)
 	if err != nil {
 		return err
 	}
 
-	if *jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+	if o.jsonOut {
+		if err := cli.WriteJSON(w, rep); err != nil {
 			return err
 		}
 	} else {
@@ -133,14 +157,12 @@ func run(args []string, w io.Writer) error {
 	}
 
 	// A campaign under an unfenced variant is expected to find violations,
-	// so only the fully fenced variant fails on them.
-	switch {
-	case *expectViol && rep.Violations == 0:
-		return fmt.Errorf("FAIL: expected violations under %s but found none (the checker may be blind)", v)
-	case !*expectViol && rep.Violations > 0 && v == core.VariantLogPSf:
-		return fmt.Errorf("FAIL: %d violations under the fully fenced variant", rep.Violations)
+	// so without -expect-violations only the fully fenced variant fails on
+	// them.
+	if !o.expectViolations && c.Variant != core.VariantLogPSf {
+		return nil
 	}
-	return nil
+	return cli.Exit(o.expectViolations, rep.Violations)
 }
 
 func parseStructures(csv string) ([]string, error) {
@@ -170,26 +192,18 @@ func parseStructures(csv string) ([]string, error) {
 	return out, nil
 }
 
-// replay re-runs one reproducer plan. Its exit contract is the one every
-// campaign CLI shares: a violation fails the run, unless expectViol marks
-// the plan as a negative control, which then fails without one.
-func replay(w io.Writer, path string, jsonOut, expectViol bool) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
+// replay re-runs one reproducer plan under the campaign exit contract.
+func replay(w io.Writer, o options) error {
 	var p fault.Plan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return fmt.Errorf("parsing %s: %v", path, err)
+	if err := cli.ReadJSON("replay", o.replay, &p, nil); err != nil {
+		return err
 	}
 	out, err := fault.Run(p)
 	if err != nil {
 		return err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+	if o.jsonOut {
+		if err := cli.WriteJSON(w, out); err != nil {
 			return err
 		}
 	} else {
@@ -202,13 +216,11 @@ func replay(w io.Writer, path string, jsonOut, expectViol bool) error {
 			fmt.Fprintln(w, "recovered atomically")
 		}
 	}
-	switch {
-	case expectViol && !out.Failed():
-		return fmt.Errorf("FAIL: expected the replayed plan to violate, but it recovered atomically")
-	case !expectViol && out.Failed():
-		return fmt.Errorf("FAIL: replayed plan violates: %s", out.Violation)
+	violations := 0
+	if out.Failed() {
+		violations = 1
 	}
-	return nil
+	return cli.Exit(o.expectViolations, violations)
 }
 
 func runSPDiff(w io.Writer, structures []string, probeMode string, seed int64, warmup, ops int) error {

@@ -70,3 +70,34 @@ func TestReplayExitContract(t *testing.T) {
 		t.Errorf("clean plan without -expect-violations: %v", err)
 	}
 }
+
+// TestRejectsBadFlags: a flag the run's mode does not read, or a count
+// below zero, is an error naming the flag, reported before any work.
+// -samples -1 used to run an exhaustive campaign of zero trials and pass.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-replay", "plan.json", "-exhaustive"}, "flags [-exhaustive] do not apply to -replay runs"},
+		{[]string{"-spdiff", "-variant", "Log+P"}, "flags [-variant] do not apply to -spdiff runs"},
+		{[]string{"-spdiff", "-json", "-torn"}, "flags [-json -torn] do not apply to -spdiff runs"},
+		{[]string{"-probe", "real"}, "flags [-probe] do not apply to campaign runs"},
+		{[]string{"-exhaustive", "-samples", "-1"}, "-samples must be non-negative, got -1"},
+		{[]string{"-trials", "-1"}, "-trials must be non-negative"},
+		{[]string{"-ops", "-1"}, "-ops must be non-negative"},
+		{[]string{"-warmup", "-1"}, "-warmup must be non-negative"},
+		{[]string{"-workers", "-1"}, "-workers must be non-negative"},
+		{[]string{"-max-violations", "-1"}, "-max-violations must be non-negative"},
+		{[]string{"-exhaustive", "extra"}, "unexpected arguments"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		if out.Len() > 0 {
+			t.Errorf("%v: printed %q before rejecting", tc.args, out.String())
+		}
+	}
+}

@@ -22,16 +22,17 @@
 // sfence→pcommit ordering edge dropped); the curated corpus's
 // hand-derived golden files must then catch it. -expect-violations flips
 // the exit-status contract: the run fails unless at least one violation
-// is found — proof the harness has teeth.
+// is found — proof the harness has teeth. A campaign flag on a -replay run
+// is an error, not ignored.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
+	"specpersist/internal/cli"
 	"specpersist/internal/litmus"
 )
 
@@ -49,6 +50,12 @@ type options struct {
 	replay           string
 	jsonOut          bool
 }
+
+// The run modes: a campaign, or the re-check of one reproducer.
+const (
+	campaignMode cli.Mode = 1 << iota
+	replayMode
+)
 
 // jsonDoc is the -json document: the campaign summary (or the single
 // replayed reproducer's verdict) plus the minimized reproducer when one
@@ -73,41 +80,37 @@ func main() {
 	}
 }
 
-func run(args []string, w *os.File) error {
-	fs := flag.NewFlagSet("litmus", flag.ExitOnError)
+func run(args []string, w io.Writer) error {
+	fs := cli.NewSet("litmus", "campaign", "-replay")
 	var o options
-	fs.IntVar(&o.programs, "programs", 200, "generated programs in the campaign (on top of the curated corpus)")
-	fs.Int64Var(&o.seed, "seed", 1, "campaign seed (drives every generated program)")
-	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS; never changes the results)")
-	fs.BoolVar(&o.curated, "curated", true, "include the curated corpus and its golden-file checks")
-	fs.IntVar(&o.maxStates, "max-states", 0, "state budget per explorer (0 = default)")
-	fs.BoolVar(&o.weakenRef, "weaken-ref", false, "negative control: drop the reference's sfence→pcommit edge so the goldens have something to catch")
-	fs.BoolVar(&o.expectViolations, "expect-violations", false, "exit non-zero unless at least one violation is found")
-	fs.IntVar(&o.shrinkBudget, "shrink-budget", 0, "predicate calls the shrinker may spend on a violating program (0 = default)")
-	fs.StringVar(&o.out, "out", "", "write the minimized violating program JSON here")
-	fs.StringVar(&o.replay, "replay", "", "re-check one reproducer JSON file instead of running a campaign")
-	fs.BoolVar(&o.jsonOut, "json", false, "emit the summary as JSON")
+	both := campaignMode | replayMode
+	fs.Int(&o.programs, "programs", 200, campaignMode, "generated programs in the campaign (on top of the curated corpus)").Min(0)
+	fs.Int64(&o.seed, "seed", 1, campaignMode, "campaign seed (drives every generated program)")
+	fs.Int(&o.workers, "workers", 0, campaignMode, "worker pool size (0 = GOMAXPROCS; never changes the results)").Min(0)
+	fs.Bool(&o.curated, "curated", true, campaignMode, "include the curated corpus and its golden-file checks")
+	fs.Int(&o.maxStates, "max-states", 0, both, "state budget per explorer (0 = default)").Min(0)
+	fs.Bool(&o.weakenRef, "weaken-ref", false, campaignMode, "negative control: drop the reference's sfence→pcommit edge so the goldens have something to catch")
+	fs.Bool(&o.expectViolations, "expect-violations", false, both, "exit non-zero unless at least one violation is found")
+	fs.Int(&o.shrinkBudget, "shrink-budget", 0, campaignMode, "predicate calls the shrinker may spend on a violating program (0 = default)").Min(0)
+	fs.String(&o.out, "out", "", campaignMode, "write the minimized violating program JSON here")
+	fs.String(&o.replay, "replay", "", replayMode, "re-check one reproducer JSON file instead of running a campaign")
+	fs.Bool(&o.jsonOut, "json", false, both, "emit the summary as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected arguments: %v", fs.Args())
-	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"programs", o.programs}, {"workers", o.workers}, {"max-states", o.maxStates}, {"shrink-budget", o.shrinkBudget}} {
-		if f.v < 0 {
-			return fmt.Errorf("-%s must be non-negative, got %d", f.name, f.v)
-		}
-	}
 	if o.replay != "" {
+		if err := fs.Check(replayMode); err != nil {
+			return err
+		}
 		return runReplay(o, w)
+	}
+	if err := fs.Check(campaignMode); err != nil {
+		return err
 	}
 	return runCampaign(o, w)
 }
 
-func runCampaign(o options, w *os.File) error {
+func runCampaign(o options, w io.Writer) error {
 	res, err := litmus.Campaign(litmus.CampaignConfig{
 		Curated:   o.curated,
 		Programs:  o.programs,
@@ -131,20 +134,14 @@ func runCampaign(o options, w *os.File) error {
 		doc.Minimal = &rep
 		doc.Shrinks = calls
 		if o.out != "" {
-			blob, err := json.MarshalIndent(rep, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(o.out, append(blob, '\n'), 0o644); err != nil {
+			if err := cli.WriteJSONFile(o.out, rep); err != nil {
 				return err
 			}
 		}
 	}
 
 	if o.jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
+		if err := cli.WriteJSON(w, doc); err != nil {
 			return err
 		}
 	} else {
@@ -166,33 +163,26 @@ func runCampaign(o options, w *os.File) error {
 				fmt.Fprintf(w, ", reproducer written to %s", o.out)
 			}
 			fmt.Fprintln(w)
-			blob, _ := json.MarshalIndent(doc.Minimal, "", "  ")
-			fmt.Fprintf(w, "minimal program      %s\n", blob)
+			fmt.Fprint(w, "minimal program      ")
+			if err := cli.WriteJSON(w, doc.Minimal); err != nil {
+				return err
+			}
 		}
 	}
-	return exitContract(o, res.Violations)
+	return cli.Exit(o.expectViolations, res.Violations)
 }
 
-func runReplay(o options, w *os.File) error {
-	blob, err := os.ReadFile(o.replay)
-	if err != nil {
-		return err
-	}
+func runReplay(o options, w io.Writer) error {
 	var rep litmus.Reproducer
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return fmt.Errorf("-replay %s: %w", o.replay, err)
-	}
-	if err := rep.Program.Validate(); err != nil {
-		return fmt.Errorf("-replay %s: %w", o.replay, err)
+	if err := cli.ReadJSON("replay", o.replay, &rep, func() error { return rep.Program.Validate() }); err != nil {
+		return err
 	}
 	ok, vs, err := rep.Replay(o.maxStates)
 	if err != nil {
 		return err
 	}
 	if o.jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonDoc{Replay: &replayDoc{Reproduced: ok, Violations: vs}}); err != nil {
+		if err := cli.WriteJSON(w, jsonDoc{Replay: &replayDoc{Reproduced: ok, Violations: vs}}); err != nil {
 			return err
 		}
 	} else {
@@ -208,12 +198,9 @@ func runReplay(o options, w *os.File) error {
 	}
 	violations := 0
 	if ok {
-		violations = len(vs)
-		if violations == 0 {
-			violations = 1
-		}
+		violations = max(len(vs), 1)
 	}
-	return exitContract(o, violations)
+	return cli.Exit(o.expectViolations, violations)
 }
 
 func refName(weakened bool) string {
@@ -221,19 +208,4 @@ func refName(weakened bool) string {
 		return "weakened"
 	}
 	return "strict"
-}
-
-// exitContract maps the violation count onto the exit status: campaigns
-// fail on violations, negative controls fail without them.
-func exitContract(o options, violations int) error {
-	if o.expectViolations {
-		if violations == 0 {
-			return fmt.Errorf("expected violations, found none (is the harness alive?)")
-		}
-		return nil
-	}
-	if violations > 0 {
-		return fmt.Errorf("%d contract violations found", violations)
-	}
-	return nil
 }

@@ -138,3 +138,24 @@ func TestSummaryLineCountsAllPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsFlagsForeignToMode: a campaign flag on a -replay run is an
+// error naming the flag, not silently ignored.
+func TestRejectsFlagsForeignToMode(t *testing.T) {
+	rep := filepath.Join(t.TempDir(), "rep.json")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-replay", rep, "-programs", "3"}, "flags [-programs] do not apply to -replay runs"},
+		{[]string{"-replay", rep, "-weaken-ref", "-seed", "2"}, "flags [-seed -weaken-ref] do not apply to -replay runs"},
+	} {
+		out, err := capture(t, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want %q", tc.args, err, tc.want)
+		}
+		if out != "" {
+			t.Errorf("%v: printed %q before rejecting", tc.args, out)
+		}
+	}
+}

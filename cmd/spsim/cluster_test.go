@@ -1,32 +1,33 @@
 package main
 
 import (
-	"math"
+	"bytes"
 	"os"
-	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
+
+	"specpersist/internal/cluster"
 )
 
-func validClusterOptions() clusterOptions {
-	return clusterOptions{
-		Structure: "HM",
-		Variant:   "SP",
-		Nodes:     3,
-		Replicas:  2,
-		VNodes:    8,
-		Rate:      50,
-		Warmup:    96,
-		Batch:     1,
-		GetFrac:   0.25,
-		NetJitter: 0.2,
-		Seed:      1,
-		SetFlags:  map[string]bool{},
+// clusterConfig parses a -cluster command line (the mode flag, HM and a
+// 96-op warmup, then args) and assembles its fleet configuration.
+func clusterConfig(args ...string) (cluster.Config, error) {
+	o, _, err := parse(append([]string{"-cluster", "-bench", "HM", "-warmup", "96"}, args...))
+	if err != nil {
+		return cluster.Config{}, err
 	}
+	return buildClusterConfig(o)
+}
+
+// explicit returns the argument that sets flag name explicitly to its
+// default value.
+func explicit(name string) string {
+	return "-" + name + "=" + newFlags(&options{}).Lookup(name).DefValue
 }
 
 func TestBuildClusterConfigValid(t *testing.T) {
-	cfg, err := buildClusterConfig(validClusterOptions())
+	cfg, err := clusterConfig()
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
@@ -43,10 +44,8 @@ func TestBuildClusterConfigValid(t *testing.T) {
 // fleet's unsigned cycle counter; Config.Validate's overflow check is for
 // configs built elsewhere (chaos -replay JSON), and the flags pass it.
 func TestBuildClusterConfigLargestCrashWindow(t *testing.T) {
-	o := validClusterOptions()
-	o.CrashAt = math.MaxInt64
-	o.RecoverAfter = math.MaxInt64
-	cfg, err := buildClusterConfig(o)
+	largest := strconv.FormatInt(1<<63-1, 10)
+	cfg, err := clusterConfig("-crash-at", largest, "-recover-after", largest)
 	if err != nil {
 		t.Fatalf("largest crash window rejected: %v", err)
 	}
@@ -58,61 +57,50 @@ func TestBuildClusterConfigLargestCrashWindow(t *testing.T) {
 func TestBuildClusterConfigRejectsBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*clusterOptions)
+		args []string
 		want string
 	}{
-		{"unknown variant", func(o *clusterOptions) { o.Variant = "Warp" }, "variant"},
-		{"non-durable variant", func(o *clusterOptions) { o.Variant = "Base" }, "durable"},
-		{"unknown structure", func(o *clusterOptions) { o.Structure = "QQ" }, "structure"},
-		{"zero rate", func(o *clusterOptions) { o.Rate = 0 }, "rate"},
-		{"zero nodes", func(o *clusterOptions) { o.Nodes = 0 }, "node"},
-		{"replicas over nodes", func(o *clusterOptions) { o.Replicas = 5 }, "replication factor"},
-		{"quorum over replicas", func(o *clusterOptions) { o.Quorum = 3 }, "quorum"},
-		{"zero vnodes", func(o *clusterOptions) { o.VNodes = 0 }, "virtual node"},
-		{"negative batch", func(o *clusterOptions) { o.Batch = -2 }, "batch"},
-		{"negative deadline", func(o *clusterOptions) { o.Deadline = -5 }, "-batch-deadline"},
-		{"negative rtt", func(o *clusterOptions) { o.NetRTT = -1 }, "-net-rtt"},
-		{"tiny rtt", func(o *clusterOptions) { o.NetRTT = 1 }, "RTT"},
-		{"jitter out of range", func(o *clusterOptions) { o.NetJitter = 1 }, "jitter"},
-		{"bad zipf", func(o *clusterOptions) { o.Zipf = 0.3 }, "zipf"},
-		{"bad get fraction", func(o *clusterOptions) { o.GetFrac = 2 }, "get fraction"},
-		{"negative crash-at", func(o *clusterOptions) { o.CrashAt = -1 }, "-crash-at"},
-		{"crash node out of range", func(o *clusterOptions) { o.CrashAt = 1000; o.CrashNode = 7 }, "crash node"},
-		{"recover without crash", func(o *clusterOptions) { o.RecoverAfter = 1000 }, "crash"},
-		{"negative rebalance", func(o *clusterOptions) { o.RebalanceEvery = -1 }, "-rebalance-every"},
-		{"negative req-deadline", func(o *clusterOptions) { o.ReqDeadline = -1 }, "-req-deadline"},
-		{"negative retry-max", func(o *clusterOptions) { o.RetryMax = -1 }, "-retry-max"},
-		{"hedge quantile out of range", func(o *clusterOptions) { o.HedgeQuantile = 1 }, "-hedge-quantile"},
-		{"negative shed high water", func(o *clusterOptions) { o.ShedHighWater = -1 }, "-shed-high-water"},
-		{"negative heartbeat", func(o *clusterOptions) { o.HeartbeatEvery = -1 }, "-heartbeat-every"},
-		{"negative lease", func(o *clusterOptions) { o.LeaseCycles = -1 }, "-lease-cycles"},
-		{"drop fraction out of range", func(o *clusterOptions) {
-			o.ChaosDrop = 1.5
-			o.SetFlags["chaos-drop"] = true
-		}, "drop"},
-		{"lossy chaos without deadline", func(o *clusterOptions) {
-			o.ChaosDrop = 0.1
-			o.SetFlags["chaos-drop"] = true
-		}, "deadline"},
-		{"heartbeats without deadline", func(o *clusterOptions) { o.HeartbeatEvery = 4000 }, "deadline"},
-		{"lease not past heartbeat", func(o *clusterOptions) {
-			o.ReqDeadline = 100_000
-			o.HeartbeatEvery = 4000
-			o.LeaseCycles = 4000
-		}, "lease"},
-		{"plan file plus inline dials", func(o *clusterOptions) {
-			o.ChaosPlanFile = "plan.json"
-			o.ChaosDup = 0.1
-			o.SetFlags["chaos-dup"] = true
-		}, "-chaos-plan"},
-		{"missing plan file", func(o *clusterOptions) { o.ChaosPlanFile = "does-not-exist.json" }, "-chaos-plan"},
+		{"unknown variant", []string{"-variant", "Warp"}, "variant"},
+		{"non-durable variant", []string{"-variant", "Base"}, "durable"},
+		{"unknown structure", []string{"-bench", "QQ"}, "structure"},
+		{"zero rate", []string{"-rate", "0"}, "rate"},
+		{"zero nodes", []string{"-nodes", "0"}, "node"},
+		{"replicas over nodes", []string{"-replicas", "5"}, "replication factor"},
+		{"quorum over replicas", []string{"-quorum", "3"}, "quorum"},
+		{"zero vnodes", []string{"-vnodes", "0"}, "-vnodes"},
+		{"negative batch", []string{"-batch", "-2"}, "batch"},
+		{"negative deadline", []string{"-batch-deadline", "-5"}, "-batch-deadline"},
+		{"negative rtt", []string{"-net-rtt", "-1"}, "-net-rtt"},
+		{"tiny rtt", []string{"-net-rtt", "1"}, "RTT"},
+		{"jitter out of range", []string{"-net-jitter", "1"}, "jitter"},
+		{"bad zipf", []string{"-zipf", "0.3"}, "zipf"},
+		{"bad get fraction", []string{"-get-frac", "2"}, "get fraction"},
+		{"negative crash-at", []string{"-crash-at", "-1"}, "-crash-at"},
+		{"crash node out of range", []string{"-crash-at", "1000", "-crash-node", "7"}, "crash node"},
+		{"recover without crash", []string{"-recover-after", "1000"}, "crash"},
+		{"negative rebalance", []string{"-rebalance-every", "-1"}, "-rebalance-every"},
+		{"negative req-deadline", []string{"-req-deadline", "-1"}, "-req-deadline"},
+		{"negative retry-max", []string{"-retry-max", "-1"}, "-retry-max"},
+		{"hedge quantile out of range", []string{"-hedge-quantile", "1"}, "-hedge-quantile"},
+		{"negative shed high water", []string{"-shed-high-water", "-1"}, "-shed-high-water"},
+		{"negative heartbeat", []string{"-heartbeat-every", "-1"}, "-heartbeat-every"},
+		{"negative lease", []string{"-lease-cycles", "-1"}, "-lease-cycles"},
+		{"negative log cap", []string{"-log-cap", "-3"}, "-log-cap must be non-negative"},
+		{"negative requests", []string{"-requests", "-4"}, "request count"},
+		{"negative queue cap", []string{"-queue-cap", "-1"}, "queue"},
+		{"negative keyspace", []string{"-keyspace", "-1"}, "keyspace"},
+		{"negative catch-up batch", []string{"-catchup-batch", "-1"}, "catch-up batch"},
+		{"drop fraction out of range", []string{"-chaos-drop", "1.5"}, "drop"},
+		{"lossy chaos without deadline", []string{"-chaos-drop", "0.1"}, "deadline"},
+		{"heartbeats without deadline", []string{"-heartbeat-every", "4000"}, "deadline"},
+		{"lease not past heartbeat", []string{"-req-deadline", "100000", "-heartbeat-every", "4000", "-lease-cycles", "4000"}, "lease"},
+		{"plan file plus inline dials", []string{"-chaos-plan", "plan.json", "-chaos-dup", "0.1"}, "-chaos-plan"},
+		{"missing plan file", []string{"-chaos-plan", "does-not-exist.json"}, "-chaos-plan"},
 	}
 	for _, tc := range cases {
-		o := validClusterOptions()
-		tc.mut(&o)
-		_, err := buildClusterConfig(o)
+		_, err := clusterConfig(tc.args...)
 		if err == nil {
-			t.Errorf("%s: accepted %+v", tc.name, o)
+			t.Errorf("%s: accepted %v", tc.name, tc.args)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -128,12 +116,8 @@ func TestBuildClusterConfigLoadsPlanFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"seed": 7, "drop": 0.1, "dup": 0.05}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o := validClusterOptions()
-	o.ChaosPlanFile = path
-	o.ReqDeadline = 120_000
-	o.HeartbeatEvery = 4_000
-	o.LeaseCycles = 16_000
-	cfg, err := buildClusterConfig(o)
+	robust := []string{"-req-deadline", "120000", "-heartbeat-every", "4000", "-lease-cycles", "16000"}
+	cfg, err := clusterConfig(append(robust, "-chaos-plan", path)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,20 +128,25 @@ func TestBuildClusterConfigLoadsPlanFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte(`{"drop": 2.0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o.ChaosPlanFile = bad
-	if _, err := buildClusterConfig(o); err == nil {
+	if _, err := clusterConfig(append(robust, "-chaos-plan", bad)...); err == nil {
 		t.Fatal("invalid plan file accepted")
 	}
+}
+
+// clusterForeignFlags are the flags of the benchmark, conflict-engine and
+// single-server modes, none of which a -cluster run reads.
+var clusterForeignFlags = []string{
+	"scale", "checkpoints", "banks",
+	"mc-frac", "mc-shared-lines", "mc-ops", "mc-warmup", "mc-disjoint", "expect-rollbacks",
+	"service", "vstore", "cores", "process", "burst-frac", "burst-period",
 }
 
 // TestBuildClusterConfigRejectsForeignModeFlags: flags of the benchmark,
 // conflict-engine and -service modes must clash loudly with -cluster,
 // never be silently ignored, and the error must name every offender.
 func TestBuildClusterConfigRejectsForeignModeFlags(t *testing.T) {
-	for _, name := range incompatibleWithCluster {
-		o := validClusterOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildClusterConfig(o)
+	for _, name := range clusterForeignFlags {
+		_, err := clusterConfig(explicit(name))
 		if err == nil {
 			t.Errorf("-%s alongside -cluster was accepted", name)
 			continue
@@ -166,9 +155,7 @@ func TestBuildClusterConfigRejectsForeignModeFlags(t *testing.T) {
 			t.Errorf("clash error %q does not name -%s", err, name)
 		}
 	}
-	o := validClusterOptions()
-	o.SetFlags = map[string]bool{"service": true, "mc-ops": true}
-	_, err := buildClusterConfig(o)
+	_, err := clusterConfig("-service", "-mc-ops", "48")
 	if err == nil || !strings.Contains(err.Error(), "-service") || !strings.Contains(err.Error(), "-mc-ops") {
 		t.Errorf("multi-flag clash error %v must list every offending flag", err)
 	}
@@ -183,25 +170,51 @@ func TestClusterFlagsClashWithService(t *testing.T) {
 		"chaos-plan", "chaos-drop", "req-deadline", "retry-max",
 		"heartbeat-every", "audit",
 	} {
-		o := validOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildServiceConfig(o)
+		_, err := serviceConfig(explicit(name))
 		if err == nil || !strings.Contains(err.Error(), "-"+name) {
 			t.Errorf("-%s alongside -service: err=%v, want clash naming the flag", name, err)
 		}
 	}
 }
 
-// TestClusterModeExitCodes drives the real binary via the re-exec helper:
-// invalid -cluster combinations must exit non-zero with a diagnostic, and
-// a small valid run must exit zero.
+// runCase is one end-to-end spsim invocation: whether it must succeed and
+// a string its output or error must contain.
+type runCase struct {
+	name   string
+	args   []string
+	wantOK bool
+	want   string
+}
+
+// checkRuns drives run for each case: invalid combinations must return an
+// error (a non-zero exit) with a diagnostic, valid runs must succeed.
+func checkRuns(t *testing.T, cases []runCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(tc.args, &out)
+			if tc.wantOK && err != nil {
+				t.Fatalf("expected success, got %v:\n%s", err, out.String())
+			}
+			if !tc.wantOK && err == nil {
+				t.Fatalf("invalid flags accepted:\n%s", out.String())
+			}
+			got := out.String()
+			if err != nil {
+				got += err.Error()
+			}
+			if !strings.Contains(got, tc.want) {
+				t.Errorf("output does not mention %q:\n%s", tc.want, got)
+			}
+		})
+	}
+}
+
+// TestClusterModeExitCodes: invalid -cluster combinations must fail with
+// a diagnostic, and a small valid run must succeed.
 func TestClusterModeExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		wantOK bool
-		want   string
-	}{
+	checkRuns(t, []runCase{
 		{"valid run", []string{"-cluster", "-rate", "400", "-requests", "24", "-warmup", "24"}, true, "cluster"},
 		{"clashing service flags", []string{"-cluster", "-process", "bursty"}, false, "-process"},
 		{"clashing bench flags", []string{"-cluster", "-scale", "0.5"}, false, "-scale"},
@@ -230,27 +243,9 @@ func TestClusterModeExitCodes(t *testing.T) {
 		{"chaos flags clash with service", []string{
 			"-service", "-chaos-drop", "0.1",
 		}, false, "-chaos-drop"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperSpsimMain")
-			cmd.Env = append(os.Environ(), "SPSIM_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
-			out, err := cmd.CombinedOutput()
-			if tc.wantOK && err != nil {
-				t.Fatalf("expected success, got %v:\n%s", err, out)
-			}
-			if !tc.wantOK {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatalf("expected a non-zero exit, got err=%v:\n%s", err, out)
-				}
-				if ee.ExitCode() == 0 {
-					t.Fatalf("exit code 0 for invalid flags:\n%s", out)
-				}
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("output does not mention %q:\n%s", tc.want, out)
-			}
-		})
-	}
+		{"undo log too small", []string{
+			"-cluster", "-requests", "8", "-warmup", "8", "-log-cap", "1",
+		}, false, "log capacity 1 exceeded"},
+		{"negative undo log", []string{"-cluster", "-log-cap", "-3"}, false, "-log-cap must be non-negative, got -3"},
+	})
 }

@@ -49,20 +49,266 @@
 //
 // The -timeline file is Chrome trace_event JSON: load it at
 // chrome://tracing or https://ui.perfetto.dev (1 cycle renders as 1 µs).
+//
+// Each flag applies to the modes that read it: setting one in a mode that
+// ignores it (say -nodes without -cluster) is an error, as is a count or
+// cycle value below its lower bound.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
+	"specpersist/internal/chaos"
+	"specpersist/internal/cli"
 	"specpersist/internal/core"
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
 	"specpersist/internal/workload"
 )
+
+// options holds every spsim flag; parse binds each flag to its field.
+type options struct {
+	Bench, Variant   string
+	Scale            float64
+	Seed             int64
+	SSB, Checkpoints int
+	Overhead, Banks  int
+	JSON             bool
+	Timeline         string
+	TimelineCap      int
+	List             bool
+
+	Service, Vstore bool
+	Rate            float64
+	Process         string
+	BurstFrac       float64
+	BurstPeriod     int64
+	Requests        int
+	Warmup          int
+	QueueCap        int
+	Batch           int
+	Deadline        int64
+	GetFrac         float64
+	Keyspace        int
+	LogCap          int
+
+	Cluster        bool
+	Nodes          int
+	Replicas       int
+	Quorum         int
+	VNodes         int
+	Zipf           float64
+	NetRTT         int64
+	NetJitter      float64
+	CatchupBatch   int
+	CrashAt        int64
+	CrashNode      int
+	RecoverAfter   int64
+	RebalanceEvery int64
+
+	// Chaos fabric: either a plan file or the inline fate dials of
+	// Chaos; InlineChaos names the dials set explicitly.
+	ChaosPlanFile string
+	Chaos         chaos.Plan
+	InlineChaos   []string
+
+	// Client robustness and failure detection.
+	ReqDeadline    int64
+	RetryMax       int
+	HedgeQuantile  float64
+	ShedHighWater  int
+	HeartbeatEvery int64
+	LeaseCycles    int64
+	Audit          bool
+
+	// Cores and MC, the conflict engine's workload dials.
+	Cores           int
+	MC              multicore.Workload
+	ExpectRollbacks bool
+}
+
+// The run modes, in the order parse resolves them: -list, then -cluster,
+// -vstore and -service, then the multi-core engine (-cores N >= 2), and
+// otherwise one benchmark on one core.
+const (
+	benchMode cli.Mode = 1 << iota
+	multicoreMode
+	serviceMode
+	vstoreMode
+	clusterMode
+	listMode
+)
+
+// chaosFateFlags are the inline plan dials; they clash with -chaos-plan
+// (the file is the complete plan, mixing the two would silently shadow).
+var chaosFateFlags = []string{
+	"chaos-seed", "chaos-drop", "chaos-dup", "chaos-delay", "chaos-delay-mult", "chaos-reorder",
+}
+
+// newFlags declares every spsim flag, bound to its field of o, with the
+// modes that read it.
+func newFlags(o *options) *cli.Set {
+	// The conflict engine's dials are bound into its default workload.
+	o.MC = multicore.DefaultWorkload()
+	fs := cli.NewSet("spsim", "-bench", "-cores", "-service", "-vstore", "-cluster", "-list")
+	served := serviceMode | vstoreMode | clusterMode
+	simulated := benchMode | multicoreMode | served
+	fs.String(&o.Bench, "bench", "LL", simulated&^vstoreMode, "benchmark abbreviation (GH HM LL SS AT BT RT)")
+	fs.String(&o.Variant, "variant", "SP", simulated&^multicoreMode, "variant: Base, Log, Log+P, Log+P+Sf, SP")
+	fs.Float64(&o.Scale, "scale", workload.DefaultScale, benchMode, "scale factor for Table 1 op counts (1.0 = paper)")
+	fs.Int64(&o.Seed, "seed", 1, simulated, "operation stream seed")
+	fs.Int(&o.SSB, "ssb", 0, simulated, "SSB entries for SP (0 = 256)")
+	fs.Int(&o.Checkpoints, "checkpoints", 0, benchMode|multicoreMode, "checkpoint buffer entries for SP (0 = 4)")
+	fs.Int(&o.Overhead, "op-overhead", 0, simulated, "per-op application preamble length (0 = default, -1 = none)")
+	fs.Int(&o.Banks, "banks", 0, benchMode|multicoreMode, "NVMM banks (0 = default)")
+	fs.Bool(&o.JSON, "json", false, simulated, "emit the result as JSON")
+	fs.String(&o.Timeline, "timeline", "", simulated&^vstoreMode, "write a Chrome trace_event JSON timeline to this file")
+	fs.Int(&o.TimelineCap, "timeline-cap", obs.DefaultTimelineCap, simulated&^vstoreMode, "timeline ring-buffer capacity (events)")
+	fs.Bool(&o.List, "list", false, listMode, "list valid benchmarks and variants, then exit")
+
+	serving := serviceMode | vstoreMode
+	fs.Bool(&o.Service, "service", false, serviceMode, "run the storage-server simulation (open-loop arrivals, group commit, tail latency)")
+	fs.Bool(&o.Vstore, "vstore", false, vstoreMode, "run the storage-server simulation over the versioned COW tree store (changeset commit, time-travel reads)")
+	fs.Float64(&o.Rate, "rate", 50, served, "service: offered load in requests per million cycles")
+	fs.String(&o.Process, "process", "poisson", serving, "service: arrival process (poisson, bursty)")
+	fs.Float64(&o.BurstFrac, "burst-frac", 0, serving, "service: bursty ON fraction of each period (0 = default 0.25)")
+	fs.Int64(&o.BurstPeriod, "burst-period", 0, serving, "service: bursty ON+OFF period in cycles (0 = default 32768)").Min(0)
+	fs.Int(&o.Requests, "requests", 0, served, "service: offered request count (0 = default 256)")
+	fs.Int(&o.Warmup, "warmup", 128, served, "service: functional warmup operations per shard")
+	fs.Int(&o.QueueCap, "queue-cap", 0, served, "service: per-shard FIFO bound (0 = default 64)")
+	// The engines read 0 as "default" for -batch, -nodes and -vnodes, but
+	// the flag defaults are already explicit, so a 0 here is a mistake.
+	fs.Int(&o.Batch, "batch", 1, served, "service: group-commit limit K (1 = no grouping)").Min(1)
+	fs.Int64(&o.Deadline, "batch-deadline", 0, served, "service: cycles the queue head waits for co-batching").Min(0)
+	fs.Float64(&o.GetFrac, "get-frac", 0.25, served, "service: fraction of read-only get requests")
+	fs.Int(&o.Keyspace, "keyspace", 0, served, "service: request key range (0 = default 128)")
+	fs.Int(&o.LogCap, "log-cap", 0, serviceMode|clusterMode, "service: per-shard undo-log capacity (0 = structure default)").Min(0)
+
+	fs.Bool(&o.Cluster, "cluster", false, clusterMode, "run the replicated-fleet simulation (sharding, quorum durability, failover)")
+	fs.Int(&o.Nodes, "nodes", 3, clusterMode, "cluster: fleet size").Min(1)
+	fs.Int(&o.Replicas, "replicas", 2, clusterMode, "cluster: replication factor R")
+	fs.Int(&o.Quorum, "quorum", 0, clusterMode, "cluster: write quorum W (0 = majority of R)")
+	fs.Int(&o.VNodes, "vnodes", 8, clusterMode, "cluster: virtual nodes per physical node on the hash ring").Min(1)
+	fs.Float64(&o.Zipf, "zipf", 0, clusterMode, "cluster: zipfian key-popularity exponent (0 = uniform, else > 1)")
+	fs.Int64(&o.NetRTT, "net-rtt", 0, clusterMode, "cluster: inter-node round trip in cycles (0 = default 800)").Min(0)
+	fs.Float64(&o.NetJitter, "net-jitter", 0.2, clusterMode, "cluster: per-message latency spread in [0, 1)")
+	fs.Int(&o.CatchupBatch, "catchup-batch", 0, clusterMode, "cluster: missed updates fetched per catch-up round trip (0 = default 32)")
+	fs.Int64(&o.CrashAt, "crash-at", 0, clusterMode, "cluster: crash -crash-node at this cycle (0 = no crash)").Min(0)
+	fs.Int(&o.CrashNode, "crash-node", 0, clusterMode, "cluster: node index to crash")
+	fs.Int64(&o.RecoverAfter, "recover-after", 0, clusterMode, "cluster: restart the crashed node this many cycles after the crash (0 = stays down)").Min(0)
+	fs.Int64(&o.RebalanceEvery, "rebalance-every", 0, clusterMode, "cluster: primary-rebalancer period in cycles (0 = off)").Min(0)
+
+	fs.String(&o.ChaosPlanFile, "chaos-plan", "", clusterMode, "cluster: replay a chaos.Plan JSON file (clashes with the inline -chaos-* dials)")
+	fs.Int64(&o.Chaos.Seed, "chaos-seed", 1, clusterMode, "cluster: chaos fate-stream seed")
+	fs.Float64(&o.Chaos.Drop, "chaos-drop", 0, clusterMode, "cluster: per-message drop fraction in [0, 1)")
+	fs.Float64(&o.Chaos.Dup, "chaos-dup", 0, clusterMode, "cluster: per-message duplication fraction in [0, 1)")
+	fs.Float64(&o.Chaos.Delay, "chaos-delay", 0, clusterMode, "cluster: per-message delay-spike fraction in [0, 1)")
+	fs.Float64(&o.Chaos.DelayMult, "chaos-delay-mult", 0, clusterMode, "cluster: delay-spike latency multiplier (0 with -chaos-delay = 10)")
+	fs.Float64(&o.Chaos.Reorder, "chaos-reorder", 0, clusterMode, "cluster: per-message reorder fraction in [0, 1)")
+
+	fs.Int64(&o.ReqDeadline, "req-deadline", 0, clusterMode, "cluster: per-request deadline in cycles (0 = none; required under lossy chaos)").Min(0)
+	fs.Int(&o.RetryMax, "retry-max", 0, clusterMode, "cluster: idempotent retransmits per update (0 = off)").Min(0)
+	fs.Float64(&o.HedgeQuantile, "hedge-quantile", 0, clusterMode, "cluster: hedge updates at this completion-latency quantile (0 = off)")
+	fs.Int(&o.ShedHighWater, "shed-high-water", 0, clusterMode, "cluster: shed new requests when the primary queue reaches this depth (0 = off)").Min(0)
+	fs.Int64(&o.HeartbeatEvery, "heartbeat-every", 0, clusterMode, "cluster: heartbeat period in cycles (0 = oracle failure detection)").Min(0)
+	fs.Int64(&o.LeaseCycles, "lease-cycles", 0, clusterMode, "cluster: failover after this long without hearing from a primary (0 = 4x heartbeat)").Min(0)
+	fs.Bool(&o.Audit, "audit", false, clusterMode, "cluster: report invariant breaches in the result instead of failing the run")
+
+	fs.Int(&o.Cores, "cores", 0, simulated&^clusterMode, "run the multi-core conflict engine with this many SP cores (0 = single-core); with -service, the shard count").Min(0)
+	fs.Float64(&o.MC.SharedFrac, "mc-frac", 0.5, multicoreMode, "multicore: probability an op is a shared-table RMW (conflict dial)")
+	fs.Int(&o.MC.SharedLines, "mc-shared-lines", 4, multicoreMode, "multicore: shared-table lines per core")
+	fs.Int(&o.MC.Ops, "mc-ops", 48, multicoreMode, "multicore: measured ops per core")
+	fs.Int(&o.MC.Warmup, "mc-warmup", 60, multicoreMode, "multicore: private-structure warmup ops per core")
+	fs.Bool(&o.MC.Disjoint, "mc-disjoint", false, multicoreMode, "multicore: partition the shared table per core (zero-conflict control)")
+	fs.Bool(&o.ExpectRollbacks, "expect-rollbacks", false, multicoreMode, "multicore: exit nonzero unless at least one real rollback occurred")
+	return fs
+}
+
+// parse binds args to options, resolves the run mode and rejects every
+// explicitly set flag the mode does not read or whose value is below its
+// bound.
+func parse(args []string) (options, cli.Mode, error) {
+	var o options
+	fs := newFlags(&o)
+	if err := fs.Parse(args); err != nil {
+		return o, 0, err
+	}
+	mode := benchMode
+	switch {
+	case o.List:
+		mode = listMode
+	case o.Cluster:
+		mode = clusterMode
+	case o.Vstore:
+		mode = vstoreMode
+	case o.Service:
+		mode = serviceMode
+	case o.Cores >= 2:
+		mode = multicoreMode
+	}
+	o.InlineChaos = fs.Given(chaosFateFlags...)
+	return o, mode, fs.Check(mode)
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("spsim: ")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, w io.Writer) error {
+	o, mode, err := parse(args)
+	if err != nil {
+		return err
+	}
+	switch mode {
+	case listMode:
+		list(w)
+		return nil
+	case clusterMode:
+		return runCluster(w, o)
+	case vstoreMode:
+		return runVstore(w, o)
+	case serviceMode:
+		return runService(w, o)
+	case multicoreMode:
+		return runMulticore(w, o)
+	}
+	return runBench(w, o)
+}
+
+// newTimeline returns the ring -timeline asks for, nil without one.
+func newTimeline(o options) *obs.Timeline {
+	if o.Timeline == "" {
+		return nil
+	}
+	return obs.NewTimeline(o.TimelineCap)
+}
+
+// writeTimeline writes tl, when non-nil, to the -timeline file as Chrome
+// trace_event JSON.
+func writeTimeline(o options, tl *obs.Timeline) error {
+	if tl == nil {
+		return nil
+	}
+	f, err := os.Create(o.Timeline)
+	if err != nil {
+		return err
+	}
+	if err := tl.WriteTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	if n := tl.Dropped(); n > 0 {
+		log.Printf("timeline ring overflowed: %d oldest events dropped (raise -timeline-cap)", n)
+	}
+	return f.Close()
+}
 
 // jsonOutput is the -json document: the resolved run identity plus the
 // full simulation result and the stall attribution derived from its
@@ -77,291 +323,87 @@ type jsonOutput struct {
 	Stalls  []obs.StallLine `json:"stalls,omitempty"`
 }
 
-func list() {
-	fmt.Println("benchmarks:")
+func list(w io.Writer) {
+	fmt.Fprintln(w, "benchmarks:")
 	for _, b := range workload.Table1() {
-		fmt.Printf("  %-3s %s (InitOps %d, SimOps %d)\n", b.Name, b.Desc, b.InitOps, b.SimOps)
+		fmt.Fprintf(w, "  %-3s %s (InitOps %d, SimOps %d)\n", b.Name, b.Desc, b.InitOps, b.SimOps)
 	}
-	fmt.Println("variants:")
+	fmt.Fprintln(w, "variants:")
 	for _, v := range core.Variants() {
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(w, "  %s\n", v)
 	}
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("spsim: ")
-	var (
-		benchName = flag.String("bench", "LL", "benchmark abbreviation (GH HM LL SS AT BT RT)")
-		variant   = flag.String("variant", "SP", "variant: Base, Log, Log+P, Log+P+Sf, SP")
-		scale     = flag.Float64("scale", workload.DefaultScale, "scale factor for Table 1 op counts (1.0 = paper)")
-		seed      = flag.Int64("seed", 1, "operation stream seed")
-		ssb       = flag.Int("ssb", 0, "SSB entries for SP (0 = 256)")
-		ckpts     = flag.Int("checkpoints", 0, "checkpoint buffer entries for SP (0 = 4)")
-		overhead  = flag.Int("op-overhead", 0, "per-op application preamble length (0 = default, -1 = none)")
-		banks     = flag.Int("banks", 0, "NVMM banks (0 = default)")
-		jsonOut   = flag.Bool("json", false, "emit the result as JSON")
-		timeline  = flag.String("timeline", "", "write a Chrome trace_event JSON timeline to this file")
-		tlCap     = flag.Int("timeline-cap", obs.DefaultTimelineCap, "timeline ring-buffer capacity (events)")
-		listOnly  = flag.Bool("list", false, "list valid benchmarks and variants, then exit")
-
-		serviceMode = flag.Bool("service", false, "run the storage-server simulation (open-loop arrivals, group commit, tail latency)")
-		vstoreMode  = flag.Bool("vstore", false, "run the storage-server simulation over the versioned COW tree store (changeset commit, time-travel reads)")
-		svcRate     = flag.Float64("rate", 50, "service: offered load in requests per million cycles")
-		svcProcess  = flag.String("process", "poisson", "service: arrival process (poisson, bursty)")
-		svcBFrac    = flag.Float64("burst-frac", 0, "service: bursty ON fraction of each period (0 = default 0.25)")
-		svcBPeriod  = flag.Int64("burst-period", 0, "service: bursty ON+OFF period in cycles (0 = default 32768)")
-		svcReqs     = flag.Int("requests", 0, "service: offered request count (0 = default 256)")
-		svcWarmup   = flag.Int("warmup", 128, "service: functional warmup operations per shard")
-		svcQueue    = flag.Int("queue-cap", 0, "service: per-shard FIFO bound (0 = default 64)")
-		svcBatch    = flag.Int("batch", 1, "service: group-commit limit K (1 = no grouping)")
-		svcDeadline = flag.Int64("batch-deadline", 0, "service: cycles the queue head waits for co-batching")
-		svcGetFrac  = flag.Float64("get-frac", 0.25, "service: fraction of read-only get requests")
-		svcKeyspace = flag.Int("keyspace", 0, "service: request key range (0 = default 128)")
-		svcLogCap   = flag.Int("log-cap", 0, "service: per-shard undo-log capacity (0 = structure default)")
-
-		clusterMode = flag.Bool("cluster", false, "run the replicated-fleet simulation (sharding, quorum durability, failover)")
-		clNodes     = flag.Int("nodes", 3, "cluster: fleet size")
-		clReplicas  = flag.Int("replicas", 2, "cluster: replication factor R")
-		clQuorum    = flag.Int("quorum", 0, "cluster: write quorum W (0 = majority of R)")
-		clVNodes    = flag.Int("vnodes", 8, "cluster: virtual nodes per physical node on the hash ring")
-		clZipf      = flag.Float64("zipf", 0, "cluster: zipfian key-popularity exponent (0 = uniform, else > 1)")
-		clRTT       = flag.Int64("net-rtt", 0, "cluster: inter-node round trip in cycles (0 = default 800)")
-		clJitter    = flag.Float64("net-jitter", 0.2, "cluster: per-message latency spread in [0, 1)")
-		clCatchup   = flag.Int("catchup-batch", 0, "cluster: missed updates fetched per catch-up round trip (0 = default 32)")
-		clCrashAt   = flag.Int64("crash-at", 0, "cluster: crash -crash-node at this cycle (0 = no crash)")
-		clCrashNode = flag.Int("crash-node", 0, "cluster: node index to crash")
-		clRecover   = flag.Int64("recover-after", 0, "cluster: restart the crashed node this many cycles after the crash (0 = stays down)")
-		clRebalance = flag.Int64("rebalance-every", 0, "cluster: primary-rebalancer period in cycles (0 = off)")
-
-		chPlan      = flag.String("chaos-plan", "", "cluster: replay a chaos.Plan JSON file (clashes with the inline -chaos-* dials)")
-		chSeed      = flag.Int64("chaos-seed", 1, "cluster: chaos fate-stream seed")
-		chDrop      = flag.Float64("chaos-drop", 0, "cluster: per-message drop fraction in [0, 1)")
-		chDup       = flag.Float64("chaos-dup", 0, "cluster: per-message duplication fraction in [0, 1)")
-		chDelay     = flag.Float64("chaos-delay", 0, "cluster: per-message delay-spike fraction in [0, 1)")
-		chDelayMult = flag.Float64("chaos-delay-mult", 0, "cluster: delay-spike latency multiplier (0 with -chaos-delay = 10)")
-		chReorder   = flag.Float64("chaos-reorder", 0, "cluster: per-message reorder fraction in [0, 1)")
-
-		clDeadline  = flag.Int64("req-deadline", 0, "cluster: per-request deadline in cycles (0 = none; required under lossy chaos)")
-		clRetryMax  = flag.Int("retry-max", 0, "cluster: idempotent retransmits per update (0 = off)")
-		clHedgeQ    = flag.Float64("hedge-quantile", 0, "cluster: hedge updates at this completion-latency quantile (0 = off)")
-		clShedHW    = flag.Int("shed-high-water", 0, "cluster: shed new requests when the primary queue reaches this depth (0 = off)")
-		clHeartbeat = flag.Int64("heartbeat-every", 0, "cluster: heartbeat period in cycles (0 = oracle failure detection)")
-		clLease     = flag.Int64("lease-cycles", 0, "cluster: failover after this long without hearing from a primary (0 = 4x heartbeat)")
-		clAudit     = flag.Bool("audit", false, "cluster: report invariant breaches in the result instead of failing the run")
-
-		cores       = flag.Int("cores", 0, "run the multi-core conflict engine with this many SP cores (0 = single-core); with -service, the shard count")
-		mcFrac      = flag.Float64("mc-frac", 0.5, "multicore: probability an op is a shared-table RMW (conflict dial)")
-		mcShared    = flag.Int("mc-shared-lines", 4, "multicore: shared-table lines per core")
-		mcOps       = flag.Int("mc-ops", 48, "multicore: measured ops per core")
-		mcWarmup    = flag.Int("mc-warmup", 60, "multicore: private-structure warmup ops per core")
-		mcDisjoint  = flag.Bool("mc-disjoint", false, "multicore: partition the shared table per core (zero-conflict control)")
-		expectRolls = flag.Bool("expect-rollbacks", false, "multicore: exit nonzero unless at least one real rollback occurred")
-	)
-	flag.Parse()
-
-	if *listOnly {
-		list()
-		return
-	}
-
-	if *clusterMode {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		runCluster(clusterOptions{
-			Structure:      *benchName,
-			Variant:        *variant,
-			Nodes:          *clNodes,
-			Replicas:       *clReplicas,
-			Quorum:         *clQuorum,
-			VNodes:         *clVNodes,
-			Rate:           *svcRate,
-			Requests:       *svcReqs,
-			Warmup:         *svcWarmup,
-			QueueCap:       *svcQueue,
-			Batch:          *svcBatch,
-			Deadline:       *svcDeadline,
-			GetFrac:        *svcGetFrac,
-			Keyspace:       *svcKeyspace,
-			Zipf:           *clZipf,
-			Overhead:       *overhead,
-			LogCap:         *svcLogCap,
-			NetRTT:         *clRTT,
-			NetJitter:      *clJitter,
-			CatchupBatch:   *clCatchup,
-			CrashAt:        *clCrashAt,
-			CrashNode:      *clCrashNode,
-			RecoverAfter:   *clRecover,
-			RebalanceEvery: *clRebalance,
-			Seed:           *seed,
-			SSB:            *ssb,
-			ChaosPlanFile:  *chPlan,
-			ChaosSeed:      *chSeed,
-			ChaosDrop:      *chDrop,
-			ChaosDup:       *chDup,
-			ChaosDelay:     *chDelay,
-			ChaosDelayMult: *chDelayMult,
-			ChaosReorder:   *chReorder,
-			ReqDeadline:    *clDeadline,
-			RetryMax:       *clRetryMax,
-			HedgeQuantile:  *clHedgeQ,
-			ShedHighWater:  *clShedHW,
-			HeartbeatEvery: *clHeartbeat,
-			LeaseCycles:    *clLease,
-			Audit:          *clAudit,
-			SetFlags:       set,
-		}, *jsonOut, *timeline, *tlCap)
-		return
-	}
-
-	if *vstoreMode {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		runVstore(serviceOptions{
-			Variant:     *variant,
-			Cores:       *cores,
-			Rate:        *svcRate,
-			Process:     *svcProcess,
-			BurstFrac:   *svcBFrac,
-			BurstPeriod: *svcBPeriod,
-			Requests:    *svcReqs,
-			Warmup:      *svcWarmup,
-			QueueCap:    *svcQueue,
-			Batch:       *svcBatch,
-			Deadline:    *svcDeadline,
-			GetFrac:     *svcGetFrac,
-			Keyspace:    *svcKeyspace,
-			Overhead:    *overhead,
-			Seed:        *seed,
-			SSB:         *ssb,
-			SetFlags:    set,
-		}, *jsonOut)
-		return
-	}
-
-	if *serviceMode {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		runService(serviceOptions{
-			Structure:   *benchName,
-			Variant:     *variant,
-			Cores:       *cores,
-			Rate:        *svcRate,
-			Process:     *svcProcess,
-			BurstFrac:   *svcBFrac,
-			BurstPeriod: *svcBPeriod,
-			Requests:    *svcReqs,
-			Warmup:      *svcWarmup,
-			QueueCap:    *svcQueue,
-			Batch:       *svcBatch,
-			Deadline:    *svcDeadline,
-			GetFrac:     *svcGetFrac,
-			Keyspace:    *svcKeyspace,
-			Overhead:    *overhead,
-			LogCap:      *svcLogCap,
-			Seed:        *seed,
-			SSB:         *ssb,
-			SetFlags:    set,
-		}, *jsonOut, *timeline, *tlCap)
-		return
-	}
-
-	if *cores >= 2 {
-		runMulticore(*cores, *benchName, *seed, *mcFrac, *mcShared, *mcOps, *mcWarmup,
-			*mcDisjoint, *overhead, *ssb, *ckpts, *banks, *jsonOut, *expectRolls,
-			*timeline, *tlCap)
-		return
-	}
-
-	b, err := workload.FindBench(*benchName)
+// runBench runs one benchmark on one core and prints its counters.
+func runBench(w io.Writer, o options) error {
+	b, err := workload.FindBench(o.Bench)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	v, err := core.ParseVariant(*variant)
+	v, err := core.ParseVariant(o.Variant)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	opts := core.DefaultOptions()
-	if *banks > 0 {
-		opts.Mem.Banks = *banks
+	if o.Banks > 0 {
+		opts.Mem.Banks = o.Banks
 	}
 	rc := workload.RunConfig{
 		Variant:     v,
-		Scale:       *scale,
-		Seed:        *seed,
-		SSBEntries:  *ssb,
-		Checkpoints: *ckpts,
-		OpOverhead:  *overhead,
+		Scale:       o.Scale,
+		Seed:        o.Seed,
+		SSBEntries:  o.SSB,
+		Checkpoints: o.Checkpoints,
+		OpOverhead:  o.Overhead,
 		Options:     &opts,
-	}
-	var tl *obs.Timeline
-	if *timeline != "" {
-		tl = obs.NewTimeline(*tlCap)
-		rc.Timeline = tl
+		Timeline:    newTimeline(o),
 	}
 	job := workload.Job{Bench: b, Config: rc}
 	if err := job.Validate(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	r, err := workload.Run(b, rc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if tl != nil {
-		f, err := os.Create(*timeline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tl.WriteTrace(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if n := tl.Dropped(); n > 0 {
-			log.Printf("timeline ring overflowed: %d oldest events dropped (raise -timeline-cap)", n)
-		}
+	if err := writeTimeline(o, rc.Timeline); err != nil {
+		return err
 	}
-	if *jsonOut {
-		out := jsonOutput{
+	if o.JSON {
+		return cli.WriteJSON(w, jsonOutput{
 			Bench:   b.Name,
 			Desc:    b.Desc,
 			Variant: v.String(),
 			Scale:   rc.EffectiveScale(),
-			Seed:    *seed,
+			Seed:    o.Seed,
 			Result:  r,
 			Stalls:  obs.StallReport(r.Metrics),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
-		}
-		return
+		})
 	}
 	s := r.Stats
-	fmt.Printf("benchmark            %s (%s)\n", b.Name, b.Desc)
-	fmt.Printf("variant              %s\n", v)
-	fmt.Printf("simulated operations %d\n", r.SimOps)
-	fmt.Printf("cycles               %d\n", s.Cycles)
-	fmt.Printf("committed instrs     %d (IPC %.2f)\n", s.Committed, float64(s.Committed)/float64(s.Cycles))
-	fmt.Printf("fetch-queue stalls   %d cycles\n", s.FetchQStallCycles)
-	fmt.Printf("loads/stores/ALU     %d / %d / %d\n", s.Loads, s.Stores, s.ALUs)
-	fmt.Printf("clwb/pcommit/sfence  %d / %d / %d\n", s.Clwbs, s.Pcommits, s.Sfences)
-	fmt.Printf("max in-flight pcommits %d\n", s.MaxConcurrentPcommits)
-	fmt.Printf("stores per pcommit   %.1f\n", s.AvgStoresPerPcommit())
+	fmt.Fprintf(w, "benchmark            %s (%s)\n", b.Name, b.Desc)
+	fmt.Fprintf(w, "variant              %s\n", v)
+	fmt.Fprintf(w, "simulated operations %d\n", r.SimOps)
+	fmt.Fprintf(w, "cycles               %d\n", s.Cycles)
+	fmt.Fprintf(w, "committed instrs     %d (IPC %.2f)\n", s.Committed, float64(s.Committed)/float64(s.Cycles))
+	fmt.Fprintf(w, "fetch-queue stalls   %d cycles\n", s.FetchQStallCycles)
+	fmt.Fprintf(w, "loads/stores/ALU     %d / %d / %d\n", s.Loads, s.Stores, s.ALUs)
+	fmt.Fprintf(w, "clwb/pcommit/sfence  %d / %d / %d\n", s.Clwbs, s.Pcommits, s.Sfences)
+	fmt.Fprintf(w, "max in-flight pcommits %d\n", s.MaxConcurrentPcommits)
+	fmt.Fprintf(w, "stores per pcommit   %.1f\n", s.AvgStoresPerPcommit())
 	if v.Speculative() {
-		fmt.Printf("speculation entries  %d (epochs %d)\n", s.SpecEntries, s.SpecEpochs)
-		fmt.Printf("checkpoint max/stalls %d / %d\n", s.CheckpointsMaxUsed, s.CheckpointStalls)
-		fmt.Printf("SSB max used         %d (full stalls %d)\n", s.SSBMaxUsed, s.SSBFullStalls)
-		fmt.Printf("SSB forwards         %d\n", s.SSBForwards)
-		fmt.Printf("bloom fp rate        %.4f (%d/%d)\n", s.BloomFalsePositiveRate(), s.BloomFalsePositives, s.BloomQueries)
+		fmt.Fprintf(w, "speculation entries  %d (epochs %d)\n", s.SpecEntries, s.SpecEpochs)
+		fmt.Fprintf(w, "checkpoint max/stalls %d / %d\n", s.CheckpointsMaxUsed, s.CheckpointStalls)
+		fmt.Fprintf(w, "SSB max used         %d (full stalls %d)\n", s.SSBMaxUsed, s.SSBFullStalls)
+		fmt.Fprintf(w, "SSB forwards         %d\n", s.SSBForwards)
+		fmt.Fprintf(w, "bloom fp rate        %.4f (%d/%d)\n", s.BloomFalsePositiveRate(), s.BloomFalsePositives, s.BloomQueries)
 	}
-	fmt.Printf("L1/L2/L3 miss        %d / %d / %d\n", s.Cache.L1.Misses, s.Cache.L2.Misses, s.Cache.L3.Misses)
+	fmt.Fprintf(w, "L1/L2/L3 miss        %d / %d / %d\n", s.Cache.L1.Misses, s.Cache.L2.Misses, s.Cache.L3.Misses)
 	mcs := s.Mem
-	fmt.Printf("NVMM reads/writes    %d / %d (coalesced %d)\n", mcs.Reads, mcs.Writes, mcs.Coalesced)
-	fmt.Printf("WPQ max/stalls       %d / %d\n", mcs.WPQMax, mcs.WPQStalls)
-	fmt.Printf("\n%s", obs.FormatStallReport(r.Metrics))
+	fmt.Fprintf(w, "NVMM reads/writes    %d / %d (coalesced %d)\n", mcs.Reads, mcs.Writes, mcs.Coalesced)
+	fmt.Fprintf(w, "WPQ max/stalls       %d / %d\n", mcs.WPQMax, mcs.WPQStalls)
+	fmt.Fprintf(w, "\n%s", obs.FormatStallReport(r.Metrics))
+	return nil
 }
 
 // mcJSONOutput is the -json document for a multi-core run.
@@ -376,89 +418,64 @@ type mcJSONOutput struct {
 }
 
 // runMulticore drives the N-core conflict engine and prints its counters.
-func runMulticore(cores int, structure string, seed int64, frac float64,
-	sharedLines, ops, warmup int, disjoint bool, overhead, ssb, ckpts, banks int,
-	jsonOut, expectRolls bool, timeline string, tlCap int) {
-	w := multicore.DefaultWorkload()
-	w.Structure = structure
-	w.Cores = cores
-	w.Seed = seed
-	w.SharedFrac = frac
-	w.SharedLines = sharedLines
-	w.Ops = ops
-	w.Warmup = warmup
-	w.Disjoint = disjoint
-	w.OpOverhead = overhead
+func runMulticore(w io.Writer, o options) error {
+	wl := o.MC
+	wl.Structure = o.Bench
+	wl.Cores = o.Cores
+	wl.Seed = o.Seed
+	wl.OpOverhead = o.Overhead
 
 	cfg := multicore.DefaultConfig()
-	if ssb > 0 {
-		cfg.Options.CPU.SP.SSBEntries = ssb
+	if o.SSB > 0 {
+		cfg.Options.CPU.SP.SSBEntries = o.SSB
 	}
-	if ckpts > 0 {
-		cfg.Options.CPU.SP.Checkpoints = ckpts
+	if o.Checkpoints > 0 {
+		cfg.Options.CPU.SP.Checkpoints = o.Checkpoints
 	}
-	if banks > 0 {
-		cfg.Options.Mem.Banks = banks
+	if o.Banks > 0 {
+		cfg.Options.Mem.Banks = o.Banks
 	}
-	var tl *obs.Timeline
-	if timeline != "" {
-		tl = obs.NewTimeline(tlCap)
-		cfg.Timeline = tl
-	}
+	cfg.Timeline = newTimeline(o)
 
-	res, err := multicore.RunWorkload(w, cfg)
+	res, err := multicore.RunWorkload(wl, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if tl != nil {
-		f, err := os.Create(timeline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tl.WriteTrace(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if n := tl.Dropped(); n > 0 {
-			log.Printf("timeline ring overflowed: %d oldest events dropped (raise -timeline-cap)", n)
-		}
+	if err := writeTimeline(o, cfg.Timeline); err != nil {
+		return err
 	}
 	st := res.Stats
-	if jsonOut {
-		out := mcJSONOutput{
-			Structure:  w.Structure,
-			Cores:      w.Cores,
-			SharedFrac: w.SharedFrac,
-			Disjoint:   w.Disjoint,
-			Seed:       w.Seed,
+	if o.JSON {
+		if err := cli.WriteJSON(w, mcJSONOutput{
+			Structure:  wl.Structure,
+			Cores:      wl.Cores,
+			SharedFrac: wl.SharedFrac,
+			Disjoint:   wl.Disjoint,
+			Seed:       wl.Seed,
 			Stats:      st,
 			Metrics:    res.Metrics,
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			log.Fatal(err)
+		}); err != nil {
+			return err
 		}
 	} else {
 		rng := "shared"
-		if w.Disjoint {
+		if wl.Disjoint {
 			rng = "disjoint"
 		}
-		fmt.Printf("multicore            %d cores, %s structure, frac %.2f (%s range)\n",
-			w.Cores, w.Structure, w.SharedFrac, rng)
-		fmt.Printf("probes               %d (filtered %d, delivered %d)\n",
+		fmt.Fprintf(w, "multicore            %d cores, %s structure, frac %.2f (%s range)\n",
+			wl.Cores, wl.Structure, wl.SharedFrac, rng)
+		fmt.Fprintf(w, "probes               %d (filtered %d, delivered %d)\n",
 			st.Probes, st.Filtered, st.Delivered)
-		fmt.Printf("conflicts            %d (deferred %d)\n", st.Conflicts, st.Deferred)
-		fmt.Printf("rollbacks            %d (%d penalty cycles)\n", st.Rollbacks, st.RollbackCycles)
+		fmt.Fprintf(w, "conflicts            %d (deferred %d)\n", st.Conflicts, st.Deferred)
+		fmt.Fprintf(w, "rollbacks            %d (%d penalty cycles)\n", st.Rollbacks, st.RollbackCycles)
 		for i, cs := range st.PerCore {
-			fmt.Printf("core %-2d              %d cycles, %d committed, %d rollbacks\n",
+			fmt.Fprintf(w, "core %-2d              %d cycles, %d committed, %d rollbacks\n",
 				i, cs.Cycles, cs.Committed, cs.Rollbacks)
 		}
 	}
-	if expectRolls && st.Rollbacks == 0 {
-		log.Fatalf("expected at least one real rollback, saw none (%d probes, %d conflicts)",
+	if o.ExpectRollbacks && st.Rollbacks == 0 {
+		return fmt.Errorf("expected at least one real rollback, saw none (%d probes, %d conflicts)",
 			st.Probes, st.Conflicts)
 	}
+	return nil
 }

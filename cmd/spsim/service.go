@@ -1,110 +1,27 @@
 // The -service mode: run one storage-server simulation (open-loop
 // arrivals, bounded FIFO, optional group commit) and print its tail-latency
-// accounting. Flag handling lives here, split from main so the validation
-// logic is unit-testable: bad combinations must reach the user as errors
-// and a non-zero exit, not as a misconfigured silent run.
+// accounting. Bad values reach the user as errors and a non-zero exit, not
+// as a misconfigured silent run.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
-	"os"
-	"sort"
+	"io"
 
+	"specpersist/internal/cli"
 	"specpersist/internal/core"
-	"specpersist/internal/obs"
 	"specpersist/internal/service"
 )
 
-// serviceOptions carries the raw -service flag values. SetFlags names the
-// flags the user set explicitly (flag.Visit), so combinations with other
-// modes' flags can be rejected instead of silently ignored.
-type serviceOptions struct {
-	Structure   string
-	Variant     string
-	Cores       int
-	Rate        float64
-	Process     string
-	BurstFrac   float64
-	BurstPeriod int64
-	Requests    int
-	Warmup      int
-	QueueCap    int
-	Batch       int
-	Deadline    int64
-	GetFrac     float64
-	Keyspace    int
-	Overhead    int
-	LogCap      int
-	Seed        int64
-	SSB         int
-	SetFlags    map[string]bool
-}
-
-// incompatibleWithService lists flags belonging to the benchmark,
-// conflict-engine and fleet modes; setting any of them alongside -service
-// is a configuration error.
-var incompatibleWithService = []string{
-	"scale", "mc-frac", "mc-shared-lines", "mc-ops", "mc-warmup", "mc-disjoint",
-	"expect-rollbacks", "checkpoints", "vstore",
-	"cluster", "nodes", "replicas", "quorum", "vnodes", "zipf",
-	"net-rtt", "net-jitter", "catchup-batch",
-	"crash-at", "crash-node", "recover-after", "rebalance-every",
-	"chaos-plan", "chaos-seed", "chaos-drop", "chaos-dup", "chaos-delay",
-	"chaos-delay-mult", "chaos-reorder",
-	"req-deadline", "retry-max", "hedge-quantile", "shed-high-water",
-	"heartbeat-every", "lease-cycles", "audit",
-}
-
-// rejectClashes errors if any flag from names was set explicitly; mode is
-// the flag name of the run mode being configured.
-func rejectClashes(mode string, set map[string]bool, names []string) error {
-	var clash []string
-	for _, name := range names {
-		if set[name] {
-			clash = append(clash, "-"+name)
-		}
-	}
-	if len(clash) > 0 {
-		sort.Strings(clash)
-		return fmt.Errorf("flags %v do not apply to -%s runs", clash, mode)
-	}
-	return nil
-}
-
-// buildServiceConfig validates the flag values and assembles the service
-// configuration. All errors are user errors (exit non-zero in main).
-func buildServiceConfig(o serviceOptions) (service.Config, error) {
-	if err := rejectClashes("service", o.SetFlags, incompatibleWithService); err != nil {
-		return service.Config{}, err
-	}
-	return assembleServingConfig(o)
-}
-
-// assembleServingConfig turns already-clash-checked options into a
-// validated service configuration; shared by -service and -vstore.
-func assembleServingConfig(o serviceOptions) (service.Config, error) {
+// servingConfig assembles and validates the storage-server configuration
+// the -service and -vstore modes share.
+func servingConfig(o options) (service.Config, error) {
 	v, err := core.ParseVariant(o.Variant)
 	if err != nil {
 		return service.Config{}, err
 	}
-	if o.Cores < 0 {
-		return service.Config{}, fmt.Errorf("-cores must be non-negative, got %d", o.Cores)
-	}
-	if o.Deadline < 0 {
-		return service.Config{}, fmt.Errorf("-batch-deadline must be non-negative, got %d", o.Deadline)
-	}
-	if o.Batch < 1 {
-		// The service layer treats 0 as "default", but at the CLI the
-		// default is already 1; an explicit 0 is a mistake, not a request.
-		return service.Config{}, fmt.Errorf("-batch must be at least 1, got %d", o.Batch)
-	}
-	if o.BurstPeriod < 0 {
-		return service.Config{}, fmt.Errorf("-burst-period must be non-negative, got %d", o.BurstPeriod)
-	}
 	cfg := service.Config{
-		Structure:     o.Structure,
+		Structure:     o.Bench,
 		Variant:       v,
 		Cores:         o.Cores,
 		Rate:          o.Rate,
@@ -130,52 +47,32 @@ func assembleServingConfig(o serviceOptions) (service.Config, error) {
 }
 
 // runService executes one -service simulation and prints the result.
-func runService(o serviceOptions, jsonOut bool, timeline string, tlCap int) {
-	cfg, err := buildServiceConfig(o)
+func runService(w io.Writer, o options) error {
+	cfg, err := servingConfig(o)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	var tl *obs.Timeline
-	if timeline != "" {
-		tl = obs.NewTimeline(tlCap)
-		cfg.Timeline = tl
-	}
+	cfg.Timeline = newTimeline(o)
 	res, err := service.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if tl != nil {
-		f, err := os.Create(timeline)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tl.WriteTrace(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		if n := tl.Dropped(); n > 0 {
-			log.Printf("timeline ring overflowed: %d oldest events dropped (raise -timeline-cap)", n)
-		}
+	if err := writeTimeline(o, cfg.Timeline); err != nil {
+		return err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if o.JSON {
+		return cli.WriteJSON(w, res)
 	}
 	st := res.Stats
-	fmt.Printf("service              %s on %s, %d shard(s)\n", res.Variant, res.Config.Structure, res.Config.Cores)
-	fmt.Printf("arrivals             %s, %.0f req/Mcycle offered\n", res.Config.Process, res.Config.Rate)
-	fmt.Printf("offered/completed    %d / %d (dropped %d)\n", st.Offered, st.Completed, st.Dropped)
-	fmt.Printf("goodput              %.1f req/Mcycle over %d cycles\n", res.Throughput, st.SpanCycles)
-	fmt.Printf("latency p50/p95      %d / %d cycles\n", res.P50, res.P95)
-	fmt.Printf("latency p99/p99.9    %d / %d cycles (mean %.0f, max %d)\n", res.P99, res.P999, res.Mean, res.Hist.Max)
-	fmt.Printf("group commit         K=%d: %d runs, %d commit groups, %d grouped requests\n",
+	fmt.Fprintf(w, "service              %s on %s, %d shard(s)\n", res.Variant, res.Config.Structure, res.Config.Cores)
+	fmt.Fprintf(w, "arrivals             %s, %.0f req/Mcycle offered\n", res.Config.Process, res.Config.Rate)
+	fmt.Fprintf(w, "offered/completed    %d / %d (dropped %d)\n", st.Offered, st.Completed, st.Dropped)
+	fmt.Fprintf(w, "goodput              %.1f req/Mcycle over %d cycles\n", res.Throughput, st.SpanCycles)
+	fmt.Fprintf(w, "latency p50/p95      %d / %d cycles\n", res.P50, res.P95)
+	fmt.Fprintf(w, "latency p99/p99.9    %d / %d cycles (mean %.0f, max %d)\n", res.P99, res.P999, res.Mean, res.Hist.Max)
+	fmt.Fprintf(w, "group commit         K=%d: %d runs, %d commit groups, %d grouped requests\n",
 		res.Config.BatchMax, st.Runs, st.Batches, st.GroupedRequests)
-	fmt.Printf("persist barriers     %d pcommits issued, %d trios coalesced\n", st.Pcommits, st.CoalescedBarriers)
-	fmt.Printf("queue                max depth %d, time-avg %.2f\n", st.MaxQueueDepth, res.AvgQueueDepth)
+	fmt.Fprintf(w, "persist barriers     %d pcommits issued, %d trios coalesced\n", st.Pcommits, st.CoalescedBarriers)
+	fmt.Fprintf(w, "queue                max depth %d, time-avg %.2f\n", st.MaxQueueDepth, res.AvgQueueDepth)
+	return nil
 }

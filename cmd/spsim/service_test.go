@@ -1,28 +1,24 @@
 package main
 
 import (
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"specpersist/internal/service"
 )
 
-func validOptions() serviceOptions {
-	return serviceOptions{
-		Structure: "LL",
-		Variant:   "SP",
-		Rate:      50,
-		Process:   "poisson",
-		Warmup:    128,
-		Batch:     1,
-		GetFrac:   0.25,
-		Seed:      1,
-		SetFlags:  map[string]bool{},
+// serviceConfig parses a -service command line (the mode flag, then args)
+// and assembles its server configuration.
+func serviceConfig(args ...string) (service.Config, error) {
+	o, _, err := parse(append([]string{"-service"}, args...))
+	if err != nil {
+		return service.Config{}, err
 	}
+	return servingConfig(o)
 }
 
 func TestBuildServiceConfigValid(t *testing.T) {
-	cfg, err := buildServiceConfig(validOptions())
+	cfg, err := serviceConfig()
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
@@ -34,28 +30,27 @@ func TestBuildServiceConfigValid(t *testing.T) {
 func TestBuildServiceConfigRejectsBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*serviceOptions)
+		args []string
 		want string
 	}{
-		{"unknown variant", func(o *serviceOptions) { o.Variant = "Warp" }, "variant"},
-		{"non-durable variant", func(o *serviceOptions) { o.Variant = "Base" }, "durable"},
-		{"negative cores", func(o *serviceOptions) { o.Cores = -1 }, "-cores"},
-		{"negative deadline", func(o *serviceOptions) { o.Deadline = -5 }, "-batch-deadline"},
-		{"negative burst period", func(o *serviceOptions) { o.BurstPeriod = -1 }, "-burst-period"},
-		{"zero rate", func(o *serviceOptions) { o.Rate = 0 }, "rate"},
-		{"negative batch", func(o *serviceOptions) { o.Batch = -2 }, "batch"},
-		{"negative queue cap", func(o *serviceOptions) { o.QueueCap = -1 }, "queue"},
-		{"bad get fraction", func(o *serviceOptions) { o.GetFrac = 2 }, "get fraction"},
-		{"unknown structure", func(o *serviceOptions) { o.Structure = "QQ" }, "structure"},
-		{"unknown process", func(o *serviceOptions) { o.Process = "steady" }, "process"},
-		{"negative requests", func(o *serviceOptions) { o.Requests = -4 }, "request count"},
+		{"unknown variant", []string{"-variant", "Warp"}, "variant"},
+		{"non-durable variant", []string{"-variant", "Base"}, "durable"},
+		{"negative cores", []string{"-cores", "-1"}, "-cores"},
+		{"negative deadline", []string{"-batch-deadline", "-5"}, "-batch-deadline"},
+		{"negative burst period", []string{"-burst-period", "-1"}, "-burst-period"},
+		{"zero rate", []string{"-rate", "0"}, "rate"},
+		{"negative batch", []string{"-batch", "-2"}, "batch"},
+		{"negative queue cap", []string{"-queue-cap", "-1"}, "queue"},
+		{"bad get fraction", []string{"-get-frac", "2"}, "get fraction"},
+		{"unknown structure", []string{"-bench", "QQ"}, "structure"},
+		{"unknown process", []string{"-process", "steady"}, "process"},
+		{"negative requests", []string{"-requests", "-4"}, "request count"},
+		{"negative log cap", []string{"-log-cap", "-3"}, "-log-cap must be non-negative"},
 	}
 	for _, tc := range cases {
-		o := validOptions()
-		tc.mut(&o)
-		_, err := buildServiceConfig(o)
+		_, err := serviceConfig(tc.args...)
 		if err == nil {
-			t.Errorf("%s: accepted %+v", tc.name, o)
+			t.Errorf("%s: accepted %v", tc.name, tc.args)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -64,14 +59,26 @@ func TestBuildServiceConfigRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// serviceForeignFlags are the flags of the benchmark, conflict-engine,
+// versioned-store and fleet modes, none of which a -service run reads.
+var serviceForeignFlags = []string{
+	"scale", "mc-frac", "mc-shared-lines", "mc-ops", "mc-warmup", "mc-disjoint",
+	"expect-rollbacks", "checkpoints", "banks", "vstore",
+	"cluster", "nodes", "replicas", "quorum", "vnodes", "zipf",
+	"net-rtt", "net-jitter", "catchup-batch",
+	"crash-at", "crash-node", "recover-after", "rebalance-every",
+	"chaos-plan", "chaos-seed", "chaos-drop", "chaos-dup", "chaos-delay",
+	"chaos-delay-mult", "chaos-reorder",
+	"req-deadline", "retry-max", "hedge-quantile", "shed-high-water",
+	"heartbeat-every", "lease-cycles", "audit",
+}
+
 // TestBuildServiceConfigRejectsForeignModeFlags: flags of the benchmark and
 // conflict-engine modes must clash loudly with -service, never be silently
 // ignored, and the error must name every offender.
 func TestBuildServiceConfigRejectsForeignModeFlags(t *testing.T) {
-	for _, name := range incompatibleWithService {
-		o := validOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildServiceConfig(o)
+	for _, name := range serviceForeignFlags {
+		_, err := serviceConfig(explicit(name))
 		if err == nil {
 			t.Errorf("-%s alongside -service was accepted", name)
 			continue
@@ -80,62 +87,35 @@ func TestBuildServiceConfigRejectsForeignModeFlags(t *testing.T) {
 			t.Errorf("clash error %q does not name -%s", err, name)
 		}
 	}
-	o := validOptions()
-	o.SetFlags = map[string]bool{"scale": true, "mc-ops": true}
-	_, err := buildServiceConfig(o)
+	_, err := serviceConfig("-scale", "0.5", "-mc-ops", "48")
 	if err == nil || !strings.Contains(err.Error(), "-mc-ops") || !strings.Contains(err.Error(), "-scale") {
 		t.Errorf("multi-flag clash error %v must list every offending flag", err)
 	}
 }
 
-// TestServiceModeExitCodes drives the real binary: invalid flag
-// combinations must exit non-zero with a diagnostic, and a small valid run
-// must exit zero. The test re-executes itself as spsim via the helper
-// below, so no separate build step is needed.
+// TestServiceModeExitCodes: invalid flag combinations must fail with a
+// diagnostic, and a small valid run must succeed.
 func TestServiceModeExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		wantOK bool
-		want   string
-	}{
+	checkRuns(t, []runCase{
 		{"valid run", []string{"-service", "-rate", "800", "-requests", "16", "-warmup", "16"}, true, "service"},
 		{"clashing mode flags", []string{"-service", "-scale", "0.5"}, false, "-scale"},
 		{"bad variant", []string{"-service", "-variant", "Base"}, false, "durable"},
 		{"bad rate", []string{"-service", "-rate", "-1"}, false, "rate"},
 		{"bad batch", []string{"-service", "-batch", "0"}, false, "batch"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperSpsimMain")
-			cmd.Env = append(os.Environ(), "SPSIM_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
-			out, err := cmd.CombinedOutput()
-			if tc.wantOK && err != nil {
-				t.Fatalf("expected success, got %v:\n%s", err, out)
-			}
-			if !tc.wantOK {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatalf("expected a non-zero exit, got err=%v:\n%s", err, out)
-				}
-				if ee.ExitCode() == 0 {
-					t.Fatalf("exit code 0 for invalid flags:\n%s", out)
-				}
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("output does not mention %q:\n%s", tc.want, out)
-			}
-		})
-	}
+		{"undo log too small", []string{"-service", "-requests", "8", "-warmup", "8", "-log-cap", "1"}, false, "log capacity 1 exceeded"},
+	})
 }
 
-// TestHelperSpsimMain is not a real test: when re-executed with
-// SPSIM_HELPER_ARGS set, it becomes the spsim binary.
-func TestHelperSpsimMain(t *testing.T) {
-	raw, ok := os.LookupEnv("SPSIM_HELPER_ARGS")
-	if !ok {
-		t.Skip("helper process only")
-	}
-	os.Args = append([]string{"spsim"}, strings.Split(raw, "\x1f")...)
-	main()
+// TestRejectsFlagsForeignToMode: every mode rejects the flags it does not
+// read, naming them; each of these runs used to ignore them silently.
+func TestRejectsFlagsForeignToMode(t *testing.T) {
+	checkRuns(t, []runCase{
+		{"fleet size on a benchmark run", []string{"-bench", "LL", "-nodes", "5"}, false, "flags [-nodes] do not apply to -bench runs"},
+		{"chaos on a benchmark run", []string{"-bench", "LL", "-nodes", "5", "-chaos-drop", "0.5"}, false, "flags [-chaos-drop -nodes] do not apply to -bench runs"},
+		{"variant on a multi-core run", []string{"-cores", "2", "-variant", "Log+P"}, false, "flags [-variant] do not apply to -cores runs"},
+		{"timeline on a vstore run", []string{"-vstore", "-timeline", "vt.json"}, false, "flags [-timeline] do not apply to -vstore runs"},
+		{"banks on a service run", []string{"-service", "-banks", "2"}, false, "flags [-banks] do not apply to -service runs"},
+		{"service flags on a listing", []string{"-list", "-rate", "3"}, false, "flags [-rate] do not apply to -list runs"},
+		{"positional argument", []string{"-bench", "LL", "extra"}, false, "unexpected arguments"},
+	})
 }

@@ -1,46 +1,25 @@
 // The -vstore mode: run the storage-server simulation over the versioned
 // copy-on-write tree store ("VT") and print its changeset-commit
 // accounting next to the usual tail-latency output. The mode shares the
-// -service arrival/batching dials but forces the structure: -bench names a
-// Table 1 WAL structure and does not apply, and neither does the WAL-only
-// -log-cap. Flag handling is split from main so the validation logic is
-// unit-testable, matching the -service and -cluster modes.
+// -service arrival/batching dials but forces the structure, so -bench and
+// the WAL-only -log-cap do not apply to it.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
-	"os"
+	"io"
 	"sort"
 	"strings"
 
+	"specpersist/internal/cli"
 	"specpersist/internal/service"
 )
 
-// incompatibleWithVstore lists flags that do not apply to a -vstore run:
-// everything the -service mode rejects (except -vstore itself, which is
-// this mode), plus -service and the WAL/benchmark knobs made meaningless
-// by the forced VT structure.
-var incompatibleWithVstore = func() []string {
-	out := []string{"service", "bench", "log-cap"}
-	for _, n := range incompatibleWithService {
-		if n != "vstore" {
-			out = append(out, n)
-		}
-	}
-	return out
-}()
-
-// buildVstoreConfig validates the flag values and assembles the serving
-// configuration with the structure pinned to the versioned store.
-func buildVstoreConfig(o serviceOptions) (service.Config, error) {
-	if err := rejectClashes("vstore", o.SetFlags, incompatibleWithVstore); err != nil {
-		return service.Config{}, err
-	}
-	o.Structure = "VT"
-	o.LogCap = 0
-	return assembleServingConfig(o)
+// vstoreConfig assembles the serving configuration with the structure
+// pinned to the versioned store.
+func vstoreConfig(o options) (service.Config, error) {
+	o.Bench = "VT"
+	return servingConfig(o)
 }
 
 // vstoreCounters sums the per-shard vstore.* counters out of a result's
@@ -57,39 +36,34 @@ func vstoreCounters(metrics map[string]uint64) map[string]uint64 {
 }
 
 // runVstore executes one -vstore simulation and prints the result.
-func runVstore(o serviceOptions, jsonOut bool) {
-	cfg, err := buildVstoreConfig(o)
+func runVstore(w io.Writer, o options) error {
+	cfg, err := vstoreConfig(o)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := service.Run(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if o.JSON {
+		return cli.WriteJSON(w, res)
 	}
 	st := res.Stats
 	vc := vstoreCounters(res.Metrics)
-	fmt.Printf("vstore               %s on VT (versioned COW tree), %d shard(s)\n", res.Variant, res.Config.Cores)
-	fmt.Printf("arrivals             %s, %.0f req/Mcycle offered\n", res.Config.Process, res.Config.Rate)
-	fmt.Printf("offered/completed    %d / %d (dropped %d)\n", st.Offered, st.Completed, st.Dropped)
-	fmt.Printf("goodput              %.1f req/Mcycle over %d cycles\n", res.Throughput, st.SpanCycles)
-	fmt.Printf("latency p50/p95      %d / %d cycles\n", res.P50, res.P95)
-	fmt.Printf("latency p99/p99.9    %d / %d cycles (mean %.0f, max %d)\n", res.P99, res.P999, res.Mean, res.Hist.Max)
-	fmt.Printf("group commit         K=%d: %d runs, %d commit groups\n", res.Config.BatchMax, st.Runs, st.Batches)
-	fmt.Printf("changeset commits    %d commits (%d empty), %d versions minted, %d barriers\n",
+	fmt.Fprintf(w, "vstore               %s on VT (versioned COW tree), %d shard(s)\n", res.Variant, res.Config.Cores)
+	fmt.Fprintf(w, "arrivals             %s, %.0f req/Mcycle offered\n", res.Config.Process, res.Config.Rate)
+	fmt.Fprintf(w, "offered/completed    %d / %d (dropped %d)\n", st.Offered, st.Completed, st.Dropped)
+	fmt.Fprintf(w, "goodput              %.1f req/Mcycle over %d cycles\n", res.Throughput, st.SpanCycles)
+	fmt.Fprintf(w, "latency p50/p95      %d / %d cycles\n", res.P50, res.P95)
+	fmt.Fprintf(w, "latency p99/p99.9    %d / %d cycles (mean %.0f, max %d)\n", res.P99, res.P999, res.Mean, res.Hist.Max)
+	fmt.Fprintf(w, "group commit         K=%d: %d runs, %d commit groups\n", res.Config.BatchMax, st.Runs, st.Batches)
+	fmt.Fprintf(w, "changeset commits    %d commits (%d empty), %d versions minted, %d barriers\n",
 		vc["commits"], vc["empty_commits"], vc["versions"], vc["barriers"])
-	fmt.Printf("changeset volume     %d COW nodes written, %d changeset lines flushed\n",
+	fmt.Fprintf(w, "changeset volume     %d COW nodes written, %d changeset lines flushed\n",
 		vc["nodes_written"], vc["changeset_lines"])
-	fmt.Printf("time-travel reads    %d gets served from the committed root\n", vc["time_travel_gets"])
-	fmt.Printf("persist barriers     %d pcommits issued in the serving phase\n", st.Pcommits)
-	fmt.Printf("queue                max depth %d, time-avg %.2f\n", st.MaxQueueDepth, res.AvgQueueDepth)
+	fmt.Fprintf(w, "time-travel reads    %d gets served from the committed root\n", vc["time_travel_gets"])
+	fmt.Fprintf(w, "persist barriers     %d pcommits issued in the serving phase\n", st.Pcommits)
+	fmt.Fprintf(w, "queue                max depth %d, time-avg %.2f\n", st.MaxQueueDepth, res.AvgQueueDepth)
 	// Keep the summed-counter view stable for scripted diffing.
 	keys := make([]string, 0, len(vc))
 	for k := range vc {
@@ -97,6 +71,7 @@ func runVstore(o serviceOptions, jsonOut bool) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("vstore.%-24s %d\n", k, vc[k])
+		fmt.Fprintf(w, "vstore.%-24s %d\n", k, vc[k])
 	}
+	return nil
 }

@@ -1,20 +1,24 @@
 package main
 
 import (
-	"os"
-	"os/exec"
 	"strings"
 	"testing"
+
+	"specpersist/internal/service"
 )
 
-func validVstoreOptions() serviceOptions {
-	o := validOptions()
-	o.Structure = "" // -vstore forces VT; -bench clashes
-	return o
+// vstoreServingConfig parses a -vstore command line (the mode flag, then
+// args) and assembles its serving configuration.
+func vstoreServingConfig(args ...string) (service.Config, error) {
+	o, _, err := parse(append([]string{"-vstore"}, args...))
+	if err != nil {
+		return service.Config{}, err
+	}
+	return vstoreConfig(o)
 }
 
 func TestBuildVstoreConfigValid(t *testing.T) {
-	cfg, err := buildVstoreConfig(validVstoreOptions())
+	cfg, err := vstoreServingConfig()
 	if err != nil {
 		t.Fatalf("valid options rejected: %v", err)
 	}
@@ -26,24 +30,22 @@ func TestBuildVstoreConfigValid(t *testing.T) {
 func TestBuildVstoreConfigRejectsBadFlags(t *testing.T) {
 	cases := []struct {
 		name string
-		mut  func(*serviceOptions)
+		args []string
 		want string
 	}{
-		{"unknown variant", func(o *serviceOptions) { o.Variant = "Warp" }, "variant"},
-		{"non-durable variant", func(o *serviceOptions) { o.Variant = "Base" }, "durable"},
-		{"negative cores", func(o *serviceOptions) { o.Cores = -1 }, "-cores"},
-		{"negative deadline", func(o *serviceOptions) { o.Deadline = -5 }, "-batch-deadline"},
-		{"zero rate", func(o *serviceOptions) { o.Rate = 0 }, "rate"},
-		{"negative batch", func(o *serviceOptions) { o.Batch = -2 }, "batch"},
-		{"bad get fraction", func(o *serviceOptions) { o.GetFrac = 2 }, "get fraction"},
-		{"unknown process", func(o *serviceOptions) { o.Process = "steady" }, "process"},
+		{"unknown variant", []string{"-variant", "Warp"}, "variant"},
+		{"non-durable variant", []string{"-variant", "Base"}, "durable"},
+		{"negative cores", []string{"-cores", "-1"}, "-cores"},
+		{"negative deadline", []string{"-batch-deadline", "-5"}, "-batch-deadline"},
+		{"zero rate", []string{"-rate", "0"}, "rate"},
+		{"negative batch", []string{"-batch", "-2"}, "batch"},
+		{"bad get fraction", []string{"-get-frac", "2"}, "get fraction"},
+		{"unknown process", []string{"-process", "steady"}, "process"},
 	}
 	for _, tc := range cases {
-		o := validVstoreOptions()
-		tc.mut(&o)
-		_, err := buildVstoreConfig(o)
+		_, err := vstoreServingConfig(tc.args...)
 		if err == nil {
-			t.Errorf("%s: accepted %+v", tc.name, o)
+			t.Errorf("%s: accepted %v", tc.name, tc.args)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.want) {
@@ -53,16 +55,18 @@ func TestBuildVstoreConfigRejectsBadFlags(t *testing.T) {
 }
 
 // TestBuildVstoreConfigRejectsForeignModeFlags: every foreign-mode flag —
-// including -service, the WAL-only -log-cap and the benchmark selector
-// -bench — must clash loudly with -vstore, never be silently ignored.
+// including -service, the WAL-only -log-cap, the benchmark selector -bench
+// and the timeline a -vstore run never records — must clash loudly with
+// -vstore, never be silently ignored.
 func TestBuildVstoreConfigRejectsForeignModeFlags(t *testing.T) {
-	for _, name := range incompatibleWithVstore {
-		if name == "vstore" {
-			t.Fatal("the mode's own flag ended up in its clash list")
+	foreign := []string{"service", "bench", "log-cap", "timeline", "timeline-cap"}
+	for _, name := range serviceForeignFlags {
+		if name != "vstore" {
+			foreign = append(foreign, name)
 		}
-		o := validVstoreOptions()
-		o.SetFlags = map[string]bool{name: true}
-		_, err := buildVstoreConfig(o)
+	}
+	for _, name := range foreign {
+		_, err := vstoreServingConfig(explicit(name))
 		if err == nil {
 			t.Errorf("-%s alongside -vstore was accepted", name)
 			continue
@@ -71,51 +75,21 @@ func TestBuildVstoreConfigRejectsForeignModeFlags(t *testing.T) {
 			t.Errorf("clash error %q does not name -%s", err, name)
 		}
 	}
-	o := validVstoreOptions()
-	o.SetFlags = map[string]bool{"bench": true, "log-cap": true}
-	_, err := buildVstoreConfig(o)
+	_, err := vstoreServingConfig("-bench", "LL", "-log-cap", "128")
 	if err == nil || !strings.Contains(err.Error(), "-bench") || !strings.Contains(err.Error(), "-log-cap") {
 		t.Errorf("multi-flag clash error %v must list every offending flag", err)
 	}
 }
 
-// TestVstoreModeExitCodes drives the real binary via the re-exec helper:
-// invalid combinations exit non-zero with a diagnostic naming the
-// offender, and a small valid run exits zero and reports changeset
-// commits.
+// TestVstoreModeExitCodes: invalid combinations fail with a diagnostic
+// naming the offender, and a small valid run succeeds and reports
+// changeset commits.
 func TestVstoreModeExitCodes(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		wantOK bool
-		want   string
-	}{
+	checkRuns(t, []runCase{
 		{"valid run", []string{"-vstore", "-rate", "800", "-requests", "16", "-warmup", "16"}, true, "changeset commits"},
 		{"bench clash", []string{"-vstore", "-bench", "BT"}, false, "-bench"},
 		{"service clash", []string{"-vstore", "-service"}, false, "-service"},
 		{"log-cap clash", []string{"-vstore", "-log-cap", "128"}, false, "-log-cap"},
 		{"bad variant", []string{"-vstore", "-variant", "Base"}, false, "durable"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], "-test.run", "TestHelperSpsimMain")
-			cmd.Env = append(os.Environ(), "SPSIM_HELPER_ARGS="+strings.Join(tc.args, "\x1f"))
-			out, err := cmd.CombinedOutput()
-			if tc.wantOK && err != nil {
-				t.Fatalf("expected success, got %v:\n%s", err, out)
-			}
-			if !tc.wantOK {
-				ee, ok := err.(*exec.ExitError)
-				if !ok {
-					t.Fatalf("expected a non-zero exit, got err=%v:\n%s", err, out)
-				}
-				if ee.ExitCode() == 0 {
-					t.Fatalf("exit code 0 for invalid flags:\n%s", out)
-				}
-			}
-			if !strings.Contains(string(out), tc.want) {
-				t.Errorf("output does not mention %q:\n%s", tc.want, out)
-			}
-		})
-	}
+	})
 }

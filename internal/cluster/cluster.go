@@ -64,6 +64,7 @@ import (
 	"specpersist/internal/pstruct"
 	"specpersist/internal/sched"
 	"specpersist/internal/service"
+	"specpersist/internal/txn"
 )
 
 // Config parameterizes one fleet simulation.
@@ -343,6 +344,9 @@ func (c Config) Validate() error {
 	}
 	if d.SSBEntries < 0 {
 		return fmt.Errorf("cluster: SSB size must be non-negative, got %d", d.SSBEntries)
+	}
+	if d.LogCap < 0 {
+		return fmt.Errorf("cluster: log capacity must be non-negative, got %d", d.LogCap)
 	}
 	if err := d.Chaos.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
@@ -731,7 +735,9 @@ func RunAudited(cfg Config) (Result, error) {
 	return run(cfg, true)
 }
 
-func run(cfg Config, audited bool) (Result, error) {
+func run(cfg Config, audited bool) (_ Result, err error) {
+	// A log capacity too small for an operation is the config's error.
+	defer txn.RecoverCapacity(&err)
 	s, err := newFleet(cfg)
 	if err != nil {
 		return Result{}, err

@@ -200,6 +200,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad zipf", func(c *Config) { c.ZipfS = 0.5 }, "zipf"},
 		{"crash node out of range", func(c *Config) { c.CrashAt = 1000; c.CrashNode = 3 }, "crash node"},
 		{"recover without crash", func(c *Config) { c.RecoverAfter = 1000 }, "crash"},
+		{"negative log cap", func(c *Config) { c.LogCap = -3 }, "log capacity"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -215,6 +216,21 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+}
+
+// TestRunReportsTooSmallLogCap: an undo log too small for one operation,
+// whether it overflows during warmup or while serving, is the error of
+// Run and RunAudited and not a panic.
+func TestRunReportsTooSmallLogCap(t *testing.T) {
+	for _, warmup := range []int{96, 0} {
+		cfg := DefaultConfig()
+		cfg.Requests, cfg.Warmup, cfg.LogCap = 8, warmup, 1
+		for name, run := range map[string]func(Config) (Result, error){"Run": Run, "RunAudited": RunAudited} {
+			if _, err := run(cfg); err == nil || !strings.Contains(err.Error(), "log capacity 1 exceeded") {
+				t.Errorf("warmup %d: %s returned %v, want a log capacity error", warmup, name, err)
+			}
+		}
 	}
 }
 

@@ -178,6 +178,9 @@ func (e *Engine) Run(c Campaign) (Report, error) {
 	if !c.Variant.Transactional() {
 		return Report{}, fmt.Errorf("fault: variant %s has no recovery to test", c.Variant)
 	}
+	if e.Samples < 0 {
+		return Report{}, fmt.Errorf("fault: samples must be non-negative, got %d", e.Samples)
+	}
 	structures := c.Structures
 	if len(structures) == 0 {
 		structures = pstruct.Names()

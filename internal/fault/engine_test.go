@@ -166,3 +166,13 @@ func TestCampaignRejectsBase(t *testing.T) {
 		t.Fatal("Base variant accepted; it has no recovery to test")
 	}
 }
+
+// TestCampaignRejectsNegativeSamples: a negative sample count would leave
+// an exhaustive campaign no trials at all, a vacuous pass.
+func TestCampaignRejectsNegativeSamples(t *testing.T) {
+	e := &Engine{Samples: -1}
+	rep, err := e.Run(Campaign{Structures: []string{"LL"}, Variant: core.VariantLogPSf, Exhaustive: true})
+	if err == nil {
+		t.Fatalf("Samples -1 accepted: %d trials", rep.Trials)
+	}
+}

@@ -1,7 +1,9 @@
 package litmus
 
 import (
+	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -72,6 +74,43 @@ func FuzzExplorersAgree(f *testing.F) {
 			if d := disagreement(pair[0], pair[1]); d != "" {
 				t.Fatalf("%s: %s\nprogram: %s", name, d, p.String())
 			}
+		}
+	})
+}
+
+// FuzzLitmusReproducer drives the litmus -replay path with arbitrary
+// JSON: whatever decodes into a Reproducer whose program validates must
+// replay under a 20,000-state cap to a verdict or an error (a cap
+// overflow), never a panic; a reproduced violation is reported; and a
+// second replay agrees.
+func FuzzLitmusReproducer(f *testing.F) {
+	seeds := []string{
+		`{}`,
+		`{"program":{"name":"sb","locs":[{"name":"x","line":0,"off":0,"size":8},{"name":"y","line":1,"off":0,"size":8}],"threads":[[],[{"op":"st","loc":"y","val":2},{"op":"clwb","loc":"y"},{"op":"sfence"},{"op":"pcommit"},{"op":"st","loc":"x","val":2}]]},"kind":"golden-mismatch","outcome":"x=2 y=0","weakened":true}`,
+		`{"program":{"name":"x","locs":[{"name":"a","line":0,"off":0,"size":8}],"threads":[[{"op":"st","loc":"a","val":1}]]},"kind":"outcome-not-allowed"}`,
+		`{"program":{"name":"mp","locs":[{"name":"d","line":0,"off":0,"size":8},{"name":"f","line":1,"off":0,"size":8}],"threads":[[{"op":"st","loc":"d","val":1},{"op":"clflushopt","loc":"d"},{"op":"sfence"},{"op":"st","loc":"f","val":1}],[{"op":"ld","loc":"f"},{"op":"ld","loc":"d"}]]},"kind":"ref-allows-forbidden","outcome":"d=0 f=1"}`,
+		`{"program":{"name":"torn","locs":[{"name":"a","line":0,"off":4,"size":8}],"threads":[[{"op":"st","loc":"a","val":3}]]},"kind":"stream-diverges"}`,
+		`{"program":{"threads":[]}}`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r Reproducer
+		if err := json.Unmarshal(data, &r); err != nil {
+			return // not a reproducer; nothing to check
+		}
+		if r.Program.Validate() != nil {
+			return
+		}
+		const maxStates = 20_000
+		ok, vs, err := r.Replay(maxStates)
+		if err == nil && ok && len(vs) == 0 {
+			t.Fatal("replay reproduced a violation but reported none")
+		}
+		ok2, vs2, err2 := r.Replay(maxStates)
+		if (err == nil) != (err2 == nil) || ok != ok2 || !reflect.DeepEqual(vs, vs2) {
+			t.Fatalf("replay is not deterministic: %v %v %v vs %v %v %v", ok, vs, err, ok2, vs2, err2)
 		}
 	})
 }

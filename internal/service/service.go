@@ -54,6 +54,7 @@ import (
 	"specpersist/internal/obs"
 	"specpersist/internal/pstruct"
 	"specpersist/internal/sched"
+	"specpersist/internal/txn"
 )
 
 // Histogram aliases the shared log-bucketed latency histogram
@@ -248,6 +249,9 @@ func (c Config) Validate() error {
 	if d.SSBEntries < 0 {
 		return fmt.Errorf("service: SSB size must be non-negative, got %d", d.SSBEntries)
 	}
+	if d.LogCap < 0 {
+		return fmt.Errorf("service: log capacity must be non-negative, got %d", d.LogCap)
+	}
 	return nil
 }
 
@@ -376,7 +380,9 @@ const (
 )
 
 // Run simulates one server configuration to completion.
-func Run(cfg Config) (Result, error) {
+func Run(cfg Config) (_ Result, err error) {
+	// A log capacity too small for an operation is the config's error.
+	defer txn.RecoverCapacity(&err)
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}

@@ -234,6 +234,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"negative keyspace", func(c *Config) { c.Keyspace = -2 }, "keyspace"},
 		{"negative warmup", func(c *Config) { c.Warmup = -1 }, "warmup"},
 		{"negative ssb", func(c *Config) { c.SSBEntries = -1 }, "SSB"},
+		{"negative log cap", func(c *Config) { c.LogCap = -3 }, "log capacity"},
 	}
 	for _, tc := range bad {
 		cfg := DefaultConfig()
@@ -252,6 +253,19 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 	if err := (Config{Rate: 100, Variant: core.VariantSP, Seed: 1}).Validate(); err != nil {
 		t.Errorf("zero-valued optional knobs must validate via defaults, got %v", err)
+	}
+}
+
+// TestRunReportsTooSmallLogCap: an undo log too small for one operation,
+// whether it overflows during warmup or while serving, is Run's error and
+// not a panic.
+func TestRunReportsTooSmallLogCap(t *testing.T) {
+	for _, warmup := range []int{128, 0} {
+		cfg := DefaultConfig()
+		cfg.Requests, cfg.Warmup, cfg.LogCap = 8, warmup, 1
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "log capacity 1 exceeded") {
+			t.Errorf("warmup %d: Run returned %v, want a log capacity error", warmup, err)
+		}
 	}
 }
 

@@ -152,7 +152,7 @@ func (t *Tx) Log(addr uint64, size int, dep isa.Reg) {
 			continue
 		}
 		if t.n >= t.m.capacity {
-			panic(fmt.Sprintf("txn: log capacity %d exceeded", t.m.capacity))
+			panic(&CapacityError{Capacity: t.m.capacity})
 		}
 		t.logged[line] = struct{}{}
 		// Copy the pre-image into the entry's data line and record the
@@ -164,6 +164,28 @@ func (t *Tx) Log(addr uint64, size int, dep isa.Reg) {
 		env.StoreU64(t.m.meta+uint64(t.n*8), line, isa.NoReg, isa.NoReg)
 		env.Clwb(entry)
 		t.n++
+	}
+}
+
+// CapacityError is the panic value of a Log whose transaction outgrows
+// the manager's capacity. A capacity taken from a configuration is the
+// configuration's fault, so drivers that accept one turn this panic into
+// their error with RecoverCapacity.
+type CapacityError struct{ Capacity int }
+
+func (e *CapacityError) Error() string {
+	return fmt.Sprintf("txn: log capacity %d exceeded", e.Capacity)
+}
+
+// RecoverCapacity, deferred, turns a CapacityError panic into *err and
+// re-raises any other panic.
+func RecoverCapacity(err *error) {
+	if r := recover(); r != nil {
+		ce, ok := r.(*CapacityError)
+		if !ok {
+			panic(r)
+		}
+		*err = ce
 	}
 }
 
