@@ -166,7 +166,7 @@ func newFlags(o *options) *cli.Set {
 	fs.Int(&o.Banks, "banks", 0, benchMode|multicoreMode, "NVMM banks (0 = default)")
 	fs.Bool(&o.JSON, "json", false, simulated, "emit the result as JSON")
 	fs.String(&o.Timeline, "timeline", "", simulated&^vstoreMode, "write a Chrome trace_event JSON timeline to this file")
-	fs.Int(&o.TimelineCap, "timeline-cap", obs.DefaultTimelineCap, simulated&^vstoreMode, "timeline ring-buffer capacity (events)")
+	fs.Int(&o.TimelineCap, "timeline-cap", obs.DefaultTimelineCap, simulated&^vstoreMode, "timeline ring-buffer capacity (events)").Requires("timeline")
 	fs.Bool(&o.List, "list", false, listMode, "list valid benchmarks and variants, then exit")
 
 	serving := serviceMode | vstoreMode
@@ -215,7 +215,7 @@ func newFlags(o *options) *cli.Set {
 	fs.Int(&o.ShedHighWater, "shed-high-water", 0, clusterMode, "cluster: shed new requests when the primary queue reaches this depth (0 = off)").Min(0)
 	fs.Int64(&o.HeartbeatEvery, "heartbeat-every", 0, clusterMode, "cluster: heartbeat period in cycles (0 = oracle failure detection)").Min(0)
 	fs.Int64(&o.LeaseCycles, "lease-cycles", 0, clusterMode, "cluster: failover after this long without hearing from a primary (0 = 4x heartbeat)").Min(0)
-	fs.Bool(&o.Audit, "audit", false, clusterMode, "cluster: report invariant breaches in the result instead of failing the run")
+	fs.Bool(&o.Audit, "audit", false, clusterMode, "cluster: report the end-of-run audit's violations in the result instead of failing the run on the first")
 
 	fs.Int(&o.Cores, "cores", 0, simulated&^clusterMode, "run the multi-core conflict engine with this many SP cores (0 = single-core); with -service, the shard count").Min(0)
 	fs.Float64(&o.MC.SharedFrac, "mc-frac", 0.5, multicoreMode, "multicore: probability an op is a shared-table RMW (conflict dial)")

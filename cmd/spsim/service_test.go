@@ -107,7 +107,8 @@ func TestServiceModeExitCodes(t *testing.T) {
 }
 
 // TestRejectsFlagsForeignToMode: every mode rejects the flags it does not
-// read, naming them; each of these runs used to ignore them silently.
+// read, and every flag set without the flag it requires, naming them; each
+// of these runs used to ignore them silently.
 func TestRejectsFlagsForeignToMode(t *testing.T) {
 	checkRuns(t, []runCase{
 		{"fleet size on a benchmark run", []string{"-bench", "LL", "-nodes", "5"}, false, "flags [-nodes] do not apply to -bench runs"},
@@ -117,5 +118,6 @@ func TestRejectsFlagsForeignToMode(t *testing.T) {
 		{"banks on a service run", []string{"-service", "-banks", "2"}, false, "flags [-banks] do not apply to -service runs"},
 		{"service flags on a listing", []string{"-list", "-rate", "3"}, false, "flags [-rate] do not apply to -list runs"},
 		{"positional argument", []string{"-bench", "LL", "extra"}, false, "unexpected arguments"},
+		{"timeline capacity without a timeline", []string{"-bench", "LL", "-timeline-cap", "5"}, false, "-timeline-cap requires -timeline"},
 	})
 }

@@ -26,15 +26,27 @@ type Set struct {
 	decls map[string]*Decl
 }
 
-// Decl is one declared flag's read modes and optional lower bound.
+// Decl is one declared flag's read modes, optional lower bound and
+// optional flag it needs.
 type Decl struct {
-	modes  Mode
-	min    int64
-	hasMin bool
+	modes    Mode
+	min      int64
+	hasMin   bool
+	requires string
 }
 
 // Min sets the flag's lower bound; it applies to integer flags only.
-func (d *Decl) Min(v int64) { d.min, d.hasMin = v, true }
+func (d *Decl) Min(v int64) *Decl {
+	d.min, d.hasMin = v, true
+	return d
+}
+
+// Requires makes setting the flag explicitly an error unless flag name
+// is set explicitly too.
+func (d *Decl) Requires(name string) *Decl {
+	d.requires = name
+	return d
+}
 
 // NewSet returns an empty flag set for the named command. modes[i] names
 // the mode with bit 1<<i as errors print it ("-service", "campaign").
@@ -104,9 +116,10 @@ func (s *Set) Given(names ...string) []string {
 }
 
 // Check rejects the explicitly set flags that are below their lower
-// bound and then, naming all of them, those that mode does not read.
+// bound, then, naming all of them, those that mode does not read, and
+// then those set without the flag they require.
 func (s *Set) Check(mode Mode) error {
-	var err error
+	var err, needs error
 	var foreign []string
 	s.Visit(func(f *flag.Flag) {
 		d := s.decls[f.Name]
@@ -129,6 +142,9 @@ func (s *Set) Check(mode Mode) error {
 		if d.modes&mode == 0 {
 			foreign = append(foreign, "-"+f.Name)
 		}
+		if needs == nil && d.requires != "" && len(s.Given(d.requires)) == 0 {
+			needs = fmt.Errorf("-%s requires -%s", f.Name, d.requires)
+		}
 	})
 	if err != nil {
 		return err
@@ -136,7 +152,7 @@ func (s *Set) Check(mode Mode) error {
 	if len(foreign) > 0 {
 		return fmt.Errorf("flags %v do not apply to %s runs", foreign, s.modes[bits.TrailingZeros(uint(mode))])
 	}
-	return nil
+	return needs
 }
 
 // Exit is the campaign exit contract: violations fail a run, unless

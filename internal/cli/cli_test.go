@@ -21,6 +21,8 @@ type opts struct {
 	rate    float64
 	replay  string
 	jsonOut bool
+	out     string
+	outCap  int
 }
 
 func newTestSet(o *opts) *Set {
@@ -30,11 +32,14 @@ func newTestSet(o *opts) *Set {
 	s.Float64(&o.rate, "rate", 0, runMode, "rate")
 	s.String(&o.replay, "replay", "", replayMode, "replay file")
 	s.Bool(&o.jsonOut, "json", false, runMode|replayMode, "json")
+	s.String(&o.out, "out", "", runMode, "output file")
+	s.Int(&o.outCap, "out-cap", 8, runMode, "output capacity").Min(1).Requires("out")
 	return s
 }
 
-// TestCheck: bounds apply to explicitly set flags, before the mode check,
-// and a mode check names every foreign flag, sorted, with the mode's name.
+// TestCheck: bounds apply to explicitly set flags, before the mode check;
+// a mode check names every foreign flag, sorted, with the mode's name; a
+// flag that requires another is rejected without it, after both.
 func TestCheck(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -49,6 +54,10 @@ func TestCheck(t *testing.T) {
 		{[]string{"-replay", "f", "-seed", "-2"}, replayMode, "-seed must be non-negative, got -2"},
 		{[]string{"-replay", "f", "-trials", "3", "-rate", "1"}, replayMode, "flags [-rate -trials] do not apply to -replay runs"},
 		{[]string{"-replay", "f"}, runMode, "flags [-replay] do not apply to campaign runs"},
+		{[]string{"-out", "f", "-out-cap", "3"}, runMode, ""},
+		{[]string{"-out-cap", "3"}, runMode, "-out-cap requires -out"},
+		{[]string{"-out-cap", "0"}, runMode, "-out-cap must be at least 1, got 0"},
+		{[]string{"-replay", "f", "-out-cap", "3"}, replayMode, "flags [-out-cap] do not apply to -replay runs"},
 	} {
 		var o opts
 		s := newTestSet(&o)

@@ -1,9 +1,9 @@
-// End-of-run invariant auditor: the checker half of the chaos fabric.
-// Where check() treats an invariant breach as a fatal engine error, the
-// audit classifies breaches as Violations and returns them in the
-// Result, so chaos campaigns can count, report and delta-minimize them —
-// including the deliberately broken-dedup negative control, which must
-// surface here rather than crash the run.
+// End-of-run invariant auditor: the fleet's one checker. Every run ends
+// here. Breaches are classified as Violations; RunAudited returns them in
+// the Result, so chaos campaigns can count, report and delta-minimize them
+// (including the deliberately broken-dedup negative control), and Run
+// fails on the first one, so a plain run never returns numbers built on a
+// breach.
 package cluster
 
 import "fmt"
@@ -16,9 +16,11 @@ const MaxViolations = 32
 type Violation struct {
 	// Kind: "lost-ack" (an acknowledged update is absent from an acker's
 	// durable image), "double-apply" (one sequence durably applied twice
-	// on one node), "order" (a node's durable log is not monotonic in
-	// sequence within a range), or "structure" (a node's persistent
-	// structure failed its invariant check).
+	// on one node), "order" (a node's durable log does not apply exactly
+	// the next sequence of a range), "structure" (a node's persistent
+	// structure failed its invariant check), and, on lossless plans only,
+	// "unrecovered" (a node never finished catching up) and "short-log"
+	// (a live owner has not durably applied its range's full log).
 	Kind   string `json:"kind"`
 	Node   int    `json:"node"`
 	Rid    int    `json:"rid"`
@@ -44,14 +46,22 @@ type Audit struct {
 // Clean reports a violation-free run.
 func (a *Audit) Clean() bool { return a.Total == 0 }
 
-func (s *fleet) violation(v Violation) {
-	s.auditRep.Total++
-	if len(s.auditRep.Violations) < MaxViolations {
-		s.auditRep.Violations = append(s.auditRep.Violations, v)
+// err is nil for a clean audit and otherwise names the first violation.
+func (a *Audit) err() error {
+	if a.Clean() {
+		return nil
+	}
+	return fmt.Errorf("cluster: %d invariant violations, first: %s", a.Total, a.Violations[0])
+}
+
+func (a *Audit) add(v Violation) {
+	a.Total++
+	if len(a.Violations) < MaxViolations {
+		a.Violations = append(a.Violations, v)
 	}
 }
 
-// audit runs the three chaos invariants over the finished fleet:
+// audit checks the finished fleet:
 //
 //  1. No lost ack: every quorum-acknowledged update is in the durable
 //     in-order image of every node whose ack completed it (a superset of
@@ -61,20 +71,24 @@ func (s *fleet) violation(v Violation) {
 //  2. Idempotency: no (range, sequence) is durably applied twice on one
 //     node, however many duplicates, retries and hedges the network and
 //     client machinery produced.
-//  3. Order: each node's durable log is strictly monotonic in sequence
-//     within each range — primary handoffs may interleave ranges, but
-//     never reorder one range's updates.
-//
-// Structure invariants are re-classified as violations here (a broken
-// dedup corrupts state through a perfectly healthy engine).
+//  3. Order: each node's durable log applies exactly the next sequence
+//     of each range — primary handoffs may interleave ranges, but never
+//     skip or reorder one range's updates.
+//  4. Structure: every node that is not down passes its structure's
+//     invariant check (a broken dedup corrupts state through a perfectly
+//     healthy engine).
+//  5. Full replication, on lossless plans only: every node that is not
+//     down has rejoined, and has durably applied every owned range's
+//     full log. A lossy plan can starve a catch-up or leave a replica
+//     short of a trailing drop without breaking anything acknowledged.
 func (s *fleet) audit() Audit {
-	s.auditRep = Audit{Checked: len(s.completed)}
+	a := Audit{Checked: len(s.completed)}
 	for _, rec := range s.completed {
-		for _, a := range rec.ackedBy {
-			if s.nodes[a].appliedDur[rec.rid] <= rec.seq {
-				s.violation(Violation{
-					Kind: "lost-ack", Node: a, Rid: rec.rid, Seq: rec.seq,
-					Detail: fmt.Sprintf("acked but durable prefix holds only %d", s.nodes[a].appliedDur[rec.rid]),
+		for _, acker := range rec.ackedBy {
+			if held := s.nodes[acker].appliedDur[rec.rid]; held <= rec.seq {
+				a.add(Violation{
+					Kind: "lost-ack", Node: acker, Rid: rec.rid, Seq: rec.seq,
+					Detail: fmt.Sprintf("acked but durable prefix holds only %d", held),
 				})
 			}
 		}
@@ -83,35 +97,55 @@ func (s *fleet) audit() Audit {
 		rid int
 		seq uint64
 	}
+	lossless := !s.cfg.Chaos.Lossy()
 	for _, n := range s.nodes {
 		seen := make(map[rs]bool, len(n.durableOps))
-		last := map[int]uint64{} // per range: 1 + highest seq applied so far
+		next := map[int]uint64{} // per range: the sequence the log must apply next
 		for _, op := range n.durableOps {
 			k := rs{op.rid, op.seq}
 			switch {
 			case seen[k]:
-				s.violation(Violation{
+				a.add(Violation{
 					Kind: "double-apply", Node: n.idx, Rid: op.rid, Seq: op.seq,
 					Detail: "sequence durably applied twice (dedup broken)",
 				})
-			case op.seq+1 < last[op.rid]:
-				s.violation(Violation{
+			case op.seq < next[op.rid]:
+				a.add(Violation{
 					Kind: "order", Node: n.idx, Rid: op.rid, Seq: op.seq,
-					Detail: fmt.Sprintf("durable log regressed below %d", last[op.rid]-1),
+					Detail: fmt.Sprintf("durable log regressed below %d", next[op.rid]-1),
 				})
 			default:
-				last[op.rid] = op.seq + 1
+				if op.seq > next[op.rid] {
+					a.add(Violation{
+						Kind: "order", Node: n.idx, Rid: op.rid, Seq: op.seq,
+						Detail: fmt.Sprintf("durable log skipped: expected seq %d", next[op.rid]),
+					})
+				}
+				next[op.rid] = op.seq + 1
 			}
 			seen[k] = true
 		}
-		if n.state != stateCrashed {
-			if err := n.be.St.Check(); err != nil {
-				s.violation(Violation{
-					Kind: "structure", Node: n.idx,
-					Detail: err.Error(),
+		if n.state == stateCrashed {
+			continue // down for the rest of the run; its durable prefix stands
+		}
+		if err := n.be.St.Check(); err != nil {
+			a.add(Violation{Kind: "structure", Node: n.idx, Detail: err.Error()})
+		}
+		if !lossless {
+			continue
+		}
+		if n.state == stateRecovering {
+			a.add(Violation{Kind: "unrecovered", Node: n.idx, Detail: "never finished catching up"})
+			continue
+		}
+		for _, rid := range s.ring.RangesOwnedBy(n.idx) {
+			if got, want := n.appliedDur[rid], uint64(len(s.rangeLog[rid])); got != want {
+				a.add(Violation{
+					Kind: "short-log", Node: n.idx, Rid: rid,
+					Detail: fmt.Sprintf("%d of %d updates durably applied", got, want),
 				})
 			}
 		}
 	}
-	return s.auditRep
+	return a
 }

@@ -270,7 +270,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate rejects configurations the engine would mis-simulate, on the
+// maxTicks bounds how often one periodic knob (heartbeat-every,
+// rebalance-every) may tick over a run's worst-case span (see Validate).
+const maxTicks = 1 << 16
+
+// Validate rejects configurations the engine would mis-simulate, or whose
+// periodic ticks would make a run's work unbounded, on the
 // defaults-resolved form.
 func (c Config) Validate() error {
 	d := c.withDefaults()
@@ -386,6 +391,27 @@ func (c Config) Validate() error {
 		}
 	} else if d.LeaseCycles > 0 {
 		return fmt.Errorf("cluster: lease cycles need heartbeats (set heartbeat-every)")
+	}
+	if d.HeartbeatEvery > 0 && float64(d.NetRTT)/2*(1+d.NetJitter) >= float64(d.HeartbeatEvery) {
+		// A tick wins its cycle's ties, so beats still in flight at every
+		// tick would keep a drained fleet ticking forever.
+		return fmt.Errorf("cluster: heartbeat-every %d must exceed the longest one-way network delay, %g cycles",
+			d.HeartbeatEvery, float64(d.NetRTT)/2*(1+d.NetJitter))
+	}
+	// Periodic ticks fire for as long as any work is pending, so they cost
+	// in proportion to the span over the period. The worst-case span is
+	// the later of the expected last arrival and the crash/recovery
+	// events, plus a deadline for each try of a request.
+	span := max(float64(d.Requests)*1e6/d.Rate, float64(d.CrashAt)+float64(d.RecoverAfter)) +
+		float64(d.ReqDeadline)*float64(d.RetryMax+1)
+	for _, t := range []struct {
+		knob  string
+		every uint64
+	}{{"heartbeat-every", d.HeartbeatEvery}, {"rebalance-every", d.RebalanceEvery}} {
+		if t.every > 0 && span/float64(t.every) > maxTicks {
+			return fmt.Errorf("cluster: %s %d ticks %.3g times over the worst-case span of %.3g cycles, more than %d",
+				t.knob, t.every, span/float64(t.every), span, maxTicks)
+		}
 	}
 	if d.Chaos.Lossy() {
 		if d.ReqDeadline == 0 {
@@ -629,8 +655,8 @@ type Result struct {
 	// machine counters under "nodeN." prefixes.
 	Metrics obs.Snapshot `json:"metrics,omitempty"`
 
-	// Audit is the invariant checker's report, present only on RunAudited
-	// runs (plain Run fails hard on any breach instead).
+	// Audit is the end-of-run audit's report, present only on RunAudited
+	// runs (Run fails on any violation and otherwise leaves it nil).
 	Audit *Audit `json:"audit,omitempty"`
 }
 
@@ -655,8 +681,6 @@ type fleet struct {
 
 	timers   timerHeap
 	timerSeq uint64
-
-	auditRep Audit
 
 	stats Stats
 	err   error
@@ -719,23 +743,28 @@ func (s *fleet) addTimer(at uint64, kind timerKind, reqID int) {
 	s.timerSeq++
 }
 
-// Run simulates one fleet configuration to completion. Invariant
-// breaches are errors: a violation means the engine (or a deliberately
-// broken knob like BreakDedup) let an acknowledged update escape
-// durability, and a plain run must not return numbers built on that.
+// Run simulates one fleet configuration to completion and audits it.
+// Invariant breaches are errors naming the first Violation: a violation
+// means the engine (or a deliberately broken knob like BreakDedup) let an
+// acknowledged update escape durability, and a plain run must not return
+// numbers built on that. A clean run's Result carries no Audit.
 func Run(cfg Config) (Result, error) {
-	return run(cfg, false)
+	r, err := RunAudited(cfg)
+	if err == nil {
+		err = r.Audit.err()
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	r.Audit = nil
+	return r, nil
 }
 
-// RunAudited is Run with the invariant checker in reporting mode: the
-// no-lost-ack / idempotency / order audit lands in Result.Audit instead
-// of failing the run, so chaos campaigns can count and delta-minimize
-// violations (and negative controls can prove the checker catches them).
-func RunAudited(cfg Config) (Result, error) {
-	return run(cfg, true)
-}
-
-func run(cfg Config, audited bool) (_ Result, err error) {
+// RunAudited is Run with the audit in reporting mode: the same checker's
+// report lands in Result.Audit instead of failing the run, so chaos
+// campaigns can count and delta-minimize violations (and negative
+// controls can prove the checker catches them).
+func RunAudited(cfg Config) (_ Result, err error) {
 	// A log capacity too small for an operation is the config's error.
 	defer txn.RecoverCapacity(&err)
 	s, err := newFleet(cfg)
@@ -745,16 +774,10 @@ func run(cfg Config, audited bool) (_ Result, err error) {
 	if err := s.loop(genArrivals(s.cfg)); err != nil {
 		return Result{}, err
 	}
-	if audited {
-		a := s.audit()
-		r := s.result()
-		r.Audit = &a
-		return r, nil
-	}
-	if err := s.check(); err != nil {
-		return Result{}, err
-	}
-	return s.result(), nil
+	a := s.audit()
+	r := s.result()
+	r.Audit = &a
+	return r, nil
 }
 
 // newFleet validates cfg and builds its fleet: ring, network and every
@@ -1427,9 +1450,9 @@ func (s *fleet) sentinelCommit(n *node, now uint64) {
 				n.appliedDur[it.rid]++
 			} else {
 				// Out-of-order durable apply: only a broken dedup can cause
-				// this. Record it (the durable log keeps the duplicate, so
+				// this. Count it (the durable log keeps the duplicate, so
 				// the audit sees the double apply) instead of erroring, so
-				// the negative control is caught by the checker, not the
+				// the negative control is caught by the audit, not the
 				// engine.
 				s.stats.Misapplies++
 			}
@@ -1701,52 +1724,6 @@ func (s *fleet) rebalance(t uint64) {
 	s.ring.SetPrimary(best, cold)
 	s.stats.Rebalances++
 	s.tl.Instant(obs.TrackCluster, "cluster.rebalance", t)
-}
-
-// check enforces the end-of-run invariants: every live owner has durably
-// applied its ranges' full logs, every node's structure invariants hold,
-// and — the quorum-durability property — every acknowledged update is in
-// the durable prefix of every node whose ack was counted, crashed and
-// rejoined nodes included.
-func (s *fleet) check() error {
-	lossy := s.cfg.Chaos.Lossy()
-	for _, n := range s.nodes {
-		if n.state == stateCrashed {
-			continue // down for the rest of the run; its durable prefix stands
-		}
-		if n.state == stateRecovering {
-			if lossy {
-				continue // catch-up can be starved by drops; un-rejoined is legal
-			}
-			return fmt.Errorf("cluster: node %d never finished catching up", n.idx)
-		}
-		if err := n.be.St.Check(); err != nil {
-			return fmt.Errorf("cluster: node %d after run: %w", n.idx, err)
-		}
-		if lossy {
-			// Full per-owner replication is a kind-world property: a
-			// trailing drop can leave a replica short without violating
-			// anything acknowledged. The audit owns the real invariant.
-			continue
-		}
-		for _, rid := range s.ring.RangesOwnedBy(n.idx) {
-			if got, want := n.appliedDur[rid], uint64(len(s.rangeLog[rid])); got != want {
-				return fmt.Errorf("cluster: node %d range %d: %d of %d updates durably applied", n.idx, rid, got, want)
-			}
-		}
-	}
-	if s.stats.Misapplies > 0 {
-		return fmt.Errorf("cluster: %d out-of-order durable applies (duplicate sequence re-applied: broken dedup)", s.stats.Misapplies)
-	}
-	for _, rec := range s.completed {
-		for _, a := range rec.ackedBy {
-			if s.nodes[a].appliedDur[rec.rid] <= rec.seq {
-				return fmt.Errorf("cluster: quorum durability violated: node %d acked range %d seq %d but durably holds only %d",
-					a, rec.rid, rec.seq, s.nodes[a].appliedDur[rec.rid])
-			}
-		}
-	}
-	return nil
 }
 
 // result assembles the Result from the finished fleet.

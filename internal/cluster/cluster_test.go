@@ -201,6 +201,9 @@ func TestValidateRejects(t *testing.T) {
 		{"crash node out of range", func(c *Config) { c.CrashAt = 1000; c.CrashNode = 3 }, "crash node"},
 		{"recover without crash", func(c *Config) { c.RecoverAfter = 1000 }, "crash"},
 		{"negative log cap", func(c *Config) { c.LogCap = -3 }, "log capacity"},
+		{"heartbeats over a huge deadline", func(c *Config) { c.ReqDeadline = 1e12; c.HeartbeatEvery = 4000 }, "heartbeat-every"},
+		{"rebalances until a far crash", func(c *Config) { c.CrashAt = 1 << 40; c.RebalanceEvery = 4000 }, "rebalance-every"},
+		{"heartbeat tied with one-way delay", func(c *Config) { c.ReqDeadline = 120_000; c.NetJitter = 0; c.HeartbeatEvery = 400 }, "one-way"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -216,6 +219,23 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base.Validate(); err != nil {
 		t.Fatalf("default config rejected: %v", err)
+	}
+}
+
+// TestValidateBoundsTicks: a periodic knob may tick at most maxTicks times
+// over the worst-case span, here the expected arrival span plus two tries
+// of the request deadline.
+func TestValidateBoundsTicks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ReqDeadline, cfg.RetryMax = 1_000_000, 1
+	span := float64(cfg.Requests)*1e6/cfg.Rate + 2*float64(cfg.ReqDeadline)
+	cfg.RebalanceEvery = uint64(math.Ceil(span / maxTicks))
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("rebalancing %d times rejected: %v", maxTicks, err)
+	}
+	cfg.RebalanceEvery--
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "rebalance-every") {
+		t.Fatalf("rebalancing more than %d times: Validate returned %v", maxTicks, err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"specpersist/internal/chaos"
 	"specpersist/internal/core"
 	"specpersist/internal/report"
+	"specpersist/internal/service"
 	"specpersist/internal/sweep"
 )
 
@@ -133,43 +134,9 @@ func (p SweepPoint) Sustains(slo uint64) bool {
 	return st.Dropped == 0 && st.Failed == 0 && st.Unavailable == 0 && p.Result.P99 <= slo
 }
 
-// maxSustainedRate returns the highest offered rate among points meeting
-// the SLO, or 0 if none does.
-func maxSustainedRate(points []SweepPoint, slo uint64) float64 {
-	best := 0.0
-	for _, p := range points {
-		if p.Sustains(slo) && p.Rate > best {
-			best = p.Rate
-		}
-	}
-	return best
-}
-
-// chooseSLO picks the p99 target maximizing the sustained-load gap
-// between the SP points and the baseline points, scanning both sets'
-// observed p99 values as candidates (smallest winning SLO on ties) —
-// the same deterministic rule internal/service's SLO table uses.
-func chooseSLO(sp, base []SweepPoint) uint64 {
-	var candidates []uint64
-	for _, p := range append(append([]SweepPoint{}, sp...), base...) {
-		candidates = append(candidates, p.Result.P99)
-	}
-	if len(candidates) == 0 {
-		return 0
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	if len(sp) == 0 || len(base) == 0 {
-		return candidates[len(candidates)/2]
-	}
-	bestSLO, bestGap := candidates[0], -1.0
-	for _, slo := range candidates {
-		gap := maxSustainedRate(sp, slo) - maxSustainedRate(base, slo)
-		if gap > bestGap {
-			bestGap, bestSLO = gap, slo
-		}
-	}
-	return bestSLO
-}
+// RateP99 returns the point's offered rate and observed p99
+// (service.SLOPoint).
+func (p SweepPoint) RateP99() (float64, uint64) { return p.Rate, p.Result.P99 }
 
 // CapacityTable reduces a sweep to the quorum-capacity figure: per
 // (R, W, K, RTT) cell, the p99 SLO separating the variants most clearly
@@ -213,8 +180,8 @@ func CapacityTable(points []SweepPoint) *report.Table {
 				base = append(base, p)
 			}
 		}
-		slo := chooseSLO(sp, base)
-		b, s := maxSustainedRate(base, slo), maxSustainedRate(sp, slo)
+		slo := service.ChooseSLO(sp, base)
+		b, s := service.MaxSustainedRate(base, slo), service.MaxSustainedRate(sp, slo)
 		gain := "-"
 		if b > 0 {
 			gain = fmt.Sprintf("%+.0f%%", (s/b-1)*100)

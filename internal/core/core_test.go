@@ -122,7 +122,7 @@ func TestWithSSBOverridesSizeOnly(t *testing.T) {
 
 func TestNewFunctionalOptions(t *testing.T) {
 	// Knobs compose onto the Table 2 defaults.
-	sys := New(VariantSP, WithSSB(512), WithCheckpoints(8), WithControllers(2), WithBanks(4))
+	sys := New(VariantSP, WithSSB(512), WithCheckpoints(8), WithControllers(2))
 	cfg := sys.CPU.Config().SP
 	if !cfg.Enabled || cfg.SSBEntries != 512 || cfg.Checkpoints != 8 {
 		t.Fatalf("SP config not applied: %+v", cfg)
@@ -150,7 +150,6 @@ func TestNewRejectsInvalidKnobs(t *testing.T) {
 	cases := map[string]func(){
 		"ssb":         func() { WithSSB(0) },
 		"checkpoints": func() { WithCheckpoints(-1) },
-		"banks":       func() { WithBanks(0) },
 		"controllers": func() { WithControllers(-4) },
 	}
 	for name, f := range cases {

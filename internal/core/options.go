@@ -27,14 +27,6 @@ func WithOptions(o Options) Option {
 	return func(c *sysConfig) { c.opts = o }
 }
 
-// WithBanks sets the NVMM bank count per controller.
-func WithBanks(n int) Option {
-	if n <= 0 {
-		panic(fmt.Sprintf("core: bank count must be positive, got %d", n))
-	}
-	return func(c *sysConfig) { c.opts.Mem.Banks = n }
-}
-
 // WithControllers sets the number of interleaved memory controllers.
 func WithControllers(n int) Option {
 	if n <= 0 {

@@ -395,7 +395,7 @@ func TestRunAllCommitsEverything(t *testing.T) {
 		tb.bld.Store(uint64(0x2000+i*0x40), 8, r, isa.NoReg)
 		tb.barrier(uint64(0x2000 + i*0x40))
 	}
-	st := c.RunAll(tb.buf.Instrs())
+	st := c.Run(trace.SliceSource(tb.buf.Instrs()))
 	if st.Committed != uint64(tb.buf.Len()) {
 		t.Errorf("committed %d of %d", st.Committed, tb.buf.Len())
 	}

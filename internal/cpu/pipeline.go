@@ -687,8 +687,3 @@ func (c *CPU) drainStoreBuffer() bool {
 	c.sbDrainFree = c.now + 1
 	return true
 }
-
-// RunAll is a convenience wrapper running a materialized instruction slice.
-func (c *CPU) RunAll(ins []isa.Instr) Stats {
-	return c.Run(trace.SliceSource(ins))
-}

@@ -68,13 +68,6 @@ func (o Op) IsPMEM() bool {
 	return o == Clwb || o == Clflushopt || o == Clflush || o == Pcommit
 }
 
-// IsFlush reports whether the op writes a cache line back to the memory
-// controller (everything PMEM except pcommit).
-func (o Op) IsFlush() bool { return o == Clwb || o == Clflushopt || o == Clflush }
-
-// IsFence reports whether the op is an ordering fence.
-func (o Op) IsFence() bool { return o == Sfence || o == Mfence }
-
 // Reg is a virtual register. Reg 0 is "no register" / no dependence.
 type Reg uint32
 

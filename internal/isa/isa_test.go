@@ -23,18 +23,18 @@ func TestOpStrings(t *testing.T) {
 
 func TestOpClassifiers(t *testing.T) {
 	type c struct {
-		mem, pmem, flush, fence bool
+		mem, pmem bool
 	}
 	want := map[Op]c{
 		ALU:        {},
 		Load:       {mem: true},
 		Store:      {mem: true},
-		Clwb:       {pmem: true, flush: true},
-		Clflushopt: {pmem: true, flush: true},
-		Clflush:    {pmem: true, flush: true},
+		Clwb:       {pmem: true},
+		Clflushopt: {pmem: true},
+		Clflush:    {pmem: true},
 		Pcommit:    {pmem: true},
-		Sfence:     {fence: true},
-		Mfence:     {fence: true},
+		Sfence:     {},
+		Mfence:     {},
 	}
 	for op, w := range want {
 		if op.IsMemAccess() != w.mem {
@@ -42,12 +42,6 @@ func TestOpClassifiers(t *testing.T) {
 		}
 		if op.IsPMEM() != w.pmem {
 			t.Errorf("%v.IsPMEM() = %v", op, op.IsPMEM())
-		}
-		if op.IsFlush() != w.flush {
-			t.Errorf("%v.IsFlush() = %v", op, op.IsFlush())
-		}
-		if op.IsFence() != w.fence {
-			t.Errorf("%v.IsFence() = %v", op, op.IsFence())
 		}
 	}
 }

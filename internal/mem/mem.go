@@ -159,13 +159,6 @@ func (s *Space) WriteU64(addr uint64, v uint64) {
 	s.Write(addr, b[:])
 }
 
-// ReadLine copies the 64-byte line containing addr into a fresh buffer.
-func (s *Space) ReadLine(addr uint64) []byte {
-	buf := make([]byte, LineSize)
-	s.Read(LineAddr(addr), buf)
-	return buf
-}
-
 // WriteLine overwrites the full line at line-aligned address base.
 func (s *Space) WriteLine(base uint64, src []byte) {
 	if base%LineSize != 0 || len(src) != LineSize {
@@ -184,13 +177,6 @@ func (s *Space) Clone() *Space {
 		c.pages[id] = cp
 	}
 	return c
-}
-
-// CopyLineTo copies the line at line-aligned base from s into dst.
-func (s *Space) CopyLineTo(dst *Space, base uint64) {
-	var buf [LineSize]byte
-	s.Read(base, buf[:])
-	dst.Write(base, buf[:])
 }
 
 // PageCount reports how many backing pages have been materialized.

@@ -173,17 +173,6 @@ func (c *Controller) Pcommit(now uint64) uint64 {
 	return done + c.cfg.AckLat
 }
 
-// PendingAt reports the WPQ occupancy at the given cycle.
-func (c *Controller) PendingAt(now uint64) int {
-	n := 0
-	for _, e := range c.pending {
-		if e.enq <= now && e.done > now {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats returns a copy of the event counters.
 func (c *Controller) Stats() Stats { return c.stats }
 

@@ -93,18 +93,6 @@ func TestWPQCapacityStalls(t *testing.T) {
 	}
 }
 
-func TestPendingAt(t *testing.T) {
-	c := New(testCfg())
-	c.EnqueueWrite(0, 0)
-	c.EnqueueWrite(64, 0)
-	if n := c.PendingAt(10); n != 2 {
-		t.Errorf("PendingAt(10) = %d, want 2", n)
-	}
-	if n := c.PendingAt(301); n != 0 {
-		t.Errorf("PendingAt(301) = %d, want 0", n)
-	}
-}
-
 func TestStatsCounts(t *testing.T) {
 	c := New(testCfg())
 	c.Read(0, 0)

@@ -128,13 +128,23 @@ func (p SweepPoint) Sustains(slo uint64) bool {
 	return p.Result.Stats.Dropped == 0 && p.Result.P99 <= slo
 }
 
+// RateP99 returns the point's offered rate and observed p99 (SLOPoint).
+func (p SweepPoint) RateP99() (float64, uint64) { return p.Rate, p.Result.P99 }
+
+// SLOPoint is one point of a capacity sweep: its offered rate, its
+// observed p99, and its own rule for meeting a p99 SLO.
+type SLOPoint interface {
+	RateP99() (rate float64, p99 uint64)
+	Sustains(slo uint64) bool
+}
+
 // MaxSustainedRate returns the highest offered rate among points (already
 // filtered to one configuration) that meets the SLO, or 0 if none does.
-func MaxSustainedRate(points []SweepPoint, slo uint64) float64 {
+func MaxSustainedRate[P SLOPoint](points []P, slo uint64) float64 {
 	best := 0.0
 	for _, p := range points {
-		if p.Sustains(slo) && p.Rate > best {
-			best = p.Rate
+		if rate, _ := p.RateP99(); p.Sustains(slo) && rate > best {
+			best = rate
 		}
 	}
 	return best
@@ -205,10 +215,11 @@ func SLOTable(points []SweepPoint) *report.Table {
 // between the SP points and the baseline points, scanning the observed
 // p99 values of both sets as candidates (smallest winning SLO on ties).
 // With either set empty it falls back to the other's median p99.
-func ChooseSLO(sp, base []SweepPoint) uint64 {
+func ChooseSLO[P SLOPoint](sp, base []P) uint64 {
 	var candidates []uint64
-	for _, p := range append(append([]SweepPoint{}, sp...), base...) {
-		candidates = append(candidates, p.Result.P99)
+	for _, p := range append(append([]P{}, sp...), base...) {
+		_, p99 := p.RateP99()
+		candidates = append(candidates, p99)
 	}
 	if len(candidates) == 0 {
 		return 0

@@ -346,15 +346,6 @@ func (s *Store) Put(key, val uint64) {
 	s.dirty = true
 }
 
-// Delete removes key from the working set, reporting whether it was present.
-func (s *Store) Delete(key uint64) bool {
-	if _, ok := s.Get(key); !ok {
-		return false
-	}
-	s.deleteKnown(key)
-	return true
-}
-
 // deleteKnown removes a key the caller has verified is present.
 func (s *Store) deleteKnown(key uint64) {
 	nd := s.readNode(s.root, isa.NoReg)
@@ -798,23 +789,6 @@ func sortDiff(d []DiffEntry) {
 			d[j-1], d[j] = b, a
 		}
 	}
-}
-
-// ApplyDiff applies a Diff result to a plain map — the model-side patch
-// operation the property tests use to prove Diff(v1,v2) turns v1 into v2.
-func ApplyDiff(base map[uint64]uint64, d []DiffEntry) map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(base))
-	for k, v := range base {
-		out[k] = v
-	}
-	for _, e := range d {
-		if e.Op == DiffDel {
-			delete(out, e.Key)
-		} else {
-			out[e.Key] = e.Val
-		}
-	}
-	return out
 }
 
 // Check validates the durable committed version (selector self-check,

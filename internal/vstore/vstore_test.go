@@ -9,6 +9,32 @@ import (
 	"specpersist/internal/pmem"
 )
 
+// Delete removes key from the working set, reporting whether it was present.
+func (s *Store) Delete(key uint64) bool {
+	if _, ok := s.Get(key); !ok {
+		return false
+	}
+	s.deleteKnown(key)
+	return true
+}
+
+// ApplyDiff applies a Diff result to a plain map — the model-side patch
+// operation the property tests use to prove Diff(v1,v2) turns v1 into v2.
+func ApplyDiff(base map[uint64]uint64, d []DiffEntry) map[uint64]uint64 {
+	out := make(map[uint64]uint64, len(base))
+	for k, v := range base {
+		out[k] = v
+	}
+	for _, e := range d {
+		if e.Op == DiffDel {
+			delete(out, e.Key)
+		} else {
+			out[e.Key] = e.Val
+		}
+	}
+	return out
+}
+
 // applyRandomOp mutates both the store and the model identically.
 func applyRandomOp(s *Store, model map[uint64]uint64, rng *rand.Rand) {
 	key := uint64(rng.Intn(200))
