@@ -247,5 +247,9 @@ func TestClusterModeExitCodes(t *testing.T) {
 			"-cluster", "-requests", "8", "-warmup", "8", "-log-cap", "1",
 		}, false, "log capacity 1 exceeded"},
 		{"negative undo log", []string{"-cluster", "-log-cap", "-3"}, false, "-log-cap must be non-negative, got -3"},
+		{"beats outlive the period", []string{
+			"-cluster", "-nodes", "4", "-replicas", "3", "-rate", "400", "-requests", "24", "-warmup", "24",
+			"-req-deadline", "120000", "-heartbeat-every", "4000", "-chaos-delay", "0.9", "-chaos-delay-mult", "20",
+		}, false, "chaos-delay 0.9 (x chaos-delay-mult 20)"},
 	})
 }

@@ -392,11 +392,30 @@ func (c Config) Validate() error {
 	} else if d.LeaseCycles > 0 {
 		return fmt.Errorf("cluster: lease cycles need heartbeats (set heartbeat-every)")
 	}
-	if d.HeartbeatEvery > 0 && float64(d.NetRTT)/2*(1+d.NetJitter) >= float64(d.HeartbeatEvery) {
+	oneWay := float64(d.NetRTT) / 2 * (1 + d.NetJitter) // the longest one-way delay
+	if d.HeartbeatEvery > 0 && oneWay >= float64(d.HeartbeatEvery) {
 		// A tick wins its cycle's ties, so beats still in flight at every
 		// tick would keep a drained fleet ticking forever.
 		return fmt.Errorf("cluster: heartbeat-every %d must exceed the longest one-way network delay, %g cycles",
-			d.HeartbeatEvery, float64(d.NetRTT)/2*(1+d.NetJitter))
+			d.HeartbeatEvery, oneWay)
+	}
+	if d.HeartbeatEvery > 0 && d.Chaos != nil {
+		// Beats in flight keep a drained fleet ticking, and every tick
+		// sends N(N-1) more, so a run ends only at a tick whose beats all
+		// land within the period: about (1-late)^-N(N-1) ticks after the
+		// work drains, where late is the share of beats whose fate can
+		// outlive the period.
+		late := 0.0
+		if oneWay*d.Chaos.DelayMult >= float64(d.HeartbeatEvery) {
+			late += d.Chaos.Delay
+		}
+		if oneWay+float64(d.NetRTT) >= float64(d.HeartbeatEvery) {
+			late += d.Chaos.Reorder
+		}
+		if tail := math.Pow(1-late, -float64(d.Nodes*(d.Nodes-1))); tail > maxTicks {
+			return fmt.Errorf("cluster: chaos-delay %g (x chaos-delay-mult %g) and chaos-reorder %g outlive heartbeat-every %d on %d nodes: a drained fleet would tick about %.3g more times, more than %d",
+				d.Chaos.Delay, d.Chaos.DelayMult, d.Chaos.Reorder, d.HeartbeatEvery, d.Nodes, tail, maxTicks)
+		}
 	}
 	// Periodic ticks fire for as long as any work is pending, so they cost
 	// in proportion to the span over the period. The worst-case span is
@@ -553,14 +572,15 @@ type node struct {
 	busy     bool
 	effects  []effect // the timed-ahead run's outcomes not yet applied
 
-	gates      map[int]*rangeGate
-	appliedDur map[int]uint64 // per range: durable in-order applied count
+	gates      []*rangeGate // per range, nil until its first delivery
+	appliedDur []uint64     // per range: durable in-order applied count
 	durableOps []durOp
 
 	hist hist.Histogram // completions collected here (as primary)
 
 	// Failure detection (heartbeat mode): last cycle anything was heard
-	// from each peer, refreshed by every delivered message.
+	// from each peer, raised by every delivered message and by every beat
+	// folded in at a tick (see foldBeats).
 	lastBeat []uint64
 
 	// Catch-up state (stateRecovering only).
@@ -699,6 +719,7 @@ const (
 	evRebalance
 	evArrival
 	evDeliver
+	evBeats // the last liveness beat in flight lands (ordered as a delivery)
 	evTimer
 	evCrash
 	evRecover
@@ -804,8 +825,8 @@ func newFleet(cfg Config) (*fleet, error) {
 	s.registerCounters()
 
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &node{idx: i, gates: map[int]*rangeGate{}, appliedDur: map[int]uint64{},
-			lastBeat: make([]uint64, cfg.Nodes)}
+		n := &node{idx: i, gates: make([]*rangeGate, s.ring.NumRanges()),
+			appliedDur: make([]uint64, s.ring.NumRanges()), lastBeat: make([]uint64, cfg.Nodes)}
 		if err := s.buildMachine(n); err != nil {
 			return nil, err
 		}
@@ -905,6 +926,13 @@ func (s *fleet) span(t uint64) {
 // already totally ordered by (cycle, send sequence). A busy node offers
 // the head of its effect queue under the key its core step would have had
 // (see startRun), so the scan runs once per effect, not once per cycle.
+//
+// Liveness beats in flight offer one key between them, at the latest
+// arrival: like the delivery each one stood for, they keep the periodic
+// ticks firing until they land, and a tick at that cycle still wins the
+// tie. Only the lease check reads a beat, and every tick folds in the
+// beats that landed before it, so the key's own event just folds the
+// rest.
 func (s *fleet) loop(arrivals []request) error {
 	idx := 0
 	var p sched.Pick
@@ -915,6 +943,9 @@ func (s *fleet) loop(arrivals []request) error {
 		}
 		if at, ok := s.net.nextAt(); ok {
 			p.Add(sched.Key{T: at, Kind: evDeliver, Idx: -1})
+		}
+		if len(s.net.beats) > 0 {
+			p.Add(sched.Key{T: s.net.latestBeat, Kind: evBeats, Idx: -1})
 		}
 		if len(s.timers) > 0 {
 			p.Add(sched.Key{T: s.timers[0].at, Kind: evTimer, Idx: -1})
@@ -956,6 +987,8 @@ func (s *fleet) loop(arrivals []request) error {
 			s.arrive(r)
 		case evDeliver:
 			s.deliver(s.net.pop())
+		case evBeats:
+			s.foldBeats(best.T + 1)
 		case evTimer:
 			s.fireTimer(best.T)
 		case evCrash:
@@ -1141,12 +1174,14 @@ func (s *fleet) retransmit(p *pendingReq, t uint64) {
 	}
 }
 
-// heartbeatTick runs the failure-detection round: beats between all up
-// nodes (through the chaos fabric, so partitions starve them), lease
-// checks that move primaryships off silent primaries, gap-repair fetches
-// for live nodes whose gates prove a lost delivery, and catch-up fetch
-// retries for recovering nodes.
+// heartbeatTick runs the failure-detection round: it folds in the beats
+// that landed before the tick, sends the next beats between all up nodes
+// (through the chaos fabric, so partitions starve them), checks leases
+// and moves primaryships off silent primaries, sends gap-repair fetches
+// for live nodes whose gates prove a lost delivery, and retries catch-up
+// fetches for recovering nodes.
 func (s *fleet) heartbeatTick(t uint64) {
+	s.foldBeats(t)
 	for a, na := range s.nodes {
 		if na.state == stateCrashed {
 			continue
@@ -1155,7 +1190,7 @@ func (s *fleet) heartbeatTick(t uint64) {
 			if b == a || nb.state == stateCrashed {
 				continue
 			}
-			s.net.send(&message{from: a, to: b, kind: msgHeartbeat}, t)
+			s.net.beat(a, b, t)
 			s.stats.Heartbeats++
 		}
 	}
@@ -1163,23 +1198,24 @@ func (s *fleet) heartbeatTick(t uint64) {
 	// range's primary for a lease takes the primaryship. The suspect may
 	// be perfectly alive behind a partition or gray window — that wrong
 	// suspicion is counted, and the no-lost-ack audit must survive it.
-	for rid := 0; rid < s.ring.NumRanges(); rid++ {
-		p := s.ring.Primary(rid)
-		for _, o := range s.ring.Owners(rid) {
-			if o == p || s.nodes[o].state != stateLive {
-				continue
+	// Most ticks find every lease fresh, which the N(N-1) (owner, peer)
+	// pairs show without scanning the ranges.
+	if s.anyLeaseExpired(t) {
+		for rid := 0; rid < s.ring.NumRanges(); rid++ {
+			p := s.ring.Primary(rid)
+			for _, o := range s.ring.Owners(rid) {
+				if o == p || s.nodes[o].state != stateLive || !s.leaseExpired(o, p, t) {
+					continue
+				}
+				s.stats.Suspicions++
+				if s.nodes[p].state == stateLive {
+					s.stats.WrongSuspicions++
+				}
+				s.ring.SetPrimary(rid, o)
+				s.stats.Failovers++
+				s.tl.Instant(obs.TrackCluster, "cluster.failover", t)
+				break
 			}
-			if s.nodes[o].lastBeat[p]+s.cfg.LeaseCycles > t {
-				continue
-			}
-			s.stats.Suspicions++
-			if s.nodes[p].state == stateLive {
-				s.stats.WrongSuspicions++
-			}
-			s.ring.SetPrimary(rid, o)
-			s.stats.Failovers++
-			s.tl.Instant(obs.TrackCluster, "cluster.failover", t)
-			break
 		}
 	}
 	// Gap repair: a live node with buffered out-of-order deliveries is
@@ -1214,6 +1250,51 @@ func (s *fleet) heartbeatTick(t uint64) {
 			}
 		}
 	}
+}
+
+// leaseExpired reports whether live node o has heard nothing from peer p
+// for a lease at cycle t.
+func (s *fleet) leaseExpired(o, p int, t uint64) bool {
+	return s.nodes[o].lastBeat[p]+s.cfg.LeaseCycles <= t
+}
+
+// anyLeaseExpired reports whether some live node's lease on some peer has
+// expired at cycle t — the precondition of any failover at a tick.
+func (s *fleet) anyLeaseExpired(t uint64) bool {
+	for o, n := range s.nodes {
+		if n.state != stateLive {
+			continue
+		}
+		for p := range n.lastBeat {
+			if p != o && s.leaseExpired(o, p, t) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// foldBeats folds every beat that landed before cycle t into its
+// receiver's lastBeat, as a max, and keeps the rest in flight. A tick at t
+// folds with t itself: a beat landing at t arrives after the tick, which
+// wins the tie. No receiver filter is needed: nothing reads the lastBeat
+// of a node that is not live, and recoverNode overwrites it with the
+// recovery cycle, which is at least any arrival up to it.
+func (s *fleet) foldBeats(t uint64) {
+	nw := s.net
+	kept := nw.beats[:0]
+	nw.latestBeat = 0
+	for _, b := range nw.beats {
+		if b.at >= t {
+			kept = append(kept, b)
+			nw.latestBeat = max(nw.latestBeat, b.at)
+			continue
+		}
+		if lb := &s.nodes[b.to].lastBeat[b.from]; b.at > *lb {
+			*lb = b.at
+		}
+	}
+	nw.beats = kept
 }
 
 // gateDeliver feeds one sequenced update through node n's per-range
@@ -1270,14 +1351,12 @@ func (s *fleet) gateDeliver(n *node, it item, t uint64) {
 // deliver processes one network message at its delivery cycle.
 func (s *fleet) deliver(m *message) {
 	to := s.nodes[m.to]
-	if to.state != stateCrashed {
-		// Every delivered message doubles as a liveness signal; deliveries
-		// pop in cycle order, so lastBeat is monotonic.
+	if to.state != stateCrashed && m.at > to.lastBeat[m.from] {
+		// Every delivered message doubles as a liveness signal. A max,
+		// like foldBeats, so the two sources of lastBeat commute.
 		to.lastBeat[m.from] = m.at
 	}
 	switch m.kind {
-	case msgHeartbeat:
-		// Nothing beyond the lastBeat refresh above.
 	case msgReplicate:
 		if to.state == stateCrashed {
 			return // lost with the node; catch-up re-fetches it
@@ -1530,7 +1609,7 @@ func (s *fleet) crashNode(idx int, t uint64) {
 	// Volatile state is gone. The run was timed only up to this cycle (see
 	// startRun), so every effect it recorded has already been applied.
 	c.queue, c.inflight, c.busy, c.effects = nil, nil, false, nil
-	c.gates = map[int]*rangeGate{}
+	clear(c.gates)
 
 	if s.detection() {
 		// No oracle knowledge: stranded quorums run into their deadlines,
@@ -1601,7 +1680,7 @@ func (s *fleet) recoverNode(idx int, t uint64) {
 	}
 	c.state = stateRecovering
 	c.recoverAt = t
-	c.gates = map[int]*rangeGate{}
+	clear(c.gates)
 	for i := range c.lastBeat {
 		c.lastBeat[i] = t // a fresh lease for everyone; no instant suspicion
 	}

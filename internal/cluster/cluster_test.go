@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"specpersist/internal/chaos"
 	"specpersist/internal/core"
 )
 
@@ -204,6 +205,14 @@ func TestValidateRejects(t *testing.T) {
 		{"heartbeats over a huge deadline", func(c *Config) { c.ReqDeadline = 1e12; c.HeartbeatEvery = 4000 }, "heartbeat-every"},
 		{"rebalances until a far crash", func(c *Config) { c.CrashAt = 1 << 40; c.RebalanceEvery = 4000 }, "rebalance-every"},
 		{"heartbeat tied with one-way delay", func(c *Config) { c.ReqDeadline = 120_000; c.NetJitter = 0; c.HeartbeatEvery = 400 }, "one-way"},
+		{"delayed beats outlive the period", func(c *Config) {
+			c.Nodes, c.Replicas, c.ReqDeadline, c.HeartbeatEvery = 4, 3, 120_000, 4000
+			c.Chaos = &chaos.Plan{Delay: 0.9, DelayMult: 20}
+		}, "chaos-delay 0.9"},
+		{"reordered beats outlive the period", func(c *Config) {
+			c.Nodes, c.ReqDeadline, c.HeartbeatEvery = 6, 120_000, 1200
+			c.Chaos = &chaos.Plan{Reorder: 0.5}
+		}, "chaos-reorder 0.5"},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -236,6 +245,35 @@ func TestValidateBoundsTicks(t *testing.T) {
 	cfg.RebalanceEvery--
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "rebalance-every") {
 		t.Fatalf("rebalancing more than %d times: Validate returned %v", maxTicks, err)
+	}
+}
+
+// TestValidateBoundsBeatTail: the drain tail of beats whose fate outlives
+// the period is bounded at maxTicks expected ticks. A delay counts only
+// when a spiked beat can reach the next tick, and no chaos campaign trial
+// of the default chaos fleet comes near the bound.
+func TestValidateBoundsBeatTail(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.ReqDeadline, cfg.HeartbeatEvery = 4, 120_000, 4000
+	// 12 beats a tick: (1-late)^-12 = 65536 at late = 1 - 2^(-4/3).
+	edge := 1 - math.Pow(2, -4.0/3)
+	cfg.Chaos = &chaos.Plan{Delay: edge - 1e-9, DelayMult: 9}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("delay %g just under the bound rejected: %v", cfg.Chaos.Delay, err)
+	}
+	cfg.Chaos.Delay = edge + 1e-9
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "heartbeat-every 4000") {
+		t.Fatalf("delay %g just over the bound: Validate returned %v", cfg.Chaos.Delay, err)
+	}
+	cfg.Chaos.DelayMult = 8 // 480 x 8 < 4000: a spiked beat lands before the next tick
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("delays that land within the period rejected: %v", err)
+	}
+	cc := CampaignConfig{Base: DefaultChaosBase(), Seed: 1}
+	for i := 0; i < 500; i++ {
+		if err := TrialConfig(cc, i).Validate(); err != nil {
+			t.Fatalf("chaos trial %d rejected: %v", i, err)
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ func FuzzChaosReplay(f *testing.F) {
 		`{"structure":"HM","variant":4,"rate":50,"crash_at":120000,"recover_after":18446744073709491615}`,
 		`{"structure":"QQ","variant":9,"rate":-1}`,
 		`{"structure":"HM","variant":4,"rate":40,"requests":8,"warmup":8,"req_deadline":120000,"heartbeat_every":400}`,
+		`{"structure":"HM","variant":4,"nodes":4,"replicas":3,"rate":400,"requests":24,"warmup":24,"req_deadline":120000,"heartbeat_every":4000,"chaos":{"seed":1,"delay":0.9,"delay_mult":20}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

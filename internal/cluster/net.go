@@ -11,6 +11,11 @@
 // of (plan seed, message sequence), partitions cut links for cycle windows,
 // and gray windows multiply link latency. The kind path (nil or inert plan)
 // is byte-identical to the pre-chaos fabric.
+//
+// Liveness beats draw their sequence numbers, fates and latencies exactly
+// as messages do (route), but carry nothing a node must react to on
+// arrival: the fleet folds their arrival cycles into the lease state at
+// its next tick. So a beat is a value in a slice, never a heap entry.
 package cluster
 
 import (
@@ -27,7 +32,6 @@ const (
 	msgAck                      // replica -> collector: durable apply of one request
 	msgFetch                    // recovering node -> primary: catch-up batch request
 	msgFetchResp                // primary -> recovering node: catch-up batch
-	msgHeartbeat                // liveness beat (failure-detection mode)
 )
 
 // message is one in-flight network packet.
@@ -60,6 +64,12 @@ func (h msgHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *msgHeap) Push(x any)   { *h = append(*h, x.(*message)) }
 func (h *msgHeap) Pop() any     { old := *h; n := len(old); m := old[n-1]; *h = old[:n-1]; return m }
 
+// beat is one liveness beat in flight: it lands at cycle at.
+type beat struct {
+	at       uint64
+	from, to int
+}
+
 // network is the deterministic message fabric.
 type network struct {
 	seed   int64
@@ -69,6 +79,9 @@ type network struct {
 	seq    uint64
 	q      msgHeap
 	sent   uint64
+
+	beats      []beat // liveness beats in flight, in send order
+	latestBeat uint64 // the latest arrival among beats, 0 when there are none
 
 	// Chaos accounting (all zero on the kind path).
 	chDropped   uint64 // lost to a per-message drop fate
@@ -94,29 +107,29 @@ func (n *network) oneWay(seq uint64) uint64 {
 	return uint64(d)
 }
 
-// send enqueues m for delivery at sentAt + one-way latency, subjecting it
-// to the chaos plan's partition windows and per-message fates. A dropped or
-// cut message still consumes its sequence number, so the fate stream of the
-// surviving traffic is unperturbed by what was lost.
-func (n *network) send(m *message, sentAt uint64) {
-	m.seq = n.seq
+// route draws the fate of one message from -> to sent at cycle sentAt,
+// consuming its sequence number (and its duplicate's, seq+1), and books
+// the sent and chaos counters. It returns the delivery cycle of the
+// message, or 0 when it is lost, and of its duplicate, or 0 when there is
+// none. A dropped or cut message still consumes its sequence number, so
+// the fate stream of the surviving traffic is unperturbed by what was lost.
+func (n *network) route(from, to int, sentAt uint64) (seq, at, dupAt uint64) {
+	seq = n.seq
 	n.seq++
 	n.sent++
 	if !n.plan.Enabled() {
-		m.at = sentAt + n.oneWay(m.seq)
-		heap.Push(&n.q, m)
-		return
+		return seq, sentAt + n.oneWay(seq), 0
 	}
-	if n.plan.Partitioned(m.from, m.to, sentAt) {
+	if n.plan.Partitioned(from, to, sentAt) {
 		n.chCut++
-		return
+		return seq, 0, 0
 	}
-	lat := float64(n.oneWay(m.seq))
-	fate, extra := n.plan.Fate(m.seq)
+	lat := float64(n.oneWay(seq))
+	fate, extra := n.plan.Fate(seq)
 	switch fate {
 	case chaos.FateDrop:
 		n.chDropped++
-		return
+		return seq, 0, 0
 	case chaos.FateDelay:
 		lat *= n.plan.DelayMult
 		n.chDelayed++
@@ -125,17 +138,42 @@ func (n *network) send(m *message, sentAt uint64) {
 		lat += extra * float64(n.rtt)
 		n.chReordered++
 	}
-	slow := n.plan.SlowFactor(m.from, m.to, sentAt)
-	m.at = sentAt + latCycles(lat*slow)
-	heap.Push(&n.q, m)
+	slow := n.plan.SlowFactor(from, to, sentAt)
+	at = sentAt + latCycles(lat*slow)
 	if fate == chaos.FateDup {
 		n.chDupped++
-		cp := *m
-		cp.seq = n.seq
 		n.seq++
 		// The copy takes its own jitter draw but no fate of its own.
-		cp.at = sentAt + latCycles(float64(n.oneWay(cp.seq))*slow)
+		dupAt = sentAt + latCycles(float64(n.oneWay(seq+1))*slow)
+	}
+	return seq, at, dupAt
+}
+
+// send routes m and enqueues each surviving copy for delivery.
+func (n *network) send(m *message, sentAt uint64) {
+	seq, at, dupAt := n.route(m.from, m.to, sentAt)
+	if at == 0 {
+		return
+	}
+	m.seq, m.at = seq, at
+	heap.Push(&n.q, m)
+	if dupAt != 0 {
+		cp := *m
+		cp.seq, cp.at = seq+1, dupAt
 		heap.Push(&n.q, &cp)
+	}
+}
+
+// beat routes one liveness beat from -> to and records the arrival of
+// each surviving copy.
+func (n *network) beat(from, to int, sentAt uint64) {
+	_, at, dupAt := n.route(from, to, sentAt)
+	for _, a := range [2]uint64{at, dupAt} {
+		if a == 0 {
+			continue
+		}
+		n.latestBeat = max(n.latestBeat, a)
+		n.beats = append(n.beats, beat{at: a, from: from, to: to})
 	}
 }
 

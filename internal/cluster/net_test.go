@@ -119,6 +119,64 @@ func TestNetworkChaosFates(t *testing.T) {
 	}
 }
 
+// TestBeatRoutesLikeSend: a beat draws the fate, latency and sequence
+// numbers a message sent in its place would have drawn, so folding beats
+// out of the heap leaves every other message's fate stream unchanged.
+func TestBeatRoutesLikeSend(t *testing.T) {
+	plan := &chaos.Plan{Seed: 5, Drop: 0.1, Dup: 0.2, Delay: 0.1, DelayMult: 10, Reorder: 0.2,
+		Partitions: []chaos.Partition{{From: 300, To: 600, Group: []int{0}}},
+		Grays:      []chaos.Gray{{From: 900, To: 1400, Node: 2, Slow: 6}}}
+	a := newNetwork(42, 800, 0.3, plan)
+	b := newNetwork(42, 800, 0.3, plan)
+	var latest uint64
+	for i := 0; i < 2000; i++ {
+		from, to, at := i%3, (i+1)%3, uint64(i)
+		if i%2 == 0 {
+			a.send(&message{from: from, to: to}, at)
+			b.send(&message{from: from, to: to}, at)
+			continue
+		}
+		a.send(&message{from: from, to: to}, at)
+		b.beat(from, to, at)
+	}
+	if a.seq != b.seq || a.sent != b.sent || a.chDropped != b.chDropped || a.chCut != b.chCut ||
+		a.chDupped != b.chDupped || a.chDelayed != b.chDelayed || a.chReordered != b.chReordered {
+		t.Fatalf("beats and messages drew different fates:\n%+v\n%+v", a, b)
+	}
+	// Every message b sent pops at a's cycle and sequence; every beat
+	// stands for one of a's messages, in send order.
+	beats := b.beats
+	for len(a.q) > 0 {
+		ma := a.pop()
+		if len(b.q) > 0 && b.q[0].seq == ma.seq {
+			if mb := b.pop(); mb.at != ma.at {
+				t.Fatalf("message %d lands at %d, want %d", ma.seq, mb.at, ma.at)
+			}
+			continue
+		}
+		found := false
+		for i, bt := range beats {
+			if bt.at == ma.at && bt.from == ma.from && bt.to == ma.to {
+				beats = append(beats[:i:i], beats[i+1:]...)
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("message %d (%d->%d at %d) has no beat or message in b", ma.seq, ma.from, ma.to, ma.at)
+		}
+	}
+	if len(b.q) != 0 || len(beats) != 0 {
+		t.Fatalf("b holds %d messages and %d beats a does not", len(b.q), len(beats))
+	}
+	for _, bt := range b.beats {
+		latest = max(latest, bt.at)
+	}
+	if b.latestBeat != latest {
+		t.Fatalf("latestBeat %d, want %d", b.latestBeat, latest)
+	}
+}
+
 // TestNetworkPartitionAndGray: partition windows cut exactly the cross-cut
 // messages inside the window, and gray windows stretch latency without
 // losing anything.

@@ -42,9 +42,6 @@ func (c *CPU) Start(src trace.Source) {
 	c.fetchPos = 0
 }
 
-// Finished reports whether all pipeline and persistence state has drained.
-func (c *CPU) Finished() bool { return c.finished() }
-
 // Step advances the simulation by one unit of work: either one busy cycle,
 // or a jump to the next future event when no stage can make progress. It
 // returns false once the core is finished.

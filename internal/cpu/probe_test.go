@@ -32,7 +32,7 @@ func TestProbeDeferredWhileHeadDraining(t *testing.T) {
 	const conflictAddr = 0x8000
 	c.Start(tb.buf)
 	deferred, rolled := false, false
-	for i := 0; i < 200000 && !c.Finished(); i++ {
+	for i := 0; i < 200000 && !c.finished(); i++ {
 		if !deferred {
 			// Wait for the moment the head epoch is mid-commit while the
 			// conflicting address is speculative state.

@@ -26,12 +26,6 @@ const (
 // LineAddr returns the line-aligned base address containing addr.
 func LineAddr(addr uint64) uint64 { return addr &^ uint64(LineSize-1) }
 
-// LineOffset returns the offset of addr within its cache line.
-func LineOffset(addr uint64) int { return int(addr & (LineSize - 1)) }
-
-// SameLine reports whether two addresses fall in the same cache line.
-func SameLine(a, b uint64) bool { return LineAddr(a) == LineAddr(b) }
-
 // LinesSpanned returns the number of cache lines touched by the byte range
 // [addr, addr+size).
 func LinesSpanned(addr uint64, size int) int {
@@ -178,6 +172,3 @@ func (s *Space) Clone() *Space {
 	}
 	return c
 }
-
-// PageCount reports how many backing pages have been materialized.
-func (s *Space) PageCount() int { return len(s.pages) }

@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// LineOffset returns the offset of addr within its cache line.
+func LineOffset(addr uint64) int { return int(addr & (LineSize - 1)) }
+
+// SameLine reports whether two addresses fall in the same cache line.
+func SameLine(a, b uint64) bool { return LineAddr(a) == LineAddr(b) }
+
 func TestLineHelpers(t *testing.T) {
 	tests := []struct {
 		addr     uint64
@@ -141,8 +147,8 @@ func TestCrossPageAccess(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Errorf("cross-page round trip failed: %v vs %v", got, data)
 	}
-	if s.PageCount() != 2 {
-		t.Errorf("PageCount = %d, want 2", s.PageCount())
+	if len(s.pages) != 2 {
+		t.Errorf("%d pages materialized, want 2", len(s.pages))
 	}
 }
 

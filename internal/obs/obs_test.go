@@ -9,7 +9,7 @@ import (
 func TestRegistryCountersAndFuncs(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("a.count")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	var live uint64 = 7
 	r.RegisterFunc("b.live", func() uint64 { return live })

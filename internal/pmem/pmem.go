@@ -184,12 +184,6 @@ func (m *Model) DurableEquals(addr uint64) bool {
 	return v == d
 }
 
-// DirtyLines reports the number of lines dirty in the cache.
-func (m *Model) DirtyLines() int { return len(m.dirty) }
-
-// WPQLines reports the number of line snapshots pending in the controller.
-func (m *Model) WPQLines() int { return len(m.wpq) }
-
 // CrashSource identifies where a line's volatile-only content was sitting
 // when the crash hit: still dirty in the cache, or snapshotted in the
 // controller WPQ.

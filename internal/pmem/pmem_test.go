@@ -38,7 +38,7 @@ func TestClwbOnCleanLineIsNoop(t *testing.T) {
 	m := New()
 	addr := m.AllocLines(1)
 	m.Clwb(addr)
-	if m.WPQLines() != 0 {
+	if len(m.wpq) != 0 {
 		t.Error("clean-line clwb populated WPQ")
 	}
 	st := m.Stats()
@@ -93,7 +93,7 @@ func TestCrashLosesDirtyAndWPQ(t *testing.T) {
 	if got := m.ReadU64(c); got != 0 {
 		t.Errorf("dirty value survived crash: got %d", got)
 	}
-	if m.DirtyLines() != 0 || m.WPQLines() != 0 {
+	if len(m.dirty) != 0 || len(m.wpq) != 0 {
 		t.Error("crash did not clear volatile tracking")
 	}
 }
@@ -183,8 +183,8 @@ func TestMultiLineWrite(t *testing.T) {
 		data[i] = byte(i)
 	}
 	m.Write(addr, data)
-	if m.DirtyLines() != 4 {
-		t.Errorf("DirtyLines = %d, want 4", m.DirtyLines())
+	if len(m.dirty) != 4 {
+		t.Errorf("%d dirty lines, want 4", len(m.dirty))
 	}
 	for i := 0; i < 4; i++ {
 		m.Clwb(addr + uint64(i*mem.LineSize))

@@ -25,9 +25,6 @@ import (
 // (false, the paper's choice and the default) and incremental logging.
 func (t *BTree) SetIncremental(on bool) { t.incremental = on }
 
-// Incremental reports the current insert-logging policy.
-func (t *BTree) Incremental() bool { return t.incremental }
-
 // insertWriteSet returns precisely the existing nodes an insert of key
 // will modify: the leaf it lands on and every full (3-child) ancestor that
 // the split chain escalates through, plus the first non-full ancestor that

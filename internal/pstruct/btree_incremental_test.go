@@ -13,7 +13,7 @@ func TestIncrementalBTreeOracle(t *testing.T) {
 	env, mgr := newFullEnv(t)
 	bt := NewBTree(env, mgr)
 	bt.SetIncremental(true)
-	if !bt.Incremental() {
+	if !bt.incremental {
 		t.Fatal("SetIncremental did not stick")
 	}
 	env.M.PersistAll()

@@ -204,7 +204,6 @@ func (b *Bloom) Hits() uint64 { return b.hits }
 type Checkpoints struct {
 	cap, used int
 	maxUsed   int
-	taken     uint64
 	stalls    uint64
 }
 
@@ -224,7 +223,6 @@ func (c *Checkpoints) Take() bool {
 		return false
 	}
 	c.used++
-	c.taken++
 	if c.used > c.maxUsed {
 		c.maxUsed = c.used
 	}
@@ -247,9 +245,6 @@ func (c *Checkpoints) Cap() int { return c.cap }
 
 // MaxUsed returns the concurrency high-water mark.
 func (c *Checkpoints) MaxUsed() int { return c.maxUsed }
-
-// Taken returns the total checkpoints taken.
-func (c *Checkpoints) Taken() uint64 { return c.taken }
 
 // Stalls returns how many Take attempts found the buffer full.
 func (c *Checkpoints) Stalls() uint64 { return c.stalls }

@@ -193,8 +193,8 @@ func TestCheckpointsLifecycle(t *testing.T) {
 	if !c.Take() {
 		t.Fatal("take after release failed")
 	}
-	if c.MaxUsed() != 2 || c.Taken() != 3 {
-		t.Errorf("MaxUsed=%d Taken=%d", c.MaxUsed(), c.Taken())
+	if c.MaxUsed() != 2 || c.Used() != 2 {
+		t.Errorf("MaxUsed=%d Used=%d", c.MaxUsed(), c.Used())
 	}
 }
 

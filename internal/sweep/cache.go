@@ -73,9 +73,6 @@ func OpenCache(dir string) (*Cache, error) {
 	return &Cache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // entry is the on-disk cache record. Fingerprint is stored alongside the
 // result so a hash collision (or a hand-edited file) is detected instead
 // of silently served.

@@ -131,7 +131,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 
 	// A corrupted entry must read as a miss, not as garbage.
-	path := filepath.Join(c.Dir(), Key(j)+".json")
+	path := filepath.Join(c.dir, Key(j)+".json")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}

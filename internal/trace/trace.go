@@ -109,9 +109,6 @@ func (b *Buffer) NextBlock() []isa.Instr {
 // Len reports the total number of instructions emitted.
 func (b *Buffer) Len() int { return len(b.ins) }
 
-// Remaining reports how many instructions are still unread.
-func (b *Buffer) Remaining() int { return len(b.ins) - b.pos }
-
 // Rewind restarts reading from the beginning.
 func (b *Buffer) Rewind() { b.pos = 0 }
 

@@ -15,8 +15,8 @@ func TestBufferRoundTrip(t *testing.T) {
 	var b Buffer
 	b.Emit(isa.Instr{Op: isa.Sfence})
 	b.Emit(isa.Instr{Op: isa.Pcommit})
-	if b.Len() != 2 || b.Remaining() != 2 {
-		t.Fatalf("Len=%d Remaining=%d", b.Len(), b.Remaining())
+	if b.Len() != 2 || len(b.ins)-b.pos != 2 {
+		t.Fatalf("Len=%d unread=%d", b.Len(), len(b.ins)-b.pos)
 	}
 	in, ok := b.Next()
 	if !ok || in.Op != isa.Sfence {
@@ -30,7 +30,7 @@ func TestBufferRoundTrip(t *testing.T) {
 		t.Fatal("expected exhausted stream")
 	}
 	b.Rewind()
-	if b.Remaining() != 2 {
+	if len(b.ins)-b.pos != 2 {
 		t.Fatal("Rewind did not restore position")
 	}
 	b.Reset()

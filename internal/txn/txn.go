@@ -315,12 +315,6 @@ func (t *Tx) Commit() {
 	t.m.active = nil
 }
 
-// InProgress reports whether the durable state says a transaction was
-// active (logged_bit set). Meaningful after a crash.
-func (m *Manager) InProgress() bool {
-	return m.env.M.ReadU64(m.hdr) != 0
-}
-
 // Recover applies the undo log if logged_bit is set, restoring every logged
 // line's pre-image, persisting the restores, and clearing the bit. It
 // returns true if a rollback was performed.

@@ -11,6 +11,12 @@ import (
 	"specpersist/internal/trace"
 )
 
+// InProgress reports whether the durable state says a transaction was
+// active (logged_bit set). Meaningful after a crash.
+func (m *Manager) InProgress() bool {
+	return m.env.M.ReadU64(m.hdr) != 0
+}
+
 func newEnv(level exec.Level) *exec.Env {
 	e := exec.New()
 	e.Level = level

@@ -644,26 +644,6 @@ func (s *Store) Recover() bool {
 	return changed
 }
 
-// Branch abandons the in-flight changeset and rebases the working set on
-// committed version v. The next Commit still allocates the next linear
-// version number, but its manifest entry records v as the parent — history
-// stays an append-only array, lineage lives in the parent links.
-func (s *Store) Branch(v uint64) error {
-	if v > s.version {
-		return fmt.Errorf("vstore: branch from version %d, only %d committed", v, s.version)
-	}
-	m := s.env.M
-	e := s.entryAddr(v)
-	s.root = m.ReadU64(e + meRoot)
-	s.count = m.ReadU64(e + meCount)
-	s.parent = v
-	s.fresh = s.fresh[:0]
-	clear(s.inflight)
-	s.dirty = false
-	s.stats.Branches++
-	return nil
-}
-
 // Parent returns committed version v's parent version.
 func (s *Store) Parent(v uint64) uint64 {
 	if v > s.version {

@@ -1,6 +1,7 @@
 package vstore
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,6 +9,26 @@ import (
 	"specpersist/internal/exec"
 	"specpersist/internal/pmem"
 )
+
+// Branch abandons the in-flight changeset and rebases the working set on
+// committed version v. The next Commit still allocates the next linear
+// version number, but its manifest entry records v as the parent — history
+// stays an append-only array, lineage lives in the parent links.
+func (s *Store) Branch(v uint64) error {
+	if v > s.version {
+		return fmt.Errorf("vstore: branch from version %d, only %d committed", v, s.version)
+	}
+	m := s.env.M
+	e := s.entryAddr(v)
+	s.root = m.ReadU64(e + meRoot)
+	s.count = m.ReadU64(e + meCount)
+	s.parent = v
+	s.fresh = s.fresh[:0]
+	clear(s.inflight)
+	s.dirty = false
+	s.stats.Branches++
+	return nil
+}
 
 // Delete removes key from the working set, reporting whether it was present.
 func (s *Store) Delete(key uint64) bool {
