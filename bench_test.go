@@ -193,6 +193,13 @@ func BenchmarkFig12(b *testing.B) {
 	}
 }
 
+// ssbOptions is the SP machine with an SSB of the given size.
+func ssbOptions(entries int) *core.Options {
+	o := core.DefaultOptions().For(core.VariantSP)
+	o.CPU.SP.SSBEntries = entries
+	return &o
+}
+
 func BenchmarkFig13(b *testing.B) {
 	// The SSB size sweep: report the gmean overhead at the two paper
 	// design points (128 and 256 entries).
@@ -204,7 +211,7 @@ func BenchmarkFig13(b *testing.B) {
 					Variant: core.VariantBase, Scale: benchScale(), Seed: 1,
 				}).Stats.Cycles
 				r := workload.MustRun(bench, workload.RunConfig{
-					Variant: core.VariantSP, Scale: benchScale(), Seed: 1, SSBEntries: size,
+					Variant: core.VariantSP, Scale: benchScale(), Seed: 1, Options: ssbOptions(size),
 				})
 				ratios = append(ratios, float64(r.Stats.Cycles)/float64(base))
 			}
@@ -226,7 +233,7 @@ func BenchmarkFig13FullSweep(b *testing.B) {
 					Variant: core.VariantBase, Scale: benchScale(), Seed: 1,
 				}).Stats.Cycles
 				r := workload.MustRun(bench, workload.RunConfig{
-					Variant: core.VariantSP, Scale: benchScale(), Seed: 1, SSBEntries: size,
+					Variant: core.VariantSP, Scale: benchScale(), Seed: 1, Options: ssbOptions(size),
 				})
 				ratios = append(ratios, float64(r.Stats.Cycles)/float64(base))
 			}
@@ -246,9 +253,10 @@ func BenchmarkAblationSP(b *testing.B) {
 			var ratios []float64
 			for _, bench := range workload.Table1() {
 				base := s.Get(bench, core.VariantBase).Stats.Cycles
-				sp := p.SP
+				o := core.DefaultOptions()
+				o.CPU.SP = p.SP
 				r := workload.MustRun(bench, workload.RunConfig{
-					Variant: core.VariantSP, Scale: benchScale(), Seed: 1, SPOverride: &sp,
+					Variant: core.VariantSP, Scale: benchScale(), Seed: 1, Options: &o,
 				})
 				ratios = append(ratios, float64(r.Stats.Cycles)/float64(base))
 			}

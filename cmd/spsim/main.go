@@ -344,19 +344,23 @@ func runBench(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	opts := core.DefaultOptions()
+	opts := core.DefaultOptions().For(v)
+	if o.SSB > 0 {
+		opts.CPU.SP.SSBEntries = o.SSB
+	}
+	if o.Checkpoints > 0 {
+		opts.CPU.SP.Checkpoints = o.Checkpoints
+	}
 	if o.Banks > 0 {
 		opts.Mem.Banks = o.Banks
 	}
 	rc := workload.RunConfig{
-		Variant:     v,
-		Scale:       o.Scale,
-		Seed:        o.Seed,
-		SSBEntries:  o.SSB,
-		Checkpoints: o.Checkpoints,
-		OpOverhead:  o.Overhead,
-		Options:     &opts,
-		Timeline:    newTimeline(o),
+		Variant:    v,
+		Scale:      o.Scale,
+		Seed:       o.Seed,
+		OpOverhead: o.Overhead,
+		Options:    &opts,
+		Timeline:   newTimeline(o),
 	}
 	job := workload.Job{Bench: b, Config: rc}
 	if err := job.Validate(); err != nil {

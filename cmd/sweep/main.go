@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"strings"
 
-	"specpersist/internal/cpu"
 	"specpersist/internal/sweep"
 	"specpersist/internal/workload"
 )
@@ -38,17 +37,16 @@ import (
 // metadata (timing, cache hits) deliberately stays out so the file is
 // identical across worker counts and cache states.
 type record struct {
-	Bench       string        `json:"bench"`
-	Variant     string        `json:"variant"`
-	Scale       float64       `json:"scale"`
-	Seed        int64         `json:"seed"`
-	SSB         int           `json:"ssb,omitempty"`
-	Checkpoints int           `json:"checkpoints,omitempty"`
-	Banks       int           `json:"banks,omitempty"`
-	OpOverhead  int           `json:"op_overhead,omitempty"`
-	MaxTraceOps int           `json:"max_trace_ops,omitempty"`
-	SPOverride  *cpu.SPConfig `json:"sp_override,omitempty"`
-	Key         string        `json:"key"`
+	Bench       string  `json:"bench"`
+	Variant     string  `json:"variant"`
+	Scale       float64 `json:"scale"`
+	Seed        int64   `json:"seed"`
+	SSB         int     `json:"ssb,omitempty"`
+	Checkpoints int     `json:"checkpoints,omitempty"`
+	Banks       int     `json:"banks,omitempty"`
+	OpOverhead  int     `json:"op_overhead,omitempty"`
+	MaxTraceOps int     `json:"max_trace_ops,omitempty"`
+	Key         string  `json:"key"`
 
 	Result workload.Result `json:"result"`
 }
@@ -180,23 +178,20 @@ func main() {
 	out := output{Spec: spec, Jobs: make([]record, len(jrs))}
 	for i, jr := range jrs {
 		rc := jr.Job.Config
-		rec := record{
+		m := rc.Machine()
+		out.Jobs[i] = record{
 			Bench:       jr.Job.Bench.Name,
 			Variant:     rc.Variant.String(),
 			Scale:       rc.EffectiveScale(),
 			Seed:        rc.Seed,
-			SSB:         rc.SSBEntries,
-			Checkpoints: rc.Checkpoints,
+			SSB:         m.CPU.SP.SSBEntries,
+			Checkpoints: m.CPU.SP.Checkpoints,
+			Banks:       m.Mem.Banks,
 			OpOverhead:  rc.OpOverhead,
 			MaxTraceOps: rc.MaxTraceOps,
-			SPOverride:  rc.SPOverride,
 			Key:         sweep.Key(jr.Job),
 			Result:      jr.Result,
 		}
-		if rc.Options != nil {
-			rec.Banks = rc.Options.Mem.Banks
-		}
-		out.Jobs[i] = rec
 	}
 	data, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"specpersist/internal/core"
@@ -43,7 +45,7 @@ func TestReplayReproducesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := replaySystem(tc.variant.Speculative(), 256, 4, 1, nil).Run(r)
+		got := replaySystem(options{sp: tc.variant.Speculative(), ssb: 256, checkpoints: 4, controllers: 1}, nil).Run(r)
 		if err := r.Err(); err != nil {
 			t.Fatal(err)
 		}
@@ -76,5 +78,59 @@ func TestRecordTwiceIdentical(t *testing.T) {
 	}
 	if files[0].Len() == 0 || !bytes.Equal(files[0].Bytes(), files[1].Bytes()) {
 		t.Errorf("two recordings differ: %d and %d bytes", files[0].Len(), files[1].Len())
+	}
+}
+
+// TestRunRecordReplay drives the subcommands in-process: a recording
+// replays under the default machine and under an SP machine with every
+// hardware flag set, and info counts what record wrote.
+func TestRunRecordReplay(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ll.sptrace")
+	var out bytes.Buffer
+	if err := run([]string{"record", "-bench", "LL", "-scale", "0.001", "-o", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(out.String(), "recorded ") {
+		t.Errorf("record printed %q", out.String())
+	}
+	for _, args := range [][]string{
+		{"replay", "-i", path},
+		{"replay", "-i", path, "-sp", "-ssb", "128", "-checkpoints", "8", "-controllers", "2"},
+		{"info", "-i", path},
+	} {
+		out.Reset()
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if out.Len() == 0 {
+			t.Errorf("%v printed nothing", args)
+		}
+	}
+}
+
+// TestRunRejects: a subcommand refuses hardware sizes below one, SP sizes
+// without -sp, flags another subcommand reads, positional arguments and
+// unknown subcommands, each with an error naming the cause.
+func TestRunRejects(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "usage"},
+		{[]string{"dump"}, `unknown subcommand "dump"`},
+		{[]string{"replay", "-sp", "-ssb", "0"}, "-ssb must be at least 1, got 0"},
+		{[]string{"replay", "-sp", "-checkpoints", "-1"}, "-checkpoints must be at least 1, got -1"},
+		{[]string{"replay", "-controllers", "0"}, "-controllers must be at least 1, got 0"},
+		{[]string{"replay", "-ssb", "64"}, "-ssb requires -sp"},
+		{[]string{"replay", "-checkpoints", "8"}, "-checkpoints requires -sp"},
+		{[]string{"replay", "-bench", "HM"}, "flags [-bench] do not apply to replay runs"},
+		{[]string{"info", "-sp"}, "flags [-sp] do not apply to info runs"},
+		{[]string{"record", "-i", "x"}, "flags [-i] do not apply to record runs"},
+		{[]string{"replay", "extra"}, "unexpected arguments"},
+	} {
+		err := run(tc.args, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -53,11 +53,11 @@ func main() {
 
 	// 4. Simulate the trace on the paper's Table 2 baseline, then on the
 	//    same machine with Speculative Persistence (SP256).
-	baseline := core.New(core.VariantLogPSf)
+	baseline := core.New(core.DefaultOptions().For(core.VariantLogPSf), nil)
 	tr.Rewind()
 	st1 := baseline.Run(&tr)
 
-	sp := core.New(core.VariantSP)
+	sp := core.New(core.DefaultOptions().For(core.VariantSP), nil)
 	tr.Rewind()
 	st2 := sp.Run(&tr)
 

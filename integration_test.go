@@ -53,7 +53,7 @@ func TestEndToEndFunctionalTimingConsistency(t *testing.T) {
 
 	// Timing model vs emitted trace, for both hardware configurations.
 	for _, v := range []core.Variant{core.VariantLogPSf, core.VariantSP} {
-		sys := core.New(v)
+		sys := core.New(core.DefaultOptions().For(v), nil)
 		tr.Rewind()
 		st := sys.Run(&tr)
 		if st.Committed != uint64(tr.Len()) {

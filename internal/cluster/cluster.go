@@ -56,7 +56,6 @@ import (
 
 	"specpersist/internal/chaos"
 	"specpersist/internal/core"
-	"specpersist/internal/cpu"
 	"specpersist/internal/fault"
 	"specpersist/internal/hist"
 	"specpersist/internal/multicore"
@@ -848,12 +847,9 @@ func MustRun(cfg Config) Result {
 // binds the sentinel commit hook. Used at fleet build and at post-crash
 // rebuild; the durable structure replay is the caller's job.
 func (s *fleet) buildMachine(n *node) error {
-	opts := core.DefaultOptions()
-	if s.cfg.Variant.Speculative() {
-		opts.CPU.SP = cpu.DefaultSPConfig()
-		if s.cfg.SSBEntries > 0 {
-			opts.CPU.SP.SSBEntries = s.cfg.SSBEntries
-		}
+	opts := core.DefaultOptions().For(s.cfg.Variant)
+	if s.cfg.SSBEntries > 0 && opts.CPU.SP.Enabled {
+		opts.CPU.SP.SSBEntries = s.cfg.SSBEntries
 	}
 	sim := multicore.New(multicore.Config{Cores: 1, Options: opts})
 	be, err := service.NewBackend(service.BackendConfig{

@@ -114,6 +114,20 @@ func DefaultOptions() Options {
 	}
 }
 
+// For resolves o for a variant's hardware: a speculative variant gets
+// the paper's SP256 design point unless o already enables SP, whose sizes
+// are then kept, and a non-speculative variant carries no SP hardware even
+// if o enables it. For is idempotent, so every machine builder resolves
+// through it and equal machines compare equal.
+func (o Options) For(v Variant) Options {
+	if !v.Speculative() {
+		o.CPU.SP = cpu.SPConfig{}
+	} else if !o.CPU.SP.Enabled {
+		o.CPU.SP = cpu.DefaultSPConfig()
+	}
+	return o
+}
+
 // System is one simulated machine instance.
 type System struct {
 	MC    memctl.Memory
@@ -124,9 +138,11 @@ type System struct {
 	tl  *obs.Timeline
 }
 
-// newSystem assembles the machine and wires every component into the
-// system's metric registry and (if any) its event timeline.
-func newSystem(o Options, tl *obs.Timeline) *System {
+// New builds the machine o describes; resolve a variant's hardware with
+// o.For(v) first. Every component registers its metrics into the system's
+// Registry, and into tl when it is non-nil (nil leaves cycle-resolved
+// event recording off).
+func New(o Options, tl *obs.Timeline) *System {
 	var mc memctl.Memory
 	if o.Controllers > 1 {
 		mc = memctl.NewMulti(o.Controllers, o.Mem)
@@ -152,7 +168,7 @@ func (s *System) Obs() *obs.Registry { return s.reg }
 // (e.g. "cpu.stall.fence_cycles", "cache.l1.misses", "mem.wpq.stalls").
 func (s *System) Metrics() obs.Snapshot { return s.reg.Snapshot() }
 
-// Timeline returns the event recorder attached via WithTimeline, or nil.
+// Timeline returns the event recorder New attached, or nil.
 func (s *System) Timeline() *obs.Timeline { return s.tl }
 
 // Run simulates a trace to completion.

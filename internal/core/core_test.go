@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"specpersist/internal/cpu"
 	"specpersist/internal/exec"
 	"specpersist/internal/isa"
 	"specpersist/internal/memctl"
@@ -55,15 +56,62 @@ func TestVariantProperties(t *testing.T) {
 	}
 }
 
-func TestNewVariantRules(t *testing.T) {
-	// Non-speculative variants must not carry SP hardware even if an
-	// option enables it.
-	sys := New(VariantLogPSf, WithSSB(128))
-	if sys.CPU == nil || sys.Cache == nil || sys.MC == nil {
-		t.Fatal("system wiring incomplete")
+// forCase is one row of the variant-rule table: Options o resolved for
+// variant v must carry SP hardware want, and New must build that machine.
+type forCase struct {
+	name string
+	o    Options
+	v    Variant
+	want cpu.SPConfig
+}
+
+// checkFor resolves each case through Options.For, checks the SP
+// hardware and that For is idempotent, then builds the machine with New
+// and checks that it honours the SP config and the controller count.
+func checkFor(t *testing.T, cases []forCase) {
+	t.Helper()
+	for _, tc := range cases {
+		got := tc.o.For(tc.v)
+		if got.CPU.SP != tc.want {
+			t.Errorf("%s: SP = %+v, want %+v", tc.name, got.CPU.SP, tc.want)
+		}
+		if again := got.For(tc.v); again != got {
+			t.Errorf("%s: For is not idempotent: %+v then %+v", tc.name, got, again)
+		}
+		sys := New(got, nil)
+		if sys.CPU == nil || sys.Cache == nil || sys.MC == nil {
+			t.Fatalf("%s: system wiring incomplete", tc.name)
+		}
+		if cfg := sys.CPU.Config().SP; cfg != tc.want {
+			t.Errorf("%s: machine SP = %+v, want %+v", tc.name, cfg, tc.want)
+		}
+		multi, ok := sys.MC.(*memctl.Multi)
+		if ok != (tc.o.Controllers > 1) || ok && multi.Controllers() != tc.o.Controllers {
+			t.Errorf("%s: %d controllers not honoured (%T)", tc.name, tc.o.Controllers, sys.MC)
+		}
 	}
-	// SP variant auto-enables SP256 when the options don't.
-	sys = New(VariantSP)
+}
+
+// withSP returns the Table 2 baseline with the SP256 config edited by f.
+func withSP(f func(*cpu.SPConfig)) Options {
+	o := DefaultOptions()
+	o.CPU.SP = cpu.DefaultSPConfig()
+	f(&o.CPU.SP)
+	return o
+}
+
+func TestNewVariantRules(t *testing.T) {
+	sp128 := withSP(func(c *cpu.SPConfig) { c.SSBEntries = 128 })
+	checkFor(t, []forCase{
+		// A non-speculative variant carries no SP hardware, even when o
+		// enables it.
+		{"non-speculative drops SP", sp128, VariantLogPSf, cpu.SPConfig{}},
+		{"Base drops SP", sp128, VariantBase, cpu.SPConfig{}},
+		// A speculative variant defaults to the paper's SP256.
+		{"speculative defaults to SP256", DefaultOptions(), VariantSP, cpu.DefaultSPConfig()},
+	})
+
+	// The resolved SP256 machine speculates on a barrier trace.
 	var tb trace.Buffer
 	bld := trace.NewBuilder(&tb)
 	bld.Store(0x1000, 8, isa.NoReg, isa.NoReg)
@@ -74,16 +122,42 @@ func TestNewVariantRules(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		bld.ALU(0)
 	}
-	st := sys.Run(&tb)
-	if st.SpecEntries == 0 {
+	if st := New(DefaultOptions().For(VariantSP), nil).Run(&tb); st.SpecEntries == 0 {
 		t.Error("SP system never speculated on a barrier trace")
 	}
+}
+
+func TestWithSSBOverridesSizeOnly(t *testing.T) {
+	// Sizing only the SSB keeps the rest of the SP256 preset (4
+	// checkpoints, 512-byte bloom filter) through For.
+	sp512 := withSP(func(c *cpu.SPConfig) { c.SSBEntries = 512 })
+	want := cpu.DefaultSPConfig()
+	want.SSBEntries = 512
+	if want.Checkpoints != 4 || want.BloomBytes != 512 {
+		t.Fatalf("SP256 preset changed: %+v", cpu.DefaultSPConfig())
+	}
+	checkFor(t, []forCase{{"preset sizes survive", sp512, VariantSP, want}})
+}
+
+func TestNewFunctionalOptions(t *testing.T) {
+	// SP sizes and the controller count set on Options compose onto the
+	// Table 2 defaults and reach the machine New builds.
+	sized := withSP(func(c *cpu.SPConfig) { c.SSBEntries, c.Checkpoints = 512, 8 })
+	sized.Controllers = 2
+	four := DefaultOptions()
+	four.Controllers = 4
+	checkFor(t, []forCase{
+		{"SP sizes and controllers applied", sized, VariantSP, sized.CPU.SP},
+		{"non-speculative drops sized SP", sized, VariantLogPSf, cpu.SPConfig{}},
+		{"speculative defaults to SP256", four, VariantSP, cpu.DefaultSPConfig()},
+		{"controllers kept without SP", four, VariantBase, cpu.SPConfig{}},
+	})
 }
 
 func TestMultiControllerSystem(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Controllers = 4
-	sys := New(VariantBase, WithOptions(opts))
+	sys := New(opts.For(VariantBase), nil)
 	var tb trace.Buffer
 	bld := trace.NewBuilder(&tb)
 	// Writes interleave across controllers; a pcommit must cover all.
@@ -108,65 +182,9 @@ func TestMultiControllerSystem(t *testing.T) {
 	}
 }
 
-func TestWithSSBOverridesSizeOnly(t *testing.T) {
-	c := sysConfig{opts: DefaultOptions()}
-	WithSSB(512)(&c)
-	o := c.opts
-	if !o.CPU.SP.Enabled || o.CPU.SP.SSBEntries != 512 {
-		t.Errorf("WithSSB: %+v", o.CPU.SP)
-	}
-	if o.CPU.SP.Checkpoints != 4 || o.CPU.SP.BloomBytes != 512 {
-		t.Error("WithSSB changed unrelated SP parameters")
-	}
-}
-
-func TestNewFunctionalOptions(t *testing.T) {
-	// Knobs compose onto the Table 2 defaults.
-	sys := New(VariantSP, WithSSB(512), WithCheckpoints(8), WithControllers(2))
-	cfg := sys.CPU.Config().SP
-	if !cfg.Enabled || cfg.SSBEntries != 512 || cfg.Checkpoints != 8 {
-		t.Fatalf("SP config not applied: %+v", cfg)
-	}
-	// A non-speculative variant never carries SP hardware, even when an
-	// option enabled it.
-	sys = New(VariantLogPSf, WithSSB(512))
-	if sys.CPU.Config().SP.Enabled {
-		t.Fatal("Log+P+Sf system carries SP hardware")
-	}
-	// A speculative variant defaults to the paper's SP256 design point.
-	sys = New(VariantSP)
-	if got := sys.CPU.Config().SP.SSBEntries; got != 256 {
-		t.Fatalf("default SP SSB = %d, want 256", got)
-	}
-	// WithOptions is the bridge from an assembled Options value.
-	o := DefaultOptions()
-	o.Controllers = 4
-	if New(VariantBase, WithOptions(o)).MC.(*memctl.Multi).Controllers() != 4 {
-		t.Fatal("WithOptions lost the controller count")
-	}
-}
-
-func TestNewRejectsInvalidKnobs(t *testing.T) {
-	cases := map[string]func(){
-		"ssb":         func() { WithSSB(0) },
-		"checkpoints": func() { WithCheckpoints(-1) },
-		"controllers": func() { WithControllers(-4) },
-	}
-	for name, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: invalid value did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestSystemMetricsAndTimeline(t *testing.T) {
 	tl := obs.NewTimeline(1 << 10)
-	sys := New(VariantSP, WithTimeline(tl))
+	sys := New(DefaultOptions().For(VariantSP), tl)
 	if sys.Timeline() != tl {
 		t.Fatal("Timeline() accessor lost the recorder")
 	}

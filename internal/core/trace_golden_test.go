@@ -45,7 +45,7 @@ func tinyBarrierTrace() *trace.Buffer {
 //	go test ./internal/core -run Golden -update
 func TestTimelineGoldenTrace(t *testing.T) {
 	tl := obs.NewTimeline(1 << 12)
-	sys := New(VariantSP, WithTimeline(tl))
+	sys := New(DefaultOptions().For(VariantSP), tl)
 	sys.Run(tinyBarrierTrace())
 
 	var buf bytes.Buffer

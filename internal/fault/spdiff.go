@@ -32,13 +32,13 @@ import (
 func SPDifferential(structure string, seed int64, warmup, ops int) error {
 	buf, candidates := materializeTrace(structure, seed, warmup, ops)
 
-	baseSys := core.New(core.VariantLogPSf)
+	baseSys := core.New(core.DefaultOptions().For(core.VariantLogPSf), nil)
 	baseSys.CPU.EnableCommitLog()
 	buf.Rewind()
 	baseSys.Run(buf)
 	baseLog := baseSys.CPU.CommitLog()
 
-	spSys := core.New(core.VariantSP)
+	spSys := core.New(core.DefaultOptions().For(core.VariantSP), nil)
 	spSys.CPU.EnableCommitLog()
 	rolled := false
 	spSys.CPU.OnCycle(func(c *cpu.CPU) {
@@ -121,7 +121,7 @@ func materializeTrace(structure string, seed int64, warmup, ops int) (*trace.Buf
 func SPDifferentialReal(structure string, seed int64, warmup, ops int) error {
 	buf, candidates := materializeTrace(structure, seed, warmup, ops)
 
-	baseSys := core.New(core.VariantLogPSf)
+	baseSys := core.New(core.DefaultOptions().For(core.VariantLogPSf), nil)
 	baseSys.CPU.EnableCommitLog()
 	buf.Rewind()
 	baseStats := baseSys.Run(buf)

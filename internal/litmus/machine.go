@@ -123,11 +123,11 @@ func buildTraces(pl *plan) []*trace.Buffer {
 // engine (one core per thread, shared memory controller, real coherence
 // probes between cores) and extracts each core's canonical effect stream.
 func runMachine(pl *plan, m Mode) (*machineRun, error) {
-	opts := core.DefaultOptions()
+	v := core.VariantLogPSf
 	if m.SP {
-		opts.CPU.SP = cpu.DefaultSPConfig()
+		v = core.VariantSP
 	}
-	sim := multicore.New(multicore.Config{Cores: len(pl.p.Threads), Options: opts})
+	sim := multicore.New(multicore.Config{Cores: len(pl.p.Threads), Options: core.DefaultOptions().For(v)})
 	for i := 0; i < sim.Cores(); i++ {
 		sim.Core(i).EnableCommitLog()
 	}

@@ -46,9 +46,7 @@ type Config struct {
 
 // DefaultConfig returns a 2-core SP machine at the Table 2 design point.
 func DefaultConfig() Config {
-	o := core.DefaultOptions()
-	o.CPU.SP = cpu.DefaultSPConfig()
-	return Config{Cores: 2, Options: o}
+	return Config{Cores: 2, Options: core.DefaultOptions().For(core.VariantSP)}
 }
 
 // Stats aggregates the conflict engine's counters plus each core's stats.

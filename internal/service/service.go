@@ -48,7 +48,6 @@ import (
 	"math/rand"
 
 	"specpersist/internal/core"
-	"specpersist/internal/cpu"
 	"specpersist/internal/hist"
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
@@ -388,12 +387,9 @@ func Run(cfg Config) (_ Result, err error) {
 	}
 	cfg = cfg.withDefaults()
 
-	opts := core.DefaultOptions()
-	if cfg.Variant.Speculative() {
-		opts.CPU.SP = cpu.DefaultSPConfig()
-		if cfg.SSBEntries > 0 {
-			opts.CPU.SP.SSBEntries = cfg.SSBEntries
-		}
+	opts := core.DefaultOptions().For(cfg.Variant)
+	if cfg.SSBEntries > 0 && opts.CPU.SP.Enabled {
+		opts.CPU.SP.SSBEntries = cfg.SSBEntries
 	}
 	sim := multicore.New(multicore.Config{Cores: cfg.Cores, Options: opts, Timeline: cfg.Timeline})
 	if debugRefStepping {

@@ -71,9 +71,6 @@ func NewSSB(capacity int) *SSB {
 	return &SSB{cap: capacity, lat: SSBLatency(capacity)}
 }
 
-// Cap returns the capacity.
-func (s *SSB) Cap() int { return s.cap }
-
 // Latency returns the CAM+RAM access latency in cycles.
 func (s *SSB) Latency() uint64 { return s.lat }
 
@@ -239,9 +236,6 @@ func (c *Checkpoints) Release() {
 
 // Used returns the live checkpoint count.
 func (c *Checkpoints) Used() int { return c.used }
-
-// Cap returns the capacity.
-func (c *Checkpoints) Cap() int { return c.cap }
 
 // MaxUsed returns the concurrency high-water mark.
 func (c *Checkpoints) MaxUsed() int { return c.maxUsed }

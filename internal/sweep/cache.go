@@ -28,7 +28,9 @@ import (
 //
 // Forking each run from a shared populated image (workload.NewGenerator)
 // needed no bump: every Result, Metrics included, is byte-identical.
-const schemaVersion = 4
+//
+// v5: the job fingerprint carries SP sizes only in the resolved Options.
+const schemaVersion = 5
 
 // DefaultCacheDir is where sweeps cache results unless told otherwise.
 const DefaultCacheDir = ".sweepcache"

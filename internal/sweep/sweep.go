@@ -122,19 +122,23 @@ func Plan(spec Spec) ([]workload.Job, error) {
 					for _, ck := range ckpts {
 						for _, bank := range banks {
 							for _, oh := range overheads {
+								opts := core.DefaultOptions().For(v)
+								if ssb > 0 {
+									opts.CPU.SP.SSBEntries = ssb
+								}
+								if ck > 0 {
+									opts.CPU.SP.Checkpoints = ck
+								}
+								if bank > 0 {
+									opts.Mem.Banks = bank
+								}
 								rc := workload.RunConfig{
 									Variant:     v,
 									Scale:       spec.Scale,
 									Seed:        seed,
-									SSBEntries:  ssb,
-									Checkpoints: ck,
+									Options:     &opts,
 									OpOverhead:  oh,
 									MaxTraceOps: spec.MaxTraceOps,
-								}
-								if bank > 0 {
-									opts := core.DefaultOptions()
-									opts.Mem.Banks = bank
-									rc.Options = &opts
 								}
 								j := workload.Job{Bench: b, Config: rc}.Normalize()
 								if err := j.Validate(); err != nil {

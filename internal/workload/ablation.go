@@ -44,21 +44,13 @@ func AblationPoints() []AblationPoint {
 	}
 }
 
-// ablationJob is one benchmark under one SP design point.
-func (s *Suite) ablationJob(b Bench, spc cpu.SPConfig) Job {
-	j := s.job(b, core.VariantSP)
-	sp := spc
-	j.Config.SPOverride = &sp
-	return j
-}
-
 // Ablation runs every ablation point over the Table 1 benchmarks and
 // reports the gmean overhead vs Base for each.
 func (s *Suite) Ablation() *report.Table {
 	jobs := s.grid(core.VariantBase, core.VariantLogP, core.VariantLogPSf)
 	for _, p := range AblationPoints() {
 		for _, b := range Table1() {
-			jobs = append(jobs, s.ablationJob(b, p.SP))
+			jobs = append(jobs, s.spJob(b, p.SP))
 		}
 	}
 	s.prime(jobs)
@@ -71,7 +63,7 @@ func (s *Suite) Ablation() *report.Table {
 		var ratios []float64
 		for _, b := range Table1() {
 			base := s.Get(b, core.VariantBase).Stats.Cycles
-			r := s.get(s.ablationJob(b, p.SP))
+			r := s.get(s.spJob(b, p.SP))
 			ratios = append(ratios, float64(r.Stats.Cycles)/float64(base))
 		}
 		t.AddRow(p.Name, report.Pct(report.GeoMeanOverhead(ratios)), p.Desc)
@@ -91,9 +83,9 @@ func (s *Suite) Ablation() *report.Table {
 // checkpointJob is one benchmark under SP with an overridden
 // checkpoint-buffer size.
 func (s *Suite) checkpointJob(b Bench, n int) Job {
-	j := s.job(b, core.VariantSP)
-	j.Config.Checkpoints = n
-	return j
+	spc := cpu.DefaultSPConfig()
+	spc.Checkpoints = n
+	return s.spJob(b, spc)
 }
 
 // CheckpointSweep measures gmean SP overhead for checkpoint buffer sizes

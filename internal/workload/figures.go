@@ -244,8 +244,17 @@ func (s *Suite) Fig12() *report.Table {
 
 // ssbJob is the Figure 13 job: SP at a specific SSB size.
 func (s *Suite) ssbJob(b Bench, entries int) Job {
+	spc := cpu.DefaultSPConfig()
+	spc.SSBEntries = entries
+	return s.spJob(b, spc)
+}
+
+// spJob is one benchmark under SP with the given SP hardware.
+func (s *Suite) spJob(b Bench, spc cpu.SPConfig) Job {
 	j := s.job(b, core.VariantSP)
-	j.Config.SSBEntries = entries
+	o := core.DefaultOptions()
+	o.CPU.SP = spc
+	j.Config.Options = &o
 	return j
 }
 

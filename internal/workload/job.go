@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"specpersist/internal/core"
-	"specpersist/internal/cpu"
 )
 
 // Job pairs one Table 1 benchmark with one run configuration: the unit of
@@ -40,9 +39,9 @@ func (j Job) Validate() error {
 }
 
 // Normalize resolves defaults and zeroes knobs the configuration ignores,
-// so equivalent jobs compare (and fingerprint) equal: non-speculative
-// variants drop the SP knobs, and an SPOverride supersedes the individual
-// SSB/checkpoint overrides.
+// so equivalent jobs compare (and fingerprint) equal: Options becomes the
+// resolved machine (RunConfig.Machine), so a non-speculative variant drops
+// any SP hardware and a speculative one spells SP256 out.
 func (j Job) Normalize() Job {
 	rc := j.Config
 	rc.Scale = rc.EffectiveScale()
@@ -50,46 +49,8 @@ func (j Job) Normalize() Job {
 	if rc.OpOverhead == 0 {
 		rc.OpOverhead = -1 // keep "disabled" distinct from "default"
 	}
-	if opts := rc.Options; opts == nil {
-		def := core.DefaultOptions()
-		rc.Options = &def
-	} else {
-		o := *opts
-		rc.Options = &o
-	}
-	if rc.Variant.Speculative() {
-		// An SPOverride that only changes the sizing knobs is the same
-		// machine as the knob form; canonicalize to the knobs so the
-		// two spellings share one cache entry.
-		if sp := rc.SPOverride; sp != nil && sp.SSBEntries > 0 && sp.Checkpoints > 0 {
-			probe := *sp
-			def := cpu.DefaultSPConfig()
-			probe.SSBEntries = def.SSBEntries
-			probe.Checkpoints = def.Checkpoints
-			if probe == def {
-				rc.SSBEntries = sp.SSBEntries
-				rc.Checkpoints = sp.Checkpoints
-				rc.SPOverride = nil
-			}
-		}
-		if rc.SPOverride != nil {
-			sp := *rc.SPOverride
-			rc.SPOverride = &sp
-			rc.SSBEntries = 0
-			rc.Checkpoints = 0
-		} else {
-			if rc.SSBEntries == 0 {
-				rc.SSBEntries = cpu.DefaultSPConfig().SSBEntries
-			}
-			if rc.Checkpoints == 0 {
-				rc.Checkpoints = cpu.DefaultSPConfig().Checkpoints
-			}
-		}
-	} else {
-		rc.SSBEntries = 0
-		rc.Checkpoints = 0
-		rc.SPOverride = nil
-	}
+	m := rc.Machine()
+	rc.Options = &m
 	if !rc.Variant.Transactional() {
 		rc.IncrementalBT = false
 	}
@@ -108,9 +69,6 @@ type fingerprintView struct {
 	Scale         float64
 	Seed          int64
 	Options       core.Options
-	SSBEntries    int
-	Checkpoints   int
-	SPOverride    *cpu.SPConfig
 	IncrementalBT bool
 	MaxTraceOps   int
 	OpOverhead    int
@@ -128,9 +86,6 @@ func (j Job) Fingerprint() string {
 		Scale:         n.Config.Scale,
 		Seed:          n.Config.Seed,
 		Options:       *n.Config.Options,
-		SSBEntries:    n.Config.SSBEntries,
-		Checkpoints:   n.Config.Checkpoints,
-		SPOverride:    n.Config.SPOverride,
 		IncrementalBT: n.Config.IncrementalBT,
 		MaxTraceOps:   n.Config.MaxTraceOps,
 		OpOverhead:    n.Config.OpOverhead,
@@ -146,14 +101,8 @@ func (j Job) Fingerprint() string {
 // output and error messages.
 func (j Job) Label() string {
 	s := fmt.Sprintf("%s/%s seed=%d scale=%g", j.Bench.Name, j.Config.Variant, j.Config.Seed, j.Config.EffectiveScale())
-	if j.Config.SSBEntries > 0 {
-		s += fmt.Sprintf(" ssb=%d", j.Config.SSBEntries)
-	}
-	if j.Config.Checkpoints > 0 {
-		s += fmt.Sprintf(" ckpt=%d", j.Config.Checkpoints)
-	}
-	if j.Config.SPOverride != nil {
-		s += " sp-override"
+	if sp := j.Config.Machine().CPU.SP; sp.Enabled {
+		s += fmt.Sprintf(" ssb=%d ckpt=%d", sp.SSBEntries, sp.Checkpoints)
 	}
 	return s
 }

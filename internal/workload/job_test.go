@@ -42,40 +42,23 @@ func TestFingerprintCanonicalizesDefaults(t *testing.T) {
 	b, _ := FindBench("LL")
 	plain := Job{Bench: b, Config: RunConfig{Variant: core.VariantSP, Scale: 0.01, Seed: 1}}
 
-	// Spelling out the default SSB/checkpoint sizes is the same machine.
-	knobs := plain
-	knobs.Config.SSBEntries = cpu.DefaultSPConfig().SSBEntries
-	knobs.Config.Checkpoints = cpu.DefaultSPConfig().Checkpoints
-	if plain.Fingerprint() != knobs.Fingerprint() {
-		t.Error("explicit default knobs changed the fingerprint")
+	// Spelling out the SP256 design point is the same machine.
+	def := core.DefaultOptions()
+	def.CPU.SP = cpu.DefaultSPConfig()
+	explicit := plain
+	explicit.Config.Options = &def
+	if plain.Fingerprint() != explicit.Fingerprint() {
+		t.Error("explicit SP256 options changed the fingerprint")
 	}
 
-	// An SPOverride equal to the default config is the same machine.
-	def := cpu.DefaultSPConfig()
-	override := plain
-	override.Config.SPOverride = &def
-	if plain.Fingerprint() != override.Fingerprint() {
-		t.Error("default SPOverride changed the fingerprint")
-	}
-
-	// An SPOverride that only resizes the checkpoint buffer matches the
-	// knob spelling.
-	ck2 := cpu.DefaultSPConfig()
-	ck2.Checkpoints = 2
-	viaOverride := plain
-	viaOverride.Config.SPOverride = &ck2
-	viaKnob := plain
-	viaKnob.Config.Checkpoints = 2
-	if viaOverride.Fingerprint() != viaKnob.Fingerprint() {
-		t.Error("checkpoint-only SPOverride does not match the knob form")
-	}
-
-	// Non-speculative variants ignore the SP knobs entirely.
+	// Non-speculative variants ignore the SP hardware entirely.
 	base := Job{Bench: b, Config: RunConfig{Variant: core.VariantBase, Scale: 0.01, Seed: 1}}
 	baseSSB := base
-	baseSSB.Config.SSBEntries = 512
+	ssb := def
+	ssb.CPU.SP.SSBEntries = 512
+	baseSSB.Config.Options = &ssb
 	if base.Fingerprint() != baseSSB.Fingerprint() {
-		t.Error("SSB knob leaked into a Base fingerprint")
+		t.Error("SSB size leaked into a Base fingerprint")
 	}
 
 	// Explicit default options match nil options.
@@ -94,8 +77,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 		"seed":     func(j *Job) { j.Config.Seed = 2 },
 		"scale":    func(j *Job) { j.Config.Scale = 0.02 },
 		"variant":  func(j *Job) { j.Config.Variant = core.VariantLogPSf },
-		"ssb":      func(j *Job) { j.Config.SSBEntries = 32 },
-		"ckpt":     func(j *Job) { j.Config.Checkpoints = 2 },
+		"ssb":      func(j *Job) { j.Config.Options.CPU.SP.SSBEntries = 32 },
+		"ckpt":     func(j *Job) { j.Config.Options.CPU.SP.Checkpoints = 2 },
 		"overhead": func(j *Job) { j.Config.OpOverhead = 10 },
 		"maxops":   func(j *Job) { j.Config.MaxTraceOps = 5 },
 		"banks": func(j *Job) {
@@ -107,6 +90,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	for name, mutate := range mutations {
 		j := base
+		sp := core.DefaultOptions().For(core.VariantSP)
+		j.Config.Options = &sp
 		mutate(&j)
 		if j.Fingerprint() == base.Fingerprint() {
 			t.Errorf("mutation %q did not change the fingerprint", name)

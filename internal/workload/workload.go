@@ -65,16 +65,11 @@ type RunConfig struct {
 	// Seed drives the operation key stream (same seed => same functional
 	// work across variants).
 	Seed int64
-	// Options configures the simulated machine; zero value means the
-	// Table 2 defaults (with SP256 for VariantSP).
+	// Options configures the simulated machine; nil means the Table 2
+	// defaults. Either way the run resolves it for the variant
+	// (core.Options.For), so a speculative variant gets SP256 unless the
+	// Options enable SP at other sizes (Figure 13 sweeps, ablations).
 	Options *core.Options
-	// SSBEntries overrides the SP store-buffer size (Figure 13 sweeps).
-	SSBEntries int
-	// Checkpoints overrides the SP checkpoint count (ablations).
-	Checkpoints int
-	// SPOverride, when non-nil, replaces the entire SP hardware
-	// configuration for VariantSP runs (ablation studies).
-	SPOverride *cpu.SPConfig
 	// IncrementalBT switches the B-tree benchmark to incremental logging
 	// (the §3.2 alternative the paper rejects); ignored elsewhere.
 	IncrementalBT bool
@@ -91,6 +86,16 @@ type RunConfig struct {
 	// so it is deliberately excluded from the job fingerprint — but note
 	// that a cached sweep result therefore arrives with an empty timeline.
 	Timeline *obs.Timeline
+}
+
+// Machine returns the machine the run simulates: Options, or the Table 2
+// defaults, resolved for the variant.
+func (rc RunConfig) Machine() core.Options {
+	o := core.DefaultOptions()
+	if rc.Options != nil {
+		o = *rc.Options
+	}
+	return o.For(rc.Variant)
 }
 
 // DefaultOpOverhead approximates the serial application work per operation
@@ -401,30 +406,7 @@ func Run(b Bench, rc RunConfig) (Result, error) {
 	}
 	src.next = gen.Next
 
-	opts := core.DefaultOptions()
-	if rc.Options != nil {
-		opts = *rc.Options
-	}
-	if rc.Variant.Speculative() {
-		// The knobs resolve against the paper's SP design point, replacing
-		// any SP config the Options carried (SPOverride wins outright).
-		spc := cpu.DefaultSPConfig()
-		if rc.SSBEntries > 0 {
-			spc.SSBEntries = rc.SSBEntries
-		}
-		opts.CPU.SP = spc
-		if rc.Checkpoints > 0 {
-			opts.CPU.SP.Checkpoints = rc.Checkpoints
-		}
-		if rc.SPOverride != nil {
-			opts.CPU.SP = *rc.SPOverride
-		}
-	}
-	copts := []core.Option{core.WithOptions(opts)}
-	if rc.Timeline != nil {
-		copts = append(copts, core.WithTimeline(rc.Timeline))
-	}
-	sys := core.New(rc.Variant, copts...)
+	sys := core.New(rc.Machine(), rc.Timeline)
 	// Fold the functional layers into the system registry so one snapshot
 	// covers the whole run.
 	gen.env.M.Register(sys.Obs())

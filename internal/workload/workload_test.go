@@ -118,7 +118,9 @@ func TestSSBSweepRuns(t *testing.T) {
 	b, _ := FindBench("LL")
 	for _, n := range []int{32, 256} {
 		rc := tinyRC(core.VariantSP)
-		rc.SSBEntries = n
+		o := core.DefaultOptions().For(core.VariantSP)
+		o.CPU.SP.SSBEntries = n
+		rc.Options = &o
 		r := MustRun(b, rc)
 		if r.Stats.SSBMaxUsed > n {
 			t.Errorf("SSB used %d of %d", r.Stats.SSBMaxUsed, n)
@@ -129,7 +131,9 @@ func TestSSBSweepRuns(t *testing.T) {
 func TestCheckpointOverride(t *testing.T) {
 	b, _ := FindBench("LL")
 	rc := tinyRC(core.VariantSP)
-	rc.Checkpoints = 2
+	o := core.DefaultOptions().For(core.VariantSP)
+	o.CPU.SP.Checkpoints = 2
+	rc.Options = &o
 	r := MustRun(b, rc)
 	if r.Stats.CheckpointsMaxUsed > 2 {
 		t.Errorf("checkpoints used %d of 2", r.Stats.CheckpointsMaxUsed)
@@ -168,11 +172,14 @@ func TestAblationPointsComplete(t *testing.T) {
 	}
 }
 
+// TestSPOverrideApplies: SP hardware set in Options overrides the SP256
+// default of a speculative run.
 func TestSPOverrideApplies(t *testing.T) {
 	b, _ := FindBench("LL")
-	sp := AblationPoints()[3].SP // no-delay
+	o := core.DefaultOptions()
+	o.CPU.SP = AblationPoints()[3].SP // no-delay
 	rc := tinyRC(core.VariantSP)
-	rc.SPOverride = &sp
+	rc.Options = &o
 	r := MustRun(b, rc)
 	if r.Stats.DelayedPMEMOps != 0 {
 		t.Errorf("no-delay override still delayed %d PMEM ops", r.Stats.DelayedPMEMOps)

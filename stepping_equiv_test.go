@@ -68,7 +68,7 @@ func materializeEquivTrace(t *testing.T, structure string, seed int64, warmup, o
 // runEquiv replays buf on a fresh system, optionally under the reference
 // scheduler, and returns everything observable about the run.
 func runEquiv(v core.Variant, buf *trace.Buffer, ref bool) (cpu.Stats, []cpu.CommitEvent, obs.Snapshot) {
-	sys := core.New(v)
+	sys := core.New(core.DefaultOptions().For(v), nil)
 	sys.CPU.SetReferenceStepping(ref)
 	sys.CPU.EnableCommitLog()
 	buf.Rewind()
@@ -122,7 +122,7 @@ func TestSteppingEquivalenceChainRollback(t *testing.T) {
 		for _, chain := range []int{200, 1600} {
 			buf, lines := materializeEquivTrace(t, name, 29, 64, 12, chain)
 			run := func(ref bool) (cpu.Stats, []cpu.CommitEvent, obs.Snapshot) {
-				sys := core.New(core.VariantSP)
+				sys := core.New(core.DefaultOptions().For(core.VariantSP), nil)
 				sys.CPU.SetReferenceStepping(ref)
 				sys.CPU.EnableCommitLog()
 				buf.Rewind()
@@ -167,7 +167,7 @@ func TestSteppingEquivalenceChainRollback(t *testing.T) {
 func TestSteppingEquivalenceForcedRollback(t *testing.T) {
 	buf, lines := materializeEquivTrace(t, "HM", 17, 64, 16, 0)
 	run := func(ref bool) (cpu.Stats, []cpu.CommitEvent, obs.Snapshot) {
-		sys := core.New(core.VariantSP)
+		sys := core.New(core.DefaultOptions().For(core.VariantSP), nil)
 		sys.CPU.SetReferenceStepping(ref)
 		sys.CPU.EnableCommitLog()
 		rolled := false
