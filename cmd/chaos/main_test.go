@@ -77,6 +77,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := os.WriteFile(tinyLog, []byte(`{"structure":"HM","variant":4,"rate":50,"requests":8,"warmup":8,"log_cap":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	fencedSSB := filepath.Join(t.TempDir(), "fenced-ssb.json")
+	if err := os.WriteFile(fencedSSB, []byte(`{"structure":"HM","variant":3,"rate":50,"requests":8,"warmup":8,"ssb_entries":64}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
@@ -92,6 +96,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative shrink budget", []string{"-shrink-budget", "-1"}, "-shrink-budget must be non-negative"},
 		{"campaign flag on a replay", []string{"-replay", wrapping, "-trials", "5"}, "flags [-trials] do not apply to -replay runs"},
 		{"replay config with a one-entry undo log", []string{"-replay", tinyLog}, "log capacity 1 exceeded"},
+		{"replay config sizing an SSB on Log+P+Sf", []string{"-replay", fencedSSB}, "ssb_entries 64"},
 	}
 	for _, tc := range cases {
 		var out bytes.Buffer

@@ -11,12 +11,11 @@ import (
 	"specpersist/internal/chaos"
 	"specpersist/internal/cli"
 	"specpersist/internal/cluster"
-	"specpersist/internal/core"
 )
 
 // buildClusterConfig assembles and validates the fleet configuration.
 func buildClusterConfig(o options) (cluster.Config, error) {
-	v, err := core.ParseVariant(o.Variant)
+	s, err := serving(o)
 	if err != nil {
 		return cluster.Config{}, err
 	}
@@ -28,29 +27,12 @@ func buildClusterConfig(o options) (cluster.Config, error) {
 		return cluster.Config{}, err
 	}
 	cfg := cluster.DefaultConfig()
-	cfg.Structure = o.Bench
-	cfg.Variant = v
+	cfg.Serving = s
 	cfg.Nodes = o.Nodes
 	cfg.Replicas = o.Replicas
 	cfg.Quorum = o.Quorum
 	cfg.VNodes = o.VNodes
-	cfg.Rate = o.Rate
-	if o.Requests != 0 {
-		cfg.Requests = o.Requests
-	}
-	cfg.Warmup = o.Warmup
-	if o.QueueCap != 0 {
-		cfg.QueueCap = o.QueueCap
-	}
-	cfg.BatchMax = o.Batch
-	cfg.BatchDeadline = uint64(o.Deadline)
-	cfg.GetFrac = o.GetFrac
-	if o.Keyspace != 0 {
-		cfg.Keyspace = o.Keyspace
-	}
 	cfg.ZipfS = o.Zipf
-	cfg.OpOverhead = o.Overhead
-	cfg.LogCap = o.LogCap
 	if o.NetRTT > 0 {
 		cfg.NetRTT = uint64(o.NetRTT)
 	}
@@ -62,8 +44,6 @@ func buildClusterConfig(o options) (cluster.Config, error) {
 	cfg.CrashNode = o.CrashNode
 	cfg.RecoverAfter = uint64(o.RecoverAfter)
 	cfg.RebalanceEvery = uint64(o.RebalanceEvery)
-	cfg.Seed = o.Seed
-	cfg.SSBEntries = o.SSB
 	cfg.Chaos = plan
 	cfg.ReqDeadline = uint64(o.ReqDeadline)
 	cfg.RetryMax = o.RetryMax
@@ -110,7 +90,6 @@ func runCluster(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	cfg.Timeline = newTimeline(o)
 	runOne := cluster.Run
 	if o.Audit {
 		runOne = cluster.RunAudited

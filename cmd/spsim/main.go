@@ -60,12 +60,14 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 
 	"specpersist/internal/chaos"
 	"specpersist/internal/cli"
 	"specpersist/internal/core"
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
+	"specpersist/internal/service"
 	"specpersist/internal/workload"
 )
 
@@ -82,18 +84,13 @@ type options struct {
 	List             bool
 
 	Service, Vstore bool
-	Rate            float64
-	Process         string
-	BurstFrac       float64
-	BurstPeriod     int64
-	Requests        int
-	Warmup          int
-	QueueCap        int
-	Batch           int
-	Deadline        int64
-	GetFrac         float64
-	Keyspace        int
-	LogCap          int
+	// Serving holds the request knobs whose flags bind straight into it;
+	// serving adds the rest.
+	Serving     service.Serving
+	Process     string
+	BurstFrac   float64
+	BurstPeriod int64
+	Deadline    int64
 
 	Cluster        bool
 	Nodes          int
@@ -160,8 +157,8 @@ func newFlags(o *options) *cli.Set {
 	fs.String(&o.Variant, "variant", "SP", simulated&^multicoreMode, "variant: Base, Log, Log+P, Log+P+Sf, SP")
 	fs.Float64(&o.Scale, "scale", workload.DefaultScale, benchMode, "scale factor for Table 1 op counts (1.0 = paper)")
 	fs.Int64(&o.Seed, "seed", 1, simulated, "operation stream seed")
-	fs.Int(&o.SSB, "ssb", 0, simulated, "SSB entries for SP (0 = 256)")
-	fs.Int(&o.Checkpoints, "checkpoints", 0, benchMode|multicoreMode, "checkpoint buffer entries for SP (0 = 4)")
+	fs.Int(&o.SSB, "ssb", 0, simulated, "SSB entries for SP (0 = 256)").Min(0)
+	fs.Int(&o.Checkpoints, "checkpoints", 0, benchMode|multicoreMode, "checkpoint buffer entries for SP (0 = 4)").Min(0)
 	fs.Int(&o.Overhead, "op-overhead", 0, simulated, "per-op application preamble length (0 = default, -1 = none)")
 	fs.Int(&o.Banks, "banks", 0, benchMode|multicoreMode, "NVMM banks (0 = default)")
 	fs.Bool(&o.JSON, "json", false, simulated, "emit the result as JSON")
@@ -172,20 +169,20 @@ func newFlags(o *options) *cli.Set {
 	serving := serviceMode | vstoreMode
 	fs.Bool(&o.Service, "service", false, serviceMode, "run the storage-server simulation (open-loop arrivals, group commit, tail latency)")
 	fs.Bool(&o.Vstore, "vstore", false, vstoreMode, "run the storage-server simulation over the versioned COW tree store (changeset commit, time-travel reads)")
-	fs.Float64(&o.Rate, "rate", 50, served, "service: offered load in requests per million cycles")
+	fs.Float64(&o.Serving.Rate, "rate", 50, served, "service: offered load in requests per million cycles")
 	fs.String(&o.Process, "process", "poisson", serving, "service: arrival process (poisson, bursty)")
 	fs.Float64(&o.BurstFrac, "burst-frac", 0, serving, "service: bursty ON fraction of each period (0 = default 0.25)")
 	fs.Int64(&o.BurstPeriod, "burst-period", 0, serving, "service: bursty ON+OFF period in cycles (0 = default 32768)").Min(0)
-	fs.Int(&o.Requests, "requests", 0, served, "service: offered request count (0 = default 256)")
-	fs.Int(&o.Warmup, "warmup", 128, served, "service: functional warmup operations per shard")
-	fs.Int(&o.QueueCap, "queue-cap", 0, served, "service: per-shard FIFO bound (0 = default 64)")
+	fs.Int(&o.Serving.Requests, "requests", 0, served, "service: offered request count (0 = default 256)")
+	fs.Int(&o.Serving.Warmup, "warmup", 128, served, "service: functional warmup operations per shard")
+	fs.Int(&o.Serving.QueueCap, "queue-cap", 0, served, "service: per-shard FIFO bound (0 = default 64)")
 	// The engines read 0 as "default" for -batch, -nodes and -vnodes, but
 	// the flag defaults are already explicit, so a 0 here is a mistake.
-	fs.Int(&o.Batch, "batch", 1, served, "service: group-commit limit K (1 = no grouping)").Min(1)
+	fs.Int(&o.Serving.BatchMax, "batch", 1, served, "service: group-commit limit K (1 = no grouping)").Min(1)
 	fs.Int64(&o.Deadline, "batch-deadline", 0, served, "service: cycles the queue head waits for co-batching").Min(0)
-	fs.Float64(&o.GetFrac, "get-frac", 0.25, served, "service: fraction of read-only get requests")
-	fs.Int(&o.Keyspace, "keyspace", 0, served, "service: request key range (0 = default 128)")
-	fs.Int(&o.LogCap, "log-cap", 0, serviceMode|clusterMode, "service: per-shard undo-log capacity (0 = structure default)").Min(0)
+	fs.Float64(&o.Serving.GetFrac, "get-frac", 0.25, served, "service: fraction of read-only get requests")
+	fs.Int(&o.Serving.Keyspace, "keyspace", 0, served, "service: request key range (0 = default 128)")
+	fs.Int(&o.Serving.LogCap, "log-cap", 0, serviceMode|clusterMode, "service: per-shard undo-log capacity (0 = structure default)").Min(0)
 
 	fs.Bool(&o.Cluster, "cluster", false, clusterMode, "run the replicated-fleet simulation (sharding, quorum durability, failover)")
 	fs.Int(&o.Nodes, "nodes", 3, clusterMode, "cluster: fleet size").Min(1)
@@ -343,6 +340,16 @@ func runBench(w io.Writer, o options) error {
 	v, err := core.ParseVariant(o.Variant)
 	if err != nil {
 		return err
+	}
+	var sized []string
+	if o.SSB != 0 {
+		sized = append(sized, "-ssb")
+	}
+	if o.Checkpoints != 0 {
+		sized = append(sized, "-checkpoints")
+	}
+	if len(sized) > 0 && !v.Speculative() {
+		return fmt.Errorf("%s: variant %s has no SP hardware to size", strings.Join(sized, ", "), v)
 	}
 	opts := core.DefaultOptions().For(v)
 	if o.SSB > 0 {

@@ -13,32 +13,36 @@ import (
 	"specpersist/internal/service"
 )
 
+// serving is the one request-side value the -service, -vstore and
+// -cluster modes start from: the knobs bound straight into o.Serving plus
+// those the other modes share or that need a conversion, and the
+// -timeline ring.
+func serving(o options) (service.Serving, error) {
+	v, err := core.ParseVariant(o.Variant)
+	if err != nil {
+		return service.Serving{}, err
+	}
+	s := o.Serving
+	s.Structure, s.Variant, s.Seed = o.Bench, v, o.Seed
+	s.SSBEntries, s.OpOverhead = o.SSB, o.Overhead
+	s.BatchDeadline = uint64(o.Deadline)
+	s.Timeline = newTimeline(o)
+	return s, nil
+}
+
 // servingConfig assembles and validates the storage-server configuration
 // the -service and -vstore modes share.
 func servingConfig(o options) (service.Config, error) {
-	v, err := core.ParseVariant(o.Variant)
+	s, err := serving(o)
 	if err != nil {
 		return service.Config{}, err
 	}
 	cfg := service.Config{
-		Structure:     o.Bench,
-		Variant:       v,
-		Cores:         o.Cores,
-		Rate:          o.Rate,
-		Process:       service.Process(o.Process),
-		BurstOnFrac:   o.BurstFrac,
-		BurstPeriod:   uint64(o.BurstPeriod),
-		Requests:      o.Requests,
-		Warmup:        o.Warmup,
-		QueueCap:      o.QueueCap,
-		BatchMax:      o.Batch,
-		BatchDeadline: uint64(o.Deadline),
-		GetFrac:       o.GetFrac,
-		Keyspace:      o.Keyspace,
-		OpOverhead:    o.Overhead,
-		LogCap:        o.LogCap,
-		Seed:          o.Seed,
-		SSBEntries:    o.SSB,
+		Serving:     s,
+		Cores:       o.Cores,
+		Process:     service.Process(o.Process),
+		BurstOnFrac: o.BurstFrac,
+		BurstPeriod: uint64(o.BurstPeriod),
 	}
 	if err := cfg.Validate(); err != nil {
 		return service.Config{}, err
@@ -52,7 +56,6 @@ func runService(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	cfg.Timeline = newTimeline(o)
 	res, err := service.Run(cfg)
 	if err != nil {
 		return err

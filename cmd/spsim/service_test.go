@@ -107,9 +107,11 @@ func TestServiceModeExitCodes(t *testing.T) {
 }
 
 // TestRejectsFlagsForeignToMode: every mode rejects the flags it does not
-// read, and every flag set without the flag it requires, naming them; each
-// of these runs used to ignore them silently.
+// read, every flag set without the flag it requires, and SP hardware sizes
+// below zero or on a non-speculative variant, naming them; each of these
+// runs used to ignore them silently.
 func TestRejectsFlagsForeignToMode(t *testing.T) {
+	fenced := []string{"-bench", "LL", "-variant", "Log+P+Sf", "-scale", "0.002"}
 	checkRuns(t, []runCase{
 		{"fleet size on a benchmark run", []string{"-bench", "LL", "-nodes", "5"}, false, "flags [-nodes] do not apply to -bench runs"},
 		{"chaos on a benchmark run", []string{"-bench", "LL", "-nodes", "5", "-chaos-drop", "0.5"}, false, "flags [-chaos-drop -nodes] do not apply to -bench runs"},
@@ -119,5 +121,13 @@ func TestRejectsFlagsForeignToMode(t *testing.T) {
 		{"service flags on a listing", []string{"-list", "-rate", "3"}, false, "flags [-rate] do not apply to -list runs"},
 		{"positional argument", []string{"-bench", "LL", "extra"}, false, "unexpected arguments"},
 		{"timeline capacity without a timeline", []string{"-bench", "LL", "-timeline-cap", "5"}, false, "-timeline-cap requires -timeline"},
+		{"ssb on a fenced benchmark run", append(fenced, "-ssb", "64"), false, "-ssb: variant Log+P+Sf has no SP hardware"},
+		{"checkpoints on a fenced benchmark run", append(fenced, "-checkpoints", "2"), false, "-checkpoints: variant Log+P+Sf has no SP hardware"},
+		{"ssb on a fenced service run", []string{"-service", "-variant", "Log+P+Sf", "-ssb", "64"}, false, "ssb_entries 64"},
+		{"ssb on a fenced vstore run", []string{"-vstore", "-variant", "Log+P+Sf", "-ssb", "64"}, false, "ssb_entries 64"},
+		{"ssb on a fenced cluster run", []string{"-cluster", "-variant", "Log+P", "-ssb", "64"}, false, "ssb_entries 64"},
+		{"negative ssb on an SP benchmark run", []string{"-bench", "LL", "-ssb", "-5"}, false, "-ssb must be non-negative, got -5"},
+		{"negative checkpoints on a multi-core run", []string{"-cores", "2", "-checkpoints", "-3"}, false, "-checkpoints must be non-negative, got -3"},
+		{"ssb on an SP service run", []string{"-service", "-rate", "800", "-requests", "16", "-warmup", "16", "-ssb", "64"}, true, "service"},
 	})
 }

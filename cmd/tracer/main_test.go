@@ -123,6 +123,8 @@ func TestRunRejects(t *testing.T) {
 		{[]string{"replay", "-controllers", "0"}, "-controllers must be at least 1, got 0"},
 		{[]string{"replay", "-ssb", "64"}, "-ssb requires -sp"},
 		{[]string{"replay", "-checkpoints", "8"}, "-checkpoints requires -sp"},
+		{[]string{"replay", "-sp=false", "-ssb", "64"}, "-ssb requires -sp"},
+		{[]string{"replay", "-sp=false", "-checkpoints", "8"}, "-checkpoints requires -sp"},
 		{[]string{"replay", "-bench", "HM"}, "flags [-bench] do not apply to replay runs"},
 		{[]string{"info", "-sp"}, "flags [-sp] do not apply to info runs"},
 		{[]string{"record", "-i", "x"}, "flags [-i] do not apply to record runs"},

@@ -288,18 +288,6 @@ func (h *Hierarchy) Flush(addr uint64, now uint64, evict bool) uint64 {
 	return h.mc.EnqueueWrite(lineAddr, now+lat)
 }
 
-// Present reports whether the line containing addr is cached at any level
-// (testing helper).
-func (h *Hierarchy) Present(addr uint64) bool {
-	lineAddr := mem.LineAddr(addr)
-	for _, l := range h.levels() {
-		if l.lookup(lineAddr) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Dirty reports whether the line containing addr is dirty at any level
 // (testing helper).
 func (h *Hierarchy) Dirty(addr uint64) bool {

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 
+	"specpersist/internal/mem"
 	"specpersist/internal/memctl"
 )
 
@@ -188,4 +189,16 @@ func TestBadGeometryPanics(t *testing.T) {
 		}
 	}()
 	newLevel(LevelConfig{SizeBytes: 192, Ways: 1, Latency: 1}, &LevelStats{})
+}
+
+// Present reports whether the line containing addr is cached at any level
+// (testing helper).
+func (h *Hierarchy) Present(addr uint64) bool {
+	lineAddr := mem.LineAddr(addr)
+	for _, l := range h.levels() {
+		if l.lookup(lineAddr) >= 0 {
+			return true
+		}
+	}
+	return false
 }

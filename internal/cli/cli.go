@@ -42,7 +42,7 @@ func (d *Decl) Min(v int64) *Decl {
 }
 
 // Requires makes setting the flag explicitly an error unless flag name
-// is set explicitly too.
+// is set explicitly too, to true or to a non-empty value.
 func (d *Decl) Requires(name string) *Decl {
 	d.requires = name
 	return d
@@ -142,7 +142,7 @@ func (s *Set) Check(mode Mode) error {
 		if d.modes&mode == 0 {
 			foreign = append(foreign, "-"+f.Name)
 		}
-		if needs == nil && d.requires != "" && len(s.Given(d.requires)) == 0 {
+		if needs == nil && d.requires != "" && !s.on(d.requires) {
 			needs = fmt.Errorf("-%s requires -%s", f.Name, d.requires)
 		}
 	})
@@ -153,6 +153,21 @@ func (s *Set) Check(mode Mode) error {
 		return fmt.Errorf("flags %v do not apply to %s runs", foreign, s.modes[bits.TrailingZeros(uint(mode))])
 	}
 	return needs
+}
+
+// on reports whether flag name was set explicitly to true or to a
+// non-empty value.
+func (s *Set) on(name string) bool {
+	if len(s.Given(name)) == 0 {
+		return false
+	}
+	switch v := s.Lookup(name).Value.(flag.Getter).Get().(type) {
+	case bool:
+		return v
+	case string:
+		return v != ""
+	}
+	return true
 }
 
 // Exit is the campaign exit contract: violations fail a run, unless

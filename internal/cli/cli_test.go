@@ -23,6 +23,8 @@ type opts struct {
 	jsonOut bool
 	out     string
 	outCap  int
+	verbose bool
+	level   int
 }
 
 func newTestSet(o *opts) *Set {
@@ -34,12 +36,15 @@ func newTestSet(o *opts) *Set {
 	s.Bool(&o.jsonOut, "json", false, runMode|replayMode, "json")
 	s.String(&o.out, "out", "", runMode, "output file")
 	s.Int(&o.outCap, "out-cap", 8, runMode, "output capacity").Min(1).Requires("out")
+	s.Bool(&o.verbose, "verbose", false, runMode, "verbose")
+	s.Int(&o.level, "level", 1, runMode, "verbosity level").Requires("verbose")
 	return s
 }
 
 // TestCheck: bounds apply to explicitly set flags, before the mode check;
 // a mode check names every foreign flag, sorted, with the mode's name; a
-// flag that requires another is rejected without it, after both.
+// flag that requires another is rejected, after both, unless the other is
+// set to true or to a non-empty value.
 func TestCheck(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -56,6 +61,10 @@ func TestCheck(t *testing.T) {
 		{[]string{"-replay", "f"}, runMode, "flags [-replay] do not apply to campaign runs"},
 		{[]string{"-out", "f", "-out-cap", "3"}, runMode, ""},
 		{[]string{"-out-cap", "3"}, runMode, "-out-cap requires -out"},
+		{[]string{"-out", "", "-out-cap", "3"}, runMode, "-out-cap requires -out"},
+		{[]string{"-verbose", "-level", "3"}, runMode, ""},
+		{[]string{"-verbose=false", "-level", "3"}, runMode, "-level requires -verbose"},
+		{[]string{"-level", "3"}, runMode, "-level requires -verbose"},
 		{[]string{"-out-cap", "0"}, runMode, "-out-cap must be at least 1, got 0"},
 		{[]string{"-replay", "f", "-out-cap", "3"}, replayMode, "flags [-out-cap] do not apply to -replay runs"},
 	} {

@@ -13,7 +13,7 @@ func finishedFleet(t *testing.T, cfg Config) *fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.loop(genArrivals(s.cfg)); err != nil {
+	if err := s.loop(s.cfg.arrivals()); err != nil {
 		t.Fatal(err)
 	}
 	if a := s.audit(); !a.Clean() {

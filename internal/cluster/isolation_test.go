@@ -6,6 +6,7 @@ import (
 
 	"specpersist/internal/core"
 	"specpersist/internal/sched"
+	"specpersist/internal/service"
 )
 
 // commitRec is one sentinel commit as the event loop sees it: the key the
@@ -57,7 +58,7 @@ func TestNodeRunIsolation(t *testing.T) {
 				var at uint64
 				for i, k := range primaryKeys(s, n.idx, 10) {
 					at = uint64(i) * 100
-					s.arrive(request{id: i, at: at, key: k})
+					s.arrive(i, service.Arrival{At: at, Op: service.Op{Key: k}})
 				}
 				if len(n.queue) < 2*cfg.BatchMax {
 					t.Fatalf("node %d queued only %d items", n.idx, len(n.queue))
@@ -101,7 +102,7 @@ func TestNodeRunIsolation(t *testing.T) {
 				switch step % 3 {
 				case 0:
 					if next < len(extra) {
-						b.arrive(request{id: 1000 + step, at: c.Now(), key: extra[next]})
+						b.arrive(1000+step, service.Arrival{At: c.Now(), Op: service.Op{Key: extra[next]}})
 						next++
 					}
 				case 1:

@@ -207,17 +207,10 @@ func (e *Env) StoreU64(addr uint64, v uint64, dataDep, addrDep isa.Reg) {
 	e.B.Store(addr, 8, dataDep, addrDep)
 }
 
-// LoadBytes reads n bytes at addr, emitting one load per 8-byte chunk. The
-// returned register is the last chunk's destination (a dependence handle
-// for consumers of the data). The buffer is freshly allocated; hot paths
-// that read into the same buffer every call use LoadBytesInto.
-func (e *Env) LoadBytes(addr uint64, n int, addrDep isa.Reg) ([]byte, isa.Reg) {
-	buf := make([]byte, n)
-	return buf, e.LoadBytesInto(buf, addr, addrDep)
-}
-
-// LoadBytesInto is LoadBytes reading into a caller-owned buffer (len(dst)
-// bytes), so a reused scratch buffer costs no allocation per call.
+// LoadBytesInto reads len(dst) bytes at addr into dst, emitting one load
+// per 8-byte chunk, and returns the last chunk's destination register (a
+// dependence handle for consumers of the data). A reused scratch buffer
+// costs no allocation per call.
 func (e *Env) LoadBytesInto(dst []byte, addr uint64, addrDep isa.Reg) isa.Reg {
 	n := len(dst)
 	e.M.Read(addr, dst)
@@ -248,9 +241,6 @@ func (e *Env) StoreBytes(addr uint64, src []byte, dataDep, addrDep isa.Reg) {
 // Compute emits a 1-cycle ALU operation consuming deps (key comparison,
 // address arithmetic, hash step, ...) and returns its result register.
 func (e *Env) Compute(deps ...isa.Reg) isa.Reg { return e.B.ALU(0, deps...) }
-
-// ComputeLat emits an ALU operation with explicit latency.
-func (e *Env) ComputeLat(lat int, deps ...isa.Reg) isa.Reg { return e.B.ALU(lat, deps...) }
 
 // Clwb writes back the line containing addr, subject to the variant level.
 func (e *Env) Clwb(addr uint64) {

@@ -195,7 +195,7 @@ func TestComputeEmitsALU(t *testing.T) {
 	if c == isa.NoReg {
 		t.Error("Compute returned no register")
 	}
-	c2 := e.ComputeLat(3, c)
+	c2 := e.B.ALU(3, c)
 	if c2 == isa.NoReg {
 		t.Error("ComputeLat returned no register")
 	}
@@ -264,4 +264,10 @@ func TestWithHookRestoresAcrossPanic(t *testing.T) {
 	}
 	// Must not panic now.
 	e.StoreU64(e.AllocLines(1), 2, isa.NoReg, isa.NoReg)
+}
+
+// LoadBytes is LoadBytesInto reading into a fresh n-byte buffer.
+func (e *Env) LoadBytes(addr uint64, n int, addrDep isa.Reg) ([]byte, isa.Reg) {
+	buf := make([]byte, n)
+	return buf, e.LoadBytesInto(buf, addr, addrDep)
 }

@@ -153,14 +153,6 @@ func (s *Space) WriteU64(addr uint64, v uint64) {
 	s.Write(addr, b[:])
 }
 
-// WriteLine overwrites the full line at line-aligned address base.
-func (s *Space) WriteLine(base uint64, src []byte) {
-	if base%LineSize != 0 || len(src) != LineSize {
-		panic("mem: WriteLine requires a line-aligned address and 64-byte buffer")
-	}
-	s.Write(base, src)
-}
-
 // Clone returns a deep copy of the space. Used by the crash model to
 // snapshot the durable image.
 func (s *Space) Clone() *Space {

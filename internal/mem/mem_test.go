@@ -240,3 +240,11 @@ func TestQuickAllocDisjoint(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// WriteLine overwrites the full line at line-aligned address base.
+func (s *Space) WriteLine(base uint64, src []byte) {
+	if base%LineSize != 0 || len(src) != LineSize {
+		panic("mem: WriteLine requires a line-aligned address and 64-byte buffer")
+	}
+	s.Write(base, src)
+}

@@ -87,14 +87,7 @@ func (w Workload) effLogCap() int {
 	if w.LogCap > 0 {
 		return w.LogCap
 	}
-	switch w.Structure {
-	case "AT", "BT":
-		return 1024
-	case "RT":
-		return 2048
-	default:
-		return 64
-	}
+	return pstruct.DefaultLogCap(w.Structure)
 }
 
 // coreRegionLines is each core's private address window, in cache lines

@@ -18,21 +18,6 @@ import (
 	"sort"
 )
 
-// Counter is a monotonically increasing uint64 metric owned by the
-// component that registered it. The simulator is single-threaded per
-// machine instance, so Counter performs no synchronization; one Registry
-// (and everything registered in it) must not be shared across concurrently
-// simulated machines.
-type Counter struct {
-	v uint64
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v }
-
 // Snapshot is a point-in-time copy of every registered metric, keyed by the
 // stable dotted metric name. It marshals deterministically: encoding/json
 // sorts map keys, so two identical simulations produce byte-identical
@@ -78,13 +63,6 @@ func (r *Registry) RegisterFunc(name string, read func() uint64) {
 	}
 	r.names = append(r.names, name)
 	r.read[name] = read
-}
-
-// Counter registers and returns an owned counter under the given name.
-func (r *Registry) Counter(name string) *Counter {
-	c := &Counter{}
-	r.RegisterFunc(name, c.Value)
-	return c
 }
 
 // Keys returns every registered metric name in sorted order.

@@ -113,3 +113,25 @@ func TestStallReport(t *testing.T) {
 		t.Fatalf("formatted report:\n%s", txt)
 	}
 }
+
+// Counter is a monotonically increasing uint64 metric owned by the
+// component that registered it. The simulator is single-threaded per
+// machine instance, so Counter performs no synchronization; one Registry
+// (and everything registered in it) must not be shared across concurrently
+// simulated machines.
+type Counter struct {
+	v uint64
+}
+
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v += n }
+
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v }
+
+// Counter registers and returns an owned counter under the given name.
+func (r *Registry) Counter(name string) *Counter {
+	c := &Counter{}
+	r.RegisterFunc(name, c.Value)
+	return c
+}

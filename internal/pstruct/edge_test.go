@@ -150,3 +150,9 @@ func TestBTreeCheckRejectsCycle(t *testing.T) {
 		t.Fatal("Check accepted a cyclic tree")
 	}
 }
+
+// HasEdge reports whether the edge (u, v) is present.
+func (g *Graph) HasEdge(u, v uint64) bool {
+	_, edge, _ := g.search(u%g.nv, v%g.nv)
+	return edge != 0
+}

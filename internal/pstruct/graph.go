@@ -121,12 +121,6 @@ func (g *Graph) Contains(key uint64) bool {
 	return edge != 0
 }
 
-// HasEdge reports whether the edge (u, v) is present.
-func (g *Graph) HasEdge(u, v uint64) bool {
-	_, edge, _ := g.search(u%g.nv, v%g.nv)
-	return edge != 0
-}
-
 // Check validates the graph: per-vertex degree matches the list length,
 // adjacency lists contain no duplicate destinations, and the edge count
 // matches the sum of degrees.

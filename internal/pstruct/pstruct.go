@@ -126,6 +126,20 @@ func Names() []string { return []string{"GH", "HM", "LL", "SS", "AT", "BT", "RT"
 // Table 1 default set.
 func AllNames() []string { return append(Names(), "VT") }
 
+// DefaultLogCap is the undo-log capacity, in entries, that a serving
+// shard or conflict-engine core gives the named structure when its config
+// leaves the log size zero (trees touch more lines per op).
+func DefaultLogCap(structure string) int {
+	switch structure {
+	case "AT", "BT":
+		return 1024
+	case "RT":
+		return 2048
+	default:
+		return 64
+	}
+}
+
 // Build constructs the named benchmark structure. mgr may be nil for the
 // non-transactional baseline variant. Unknown names panic.
 func Build(name string, env *exec.Env, mgr *txn.Manager, cfg Config) Structure {

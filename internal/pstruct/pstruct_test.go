@@ -155,8 +155,8 @@ func TestStringSwapOracle(t *testing.T) {
 			t.Errorf("slot %d: identity %d, want %d", i, got, ids[i])
 		}
 	}
-	if s.Swaps() != 2000 {
-		t.Errorf("Swaps() = %d, want 2000", s.Swaps())
+	if int(s.swaps) != 2000 {
+		t.Errorf("swaps = %d, want 2000", int(s.swaps))
 	}
 }
 

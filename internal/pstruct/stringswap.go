@@ -75,9 +75,6 @@ func (s *StringSwap) Name() string { return "SS" }
 // Size returns the number of strings.
 func (s *StringSwap) Size() int { return int(s.n) }
 
-// Swaps returns how many swap operations have been applied.
-func (s *StringSwap) Swaps() int { return int(s.swaps) }
-
 // Apply swaps the two strings selected by key, as one failure-safe
 // transaction.
 func (s *StringSwap) Apply(key uint64) {

@@ -30,38 +30,6 @@ type Op struct {
 	Get bool   `json:"get,omitempty"`
 }
 
-// BackendConfig sizes one txn-logged backend.
-type BackendConfig struct {
-	// Structure names the served data structure (pstruct.Names()).
-	Structure string
-	// Level is the variant's persistence-instruction level.
-	Level exec.Level
-	// Warmup functionally populates the structure before serving.
-	Warmup int
-	// Keyspace bounds warmup keys.
-	Keyspace int
-	// LogCap sizes the undo log (0 = DefaultLogCap for the structure).
-	LogCap int
-	// Seed drives the warmup key stream.
-	Seed int64
-	// Coalesce enables group-commit barrier coalescing: PersistBarriers
-	// defer, and AppendGroup closes each group with one amortized trio.
-	Coalesce bool
-}
-
-// DefaultLogCap returns the per-structure undo-log capacity used when a
-// config leaves LogCap zero (trees touch more lines per op).
-func DefaultLogCap(structure string) int {
-	switch structure {
-	case "AT", "BT":
-		return 1024
-	case "RT":
-		return 2048
-	default:
-		return 64
-	}
-}
-
 // Backend is one shard's (or cluster node's) machine-side state.
 type Backend struct {
 	Env *exec.Env
@@ -82,22 +50,20 @@ type Backend struct {
 	bld      *trace.Builder
 }
 
-// NewBackend constructs a backend displaced into window index `window`
-// (each window is a private 64 MiB region, so two backends sharing one
-// memory system never share a line; pass 0 for a private memory system).
-// The structure is functionally warmed up and persisted. reg, when
-// non-nil, receives the pmem and txn counters.
-func NewBackend(cfg BackendConfig, window int, reg *obs.Registry) (*Backend, error) {
-	if cfg.LogCap == 0 {
-		cfg.LogCap = DefaultLogCap(cfg.Structure)
-	}
+// NewBackend constructs the backend of shard or node idx of the
+// defaults-resolved s, displaced into window index `window` (each window
+// is a private 64 MiB region, so two backends sharing one memory system
+// never share a line; pass 0 for a private memory system). The structure
+// is functionally warmed up from a stream seeded by s.Seed and idx, and
+// persisted. reg, when non-nil, receives the pmem and txn counters.
+func NewBackend(s Serving, idx, window int, reg *obs.Registry) (*Backend, error) {
 	env := exec.New()
-	env.Level = cfg.Level
+	env.Level = s.Variant.Level()
 	env.AllocLines(window * shardRegionLines)
 	sentinel := env.AllocLines(1)
-	mgr := txn.NewManager(env, cfg.LogCap)
+	mgr := txn.NewManager(env, s.LogCap)
 	scfg := pstruct.Config{HashCapacity: 64, GraphVerts: 32, Strings: 16}
-	st := pstruct.Build(cfg.Structure, env, mgr, scfg)
+	st := pstruct.Build(s.Structure, env, mgr, scfg)
 
 	vt, isVT := st.(*pstruct.VTree)
 	if isVT {
@@ -107,9 +73,9 @@ func NewBackend(cfg BackendConfig, window int, reg *obs.Registry) (*Backend, err
 		vt.SetAutoCommit(0)
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for i := 0; i < cfg.Warmup; i++ {
-		st.Apply(uint64(rng.Intn(cfg.Keyspace)))
+	rng := rand.New(rand.NewSource(s.Seed + int64(idx)*7919 + 1))
+	for i := 0; i < s.Warmup; i++ {
+		st.Apply(uint64(rng.Intn(s.Keyspace)))
 	}
 	if isVT {
 		vt.Commit()
@@ -118,10 +84,11 @@ func NewBackend(cfg BackendConfig, window int, reg *obs.Registry) (*Backend, err
 	if err := st.Check(); err != nil {
 		return nil, fmt.Errorf("service: backend after warmup: %w", err)
 	}
-	if cfg.Coalesce && !isVT {
-		// VT's Commit already batches the whole changeset behind two
-		// barriers; coalescing (which would defer and reorder them)
-		// stays off for it.
+	// Group commit (K > 1) coalesces each group's persist barriers. VT's
+	// Commit already batches the whole changeset behind two barriers;
+	// coalescing (which would defer and reorder them) stays off for it.
+	coalesce := s.BatchMax > 1 && !isVT
+	if coalesce {
 		env.SetBarrierCoalescing(true)
 	}
 	if reg != nil {
@@ -134,24 +101,15 @@ func NewBackend(cfg BackendConfig, window int, reg *obs.Registry) (*Backend, err
 	return &Backend{
 		Env: env, Mgr: mgr, St: st, Sentinel: sentinel,
 		WarmupPcommits: env.M.Stats().Pcommits,
-		coalesce:       cfg.Coalesce && !isVT,
+		coalesce:       coalesce,
 	}, nil
 }
 
-// BeginRun resets the trace buffer and arms the builder; AppendGroup calls
-// between BeginRun and EndRun compose one back-to-back admission run.
-func (b *Backend) BeginRun() {
-	b.Buf.Reset()
-	b.bld = trace.NewBuilder(&b.Buf)
-	b.Env.SetBuilder(b.bld)
-}
-
-// AppendGroup appends one commit group to the current run: per op an
-// overhead-long dependent-ALU application preamble (none when overhead is
-// not positive) then the structure
-// operation, and at the group boundary the coalesced persist trio (when
-// coalescing is on) followed by the sentinel store that marks the group's
-// durability point.
+// AppendGroup appends one commit group to the run Admit is building: per
+// op an overhead-long dependent-ALU application preamble (none when
+// overhead is not positive) then the structure operation, and at the group
+// boundary the coalesced persist trio (when coalescing is on) followed by
+// the sentinel store that marks the group's durability point.
 func (b *Backend) AppendGroup(ops []Op, overhead int) {
 	for _, op := range ops {
 		b.bld.Chain(overhead)
@@ -170,13 +128,6 @@ func (b *Backend) AppendGroup(ops []Op, overhead int) {
 		b.Env.FlushBarriers()
 	}
 	b.bld.Store(b.Sentinel, 8, isa.NoReg, isa.NoReg)
-}
-
-// EndRun detaches the builder; Buf then holds the finished trace, ready to
-// start a core on.
-func (b *Backend) EndRun() {
-	b.Env.SetBuilder(nil)
-	b.bld = nil
 }
 
 // ServingPcommits reports the device pcommits issued since warmup ended.

@@ -156,14 +156,14 @@ func TestBurstyArrivals(t *testing.T) {
 	cfg.Process = Bursty
 	cfg.Rate = 300
 	cfg = cfg.withDefaults()
-	reqs := genArrivals(cfg)
+	reqs := cfg.arrivals()
 	onLen := uint64(float64(cfg.BurstPeriod) * cfg.BurstOnFrac)
 	for i, r := range reqs {
-		if phase := r.at % cfg.BurstPeriod; phase > onLen {
-			t.Fatalf("request %d arrives at %d (phase %d), outside the %d-cycle ON window", i, r.at, phase, onLen)
+		if phase := r.At % cfg.BurstPeriod; phase > onLen {
+			t.Fatalf("request %d arrives at %d (phase %d), outside the %d-cycle ON window", i, r.At, phase, onLen)
 		}
-		if i > 0 && r.at < reqs[i-1].at {
-			t.Fatalf("arrivals not sorted: %d after %d", r.at, reqs[i-1].at)
+		if i > 0 && r.At < reqs[i-1].At {
+			t.Fatalf("arrivals not sorted: %d after %d", r.At, reqs[i-1].At)
 		}
 	}
 	res, err := Run(cfg)
@@ -251,7 +251,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Errorf("default config must validate, got %v", err)
 	}
-	if err := (Config{Rate: 100, Variant: core.VariantSP, Seed: 1}).Validate(); err != nil {
+	if err := (Config{Serving: Serving{Rate: 100, Variant: core.VariantSP, Seed: 1}}).Validate(); err != nil {
 		t.Errorf("zero-valued optional knobs must validate via defaults, got %v", err)
 	}
 }
@@ -271,8 +271,8 @@ func TestRunReportsTooSmallLogCap(t *testing.T) {
 
 func TestArrivalScheduleIsSeedStable(t *testing.T) {
 	cfg := DefaultConfig().withDefaults()
-	a := genArrivals(cfg)
-	b := genArrivals(cfg)
+	a := cfg.arrivals()
+	b := cfg.arrivals()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("request %d differs across identical generations: %+v vs %+v", i, a[i], b[i])
@@ -280,7 +280,7 @@ func TestArrivalScheduleIsSeedStable(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.Seed = 2
-	c := genArrivals(cfg2)
+	c := cfg2.arrivals()
 	same := true
 	for i := range a {
 		if a[i] != c[i] {

@@ -49,17 +49,17 @@ func TestBloomNeverFalseNegative(t *testing.T) {
 			}
 			// Accounting: Queries/Hits are lifetime counters — Reset
 			// clears the bit array, never the statistics.
-			if b.Queries() != wantQueries {
+			if b.queries != wantQueries {
 				t.Errorf("size=%d seed=%d: Queries()=%d, observed %d calls",
-					size, seed, b.Queries(), wantQueries)
+					size, seed, b.queries, wantQueries)
 			}
 			if b.Hits() != wantHits {
 				t.Errorf("size=%d seed=%d: Hits()=%d, observed %d positive returns",
 					size, seed, b.Hits(), wantHits)
 			}
-			if b.Hits() > b.Queries() {
+			if b.Hits() > b.queries {
 				t.Errorf("size=%d seed=%d: Hits %d exceeds Queries %d",
-					size, seed, b.Hits(), b.Queries())
+					size, seed, b.Hits(), b.queries)
 			}
 		}
 	}

@@ -190,9 +190,6 @@ func (b *Bloom) Reset() {
 	}
 }
 
-// Queries and Hits report lookup statistics.
-func (b *Bloom) Queries() uint64 { return b.queries }
-
 // Hits reports how many queries returned "may contain".
 func (b *Bloom) Hits() uint64 { return b.hits }
 

@@ -170,8 +170,8 @@ func TestBloomStats(t *testing.T) {
 	b.Add(0)
 	b.MayContain(0)
 	b.MayContain(1 << 30)
-	if b.Queries() != 2 {
-		t.Errorf("Queries = %d", b.Queries())
+	if b.queries != 2 {
+		t.Errorf("Queries = %d", b.queries)
 	}
 	if b.Hits() < 1 {
 		t.Errorf("Hits = %d", b.Hits())

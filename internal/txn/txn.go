@@ -232,14 +232,6 @@ func (t *Tx) Covered(addr uint64, size int) bool {
 	return true
 }
 
-// Logged reports the number of entries recorded so far.
-func (t *Tx) Logged() int {
-	if t == nil {
-		return 0
-	}
-	return t.n
-}
-
 // SetLogged completes steps 1 and 2: persists the log (entries, metadata,
 // count) with a barrier, then sets logged_bit and persists it with a second
 // barrier. After SetLogged the caller performs its updates.

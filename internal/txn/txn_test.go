@@ -395,3 +395,11 @@ func TestQuickRandomCrashRecovery(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Logged reports the number of entries recorded so far.
+func (t *Tx) Logged() int {
+	if t == nil {
+		return 0
+	}
+	return t.n
+}

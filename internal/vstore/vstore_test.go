@@ -157,8 +157,8 @@ func TestDiffRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if s.StatsSnapshot().Diffs != n*n {
-		t.Fatalf("Diffs counter = %d, want %d", s.StatsSnapshot().Diffs, n*n)
+	if s.stats.Diffs != n*n {
+		t.Fatalf("Diffs counter = %d, want %d", s.stats.Diffs, n*n)
 	}
 }
 
@@ -263,7 +263,7 @@ func TestCommitBarrierProfile(t *testing.T) {
 	if got := env.M.Stats().Pcommits - base; got != 0 {
 		t.Fatalf("empty commit issued %d pcommits, want 0", got)
 	}
-	st := s.StatsSnapshot()
+	st := s.stats
 	if st.Commits != 1 || st.EmptyCommits != 1 || st.Barriers != 2 {
 		t.Fatalf("stats = %+v, want 1 commit / 1 empty / 2 barriers", st)
 	}
@@ -280,7 +280,7 @@ func TestTimeTravelCounter(t *testing.T) {
 	s.Toggle(1)
 	s.Commit()
 	s.GetCommitted(1)
-	if n := s.StatsSnapshot().TimeTravelGets; n != 0 {
+	if n := s.stats.TimeTravelGets; n != 0 {
 		t.Fatalf("clean-state committed read counted as time travel (%d)", n)
 	}
 	s.Toggle(2)
@@ -290,7 +290,7 @@ func TestTimeTravelCounter(t *testing.T) {
 	if _, ok := s.GetCommitted(2); ok {
 		t.Fatal("in-flight key 2 visible through GetCommitted")
 	}
-	if n := s.StatsSnapshot().TimeTravelGets; n != 2 {
+	if n := s.stats.TimeTravelGets; n != 2 {
 		t.Fatalf("TimeTravelGets = %d, want 2", n)
 	}
 }
@@ -351,8 +351,8 @@ func TestDeterminism(t *testing.T) {
 	}
 	a, aenv := run()
 	b, benv := run()
-	if a.StatsSnapshot() != b.StatsSnapshot() {
-		t.Fatalf("stats diverge: %+v vs %+v", a.StatsSnapshot(), b.StatsSnapshot())
+	if a.stats != b.stats {
+		t.Fatalf("stats diverge: %+v vs %+v", a.stats, b.stats)
 	}
 	if aenv.M.Stats().Pcommits != benv.M.Stats().Pcommits {
 		t.Fatal("pcommit counts diverge")
