@@ -138,7 +138,7 @@ func (s *fleet) audit() Audit {
 			a.add(Violation{Kind: "unrecovered", Node: n.idx, Detail: "never finished catching up"})
 			continue
 		}
-		for _, rid := range s.ring.RangesOwnedBy(n.idx) {
+		for _, rid := range s.ring.rangesOwnedBy(n.idx) {
 			if got, want := n.appliedDur[rid], uint64(len(s.rangeLog[rid])); got != want {
 				a.add(Violation{
 					Kind: "short-log", Node: n.idx, Rid: rid,

@@ -688,22 +688,22 @@ func newFleet(cfg Config) (*fleet, error) {
 
 	s := &fleet{
 		cfg:     cfg,
-		ring:    NewRing(cfg.Nodes, cfg.VNodes, cfg.Replicas),
+		ring:    newRing(cfg.Nodes, cfg.VNodes, cfg.Replicas),
 		net:     newNetwork(cfg.Seed+0x5eed, cfg.NetRTT, cfg.NetJitter, cfg.Chaos),
 		tl:      cfg.Timeline,
 		reg:     obs.NewRegistry(),
 		pending: newPendingSet(),
 	}
-	s.rangeLog = make([][]logEntry, s.ring.NumRanges())
-	s.rangeHeat = make([]uint64, s.ring.NumRanges())
-	s.stats.Ranges = s.ring.NumRanges()
+	s.rangeLog = make([][]logEntry, s.ring.numRanges())
+	s.rangeHeat = make([]uint64, s.ring.numRanges())
+	s.stats.Ranges = s.ring.numRanges()
 	s.nextRebal = cfg.RebalanceEvery
 	s.nextBeat = cfg.HeartbeatEvery
 	s.registerCounters()
 
 	for i := 0; i < cfg.Nodes; i++ {
-		n := &node{idx: i, gates: make([]*rangeGate, s.ring.NumRanges()),
-			appliedDur: make([]uint64, s.ring.NumRanges()), lastBeat: make([]uint64, cfg.Nodes)}
+		n := &node{idx: i, gates: make([]*rangeGate, s.ring.numRanges()),
+			appliedDur: make([]uint64, s.ring.numRanges()), lastBeat: make([]uint64, cfg.Nodes)}
 		if err := s.buildMachine(n); err != nil {
 			return nil, err
 		}
@@ -895,9 +895,9 @@ func (s *fleet) loop(arrivals []service.Arrival) error {
 // non-crashed owner.
 func (s *fleet) arrive(id int, r service.Arrival) {
 	s.stats.Offered++
-	rid := s.ring.RangeOf(r.Key)
+	rid := s.ring.rangeOf(r.Key)
 	s.rangeHeat[rid]++
-	p := s.ring.Primary(rid)
+	p := s.ring.primary(rid)
 	pn := s.nodes[p]
 	if pn.state != stateLive {
 		s.stats.Unavailable++
@@ -909,7 +909,7 @@ func (s *fleet) arrive(id int, r service.Arrival) {
 	if !r.Get {
 		need = s.cfg.Quorum
 		possible = 0
-		for _, o := range s.ring.Owners(rid) {
+		for _, o := range s.ring.ownersOf(rid) {
 			if s.nodes[o].state != stateCrashed {
 				possible++
 			}
@@ -957,7 +957,7 @@ func (s *fleet) arrive(id int, r service.Arrival) {
 	s.rangeLog[rid] = append(s.rangeLog[rid], logEntry{key: r.Key, reqID: id})
 	pd.seq = seq
 	it := item{rid: rid, seq: seq, key: r.Key, reqID: id}
-	for _, o := range s.ring.Owners(rid) {
+	for _, o := range s.ring.ownersOf(rid) {
 		if o == p {
 			s.gateDeliver(pn, it, r.At)
 		} else if s.nodes[o].state != stateCrashed {
@@ -1016,7 +1016,7 @@ func (s *fleet) retransmit(p *pendingReq, t uint64) {
 	}
 	e := s.rangeLog[p.rid][p.seq]
 	it := item{rid: p.rid, seq: p.seq, key: e.key, reqID: p.reqID}
-	for _, o := range s.ring.Owners(p.rid) {
+	for _, o := range s.ring.ownersOf(p.rid) {
 		if o == p.collector || s.nodes[o].state == stateCrashed {
 			continue
 		}
@@ -1062,9 +1062,9 @@ func (s *fleet) heartbeatTick(t uint64) {
 	// Most ticks find every lease fresh, which the N(N-1) (owner, peer)
 	// pairs show without scanning the ranges.
 	if s.anyLeaseExpired(t) {
-		for rid := 0; rid < s.ring.NumRanges(); rid++ {
-			p := s.ring.Primary(rid)
-			for _, o := range s.ring.Owners(rid) {
+		for rid := 0; rid < s.ring.numRanges(); rid++ {
+			p := s.ring.primary(rid)
+			for _, o := range s.ring.ownersOf(rid) {
 				if o == p || s.nodes[o].state != stateLive || !s.leaseExpired(o, p, t) {
 					continue
 				}
@@ -1072,7 +1072,7 @@ func (s *fleet) heartbeatTick(t uint64) {
 				if s.nodes[p].state == stateLive {
 					s.stats.WrongSuspicions++
 				}
-				s.ring.SetPrimary(rid, o)
+				s.ring.setPrimary(rid, o)
 				s.stats.Failovers++
 				s.tl.Instant(obs.TrackCluster, "cluster.failover", t)
 				break
@@ -1085,12 +1085,12 @@ func (s *fleet) heartbeatTick(t uint64) {
 	for _, n := range s.nodes {
 		switch n.state {
 		case stateLive:
-			for _, rid := range s.ring.RangesOwnedBy(n.idx) {
+			for _, rid := range s.ring.rangesOwnedBy(n.idx) {
 				g := n.gates[rid]
 				if g == nil || len(g.buf) == 0 {
 					continue
 				}
-				src := s.ring.Primary(rid)
+				src := s.ring.primary(rid)
 				if s.nodes[src].state == stateCrashed {
 					continue
 				}
@@ -1472,7 +1472,7 @@ func (s *fleet) crashNode(idx int, t uint64) {
 			s.fail(p, t)
 			continue
 		}
-		if !p.get && s.ring.IsOwner(p.rid, idx) && p.seq >= c.appliedDur[p.rid] {
+		if !p.get && s.ring.isOwner(p.rid, idx) && p.seq >= c.appliedDur[p.rid] {
 			p.possible--
 			if p.possible < p.need {
 				s.fail(p, t)
@@ -1481,13 +1481,13 @@ func (s *fleet) crashNode(idx int, t uint64) {
 	}
 
 	// Failover: promote the first live owner of every range this node led.
-	for _, rid := range s.ring.RangesOwnedBy(idx) {
-		if s.ring.Primary(rid) != idx {
+	for _, rid := range s.ring.rangesOwnedBy(idx) {
+		if s.ring.primary(rid) != idx {
 			continue
 		}
-		for _, o := range s.ring.Owners(rid) {
+		for _, o := range s.ring.ownersOf(rid) {
 			if s.nodes[o].state == stateLive {
-				s.ring.SetPrimary(rid, o)
+				s.ring.setPrimary(rid, o)
 				s.stats.Failovers++
 				break
 			}
@@ -1525,7 +1525,7 @@ func (s *fleet) recoverNode(idx int, t uint64) {
 	}
 	c.catchupTarget = map[int]uint64{}
 	c.catchupNext = map[int]uint64{}
-	for _, rid := range s.ring.RangesOwnedBy(idx) {
+	for _, rid := range s.ring.rangesOwnedBy(idx) {
 		c.catchupTarget[rid] = uint64(len(s.rangeLog[rid]))
 		c.catchupNext[rid] = c.appliedDur[rid]
 	}
@@ -1559,7 +1559,7 @@ func (s *fleet) scheduleFetch(c *node, t uint64) {
 		if n > s.cfg.CatchupBatch {
 			n = s.cfg.CatchupBatch
 		}
-		src := s.ring.Primary(rid)
+		src := s.ring.primary(rid)
 		if src == c.idx || s.nodes[src].state != stateLive {
 			if s.detection() {
 				continue // retried at the next heartbeat tick
@@ -1589,9 +1589,9 @@ func (s *fleet) maybeRejoin(c *node, t uint64) {
 	c.state = stateLive
 	c.rejoinAt = t
 	s.stats.Rejoins++
-	for _, rid := range s.ring.RangesOwnedBy(c.idx) {
-		if s.nodes[s.ring.Primary(rid)].state != stateLive {
-			s.ring.SetPrimary(rid, c.idx)
+	for _, rid := range s.ring.rangesOwnedBy(c.idx) {
+		if s.nodes[s.ring.primary(rid)].state != stateLive {
+			s.ring.setPrimary(rid, c.idx)
 		}
 	}
 	s.tl.Instant(obs.TrackCluster, "cluster.rejoin", t)
@@ -1604,7 +1604,7 @@ func (s *fleet) maybeRejoin(c *node, t uint64) {
 func (s *fleet) rebalance(t uint64) {
 	heat := make([]uint64, len(s.nodes))
 	for rid, h := range s.rangeHeat {
-		heat[s.ring.Primary(rid)] += h
+		heat[s.ring.primary(rid)] += h
 	}
 	hot, cold := -1, -1
 	for i, n := range s.nodes {
@@ -1629,7 +1629,7 @@ func (s *fleet) rebalance(t uint64) {
 	// The hottest of hot's primaried ranges whose owner set includes cold.
 	best, bestHeat := -1, uint64(0)
 	for rid, h := range s.rangeHeat {
-		if s.ring.Primary(rid) != hot || !s.ring.IsOwner(rid, cold) {
+		if s.ring.primary(rid) != hot || !s.ring.isOwner(rid, cold) {
 			continue
 		}
 		if best == -1 || h > bestHeat {
@@ -1639,7 +1639,7 @@ func (s *fleet) rebalance(t uint64) {
 	if best == -1 || bestHeat == 0 {
 		return
 	}
-	s.ring.SetPrimary(best, cold)
+	s.ring.setPrimary(best, cold)
 	s.stats.Rebalances++
 	s.tl.Instant(obs.TrackCluster, "cluster.rebalance", t)
 }

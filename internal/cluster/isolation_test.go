@@ -20,7 +20,7 @@ type commitRec struct {
 func primaryKeys(s *fleet, idx, n int) []uint64 {
 	var keys []uint64
 	for k := uint64(0); len(keys) < n && k < uint64(s.cfg.Keyspace); k++ {
-		if s.ring.Primary(s.ring.RangeOf(k)) == idx {
+		if s.ring.primary(s.ring.rangeOf(k)) == idx {
 			keys = append(keys, k)
 		}
 	}

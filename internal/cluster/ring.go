@@ -20,7 +20,7 @@ type ringPoint struct {
 	node int
 }
 
-// Ring is the partition map: NumRanges() = nodes*vnodes key ranges, each
+// Ring is the partition map: numRanges() = nodes*vnodes key ranges, each
 // with a fixed owner set and a mutable primary.
 type Ring struct {
 	points    []ringPoint
@@ -39,10 +39,10 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// NewRing builds the partition map for nodes physical nodes with vnodes
+// newRing builds the partition map for nodes physical nodes with vnodes
 // virtual nodes each and replication factor replicas (1 <= replicas <=
 // nodes). The layout is a pure function of its arguments.
-func NewRing(nodes, vnodes, replicas int) *Ring {
+func newRing(nodes, vnodes, replicas int) *Ring {
 	if nodes < 1 || vnodes < 1 || replicas < 1 || replicas > nodes {
 		panic(fmt.Sprintf("cluster: invalid ring shape nodes=%d vnodes=%d replicas=%d", nodes, vnodes, replicas))
 	}
@@ -82,12 +82,12 @@ func NewRing(nodes, vnodes, replicas int) *Ring {
 	return r
 }
 
-// NumRanges returns the range count.
-func (r *Ring) NumRanges() int { return len(r.points) }
+// numRanges returns the range count.
+func (r *Ring) numRanges() int { return len(r.points) }
 
-// RangeOf maps a key to its range: the first ring point at or after the
+// rangeOf maps a key to its range: the first ring point at or after the
 // key's hash, wrapping at the top of the circle.
-func (r *Ring) RangeOf(key uint64) int {
+func (r *Ring) rangeOf(key uint64) int {
 	h := splitmix64(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
@@ -96,12 +96,12 @@ func (r *Ring) RangeOf(key uint64) int {
 	return i
 }
 
-// Owners returns range rid's fixed owner set (clockwise order; do not
+// ownersOf returns range rid's fixed owner set (clockwise order; do not
 // mutate).
-func (r *Ring) Owners(rid int) []int { return r.owners[rid] }
+func (r *Ring) ownersOf(rid int) []int { return r.owners[rid] }
 
-// IsOwner reports whether node owns range rid.
-func (r *Ring) IsOwner(rid, node int) bool {
+// isOwner reports whether node owns range rid.
+func (r *Ring) isOwner(rid, node int) bool {
 	for _, o := range r.owners[rid] {
 		if o == node {
 			return true
@@ -110,18 +110,18 @@ func (r *Ring) IsOwner(rid, node int) bool {
 	return false
 }
 
-// Primary returns range rid's current primary.
-func (r *Ring) Primary(rid int) int { return r.primaries[rid] }
+// primary returns range rid's current primary.
+func (r *Ring) primary(rid int) int { return r.primaries[rid] }
 
-// SetPrimary moves range rid's primaryship to node, which must already be
+// setPrimary moves range rid's primaryship to node, which must already be
 // in the owner set (replica placement never changes).
-func (r *Ring) SetPrimary(rid, node int) {
-	if !r.IsOwner(rid, node) {
+func (r *Ring) setPrimary(rid, node int) {
+	if !r.isOwner(rid, node) {
 		panic(fmt.Sprintf("cluster: node %d is not an owner of range %d", node, rid))
 	}
 	r.primaries[rid] = node
 }
 
-// RangesOwnedBy returns every range whose owner set holds node, ascending
-// (fixed at NewRing; do not mutate).
-func (r *Ring) RangesOwnedBy(node int) []int { return r.owned[node] }
+// rangesOwnedBy returns every range whose owner set holds node, ascending
+// (fixed at newRing; do not mutate).
+func (r *Ring) rangesOwnedBy(node int) []int { return r.owned[node] }

@@ -9,12 +9,12 @@ func TestRingShape(t *testing.T) {
 	for _, tc := range []struct{ nodes, vnodes, replicas int }{
 		{1, 1, 1}, {3, 8, 2}, {5, 16, 3}, {4, 4, 4},
 	} {
-		r := NewRing(tc.nodes, tc.vnodes, tc.replicas)
-		if got := r.NumRanges(); got != tc.nodes*tc.vnodes {
+		r := newRing(tc.nodes, tc.vnodes, tc.replicas)
+		if got := r.numRanges(); got != tc.nodes*tc.vnodes {
 			t.Fatalf("%+v: %d ranges, want %d", tc, got, tc.nodes*tc.vnodes)
 		}
-		for rid := 0; rid < r.NumRanges(); rid++ {
-			owners := r.Owners(rid)
+		for rid := 0; rid < r.numRanges(); rid++ {
+			owners := r.ownersOf(rid)
 			if len(owners) != tc.replicas {
 				t.Fatalf("%+v range %d: %d owners, want %d", tc, rid, len(owners), tc.replicas)
 			}
@@ -28,7 +28,7 @@ func TestRingShape(t *testing.T) {
 				}
 				seen[o] = true
 			}
-			if p := r.Primary(rid); p != owners[0] {
+			if p := r.primary(rid); p != owners[0] {
 				t.Fatalf("%+v range %d: initial primary %d, want first owner %d", tc, rid, p, owners[0])
 			}
 		}
@@ -36,15 +36,15 @@ func TestRingShape(t *testing.T) {
 }
 
 func TestRingRangeOfStable(t *testing.T) {
-	a := NewRing(3, 8, 2)
-	b := NewRing(3, 8, 2)
+	a := newRing(3, 8, 2)
+	b := newRing(3, 8, 2)
 	counts := make([]int, 3)
 	for key := uint64(0); key < 4096; key++ {
-		ra, rb := a.RangeOf(key), b.RangeOf(key)
+		ra, rb := a.rangeOf(key), b.rangeOf(key)
 		if ra != rb {
 			t.Fatalf("key %d maps to range %d and %d across identical rings", key, ra, rb)
 		}
-		counts[a.Primary(ra)]++
+		counts[a.primary(ra)]++
 	}
 	// Virtual nodes keep primary load roughly uniform: no node should see
 	// less than a tenth or more than three quarters of the keys.
@@ -56,50 +56,50 @@ func TestRingRangeOfStable(t *testing.T) {
 }
 
 func TestRingSetPrimary(t *testing.T) {
-	r := NewRing(3, 4, 2)
+	r := newRing(3, 4, 2)
 	rid := 0
-	owners := r.Owners(rid)
-	r.SetPrimary(rid, owners[1])
-	if got := r.Primary(rid); got != owners[1] {
-		t.Fatalf("primary %d after SetPrimary, want %d", got, owners[1])
+	owners := r.ownersOf(rid)
+	r.setPrimary(rid, owners[1])
+	if got := r.primary(rid); got != owners[1] {
+		t.Fatalf("primary %d after setPrimary, want %d", got, owners[1])
 	}
 	var outsider int
 	for n := 0; n < 3; n++ {
-		if !r.IsOwner(rid, n) {
+		if !r.isOwner(rid, n) {
 			outsider = n
 		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetPrimary to a non-owner did not panic")
+			t.Fatal("setPrimary to a non-owner did not panic")
 		}
 	}()
-	r.SetPrimary(rid, outsider)
+	r.setPrimary(rid, outsider)
 }
 
 func TestRingRangesOwnedBy(t *testing.T) {
-	r := NewRing(3, 8, 2)
+	r := newRing(3, 8, 2)
 	total := 0
 	for n := 0; n < 3; n++ {
-		rids := r.RangesOwnedBy(n)
+		rids := r.rangesOwnedBy(n)
 		total += len(rids)
 		for _, rid := range rids {
-			if !r.IsOwner(rid, n) {
-				t.Fatalf("RangesOwnedBy(%d) returned non-owned range %d", n, rid)
+			if !r.isOwner(rid, n) {
+				t.Fatalf("rangesOwnedBy(%d) returned non-owned range %d", n, rid)
 			}
 		}
 		// The precomputed list is exactly an ascending scan of the owner sets.
 		var want []int
-		for rid := 0; rid < r.NumRanges(); rid++ {
-			if r.IsOwner(rid, n) {
+		for rid := 0; rid < r.numRanges(); rid++ {
+			if r.isOwner(rid, n) {
 				want = append(want, rid)
 			}
 		}
 		if fmt.Sprint(rids) != fmt.Sprint(want) {
-			t.Fatalf("RangesOwnedBy(%d) = %v, want %v", n, rids, want)
+			t.Fatalf("rangesOwnedBy(%d) = %v, want %v", n, rids, want)
 		}
 	}
-	if want := r.NumRanges() * 2; total != want {
+	if want := r.numRanges() * 2; total != want {
 		t.Fatalf("ownership slots %d, want ranges*R = %d", total, want)
 	}
 }

@@ -1,15 +1,21 @@
 // Package mem provides the simulated byte-addressable memory space that
 // persistent data structures execute against.
 //
-// The space is sparse: storage is allocated in fixed-size pages on first
-// touch, so populating a few hundred megabytes of tree nodes costs only the
-// pages actually written. Addresses are plain uint64 values in a flat
-// address space; address 0 is reserved as the nil pointer.
+// Storage is allocated in fixed-size pages on first write, found through a
+// page table: a Table (a slice indexed from its first entry) of pages by
+// page number, addr >> PageShift. The allocator bumps addresses up from
+// DefaultBase, so the table is dense and a load or store costs one slice
+// index instead of a hash. The table grows on the first write to a page
+// outside it; a read outside it (or of a page never written) returns
+// zeros. A write at or above a fixed ceiling (64 GiB) panics rather than
+// grow the table. Addresses are plain uint64 values in a flat address
+// space; address 0 is reserved as the nil pointer.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 const (
@@ -17,10 +23,17 @@ const (
 	// The paper sizes every data-structure node to one 64-byte line.
 	LineSize = 64
 
-	// PageShift/PageSize define the sparse backing-page granularity.
+	// PageShift/PageSize define the backing-page granularity.
 	PageShift = 12
 	PageSize  = 1 << PageShift
 	pageMask  = PageSize - 1
+
+	// maxAddr bounds the page table: a write at or above it panics. It is
+	// far above any image the simulator builds (HM, the largest Table 1
+	// image, spans 16 MB at scale 0.1) and keeps a wild pointer from
+	// growing the table without bound; at the ceiling the table is 16M
+	// entries (128 MB).
+	maxAddr = 1 << 36
 )
 
 // LineAddr returns the line-aligned base address containing addr.
@@ -37,11 +50,11 @@ func LinesSpanned(addr uint64, size int) int {
 	return int((last-first)/LineSize) + 1
 }
 
-// Space is a sparse, paged simulated memory. The zero value is not usable;
-// call NewSpace.
+// Space is a paged simulated memory. The zero value is not usable; call
+// NewSpace.
 type Space struct {
-	pages map[uint64]*[PageSize]byte
-	brk   uint64 // bump-allocation cursor
+	pages Table[*[PageSize]byte] // page table by page number; nil = never written
+	brk   uint64                 // bump-allocation cursor
 }
 
 // NewSpace returns an empty memory space whose allocator starts at base.
@@ -50,7 +63,7 @@ func NewSpace(base uint64) *Space {
 	if base == 0 || base%LineSize != 0 {
 		panic(fmt.Sprintf("mem: invalid allocator base %#x", base))
 	}
-	return &Space{pages: make(map[uint64]*[PageSize]byte), brk: base}
+	return &Space{brk: base}
 }
 
 // DefaultBase is the conventional allocator base used by the simulator:
@@ -94,13 +107,20 @@ func (s *Space) SetBrk(b uint64) {
 	s.brk = b
 }
 
-func (s *Space) page(addr uint64, create bool) *[PageSize]byte {
-	id := addr >> PageShift
-	p := s.pages[id]
-	if p == nil && create {
-		p = new([PageSize]byte)
-		s.pages[id] = p
+// readPage returns the page holding addr, or nil if it was never written.
+func (s *Space) readPage(addr uint64) *[PageSize]byte { return s.pages.Get(addr >> PageShift) }
+
+// writePage returns the page holding addr, materializing it (and growing
+// the table) on first write.
+func (s *Space) writePage(addr uint64) *[PageSize]byte {
+	if p := s.readPage(addr); p != nil {
+		return p
 	}
+	if addr >= maxAddr {
+		panic(fmt.Sprintf("mem: write at %#x is past the page-table ceiling %#x", addr, uint64(maxAddr)))
+	}
+	p := new([PageSize]byte)
+	*s.pages.Ref(addr >> PageShift) = p
 	return p
 }
 
@@ -113,12 +133,10 @@ func (s *Space) Read(addr uint64, dst []byte) {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		if p := s.page(addr, false); p != nil {
-			copy(dst[:n], p[off:off+n])
+		if p := s.readPage(addr); p != nil {
+			copy(dst[:n], p[off:])
 		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		}
 		dst = dst[n:]
 		addr += uint64(n)
@@ -129,11 +147,7 @@ func (s *Space) Read(addr uint64, dst []byte) {
 func (s *Space) Write(addr uint64, src []byte) {
 	for len(src) > 0 {
 		off := int(addr & pageMask)
-		n := PageSize - off
-		if n > len(src) {
-			n = len(src)
-		}
-		copy(s.page(addr, true)[off:off+n], src[:n])
+		n := copy(s.writePage(addr)[off:], src)
 		src = src[n:]
 		addr += uint64(n)
 	}
@@ -141,6 +155,12 @@ func (s *Space) Write(addr uint64, src []byte) {
 
 // ReadU64 reads a little-endian uint64 at addr.
 func (s *Space) ReadU64(addr uint64) uint64 {
+	if off := addr & pageMask; off <= PageSize-8 {
+		if p := s.readPage(addr); p != nil {
+			return binary.LittleEndian.Uint64(p[off:])
+		}
+		return 0
+	}
 	var b [8]byte
 	s.Read(addr, b[:])
 	return binary.LittleEndian.Uint64(b[:])
@@ -148,19 +168,95 @@ func (s *Space) ReadU64(addr uint64) uint64 {
 
 // WriteU64 writes a little-endian uint64 at addr.
 func (s *Space) WriteU64(addr uint64, v uint64) {
+	if off := addr & pageMask; off <= PageSize-8 {
+		binary.LittleEndian.PutUint64(s.writePage(addr)[off:], v)
+		return
+	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	s.Write(addr, b[:])
 }
 
-// Clone returns a deep copy of the space. Used by the crash model to
-// snapshot the durable image.
+// Clone returns a deep copy of the space: the table and every
+// materialized page, the pages copied into one backing allocation.
 func (s *Space) Clone() *Space {
-	c := &Space{pages: make(map[uint64]*[PageSize]byte, len(s.pages)), brk: s.brk}
-	for id, p := range s.pages {
-		cp := new([PageSize]byte)
-		*cp = *p
-		c.pages[id] = cp
+	c := &Space{pages: Table[*[PageSize]byte]{Lo: s.pages.Lo, S: make([]*[PageSize]byte, len(s.pages.S))}, brk: s.brk}
+	slab := make([][PageSize]byte, s.materialized())
+	for i, p := range s.pages.S {
+		if p != nil {
+			slab[0] = *p
+			c.pages.S[i] = &slab[0]
+			slab = slab[1:]
+		}
 	}
 	return c
 }
+
+// CopyFrom makes the contents and materialized pages of s equal to those
+// of src, reusing the pages s already holds; the allocation cursor of s is
+// left alone. The persistence model resets its volatile view to the
+// durable image this way at a crash.
+func (s *Space) CopyFrom(src *Space) {
+	for i := range s.pages.S {
+		if src.pages.Get(s.pages.Lo+uint64(i)) == nil {
+			s.pages.S[i] = nil
+		}
+	}
+	for i, q := range src.pages.S {
+		if q != nil {
+			*s.writePage((src.pages.Lo + uint64(i)) << PageShift) = *q
+		}
+	}
+}
+
+// materialized returns the number of pages ever written.
+func (s *Space) materialized() int {
+	n := 0
+	for _, p := range s.pages.S {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Table is a dense table over a run of indexes that grows in either
+// direction to cover the indexes written: S[i] holds index Lo+i, and an
+// index outside the run reads as the zero T. The simulator keeps its
+// per-page and per-line state in Tables indexed by page or line number,
+// so a lookup is a subtraction and a slice index, and a table spans only
+// what was written (not the 1 MiB below DefaultBase).
+type Table[T any] struct {
+	Lo uint64
+	S  []T
+}
+
+// Get returns the element at index i, or the zero T outside the table.
+func (t *Table[T]) Get(i uint64) T {
+	if j := i - t.Lo; j < uint64(len(t.S)) {
+		return t.S[j]
+	}
+	var zero T
+	return zero
+}
+
+// Ref returns a pointer to the element at index i, growing the table to
+// cover it. An empty table starts at i; growing downwards at least doubles
+// the table, so indexes written in descending order cost amortized O(1).
+func (t *Table[T]) Ref(i uint64) *T {
+	if len(t.S) == 0 {
+		t.Lo = i
+	}
+	if i < t.Lo {
+		grow := max(t.Lo-i, min(uint64(len(t.S)), t.Lo))
+		t.S = append(make([]T, grow, grow+uint64(len(t.S))), t.S...)
+		t.Lo -= grow
+	}
+	if j := i - t.Lo; j >= uint64(len(t.S)) {
+		t.S = append(t.S, make([]T, j+1-uint64(len(t.S)))...)
+	}
+	return &t.S[i-t.Lo]
+}
+
+// Clone returns a copy of the table that shares no memory with t.
+func (t *Table[T]) Clone() Table[T] { return Table[T]{Lo: t.Lo, S: slices.Clone(t.S)} }

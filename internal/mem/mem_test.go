@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -147,8 +149,8 @@ func TestCrossPageAccess(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Errorf("cross-page round trip failed: %v vs %v", got, data)
 	}
-	if len(s.pages) != 2 {
-		t.Errorf("%d pages materialized, want 2", len(s.pages))
+	if n := s.materialized(); n != 2 {
+		t.Errorf("%d pages materialized, want 2", n)
 	}
 }
 
@@ -247,4 +249,63 @@ func (s *Space) WriteLine(base uint64, src []byte) {
 		panic("mem: WriteLine requires a line-aligned address and 64-byte buffer")
 	}
 	s.Write(base, src)
+}
+
+// TestWritePastCeilingPanics checks that a write at maxAddr panics and
+// names the address instead of growing the page table, and that reads
+// there still return zeros.
+func TestWritePastCeilingPanics(t *testing.T) {
+	s := NewSpace(DefaultBase)
+	if got := s.ReadU64(maxAddr + 64); got != 0 {
+		t.Errorf("read past the ceiling = %#x, want 0", got)
+	}
+	for _, w := range []struct {
+		addr  uint64
+		write func(addr uint64)
+	}{
+		{maxAddr, func(a uint64) { s.WriteU64(a, 1) }},
+		{maxAddr + 17, func(a uint64) { s.Write(a, make([]byte, 3)) }},
+		{maxAddr + PageSize - 4, func(a uint64) { s.Write(a, make([]byte, 8)) }}, // straddles two pages
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("%#x", w.addr)) || !strings.Contains(msg, "ceiling") {
+					t.Errorf("write at %#x: panic %q does not name the address and the ceiling", w.addr, msg)
+				}
+			}()
+			w.write(w.addr)
+		}()
+	}
+	if n := len(s.pages.S); n != 0 {
+		t.Errorf("page table grew to %d entries", n)
+	}
+}
+
+// TestCopyFrom checks that CopyFrom leaves s with src's contents and
+// materialized pages, and s's own allocation cursor.
+func TestCopyFrom(t *testing.T) {
+	src, dst := NewSpace(DefaultBase), NewSpace(DefaultBase)
+	src.WriteU64(DefaultBase, 1)
+	src.WriteU64(DefaultBase+3*PageSize, 3) // a page dst lacks
+	dst.WriteU64(DefaultBase, 7)
+	dst.WriteU64(DefaultBase+8, 8)
+	dst.WriteU64(DefaultBase+PageSize, 2) // a page src lacks
+	dst.Alloc(100, 1)
+	dst.CopyFrom(src)
+	for addr, want := range map[uint64]uint64{DefaultBase: 1, DefaultBase + 8: 0, DefaultBase + PageSize: 0, DefaultBase + 3*PageSize: 3} {
+		if got := dst.ReadU64(addr); got != want {
+			t.Errorf("ReadU64(%#x) = %d, want %d", addr, got, want)
+		}
+	}
+	if n := dst.materialized(); n != 2 {
+		t.Errorf("%d pages materialized, want src's 2", n)
+	}
+	if dst.Brk() != DefaultBase+100 {
+		t.Errorf("brk = %#x, want dst's own %#x", dst.Brk(), DefaultBase+100)
+	}
+	src.WriteU64(DefaultBase, 9)
+	if dst.ReadU64(DefaultBase) != 1 {
+		t.Error("CopyFrom shares a page with its source")
+	}
 }

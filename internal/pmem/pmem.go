@@ -19,9 +19,11 @@
 package pmem
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"specpersist/internal/mem"
 	"specpersist/internal/obs"
@@ -70,12 +72,34 @@ type Stats struct {
 
 // Model is the functional persistence model. It is not safe for concurrent
 // use; the paper (and this reproduction) targets single-threaded workloads.
+//
+// Line state is indexed by line number (address / mem.LineSize) rather
+// than hashed: the dirty set is a bitset, and the WPQ is a slice of line
+// snapshots in flush order with a per-line slot index, so a store, a clwb
+// and a pcommit touch no map and allocate nothing once warm.
 type Model struct {
 	volatile *mem.Space
 	durable  *mem.Space
-	dirty    map[uint64]struct{} // line base -> dirty in cache
-	wpq      map[uint64][]byte   // line base -> snapshot pending in controller
-	stats    Stats
+	dirty    bitset     // line number -> dirty in cache
+	wpq      []wpqEntry // snapshots pending in the controller, in flush order
+	// slot maps a line number to 1 + its wpq index (0 = not queued),
+	// through a table of per-page blocks: an image's lines span far more
+	// address space than its flushes touch, so a flat per-line index would
+	// be mostly zeros to allocate and copy.
+	slot  mem.Table[*slotBlock]
+	stats Stats
+}
+
+// linesPerBlock is the number of lines one slot block covers: a page.
+const linesPerBlock = mem.PageSize / mem.LineSize
+
+// slotBlock holds the WPQ slots of one page's lines.
+type slotBlock [linesPerBlock]int32
+
+// wpqEntry is one line snapshot pending in the controller.
+type wpqEntry struct {
+	line uint64 // line base address
+	data [mem.LineSize]byte
 }
 
 // New returns a fresh model whose allocator starts at mem.DefaultBase.
@@ -83,8 +107,6 @@ func New() *Model {
 	return &Model{
 		volatile: mem.NewSpace(mem.DefaultBase),
 		durable:  mem.NewSpace(mem.DefaultBase),
-		dirty:    make(map[uint64]struct{}),
-		wpq:      make(map[uint64][]byte),
 	}
 }
 
@@ -101,16 +123,14 @@ func (m *Model) Read(addr uint64, dst []byte) {
 }
 
 // Write stores bytes to the volatile view and marks the touched lines dirty.
+// A newer store to a line whose older snapshot is pending in the WPQ does
+// not disturb the snapshot: the WPQ holds the content at writeback time.
 func (m *Model) Write(addr uint64, src []byte) {
 	m.stats.Stores++
 	m.volatile.Write(addr, src)
-	first := mem.LineAddr(addr)
+	first := addr / mem.LineSize
 	for i := 0; i < mem.LinesSpanned(addr, len(src)); i++ {
-		line := first + uint64(i*mem.LineSize)
-		m.dirty[line] = struct{}{}
-		// A newer store to a line whose older snapshot is pending in the
-		// WPQ does not disturb the snapshot: the WPQ holds the content at
-		// writeback time.
+		m.dirty.set(first + uint64(i))
 	}
 }
 
@@ -124,23 +144,50 @@ func (m *Model) ReadU64(addr uint64) uint64 {
 func (m *Model) WriteU64(addr uint64, v uint64) {
 	m.stats.Stores++
 	m.volatile.WriteU64(addr, v)
-	m.dirty[mem.LineAddr(addr)] = struct{}{}
+	m.dirty.set(addr / mem.LineSize)
 }
 
 // Clwb writes the line containing addr back to the controller WPQ if it is
 // dirty. The line remains cached (functionally: remains readable, which it
 // always is in this model). Clean lines are a no-op, as in hardware.
+// Flushing a line already queued overwrites its snapshot in place.
 func (m *Model) Clwb(addr uint64) {
 	m.stats.Clwbs++
-	line := mem.LineAddr(addr)
-	if _, ok := m.dirty[line]; !ok {
+	n := addr / mem.LineSize
+	if !m.dirty.has(n) {
 		return
 	}
-	buf := make([]byte, mem.LineSize)
-	m.volatile.Read(line, buf)
-	m.wpq[line] = buf
-	delete(m.dirty, line)
+	m.dirty.unset(n)
+	cell := m.slotOf(n)
+	if *cell == 0 {
+		m.wpq = append(m.wpq, wpqEntry{line: n * mem.LineSize})
+		*cell = int32(len(m.wpq))
+	}
+	m.volatile.Read(n*mem.LineSize, m.wpq[*cell-1].data[:])
 	m.stats.Flushed++
+}
+
+// slotOf returns the WPQ slot of line number n, making its block.
+func (m *Model) slotOf(n uint64) *int32 {
+	b := m.slot.Ref(n / linesPerBlock)
+	if *b == nil {
+		*b = new(slotBlock)
+	}
+	return &(*b)[n%linesPerBlock]
+}
+
+// queued reports whether line number n has a snapshot in the WPQ.
+func (m *Model) queued(n uint64) bool {
+	b := m.slot.Get(n / linesPerBlock)
+	return b != nil && b[n%linesPerBlock] != 0
+}
+
+// dropWPQ empties the WPQ and clears its lines' slots.
+func (m *Model) dropWPQ() {
+	for i := range m.wpq {
+		*m.slotOf(m.wpq[i].line / mem.LineSize) = 0
+	}
+	m.wpq = m.wpq[:0]
 }
 
 // Clflushopt has the same persistence effect as Clwb in this functional
@@ -150,11 +197,11 @@ func (m *Model) Clflushopt(addr uint64) { m.Clwb(addr) }
 // Pcommit drains the WPQ: every pending line snapshot becomes durable.
 func (m *Model) Pcommit() {
 	m.stats.Pcommits++
-	for line, buf := range m.wpq {
-		m.durable.Write(line, buf)
-		m.stats.Persisted++
-		delete(m.wpq, line)
+	for i := range m.wpq {
+		m.durable.Write(m.wpq[i].line, m.wpq[i].data[:])
 	}
+	m.stats.Persisted += uint64(len(m.wpq))
+	m.dropWPQ()
 }
 
 // Sfence is an ordering point. The functional model executes sequentially,
@@ -163,11 +210,10 @@ func (m *Model) Sfence() { m.stats.Sfences++ }
 
 // LineState reports the persistence status of the line containing addr.
 func (m *Model) LineState(addr uint64) LineState {
-	line := mem.LineAddr(addr)
-	if _, ok := m.dirty[line]; ok {
+	switch n := addr / mem.LineSize; {
+	case m.dirty.has(n):
 		return Dirty
-	}
-	if _, ok := m.wpq[line]; ok {
+	case m.queued(n):
 		return InWPQ
 	}
 	return Clean
@@ -271,17 +317,6 @@ func (o CrashOptions) validate() {
 	check("TornFrac", o.TornFrac)
 }
 
-// sortedLines returns the keys of a line-keyed map in ascending order, so
-// crash injection visits lines deterministically regardless of map layout.
-func sortedLines[V any](m map[uint64]V) []uint64 {
-	lines := make([]uint64, 0, len(m))
-	for line := range m {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
-}
-
 // persistMasked makes the selected 8-byte chunks of a line durable. src is
 // the line content to persist (a WPQ snapshot, or nil for the current
 // volatile content of a dirty line).
@@ -323,40 +358,38 @@ func tornMask(opts CrashOptions) uint8 {
 func (m *Model) Crash(opts CrashOptions) {
 	opts.validate()
 	m.stats.Crashes++
+	// Visit WPQ snapshots in ascending line order, then dirty lines.
+	slices.SortFunc(m.wpq, func(a, b wpqEntry) int { return cmp.Compare(a.line, b.line) })
 	switch {
 	case opts.LineFate != nil:
-		for _, line := range sortedLines(m.wpq) {
-			m.persistMasked(line, m.wpq[line], opts.LineFate(line, SourceWPQ))
+		for i := range m.wpq {
+			m.persistMasked(m.wpq[i].line, m.wpq[i].data[:], opts.LineFate(m.wpq[i].line, SourceWPQ))
 		}
-		for _, line := range sortedLines(m.dirty) {
+		m.dirty.each(func(line uint64) {
 			m.persistMasked(line, nil, opts.LineFate(line, SourceCache))
-		}
+		})
 	case opts.Rand != nil:
-		for _, line := range sortedLines(m.wpq) {
+		for i := range m.wpq {
 			if opts.Rand.Float64() < opts.DrainFrac {
-				m.persistMasked(line, m.wpq[line], tornMask(opts))
+				m.persistMasked(m.wpq[i].line, m.wpq[i].data[:], tornMask(opts))
 			}
 		}
-		for _, line := range sortedLines(m.dirty) {
+		m.dirty.each(func(line uint64) {
 			if opts.Rand.Float64() < opts.EvictFrac {
 				m.persistMasked(line, nil, tornMask(opts))
 			}
-		}
+		})
 	}
-	brk := m.volatile.Brk()
-	m.volatile = m.durable.Clone()
-	m.volatile.SetBrk(brk)
-	m.dirty = make(map[uint64]struct{})
-	m.wpq = make(map[uint64][]byte)
+	m.volatile.CopyFrom(m.durable) // keeps the volatile allocator cursor
+	clear(m.dirty.S)
+	m.dropWPQ()
 	m.stats.Recoveries++
 }
 
 // PersistAll is a testing convenience: flush every dirty line and drain the
 // WPQ, making the entire volatile view durable.
 func (m *Model) PersistAll() {
-	for line := range m.dirty {
-		m.Clwb(line)
-	}
+	m.dirty.each(m.Clwb)
 	m.Pcommit()
 }
 
@@ -368,15 +401,14 @@ func (m *Model) Clone() *Model {
 	c := &Model{
 		volatile: m.volatile.Clone(),
 		durable:  m.durable.Clone(),
-		dirty:    make(map[uint64]struct{}, len(m.dirty)),
-		wpq:      make(map[uint64][]byte, len(m.wpq)),
+		dirty:    bitset{m.dirty.Clone()},
+		wpq:      slices.Clone(m.wpq),
 		stats:    m.stats,
 	}
-	for line := range m.dirty {
-		c.dirty[line] = struct{}{}
-	}
-	for line, buf := range m.wpq {
-		c.wpq[line] = append([]byte(nil), buf...)
+	// The slot index is rebuilt, not copied: it covers only the lines
+	// queued now, usually none.
+	for i := range c.wpq {
+		*c.slotOf(c.wpq[i].line / mem.LineSize) = int32(i + 1)
 	}
 	return c
 }
@@ -400,4 +432,27 @@ func (m *Model) Register(r *obs.Registry) {
 	r.RegisterFunc("pmem.crashes", func() uint64 { return m.stats.Crashes })
 	r.RegisterFunc("pmem.recoveries", func() uint64 { return m.stats.Recoveries })
 	r.RegisterFunc("pmem.torn_lines", func() uint64 { return m.stats.TornLines })
+}
+
+// bitset is a set of line numbers, one bit each, in a table of words.
+type bitset struct{ mem.Table[uint64] }
+
+func (b *bitset) has(n uint64) bool { return b.Get(n/64)&(1<<(n%64)) != 0 }
+
+func (b *bitset) set(n uint64) { *b.Ref(n / 64) |= 1 << (n % 64) }
+
+func (b *bitset) unset(n uint64) {
+	if b.Get(n/64) != 0 {
+		*b.Ref(n / 64) &^= 1 << (n % 64)
+	}
+}
+
+// each calls f with the base address of every line in the set, ascending.
+// f may remove lines from the set.
+func (b *bitset) each(f func(line uint64)) {
+	for w, word := range b.S {
+		for ; word != 0; word &= word - 1 {
+			f(((b.Lo+uint64(w))*64 + uint64(bits.TrailingZeros64(word))) * mem.LineSize)
+		}
+	}
 }

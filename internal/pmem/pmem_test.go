@@ -3,6 +3,7 @@ package pmem
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -93,8 +94,11 @@ func TestCrashLosesDirtyAndWPQ(t *testing.T) {
 	if got := m.ReadU64(c); got != 0 {
 		t.Errorf("dirty value survived crash: got %d", got)
 	}
-	if len(m.dirty) != 0 || len(m.wpq) != 0 {
+	if len(dirtyLines(m)) != 0 || len(m.wpq) != 0 {
 		t.Error("crash did not clear volatile tracking")
+	}
+	if err := slotsMatchWPQ(m); err != nil {
+		t.Errorf("crash left the WPQ slot index behind: %v", err)
 	}
 }
 
@@ -183,8 +187,8 @@ func TestMultiLineWrite(t *testing.T) {
 		data[i] = byte(i)
 	}
 	m.Write(addr, data)
-	if len(m.dirty) != 4 {
-		t.Errorf("%d dirty lines, want 4", len(m.dirty))
+	if got := dirtyLines(m); len(got) != 4 {
+		t.Errorf("%d dirty lines, want 4", len(got))
 	}
 	for i := 0; i < 4; i++ {
 		m.Clwb(addr + uint64(i*mem.LineSize))
@@ -441,13 +445,20 @@ func imageOf(m *Model) modelImage {
 	}
 	m.volatile.Read(mem.DefaultBase, img.volatile)
 	m.durable.Read(mem.DefaultBase, img.durable)
-	for line := range m.dirty {
+	for _, line := range dirtyLines(m) {
 		img.dirty[line] = true
 	}
-	for line, buf := range m.wpq {
-		img.wpq[line] = string(buf)
+	for _, e := range m.wpq {
+		img.wpq[e.line] = string(e.data[:])
 	}
 	return img
+}
+
+// dirtyLines lists the base addresses of the dirty set, ascending.
+func dirtyLines(m *Model) []uint64 {
+	var lines []uint64
+	m.dirty.each(func(line uint64) { lines = append(lines, line) })
+	return lines
 }
 
 // TestCloneIsIsolated runs writes, clwbs, pcommits, a direct edit of a WPQ
@@ -471,8 +482,8 @@ func TestCloneIsIsolated(t *testing.T) {
 	}
 	mutate := func(m *Model) {
 		base := uint64(mem.DefaultBase)
-		for line := range m.wpq {
-			m.wpq[line][0] ^= 0xff
+		for i := range m.wpq {
+			m.wpq[i].data[0] ^= 0xff
 		}
 		for i := uint64(0); i < 8; i++ {
 			m.WriteU64(base+i*mem.LineSize, 900+i)
@@ -503,5 +514,55 @@ func TestCloneIsIsolated(t *testing.T) {
 			t.Fatalf("mutating the %s changed the other side:\nbefore: %+v\nafter:  %+v",
 				map[bool]string{true: "fork", false: "parent"}[forkSide], before, after)
 		}
+	}
+}
+
+// TestConcurrentClonesOfOnePrefix forks one shared model from several
+// goroutines at once, as the fault engine forks every trial from one
+// prefix, and runs and crashes each fork. Each fork must end as a serial
+// fork does and the prefix must not change; run with -race.
+func TestConcurrentClonesOfOnePrefix(t *testing.T) {
+	prefix := New()
+	base := prefix.AllocLines(256)
+	for i := uint64(0); i < 256; i++ {
+		prefix.WriteU64(base+i*mem.LineSize, i)
+		if i%3 == 0 {
+			prefix.Clwb(base + i*mem.LineSize)
+		}
+	}
+	trial := func(seed int64) modelImage {
+		m := prefix.Clone()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 64; i++ {
+			a := base + uint64(rng.Intn(256))*mem.LineSize
+			m.WriteU64(a, rng.Uint64())
+			m.Clwb(a)
+		}
+		m.Crash(CrashOptions{EvictFrac: 0.5, DrainFrac: 0.5, TornFrac: 0.5, Rand: rng})
+		return imageOf(m)
+	}
+	before := imageOf(prefix)
+	const trials = 8
+	want := make([]modelImage, trials)
+	for i := range want {
+		want[i] = trial(int64(i))
+	}
+	got := make([]modelImage, trials)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = trial(int64(i))
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("trial %d forked concurrently differs from its serial run", i)
+		}
+	}
+	if !reflect.DeepEqual(imageOf(prefix), before) {
+		t.Error("forking and crashing trials changed the shared prefix")
 	}
 }

@@ -130,8 +130,8 @@ func (b *Backend) AppendGroup(ops []Op, overhead int) {
 	b.bld.Store(b.Sentinel, 8, isa.NoReg, isa.NoReg)
 }
 
-// ServingPcommits reports the device pcommits issued since warmup ended.
-func (b *Backend) ServingPcommits() uint64 {
+// servingPcommits reports the device pcommits issued since warmup ended.
+func (b *Backend) servingPcommits() uint64 {
 	return b.Env.M.Stats().Pcommits - b.WarmupPcommits
 }
 

@@ -273,7 +273,7 @@ func Run(cfg Config) (_ Result, err error) {
 			return Result{}, fmt.Errorf("service: shard %d after run: %w", k, err)
 		}
 		s.stats.CoalescedBarriers += sh.be.Env.DeferredBarriers()
-		s.stats.Pcommits += sh.be.ServingPcommits()
+		s.stats.Pcommits += sh.be.servingPcommits()
 	}
 
 	return s.result(), nil
