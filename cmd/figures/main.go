@@ -146,14 +146,29 @@ func main() {
 	if *conflicts {
 		emit("conflicts", func() *report.Table { return multicore.ConflictTable(*seed) })
 	}
-	if *latency {
-		sc := service.DefaultSweepConfig()
+	// One helper per serving layer runs a figure's default grid at the
+	// command's seed and worker count.
+	serviceSweep := func(sc service.SweepConfig) []service.SweepPoint {
 		sc.Base.Seed = *seed
 		sc.Workers = *jobs
 		points, err := service.LatencySweep(sc)
 		if err != nil {
 			log.Fatal(err)
 		}
+		return points
+	}
+	clusterSweep := func(sc cluster.SweepConfig) []cluster.SweepPoint {
+		sc.Base.Seed = *seed
+		sc.Workers = *jobs
+		points, err := cluster.Sweep(sc)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return points
+	}
+	if *latency {
+		sc := service.DefaultSweepConfig()
+		points := serviceSweep(sc)
 		emit("latency", func() *report.Table { return service.LatencyTable(points) })
 		emit("latency-slo", func() *report.Table { return service.SLOTable(points) })
 		if *chart {
@@ -167,47 +182,21 @@ func main() {
 		}
 	}
 	if *vstoreF {
-		sc := service.DefaultVstoreSweepConfig()
-		sc.Base.Seed = *seed
-		sc.Workers = *jobs
-		points, err := service.VstoreSweep(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
+		points := serviceSweep(service.DefaultVstoreSweepConfig())
 		emit("vstore", func() *report.Table { return service.VstoreTable(points) })
 		emit("vstore-slo", func() *report.Table { return service.VstoreCapacityTable(points) })
 	}
 	if *chaosF {
-		sc := cluster.DefaultChaosSweepConfig()
-		sc.Base.Seed = *seed
-		sc.Workers = *jobs
-		points, err := cluster.ChaosSweep(sc)
-		if err != nil {
-			log.Fatal(err)
-		}
+		points := clusterSweep(cluster.DefaultChaosSweepConfig())
 		emit("cluster-chaos", func() *report.Table { return cluster.ChaosCapacityTable(points) })
 	}
 	if *clusterF {
-		runClusterSweep := func(name string, sc cluster.SweepConfig) {
-			sc.Base.Seed = *seed
-			sc.Workers = *jobs
-			points, err := cluster.Sweep(sc)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emit(name, func() *report.Table { return cluster.CapacityTable(points) })
-		}
-		runClusterSweep("cluster-capacity", cluster.DefaultSweepConfig())
-		runClusterSweep("cluster-rtt", cluster.DefaultRTTSweepConfig())
-		rc := cluster.DefaultRejoinConfig()
-		rc.Base.Seed = *seed
-		rc.Workers = *jobs
+		points := clusterSweep(cluster.DefaultSweepConfig())
+		emit("cluster-capacity", func() *report.Table { return cluster.CapacityTable(points) })
+		points = clusterSweep(cluster.DefaultRTTSweepConfig())
+		emit("cluster-rtt", func() *report.Table { return cluster.CapacityTable(points) })
 		start := time.Now()
-		points, err := cluster.RejoinSweep(rc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(cluster.RejoinCurve(points).String())
+		fmt.Println(cluster.RejoinCurve(clusterSweep(cluster.DefaultRejoinConfig())).String())
 		fmt.Fprintf(os.Stderr, "[cluster-rejoin in %s]\n", time.Since(start).Round(time.Millisecond))
 	}
 }

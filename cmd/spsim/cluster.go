@@ -118,6 +118,7 @@ func runCluster(w io.Writer, o options) error {
 	fmt.Fprintf(w, "replication          %d replicate msgs, %d acks, %d network msgs total\n",
 		st.ReplMsgs, st.Acks, st.NetMsgs)
 	fmt.Fprintf(w, "group commit         K=%d: %d commit groups\n", res.Config.BatchMax, st.Groups)
+	writeChangesets(w, res.Config.Structure, res.Metrics)
 	fmt.Fprintf(w, "faults               %d crashes, %d failovers, %d rejoins (%d catch-up ops)\n",
 		st.Crashes, st.Failovers, st.Rejoins, st.CatchupOps)
 	fmt.Fprintf(w, "rebalancing          %d primaryship moves\n", st.Rebalances)

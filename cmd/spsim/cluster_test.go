@@ -138,7 +138,7 @@ func TestBuildClusterConfigLoadsPlanFile(t *testing.T) {
 var clusterForeignFlags = []string{
 	"scale", "checkpoints", "banks",
 	"mc-frac", "mc-shared-lines", "mc-ops", "mc-warmup", "mc-disjoint", "expect-rollbacks",
-	"service", "vstore", "cores", "process", "burst-frac", "burst-period",
+	"service", "cores", "process", "burst-frac", "burst-period",
 }
 
 // TestBuildClusterConfigRejectsForeignModeFlags: flags of the benchmark,

@@ -8,7 +8,7 @@
 //	spsim -bench BT -variant SP -timeline out.json  # Chrome trace
 //	spsim -cores 4 -bench HM -mc-frac 1.0  # multi-core conflict engine
 //	spsim -service -rate 300 -batch 8      # storage-server simulation
-//	spsim -vstore -rate 300 -batch 8       # versioned COW store serving
+//	spsim -service -bench VT -batch 8      # versioned COW store serving
 //	spsim -cluster -replicas 3 -rate 200   # replicated quorum fleet
 //	spsim -list                            # enumerate benchmarks and variants
 //
@@ -27,12 +27,12 @@
 // (-cores shards), optional group commit (-batch, -batch-deadline), and
 // per-request durable-commit latency percentiles.
 //
-// With -vstore the run is the same storage-server simulation over the
-// versioned copy-on-write tree store (internal/vstore): the structure is
-// pinned to VT (so -bench and the WAL-only -log-cap clash), each commit
-// group persists as one changeset behind exactly two barriers instead of
-// per-op WAL records, and the output adds the changeset-commit accounting
-// (versions minted, COW nodes written, time-travel reads).
+// The serving modes also take -bench VT, the versioned copy-on-write tree
+// store (internal/vstore): each commit group persists as one changeset
+// behind exactly two barriers instead of per-op WAL records, so the
+// undo-log -log-cap is refused, and the output adds the changeset-commit
+// accounting (commits, versions minted, COW nodes written, time-travel
+// reads).
 //
 // With -cluster the run switches to the replicated fleet (internal/cluster):
 // -nodes servers partitioned by a consistent-hash ring, every key range on
@@ -83,7 +83,7 @@ type options struct {
 	TimelineCap      int
 	List             bool
 
-	Service, Vstore bool
+	Service bool
 	// Serving holds the request knobs whose flags bind straight into it;
 	// serving adds the rest.
 	Serving     service.Serving
@@ -127,14 +127,13 @@ type options struct {
 	ExpectRollbacks bool
 }
 
-// The run modes, in the order parse resolves them: -list, then -cluster,
-// -vstore and -service, then the multi-core engine (-cores N >= 2), and
-// otherwise one benchmark on one core.
+// The run modes, in the order parse resolves them: -list, then -cluster
+// and -service, then the multi-core engine (-cores N >= 2), and otherwise
+// one benchmark on one core.
 const (
 	benchMode cli.Mode = 1 << iota
 	multicoreMode
 	serviceMode
-	vstoreMode
 	clusterMode
 	listMode
 )
@@ -150,10 +149,10 @@ var chaosFateFlags = []string{
 func newFlags(o *options) *cli.Set {
 	// The conflict engine's dials are bound into its default workload.
 	o.MC = multicore.DefaultWorkload()
-	fs := cli.NewSet("spsim", "-bench", "-cores", "-service", "-vstore", "-cluster", "-list")
-	served := serviceMode | vstoreMode | clusterMode
+	fs := cli.NewSet("spsim", "-bench", "-cores", "-service", "-cluster", "-list")
+	served := serviceMode | clusterMode
 	simulated := benchMode | multicoreMode | served
-	fs.String(&o.Bench, "bench", "LL", simulated&^vstoreMode, "benchmark abbreviation (GH HM LL SS AT BT RT)")
+	fs.String(&o.Bench, "bench", "LL", simulated, "benchmark abbreviation (GH HM LL SS AT BT RT; also VT with -service and -cluster)")
 	fs.String(&o.Variant, "variant", "SP", simulated&^multicoreMode, "variant: Base, Log, Log+P, Log+P+Sf, SP")
 	fs.Float64(&o.Scale, "scale", workload.DefaultScale, benchMode, "scale factor for Table 1 op counts (1.0 = paper)")
 	fs.Int64(&o.Seed, "seed", 1, simulated, "operation stream seed")
@@ -162,17 +161,15 @@ func newFlags(o *options) *cli.Set {
 	fs.Int(&o.Overhead, "op-overhead", 0, simulated, "per-op application preamble length (0 = default, -1 = none)")
 	fs.Int(&o.Banks, "banks", 0, benchMode|multicoreMode, "NVMM banks (0 = default)")
 	fs.Bool(&o.JSON, "json", false, simulated, "emit the result as JSON")
-	fs.String(&o.Timeline, "timeline", "", simulated&^vstoreMode, "write a Chrome trace_event JSON timeline to this file")
-	fs.Int(&o.TimelineCap, "timeline-cap", obs.DefaultTimelineCap, simulated&^vstoreMode, "timeline ring-buffer capacity (events)").Requires("timeline")
+	fs.String(&o.Timeline, "timeline", "", simulated, "write a Chrome trace_event JSON timeline to this file")
+	fs.Int(&o.TimelineCap, "timeline-cap", obs.DefaultTimelineCap, simulated, "timeline ring-buffer capacity (events)").Requires("timeline")
 	fs.Bool(&o.List, "list", false, listMode, "list valid benchmarks and variants, then exit")
 
-	serving := serviceMode | vstoreMode
 	fs.Bool(&o.Service, "service", false, serviceMode, "run the storage-server simulation (open-loop arrivals, group commit, tail latency)")
-	fs.Bool(&o.Vstore, "vstore", false, vstoreMode, "run the storage-server simulation over the versioned COW tree store (changeset commit, time-travel reads)")
 	fs.Float64(&o.Serving.Rate, "rate", 50, served, "service: offered load in requests per million cycles")
-	fs.String(&o.Process, "process", "poisson", serving, "service: arrival process (poisson, bursty)")
-	fs.Float64(&o.BurstFrac, "burst-frac", 0, serving, "service: bursty ON fraction of each period (0 = default 0.25)")
-	fs.Int64(&o.BurstPeriod, "burst-period", 0, serving, "service: bursty ON+OFF period in cycles (0 = default 32768)").Min(0)
+	fs.String(&o.Process, "process", "poisson", serviceMode, "service: arrival process (poisson, bursty)")
+	fs.Float64(&o.BurstFrac, "burst-frac", 0, serviceMode, "service: bursty ON fraction of each period (0 = default 0.25)")
+	fs.Int64(&o.BurstPeriod, "burst-period", 0, serviceMode, "service: bursty ON+OFF period in cycles (0 = default 32768)").Min(0)
 	fs.Int(&o.Serving.Requests, "requests", 0, served, "service: offered request count (0 = default 256)")
 	fs.Int(&o.Serving.Warmup, "warmup", 128, served, "service: functional warmup operations per shard")
 	fs.Int(&o.Serving.QueueCap, "queue-cap", 0, served, "service: per-shard FIFO bound (0 = default 64)")
@@ -182,7 +179,7 @@ func newFlags(o *options) *cli.Set {
 	fs.Int64(&o.Deadline, "batch-deadline", 0, served, "service: cycles the queue head waits for co-batching").Min(0)
 	fs.Float64(&o.Serving.GetFrac, "get-frac", 0.25, served, "service: fraction of read-only get requests")
 	fs.Int(&o.Serving.Keyspace, "keyspace", 0, served, "service: request key range (0 = default 128)")
-	fs.Int(&o.Serving.LogCap, "log-cap", 0, serviceMode|clusterMode, "service: per-shard undo-log capacity (0 = structure default)").Min(0)
+	fs.Int(&o.Serving.LogCap, "log-cap", 0, served, "service: per-shard undo-log capacity (0 = structure default; not VT)").Min(0)
 
 	fs.Bool(&o.Cluster, "cluster", false, clusterMode, "run the replicated-fleet simulation (sharding, quorum durability, failover)")
 	fs.Int(&o.Nodes, "nodes", 3, clusterMode, "cluster: fleet size").Min(1)
@@ -239,15 +236,20 @@ func parse(args []string) (options, cli.Mode, error) {
 		mode = listMode
 	case o.Cluster:
 		mode = clusterMode
-	case o.Vstore:
-		mode = vstoreMode
 	case o.Service:
 		mode = serviceMode
 	case o.Cores >= 2:
 		mode = multicoreMode
 	}
 	o.InlineChaos = fs.Given(chaosFateFlags...)
-	return o, mode, fs.Check(mode)
+	if err := fs.Check(mode); err != nil {
+		return o, mode, err
+	}
+	// VT commits changesets: it has no undo log for -log-cap to size.
+	if o.Bench == "VT" && len(fs.Given("log-cap")) > 0 {
+		return o, mode, fmt.Errorf("flags [-log-cap] do not apply to -bench VT (the versioned store keeps no undo log)")
+	}
+	return o, mode, nil
 }
 
 func main() {
@@ -269,8 +271,6 @@ func run(args []string, w io.Writer) error {
 		return nil
 	case clusterMode:
 		return runCluster(w, o)
-	case vstoreMode:
-		return runVstore(w, o)
 	case serviceMode:
 		return runService(w, o)
 	case multicoreMode:

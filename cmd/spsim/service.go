@@ -7,16 +7,17 @@ package main
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"specpersist/internal/cli"
 	"specpersist/internal/core"
+	"specpersist/internal/obs"
 	"specpersist/internal/service"
 )
 
-// serving is the one request-side value the -service, -vstore and
-// -cluster modes start from: the knobs bound straight into o.Serving plus
-// those the other modes share or that need a conversion, and the
-// -timeline ring.
+// serving is the one request-side value the -service and -cluster modes
+// start from: the knobs bound straight into o.Serving plus those the
+// other modes share or that need a conversion, and the -timeline ring.
 func serving(o options) (service.Serving, error) {
 	v, err := core.ParseVariant(o.Variant)
 	if err != nil {
@@ -30,8 +31,8 @@ func serving(o options) (service.Serving, error) {
 	return s, nil
 }
 
-// servingConfig assembles and validates the storage-server configuration
-// the -service and -vstore modes share.
+// servingConfig assembles and validates the -service storage-server
+// configuration.
 func servingConfig(o options) (service.Config, error) {
 	s, err := serving(o)
 	if err != nil {
@@ -76,6 +77,27 @@ func runService(w io.Writer, o options) error {
 	fmt.Fprintf(w, "group commit         K=%d: %d runs, %d commit groups, %d grouped requests\n",
 		res.Config.BatchMax, st.Runs, st.Batches, st.GroupedRequests)
 	fmt.Fprintf(w, "persist barriers     %d pcommits issued, %d trios coalesced\n", st.Pcommits, st.CoalescedBarriers)
+	writeChangesets(w, res.Config.Structure, res.Metrics)
 	fmt.Fprintf(w, "queue                max depth %d, time-avg %.2f\n", st.MaxQueueDepth, res.AvgQueueDepth)
 	return nil
+}
+
+// writeChangesets prints a VT run's changeset-commit accounting, summing
+// the vstore.* counters of every core (and, in a fleet, every node) out
+// of its metrics; other structures print nothing.
+func writeChangesets(w io.Writer, structure string, metrics obs.Snapshot) {
+	if structure != "VT" {
+		return
+	}
+	vc := map[string]uint64{}
+	for k, v := range metrics {
+		if i := strings.Index(k, "vstore."); i >= 0 {
+			vc[k[i+len("vstore."):]] += v
+		}
+	}
+	fmt.Fprintf(w, "changeset commits    %d commits (%d empty), %d versions minted, %d barriers\n",
+		vc["commits"], vc["empty_commits"], vc["versions"], vc["barriers"])
+	fmt.Fprintf(w, "changeset volume     %d COW nodes written, %d changeset lines flushed\n",
+		vc["nodes_written"], vc["changeset_lines"])
+	fmt.Fprintf(w, "time-travel reads    %d gets served from the committed root\n", vc["time_travel_gets"])
 }

@@ -59,11 +59,11 @@ func TestBuildServiceConfigRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// serviceForeignFlags are the flags of the benchmark, conflict-engine,
-// versioned-store and fleet modes, none of which a -service run reads.
+// serviceForeignFlags are the flags of the benchmark, conflict-engine and
+// fleet modes, none of which a -service run reads.
 var serviceForeignFlags = []string{
 	"scale", "mc-frac", "mc-shared-lines", "mc-ops", "mc-warmup", "mc-disjoint",
-	"expect-rollbacks", "checkpoints", "banks", "vstore",
+	"expect-rollbacks", "checkpoints", "banks",
 	"cluster", "nodes", "replicas", "quorum", "vnodes", "zipf",
 	"net-rtt", "net-jitter", "catchup-batch",
 	"crash-at", "crash-node", "recover-after", "rebalance-every",
@@ -116,7 +116,6 @@ func TestRejectsFlagsForeignToMode(t *testing.T) {
 		{"fleet size on a benchmark run", []string{"-bench", "LL", "-nodes", "5"}, false, "flags [-nodes] do not apply to -bench runs"},
 		{"chaos on a benchmark run", []string{"-bench", "LL", "-nodes", "5", "-chaos-drop", "0.5"}, false, "flags [-chaos-drop -nodes] do not apply to -bench runs"},
 		{"variant on a multi-core run", []string{"-cores", "2", "-variant", "Log+P"}, false, "flags [-variant] do not apply to -cores runs"},
-		{"timeline on a vstore run", []string{"-vstore", "-timeline", "vt.json"}, false, "flags [-timeline] do not apply to -vstore runs"},
 		{"banks on a service run", []string{"-service", "-banks", "2"}, false, "flags [-banks] do not apply to -service runs"},
 		{"service flags on a listing", []string{"-list", "-rate", "3"}, false, "flags [-rate] do not apply to -list runs"},
 		{"positional argument", []string{"-bench", "LL", "extra"}, false, "unexpected arguments"},
@@ -124,7 +123,7 @@ func TestRejectsFlagsForeignToMode(t *testing.T) {
 		{"ssb on a fenced benchmark run", append(fenced, "-ssb", "64"), false, "-ssb: variant Log+P+Sf has no SP hardware"},
 		{"checkpoints on a fenced benchmark run", append(fenced, "-checkpoints", "2"), false, "-checkpoints: variant Log+P+Sf has no SP hardware"},
 		{"ssb on a fenced service run", []string{"-service", "-variant", "Log+P+Sf", "-ssb", "64"}, false, "ssb_entries 64"},
-		{"ssb on a fenced vstore run", []string{"-vstore", "-variant", "Log+P+Sf", "-ssb", "64"}, false, "ssb_entries 64"},
+		{"ssb on a fenced vstore run", []string{"-service", "-bench", "VT", "-variant", "Log+P+Sf", "-ssb", "64"}, false, "ssb_entries 64"},
 		{"ssb on a fenced cluster run", []string{"-cluster", "-variant", "Log+P", "-ssb", "64"}, false, "ssb_entries 64"},
 		{"negative ssb on an SP benchmark run", []string{"-bench", "LL", "-ssb", "-5"}, false, "-ssb must be non-negative, got -5"},
 		{"negative checkpoints on a multi-core run", []string{"-cores", "2", "-checkpoints", "-3"}, false, "-checkpoints must be non-negative, got -3"},

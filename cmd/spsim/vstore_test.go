@@ -1,20 +1,20 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"specpersist/internal/service"
 )
 
-// vstoreServingConfig parses a -vstore command line (the mode flag, then
+// vstoreServingConfig parses a -service -bench VT command line (then
 // args) and assembles its serving configuration.
 func vstoreServingConfig(args ...string) (service.Config, error) {
-	o, _, err := parse(append([]string{"-vstore"}, args...))
-	if err != nil {
-		return service.Config{}, err
-	}
-	return vstoreConfig(o)
+	return serviceConfig(append([]string{"-bench", "VT"}, args...)...)
 }
 
 func TestBuildVstoreConfigValid(t *testing.T) {
@@ -23,7 +23,7 @@ func TestBuildVstoreConfigValid(t *testing.T) {
 		t.Fatalf("valid options rejected: %v", err)
 	}
 	if cfg.Structure != "VT" {
-		t.Errorf("structure not pinned to VT: %+v", cfg)
+		t.Errorf("structure is not VT: %+v", cfg)
 	}
 }
 
@@ -54,42 +54,56 @@ func TestBuildVstoreConfigRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestBuildVstoreConfigRejectsForeignModeFlags: every foreign-mode flag —
-// including -service, the WAL-only -log-cap, the benchmark selector -bench
-// and the timeline a -vstore run never records — must clash loudly with
-// -vstore, never be silently ignored.
+// TestBuildVstoreConfigRejectsForeignModeFlags: every flag a -service run
+// does not read, and the undo-log -log-cap that VT does not read, must
+// be refused by name on a VT serving run, never silently ignored, even
+// when set to its default.
 func TestBuildVstoreConfigRejectsForeignModeFlags(t *testing.T) {
-	foreign := []string{"service", "bench", "log-cap", "timeline", "timeline-cap"}
-	for _, name := range serviceForeignFlags {
-		if name != "vstore" {
-			foreign = append(foreign, name)
-		}
-	}
-	for _, name := range foreign {
+	for _, name := range append([]string{"log-cap"}, serviceForeignFlags...) {
 		_, err := vstoreServingConfig(explicit(name))
 		if err == nil {
-			t.Errorf("-%s alongside -vstore was accepted", name)
+			t.Errorf("-%s on a VT serving run was accepted", name)
 			continue
 		}
 		if !strings.Contains(err.Error(), "-"+name) {
 			t.Errorf("clash error %q does not name -%s", err, name)
 		}
 	}
-	_, err := vstoreServingConfig("-bench", "LL", "-log-cap", "128")
-	if err == nil || !strings.Contains(err.Error(), "-bench") || !strings.Contains(err.Error(), "-log-cap") {
-		t.Errorf("multi-flag clash error %v must list every offending flag", err)
-	}
 }
 
-// TestVstoreModeExitCodes: invalid combinations fail with a diagnostic
-// naming the offender, and a small valid run succeeds and reports
-// changeset commits.
+// TestVstoreModeExitCodes: invalid VT serving runs fail with a diagnostic
+// naming the offender, in both serving modes, and small valid runs
+// succeed and report changeset commits.
 func TestVstoreModeExitCodes(t *testing.T) {
+	small := []string{"-bench", "VT", "-rate", "800", "-requests", "16", "-warmup", "16"}
 	checkRuns(t, []runCase{
-		{"valid run", []string{"-vstore", "-rate", "800", "-requests", "16", "-warmup", "16"}, true, "changeset commits"},
-		{"bench clash", []string{"-vstore", "-bench", "BT"}, false, "-bench"},
-		{"service clash", []string{"-vstore", "-service"}, false, "-service"},
-		{"log-cap clash", []string{"-vstore", "-log-cap", "128"}, false, "-log-cap"},
-		{"bad variant", []string{"-vstore", "-variant", "Base"}, false, "durable"},
+		{"valid run", append([]string{"-service"}, small...), true, "changeset commits"},
+		{"valid fleet run", append([]string{"-cluster"}, small...), true, "changeset commits"},
+		{"log-cap clash", []string{"-service", "-bench", "VT", "-log-cap", "128"}, false, "flags [-log-cap] do not apply to -bench VT"},
+		{"log-cap clash on a fleet", []string{"-cluster", "-bench", "VT", "-log-cap", "128"}, false, "flags [-log-cap] do not apply to -bench VT"},
+		{"bad variant", []string{"-service", "-bench", "VT", "-variant", "Base"}, false, "durable"},
 	})
+}
+
+// TestVstoreTimeline: -timeline records a VT serving run as a non-empty
+// Chrome trace.
+func TestVstoreTimeline(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "vt.json")
+	args := []string{"-service", "-bench", "VT", "-rate", "800", "-requests", "16", "-warmup", "16", "-timeline", path}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &trace); err != nil {
+		t.Fatalf("timeline is not trace JSON: %v", err)
+	}
+	if len(trace.TraceEvents) == 0 {
+		t.Fatal("timeline holds no events")
+	}
 }

@@ -15,7 +15,7 @@ import (
 	"specpersist/internal/core"
 )
 
-var updateCorpus = flag.Bool("update", false, "rewrite testdata/fleet_corpus.json")
+var update = flag.Bool("update", false, "rewrite the testdata goldens (fleet corpus, figure renderings)")
 
 // corpusEntry is one recorded fleet run: the full configuration and the
 // sha256 digest of its RunAudited result JSON (or of the error text).
@@ -222,7 +222,7 @@ func corpusDigest(cfg Config) string {
 // behaviour.
 func TestFleetCorpusDigests(t *testing.T) {
 	path := filepath.Join("testdata", "fleet_corpus.json")
-	if *updateCorpus {
+	if *update {
 		entries := make([]corpusEntry, corpusSize)
 		for i := range entries {
 			cfg := corpusConfig(i)

@@ -21,16 +21,20 @@ import (
 	"specpersist/internal/sweep"
 )
 
-// SweepConfig parameterizes a fleet sweep: the cross product of Rates,
-// Variants, Replicas, Batches and RTTs, each simulated from Base. The
-// write quorum follows Base.Quorum (0 = majority of each swept R).
+// SweepConfig parameterizes a fleet sweep: the cross product of Levels,
+// Variants, Replicas, Batches, RTTs, RecoverAfters and Rates, each
+// simulated from Base. An empty axis keeps Base's value. The write quorum
+// follows Base.Quorum (0 = majority of each swept R), and a chaos level
+// replaces Base.Chaos with its plan over the run's arrival span.
 type SweepConfig struct {
-	Base     Config         `json:"base"`
-	Rates    []float64      `json:"rates"`
-	Variants []core.Variant `json:"variants"`
-	Replicas []int          `json:"replicas"`
-	Batches  []int          `json:"batches"`
-	RTTs     []uint64       `json:"rtts"`
+	Base          Config         `json:"base"`
+	Levels        []ChaosLevel   `json:"levels,omitempty"`
+	Rates         []float64      `json:"rates"`
+	Variants      []core.Variant `json:"variants"`
+	Replicas      []int          `json:"replicas"`
+	Batches       []int          `json:"batches"`
+	RTTs          []uint64       `json:"rtts"`
+	RecoverAfters []uint64       `json:"recover_afters,omitempty"`
 	// Workers bounds sweep parallelism (<= 0: GOMAXPROCS). Results are
 	// indexed by grid position, so the worker count never changes output.
 	Workers int `json:"-"`
@@ -62,61 +66,98 @@ func DefaultRTTSweepConfig() SweepConfig {
 	return sc
 }
 
-// SweepPoint is one grid cell's outcome.
+// DefaultRejoinConfig returns the harness-scale rejoin experiment: an
+// R=3 W=2 fleet (writes keep flowing during the outage, so the downed
+// replica genuinely falls behind) crashed early and restarted after
+// successively longer outages, so it misses — and must stream back — a
+// different number of updates each time.
+func DefaultRejoinConfig() SweepConfig {
+	base := DefaultConfig()
+	base.Replicas = 3
+	base.Quorum = 2
+	base.Rate = 200
+	base.Requests = 384
+	base.CrashAt = 200_000
+	base.CrashNode = 1
+	return SweepConfig{
+		Base:          base,
+		Variants:      []core.Variant{core.VariantLogPSf, core.VariantSP},
+		RecoverAfters: []uint64{100_000, 400_000, 700_000, 1_000_000},
+	}
+}
+
+// DefaultChaosSweepConfig returns the chaos-capacity grid: a healthy
+// network, 5% drops, and drops plus a partition, across the strict
+// baseline and SP at light to moderate load, on DefaultChaosBase (the
+// fleet with the client robustness stack).
+func DefaultChaosSweepConfig() SweepConfig {
+	return SweepConfig{
+		Base:     DefaultChaosBase(),
+		Rates:    []float64{25, 50, 100},
+		Variants: []core.Variant{core.VariantLogPSf, core.VariantSP},
+		Levels: []ChaosLevel{
+			{Name: "none"},
+			{Name: "drops", Drop: 0.05},
+			{Name: "drops+partition", Drop: 0.05, Partition: true},
+		},
+	}
+}
+
+// SweepPoint is one grid cell's outcome. Level is empty unless the sweep
+// has a Levels axis.
 type SweepPoint struct {
-	Rate     float64 `json:"rate"`
-	Variant  string  `json:"variant"`
-	Replicas int     `json:"replicas"`
-	Quorum   int     `json:"quorum"`
-	Batch    int     `json:"batch"`
-	RTT      uint64  `json:"rtt"`
-	Result   Result  `json:"result"`
+	Level        string  `json:"level,omitempty"`
+	Rate         float64 `json:"rate"`
+	Variant      string  `json:"variant"`
+	Replicas     int     `json:"replicas"`
+	Quorum       int     `json:"quorum"`
+	Batch        int     `json:"batch"`
+	RTT          uint64  `json:"rtt"`
+	RecoverAfter uint64  `json:"recover_after,omitempty"`
+	Result       Result  `json:"result"`
 }
 
 // Sweep simulates the full grid on the shared worker pool and returns
-// points in deterministic grid order (variant, replicas, batch, RTT,
-// rate), independent of the worker count.
+// points in deterministic grid order (level, variant, replicas, batch,
+// RTT, recover-after, rate), independent of the worker count. A point
+// that schedules a recovery fails unless the crashed node rejoined.
 func Sweep(sc SweepConfig) ([]SweepPoint, error) {
 	type cell struct {
-		v     core.Variant
-		reps  int
-		batch int
-		rtt   uint64
-		rate  float64
+		cfg   Config
+		level *ChaosLevel
 	}
-	var grid []cell
-	for _, v := range sc.Variants {
-		for _, reps := range sc.Replicas {
-			for _, b := range sc.Batches {
-				for _, rtt := range sc.RTTs {
-					for _, r := range sc.Rates {
-						grid = append(grid, cell{v: v, reps: reps, batch: b, rtt: rtt, rate: r})
-					}
-				}
-			}
-		}
-	}
+	grid := []cell{{cfg: sc.Base}}
+	grid = sweep.Cross(grid, sc.Levels, func(c *cell, l ChaosLevel) { c.level = &l })
+	grid = sweep.Cross(grid, sc.Variants, func(c *cell, v core.Variant) { c.cfg.Variant = v })
+	grid = sweep.Cross(grid, sc.Replicas, func(c *cell, r int) { c.cfg.Replicas = r })
+	grid = sweep.Cross(grid, sc.Batches, func(c *cell, b int) { c.cfg.BatchMax = b })
+	grid = sweep.Cross(grid, sc.RTTs, func(c *cell, rtt uint64) { c.cfg.NetRTT = rtt })
+	grid = sweep.Cross(grid, sc.RecoverAfters, func(c *cell, a uint64) { c.cfg.RecoverAfter = a })
+	grid = sweep.Cross(grid, sc.Rates, func(c *cell, r float64) { c.cfg.Rate = r })
 	points := make([]SweepPoint, len(grid))
 	err := sweep.Pool(sc.Workers, len(grid), func(i int) error {
-		c := grid[i]
-		cfg := sc.Base
-		cfg.Variant = c.v
-		cfg.Replicas = c.reps
-		cfg.Quorum = sc.Base.Quorum // 0 resolves to majority of this R
-		cfg.BatchMax = c.batch
-		cfg.NetRTT = c.rtt
-		cfg.Rate = c.rate
+		cfg := grid[i].cfg
 		cfg.Timeline = nil
+		p := SweepPoint{
+			Rate: cfg.Rate, Variant: cfg.Variant.String(), Replicas: cfg.Replicas,
+			Batch: cfg.BatchMax, RTT: cfg.NetRTT, RecoverAfter: cfg.RecoverAfter,
+		}
+		if l := grid[i].level; l != nil {
+			p.Level = l.Name
+			span := uint64(float64(cfg.Requests) / cfg.Rate * 1e6)
+			cfg.Chaos = levelPlan(*l, cfg.Nodes, span)
+		}
 		res, err := Run(cfg)
+		if err == nil && cfg.RecoverAfter > 0 && res.Stats.Rejoins == 0 {
+			err = fmt.Errorf("node %d never rejoined", cfg.CrashNode)
+		}
 		if err != nil {
-			return fmt.Errorf("sweep point %s R=%d K=%d rtt=%d rate=%g: %w",
-				c.v, c.reps, c.batch, c.rtt, c.rate, err)
+			return fmt.Errorf("sweep point %s %s R=%d K=%d rtt=%d recover-after=%d rate=%g: %w",
+				p.Level, p.Variant, p.Replicas, p.Batch, p.RTT, p.RecoverAfter, p.Rate, err)
 		}
 		res.Metrics = nil // keep sweep output at table scale
-		points[i] = SweepPoint{
-			Rate: c.rate, Variant: c.v.String(), Replicas: c.reps,
-			Quorum: res.Config.Quorum, Batch: c.batch, RTT: c.rtt, Result: res,
-		}
+		p.Quorum, p.Result = res.Config.Quorum, res
+		points[i] = p
 		return nil
 	})
 	if err != nil {
@@ -195,87 +236,9 @@ func CapacityTable(points []SweepPoint) *report.Table {
 	return t
 }
 
-// RejoinConfig parameterizes the replica-rejoin figure: Base must carry a
-// crash (CrashAt, CrashNode); each RecoverAfters value restarts the node
-// after a different outage, so it misses — and must stream back — a
-// different number of updates.
-type RejoinConfig struct {
-	Base          Config         `json:"base"`
-	Variants      []core.Variant `json:"variants"`
-	RecoverAfters []uint64       `json:"recover_afters"`
-	Workers       int            `json:"-"`
-}
-
-// DefaultRejoinConfig returns the harness-scale rejoin experiment: an
-// R=3 W=2 fleet (writes keep flowing during the outage, so the downed
-// replica genuinely falls behind) crashed early and restarted after
-// successively longer outages.
-func DefaultRejoinConfig() RejoinConfig {
-	base := DefaultConfig()
-	base.Replicas = 3
-	base.Quorum = 2
-	base.Rate = 200
-	base.Requests = 384
-	base.CrashAt = 200_000
-	base.CrashNode = 1
-	return RejoinConfig{
-		Base:          base,
-		Variants:      []core.Variant{core.VariantLogPSf, core.VariantSP},
-		RecoverAfters: []uint64{100_000, 400_000, 700_000, 1_000_000},
-	}
-}
-
-// RejoinPoint is one rejoin measurement.
-type RejoinPoint struct {
-	Variant      string `json:"variant"`
-	RecoverAfter uint64 `json:"recover_after"`
-	CatchupOps   uint64 `json:"catchup_ops"`
-	RejoinCycles uint64 `json:"rejoin_cycles"`
-}
-
-// RejoinSweep measures rejoin time against updates replayed, one run per
-// (variant, outage length).
-func RejoinSweep(rc RejoinConfig) ([]RejoinPoint, error) {
-	type cell struct {
-		v     core.Variant
-		after uint64
-	}
-	var grid []cell
-	for _, v := range rc.Variants {
-		for _, a := range rc.RecoverAfters {
-			grid = append(grid, cell{v: v, after: a})
-		}
-	}
-	points := make([]RejoinPoint, len(grid))
-	err := sweep.Pool(rc.Workers, len(grid), func(i int) error {
-		c := grid[i]
-		cfg := rc.Base
-		cfg.Variant = c.v
-		cfg.RecoverAfter = c.after
-		cfg.Timeline = nil
-		res, err := Run(cfg)
-		if err != nil {
-			return fmt.Errorf("rejoin point %s recover-after=%d: %w", c.v, c.after, err)
-		}
-		nd := res.PerNode[cfg.CrashNode]
-		if res.Stats.Rejoins == 0 {
-			return fmt.Errorf("rejoin point %s recover-after=%d: node %d never rejoined", c.v, c.after, cfg.CrashNode)
-		}
-		points[i] = RejoinPoint{
-			Variant: c.v.String(), RecoverAfter: c.after,
-			CatchupOps: nd.CatchupOps, RejoinCycles: nd.RejoinCycles,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
-}
-
 // RejoinCurve charts updates streamed during catch-up (x) against the
 // recovery-start-to-rejoin time (y), one series per variant.
-func RejoinCurve(points []RejoinPoint) *report.Curve {
+func RejoinCurve(points []SweepPoint) *report.Curve {
 	c := &report.Curve{
 		Title:  "Replica rejoin time vs updates replayed",
 		XLabel: "updates streamed during catch-up",
@@ -287,7 +250,8 @@ func RejoinCurve(points []RejoinPoint) *report.Curve {
 		if _, ok := byVariant[p.Variant]; !ok {
 			order = append(order, p.Variant)
 		}
-		byVariant[p.Variant] = append(byVariant[p.Variant], report.Point{X: float64(p.CatchupOps), Y: float64(p.RejoinCycles)})
+		nd := p.Result.PerNode[p.Result.Config.CrashNode]
+		byVariant[p.Variant] = append(byVariant[p.Variant], report.Point{X: float64(nd.CatchupOps), Y: float64(nd.RejoinCycles)})
 	}
 	for _, v := range order {
 		pts := byVariant[v]
@@ -306,33 +270,6 @@ type ChaosLevel struct {
 	Partition bool    `json:"partition"`
 }
 
-// ChaosSweepConfig parameterizes the chaos-capacity figure: the cross
-// product of Levels, Variants and Rates simulated from Base (which must
-// carry the client robustness stack — DefaultChaosBase does).
-type ChaosSweepConfig struct {
-	Base     Config         `json:"base"`
-	Rates    []float64      `json:"rates"`
-	Variants []core.Variant `json:"variants"`
-	Levels   []ChaosLevel   `json:"levels"`
-	Workers  int            `json:"-"`
-}
-
-// DefaultChaosSweepConfig returns the harness-scale grid: a healthy
-// network, 5% drops, and drops plus a partition, across the strict
-// baseline and SP at light to moderate load.
-func DefaultChaosSweepConfig() ChaosSweepConfig {
-	return ChaosSweepConfig{
-		Base:     DefaultChaosBase(),
-		Rates:    []float64{25, 50, 100},
-		Variants: []core.Variant{core.VariantLogPSf, core.VariantSP},
-		Levels: []ChaosLevel{
-			{Name: "none"},
-			{Name: "drops", Drop: 0.05},
-			{Name: "drops+partition", Drop: 0.05, Partition: true},
-		},
-	}
-}
-
 // levelPlan assembles one level's chaos plan for a run spanning roughly
 // span cycles over nodes servers. A nil return means a kind network.
 func levelPlan(l ChaosLevel, nodes int, span uint64) *chaos.Plan {
@@ -346,57 +283,10 @@ func levelPlan(l ChaosLevel, nodes int, span uint64) *chaos.Plan {
 	return p
 }
 
-// ChaosPoint is one chaos-capacity grid cell.
-type ChaosPoint struct {
-	Level   string  `json:"level"`
-	Rate    float64 `json:"rate"`
-	Variant string  `json:"variant"`
-	Result  Result  `json:"result"`
-}
-
-// ChaosSweep simulates the grid on the shared worker pool, in
-// deterministic grid order (level, variant, rate).
-func ChaosSweep(sc ChaosSweepConfig) ([]ChaosPoint, error) {
-	type cell struct {
-		l    ChaosLevel
-		v    core.Variant
-		rate float64
-	}
-	var grid []cell
-	for _, l := range sc.Levels {
-		for _, v := range sc.Variants {
-			for _, r := range sc.Rates {
-				grid = append(grid, cell{l: l, v: v, rate: r})
-			}
-		}
-	}
-	points := make([]ChaosPoint, len(grid))
-	err := sweep.Pool(sc.Workers, len(grid), func(i int) error {
-		c := grid[i]
-		cfg := sc.Base
-		cfg.Variant = c.v
-		cfg.Rate = c.rate
-		cfg.Timeline = nil
-		span := uint64(float64(cfg.Requests) / c.rate * 1e6)
-		cfg.Chaos = levelPlan(c.l, cfg.Nodes, span)
-		res, err := Run(cfg)
-		if err != nil {
-			return fmt.Errorf("chaos sweep point %s %s rate=%g: %w", c.l.Name, c.v, c.rate, err)
-		}
-		res.Metrics = nil
-		points[i] = ChaosPoint{Level: c.l.Name, Rate: c.rate, Variant: c.v.String(), Result: res}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
-}
-
 // ChaosCapacityTable reduces a chaos sweep to the tail-latency-under-
 // faults figure: per (fault level, rate), each variant's p99 and the
 // fraction of offered requests that still completed.
-func ChaosCapacityTable(points []ChaosPoint) *report.Table {
+func ChaosCapacityTable(points []SweepPoint) *report.Table {
 	t := &report.Table{
 		Title:   "Chaos capacity: p99 (cycles) and completion under network faults",
 		Columns: []string{"faults", "rate", "Log+P+Sf p99", "done%", "SP p99", "done%", "SP p99 delta"},
@@ -405,23 +295,23 @@ func ChaosCapacityTable(points []ChaosPoint) *report.Table {
 		level string
 		rate  float64
 	}
-	cells := map[key]map[string]ChaosPoint{}
+	cells := map[key]map[string]SweepPoint{}
 	var order []key
 	for _, p := range points {
 		k := key{p.Level, p.Rate}
 		if _, ok := cells[k]; !ok {
 			order = append(order, k)
-			cells[k] = map[string]ChaosPoint{}
+			cells[k] = map[string]SweepPoint{}
 		}
 		cells[k][p.Variant] = p
 	}
-	done := func(p ChaosPoint, ok bool) string {
+	done := func(p SweepPoint, ok bool) string {
 		if !ok || p.Result.Stats.Offered == 0 {
 			return "-"
 		}
 		return fmt.Sprintf("%.0f%%", 100*float64(p.Result.Stats.Completed)/float64(p.Result.Stats.Offered))
 	}
-	p99 := func(p ChaosPoint, ok bool) string {
+	p99 := func(p SweepPoint, ok bool) string {
 		if !ok {
 			return "-"
 		}

@@ -7,6 +7,12 @@ import (
 	"specpersist/internal/core"
 )
 
+// The tiny-grid tests shrink each default figure grid until it runs fast
+// under -race, then pin its rendering to a testdata golden. Regenerate
+// with
+//
+//	go test ./internal/cluster -run Tiny -update
+
 func TestCapacityTableTinyGrid(t *testing.T) {
 	sc := DefaultSweepConfig()
 	sc.Base.Requests = 48
@@ -18,9 +24,6 @@ func TestCapacityTableTinyGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(sc.Variants) * 2 * 2; len(points) != want {
-		t.Fatalf("%d sweep points, want %d", len(points), want)
-	}
 	for _, p := range points {
 		if p.Result.Metrics != nil {
 			t.Fatal("sweep points should drop the metrics snapshot")
@@ -30,59 +33,54 @@ func TestCapacityTableTinyGrid(t *testing.T) {
 			t.Fatalf("R=%d point carries W=%d, want majority %d", p.Replicas, p.Quorum, wantW)
 		}
 	}
-	tbl := CapacityTable(points)
-	if len(tbl.Rows) != 2 { // one row per (R, K, RTT) cell
-		t.Fatalf("%d capacity rows, want 2", len(tbl.Rows))
+	checkGolden(t, "capacity.golden", []byte(CapacityTable(points).String()))
+}
+
+func TestRTTTableTinyGrid(t *testing.T) {
+	sc := DefaultRTTSweepConfig()
+	sc.Base.Requests = 48
+	sc.Base.Warmup = 32
+	sc.Rates = []float64{150, 400}
+	sc.RTTs = []uint64{200, 3200}
+	points, err := Sweep(sc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	text := tbl.String()
-	for _, needle := range []string{"Log+P+Sf", "SP", "R", "RTT"} {
-		if !strings.Contains(text, needle) {
-			t.Fatalf("rendered table missing %q:\n%s", needle, text)
-		}
-	}
+	checkGolden(t, "rtt.golden", []byte(CapacityTable(points).String()))
 }
 
 func TestRejoinSweepTiny(t *testing.T) {
 	rc := DefaultRejoinConfig()
 	rc.Base.Requests = 192
 	rc.Base.Rate = 300
-	rc.Variants = []core.Variant{core.VariantSP}
 	rc.RecoverAfters = []uint64{150_000, 500_000}
-	points, err := RejoinSweep(rc)
+	points, err := Sweep(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 2 {
-		t.Fatalf("%d rejoin points, want 2", len(points))
-	}
-	// A longer outage misses at least as many updates and cannot rejoin
-	// faster than a shorter one with fewer ops to stream.
-	if points[1].CatchupOps < points[0].CatchupOps {
-		t.Fatalf("longer outage streamed fewer ops: %+v", points)
-	}
-	chart := RejoinCurve(points).String()
-	for _, needle := range []string{"rejoin", "catch-up", core.VariantSP.String()} {
-		if !strings.Contains(chart, needle) {
-			t.Fatalf("rendered rejoin curve missing %q:\n%s", needle, chart)
+	// A longer outage misses at least as many updates.
+	streamed := func(p SweepPoint) uint64 { return p.Result.PerNode[rc.Base.CrashNode].CatchupOps }
+	for i := 0; i < len(points); i += 2 {
+		if streamed(points[i+1]) < streamed(points[i]) {
+			t.Fatalf("longer outage streamed fewer ops: %d then %d", streamed(points[i]), streamed(points[i+1]))
 		}
 	}
+	checkGolden(t, "rejoin.golden", []byte(RejoinCurve(points).String()))
 }
 
 func TestChaosSweepTinyGrid(t *testing.T) {
 	sc := DefaultChaosSweepConfig()
 	sc.Base.Requests = 80
 	sc.Rates = []float64{40}
-	sc.Variants = []core.Variant{core.VariantSP}
-	points, err := ChaosSweep(sc)
+	points, err := Sweep(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(sc.Levels); len(points) != want {
-		t.Fatalf("%d chaos points, want %d", len(points), want)
-	}
-	byLevel := map[string]ChaosPoint{}
+	byLevel := map[string]SweepPoint{}
 	for _, p := range points {
-		byLevel[p.Level] = p
+		if p.Variant == core.VariantSP.String() {
+			byLevel[p.Level] = p
+		}
 	}
 	if n, d := byLevel["none"].Result.P99, byLevel["drops"].Result.P99; d < n {
 		t.Errorf("5%% drops improved p99: %d -> %d", n, d)
@@ -90,14 +88,24 @@ func TestChaosSweepTinyGrid(t *testing.T) {
 	if st := byLevel["drops+partition"].Result.Stats; st.NetChaosCut == 0 {
 		t.Error("partition level cut no messages")
 	}
-	tbl := ChaosCapacityTable(points)
-	if len(tbl.Rows) != len(sc.Levels) {
-		t.Fatalf("%d table rows, want %d", len(tbl.Rows), len(sc.Levels))
-	}
-	text := tbl.String()
-	for _, needle := range []string{"drops+partition", "SP", "done%"} {
-		if !strings.Contains(text, needle) {
-			t.Fatalf("rendered chaos table missing %q:\n%s", needle, text)
-		}
+	checkGolden(t, "chaos.golden", []byte(ChaosCapacityTable(points).String()))
+}
+
+// TestSweepFailsUnrejoinedRecovery: a point that schedules a recovery
+// fails when the crashed node never rejoins (here 90% drops starve its
+// catch-up before the run drains), so a rejoin curve never plots a
+// missing rejoin as zero.
+func TestSweepFailsUnrejoinedRecovery(t *testing.T) {
+	sc := DefaultChaosSweepConfig()
+	sc.Base.Requests = 48
+	sc.Base.CrashAt = 100_000
+	sc.Base.CrashNode = 1
+	sc.Levels = []ChaosLevel{{Name: "lossy", Drop: 0.9}}
+	sc.Rates = []float64{40}
+	sc.Variants = []core.Variant{core.VariantSP}
+	sc.RecoverAfters = []uint64{2_000_000}
+	_, err := Sweep(sc)
+	if err == nil || !strings.Contains(err.Error(), "node 1 never rejoined") {
+		t.Fatalf("Sweep error %v, want node 1 never rejoined", err)
 	}
 }

@@ -362,21 +362,4 @@ func (t *AVL) Check() error {
 	return nil
 }
 
-// Keys returns all keys in order (testing helper).
-func (t *AVL) Keys() []uint64 {
-	m := t.env.M
-	var keys []uint64
-	var walk func(addr uint64)
-	walk = func(addr uint64) {
-		if addr == 0 {
-			return
-		}
-		walk(m.ReadU64(addr + avLeft))
-		keys = append(keys, m.ReadU64(addr+avKey))
-		walk(m.ReadU64(addr + avRight))
-	}
-	walk(m.ReadU64(t.hdr + 0))
-	return keys
-}
-
 var _ Structure = (*AVL)(nil)

@@ -425,26 +425,4 @@ func (t *BTree) Check() error {
 	return nil
 }
 
-// Keys returns all keys in order (testing helper).
-func (t *BTree) Keys() []uint64 {
-	m := t.env.M
-	var keys []uint64
-	var walk func(addr uint64)
-	walk = func(addr uint64) {
-		if addr == 0 {
-			return
-		}
-		if m.ReadU64(addr+btFlags) == 1 {
-			keys = append(keys, m.ReadU64(addr+btKey0))
-			return
-		}
-		n := m.ReadU64(addr + btN)
-		for i := uint64(0); i < n; i++ {
-			walk(m.ReadU64(addr + btKid0 + 8*i))
-		}
-	}
-	walk(m.ReadU64(t.hdr + 0))
-	return keys
-}
-
 var _ Structure = (*BTree)(nil)

@@ -234,19 +234,4 @@ func (h *HashMap) Check() error {
 	return nil
 }
 
-// Keys returns all live keys (testing helper).
-func (h *HashMap) Keys() []uint64 {
-	m := h.env.M
-	table := m.ReadU64(h.hdr + 0)
-	capa := m.ReadU64(h.hdr + 8)
-	var keys []uint64
-	for i := uint64(0); i < capa; i++ {
-		e := table + i*mem.LineSize
-		if m.ReadU64(e+hmState) == hmOccupied {
-			keys = append(keys, m.ReadU64(e+hmKey))
-		}
-	}
-	return keys
-}
-
 var _ Structure = (*HashMap)(nil)

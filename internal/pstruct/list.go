@@ -128,17 +128,4 @@ func (l *List) Check() error {
 	return nil
 }
 
-// Keys returns the keys in list order (testing helper).
-func (l *List) Keys() []uint64 {
-	m := l.env.M
-	var keys []uint64
-	for cur := m.ReadU64(l.hdr); cur != 0; cur = m.ReadU64(cur + llNext) {
-		keys = append(keys, m.ReadU64(cur+llKey))
-		if len(keys) > 1<<22 {
-			panic("pstruct: list cycle")
-		}
-	}
-	return keys
-}
-
 var _ Structure = (*List)(nil)

@@ -426,21 +426,4 @@ func (t *RBTree) Check() error {
 	return nil
 }
 
-// Keys returns all keys in order (testing helper).
-func (t *RBTree) Keys() []uint64 {
-	m := t.env.M
-	var keys []uint64
-	var walk func(addr uint64)
-	walk = func(addr uint64) {
-		if addr == 0 {
-			return
-		}
-		walk(m.ReadU64(addr + rbLeft))
-		keys = append(keys, m.ReadU64(addr+rbKey))
-		walk(m.ReadU64(addr + rbRight))
-	}
-	walk(m.ReadU64(t.hdr + 0))
-	return keys
-}
-
 var _ Structure = (*RBTree)(nil)

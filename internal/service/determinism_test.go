@@ -41,16 +41,19 @@ func TestRunDeterminism(t *testing.T) {
 
 // TestSweepWorkerIndependence: LatencySweep output must not depend on the
 // worker count — results are indexed by grid position, so 1 worker and
-// many workers must serialize identically byte for byte.
+// many workers must serialize identically byte for byte — and the
+// rendered tables and curves must match testdata/latency.golden.
 func TestSweepWorkerIndependence(t *testing.T) {
 	sc := DefaultSweepConfig()
 	sc.Base.Requests = 48
 	sc.Base.Warmup = 32
 	sc.Rates = []float64{200, 600}
 	sc.Batches = []int{1, 4}
+	var points []SweepPoint
 	sweepJSON := func(workers int) []byte {
 		sc.Workers = workers
-		points, err := LatencySweep(sc)
+		var err error
+		points, err = LatencySweep(sc)
 		if err != nil {
 			t.Fatalf("sweep with %d workers: %v", workers, err)
 		}
@@ -66,37 +69,42 @@ func TestSweepWorkerIndependence(t *testing.T) {
 	if !bytes.Equal(one, many) || !bytes.Equal(one, auto) {
 		t.Fatal("sweep output depends on the worker count")
 	}
+	var buf bytes.Buffer
+	buf.WriteString(LatencyTable(points).String())
+	buf.WriteString(SLOTable(points).String())
+	for _, b := range sc.Batches {
+		buf.WriteString(ThroughputLatencyCurve(points, b, 1).String())
+	}
+	buf.WriteString(LatencyCDFChart(points, sc.Rates[1], sc.Batches[0], 1).String())
+	checkGolden(t, "latency.golden", buf.Bytes())
 }
 
-// TestVstoreSweepWorkerIndependence: the -vstore comparison sweep and both
-// rendered tables must be byte-identical at any worker count. Run with
-// -race in CI.
+// TestVstoreSweepWorkerIndependence: the BT-vs-VT comparison sweep and both
+// rendered tables must be byte-identical at any worker count, and the
+// tables must match testdata/vstore.golden. Run with -race in CI.
 func TestVstoreSweepWorkerIndependence(t *testing.T) {
 	sc := DefaultVstoreSweepConfig()
 	sc.Base.Requests = 48
 	sc.Base.Warmup = 32
 	sc.Rates = []float64{200, 600}
 	sc.Batches = []int{1, 4}
-	render := func(workers int) []byte {
+	render := func(workers int) (points, tables []byte) {
 		sc.Workers = workers
-		points, err := VstoreSweep(sc)
+		ps, err := LatencySweep(sc)
 		if err != nil {
 			t.Fatalf("sweep with %d workers: %v", workers, err)
 		}
-		pj, err := json.Marshal(points)
+		pj, err := json.Marshal(ps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		buf.Write(pj)
-		buf.WriteString(VstoreTable(points).String())
-		buf.WriteString(VstoreCapacityTable(points).String())
-		return buf.Bytes()
+		return pj, []byte(VstoreTable(ps).String() + VstoreCapacityTable(ps).String())
 	}
-	one := render(1)
-	many := render(8)
-	auto := render(0)
-	if !bytes.Equal(one, many) || !bytes.Equal(one, auto) {
-		t.Fatal("vstore sweep output depends on the worker count")
+	onePoints, one := render(1)
+	for _, workers := range []int{8, 0} {
+		if p, tbl := render(workers); !bytes.Equal(onePoints, p) || !bytes.Equal(one, tbl) {
+			t.Fatalf("vstore sweep output at %d workers differs from 1 worker", workers)
+		}
 	}
+	checkGolden(t, "vstore.golden", one)
 }

@@ -1,9 +1,9 @@
-// Throughput–latency figures: sweep offered load across variants, group
-// commit sizes and shard counts, and reduce the results to the tables and
-// charts cmd/figures -latency emits. The headline comparison is the
-// SLO table: the highest offered load each configuration sustains while
-// meeting a fixed p99 target — the form in which a barrier's latency cost
-// actually surfaces for a storage server.
+// Throughput–latency figures: sweep offered load across structures,
+// variants, group commit sizes and shard counts, and reduce the results
+// to the tables and charts cmd/figures -latency and -vstore emit. The
+// headline comparison is the SLO table: the highest offered load each
+// configuration sustains while meeting a fixed p99 target — the form in
+// which a barrier's latency cost actually surfaces for a storage server.
 package service
 
 import (
@@ -15,14 +15,16 @@ import (
 	"specpersist/internal/sweep"
 )
 
-// SweepConfig parameterizes a latency sweep: the cross product of Rates,
-// Variants, Batches and Cores, each simulated from the Base template.
+// SweepConfig parameterizes a latency sweep: the cross product of
+// Structures, Variants, Batches, Cores and Rates, each simulated from the
+// Base template. An empty axis keeps Base's value.
 type SweepConfig struct {
-	Base     Config         `json:"base"`
-	Rates    []float64      `json:"rates"`
-	Variants []core.Variant `json:"variants"`
-	Batches  []int          `json:"batches"`
-	Cores    []int          `json:"cores"`
+	Base       Config         `json:"base"`
+	Structures []string       `json:"structures,omitempty"`
+	Rates      []float64      `json:"rates"`
+	Variants   []core.Variant `json:"variants"`
+	Batches    []int          `json:"batches"`
+	Cores      []int          `json:"cores"`
 	// Workers bounds sweep parallelism (<= 0: GOMAXPROCS). Results are
 	// indexed by grid position, so the worker count never changes output.
 	Workers int `json:"-"`
@@ -44,50 +46,37 @@ func DefaultSweepConfig() SweepConfig {
 
 // SweepPoint is one grid cell's outcome.
 type SweepPoint struct {
-	Rate    float64 `json:"rate"`
-	Variant string  `json:"variant"`
-	Batch   int     `json:"batch"`
-	Cores   int     `json:"cores"`
-	Result  Result  `json:"result"`
+	Structure string  `json:"structure"`
+	Rate      float64 `json:"rate"`
+	Variant   string  `json:"variant"`
+	Batch     int     `json:"batch"`
+	Cores     int     `json:"cores"`
+	Result    Result  `json:"result"`
 }
 
 // LatencySweep simulates the full grid on the shared worker pool and
-// returns points in deterministic grid order (variant, batch, cores,
-// rate), independent of the worker count.
+// returns points in deterministic grid order (structure, variant, batch,
+// cores, rate), independent of the worker count.
 func LatencySweep(sc SweepConfig) ([]SweepPoint, error) {
-	type cell struct {
-		v     core.Variant
-		batch int
-		cores int
-		rate  float64
-	}
-	var grid []cell
-	for _, v := range sc.Variants {
-		for _, b := range sc.Batches {
-			for _, n := range sc.Cores {
-				for _, r := range sc.Rates {
-					grid = append(grid, cell{v: v, batch: b, cores: n, rate: r})
-				}
-			}
-		}
-	}
+	grid := []Config{sc.Base}
+	grid = sweep.Cross(grid, sc.Structures, func(c *Config, s string) { c.Structure = s })
+	grid = sweep.Cross(grid, sc.Variants, func(c *Config, v core.Variant) { c.Variant = v })
+	grid = sweep.Cross(grid, sc.Batches, func(c *Config, b int) { c.BatchMax = b })
+	grid = sweep.Cross(grid, sc.Cores, func(c *Config, n int) { c.Cores = n })
+	grid = sweep.Cross(grid, sc.Rates, func(c *Config, r float64) { c.Rate = r })
 	points := make([]SweepPoint, len(grid))
 	err := sweep.Pool(sc.Workers, len(grid), func(i int) error {
-		c := grid[i]
-		cfg := sc.Base
-		cfg.Variant = c.v
-		cfg.Rate = c.rate
-		cfg.BatchMax = c.batch
-		cfg.Cores = c.cores
+		cfg := grid[i]
 		cfg.Timeline = nil // timelines are not meaningful across a grid
 		res, err := Run(cfg)
 		if err != nil {
-			return fmt.Errorf("sweep point %s rate=%g batch=%d cores=%d: %w",
-				c.v, c.rate, c.batch, c.cores, err)
+			return fmt.Errorf("sweep point %s %s rate=%g batch=%d cores=%d: %w",
+				cfg.Structure, cfg.Variant, cfg.Rate, cfg.BatchMax, cfg.Cores, err)
 		}
 		res.Metrics = nil // keep sweep output at table scale
 		points[i] = SweepPoint{
-			Rate: c.rate, Variant: c.v.String(), Batch: c.batch, Cores: c.cores, Result: res,
+			Structure: cfg.Structure, Rate: cfg.Rate, Variant: cfg.Variant.String(),
+			Batch: cfg.BatchMax, Cores: cfg.Cores, Result: res,
 		}
 		return nil
 	})

@@ -13,46 +13,23 @@ import (
 
 	"specpersist/internal/core"
 	"specpersist/internal/report"
-	"specpersist/internal/sweep"
 )
-
-// VstoreSweepConfig parameterizes the structure-comparison sweep: the
-// cross product of Structures, Variants, Batches and Rates from the Base
-// template, always single-shard.
-type VstoreSweepConfig struct {
-	Base       Config         `json:"base"`
-	Rates      []float64      `json:"rates"`
-	Variants   []core.Variant `json:"variants"`
-	Structures []string       `json:"structures"`
-	Batches    []int          `json:"batches"`
-	// Workers bounds sweep parallelism (<= 0: GOMAXPROCS). Results are
-	// indexed by grid position, so the worker count never changes output.
-	Workers int `json:"-"`
-}
 
 // DefaultVstoreSweepConfig returns the harness-scale comparison: WAL
 // B-tree against the versioned store, the fenced baseline against SP,
-// group commit off and on.
-func DefaultVstoreSweepConfig() VstoreSweepConfig {
-	return VstoreSweepConfig{
+// group commit off and on, single shard.
+func DefaultVstoreSweepConfig() SweepConfig {
+	return SweepConfig{
 		Base:       DefaultConfig(),
+		Structures: []string{"BT", "VT"},
 		Rates:      []float64{100, 300, 500, 700, 900},
 		Variants:   []core.Variant{core.VariantLogPSf, core.VariantSP},
-		Structures: []string{"BT", "VT"},
 		Batches:    []int{1, 8},
 	}
 }
 
-// VstorePoint is one grid cell's outcome, tagged with the structure and
-// its commit protocol.
-type VstorePoint struct {
-	Structure string `json:"structure"`
-	// Commit names the durability protocol: "per-op WAL" or "changeset".
-	Commit string `json:"commit"`
-	SweepPoint
-}
-
-// commitProtocol names how a structure reaches durability.
+// commitProtocol names how a structure reaches durability: "changeset"
+// or "per-op WAL".
 func commitProtocol(structure string) string {
 	if structure == "VT" {
 		return "changeset"
@@ -60,61 +37,10 @@ func commitProtocol(structure string) string {
 	return "per-op WAL"
 }
 
-// VstoreSweep simulates the full grid on the shared worker pool, in
-// deterministic grid order (structure, variant, batch, rate) independent
-// of the worker count.
-func VstoreSweep(sc VstoreSweepConfig) ([]VstorePoint, error) {
-	type cell struct {
-		structure string
-		v         core.Variant
-		batch     int
-		rate      float64
-	}
-	var grid []cell
-	for _, s := range sc.Structures {
-		for _, v := range sc.Variants {
-			for _, b := range sc.Batches {
-				for _, r := range sc.Rates {
-					grid = append(grid, cell{structure: s, v: v, batch: b, rate: r})
-				}
-			}
-		}
-	}
-	points := make([]VstorePoint, len(grid))
-	err := sweep.Pool(sc.Workers, len(grid), func(i int) error {
-		c := grid[i]
-		cfg := sc.Base
-		cfg.Structure = c.structure
-		cfg.Variant = c.v
-		cfg.Rate = c.rate
-		cfg.BatchMax = c.batch
-		cfg.Cores = 1
-		cfg.Timeline = nil
-		res, err := Run(cfg)
-		if err != nil {
-			return fmt.Errorf("vstore sweep point %s %s rate=%g batch=%d: %w",
-				c.structure, c.v, c.rate, c.batch, err)
-		}
-		res.Metrics = nil // keep sweep output at table scale
-		points[i] = VstorePoint{
-			Structure: c.structure,
-			Commit:    commitProtocol(c.structure),
-			SweepPoint: SweepPoint{
-				Rate: c.rate, Variant: c.v.String(), Batch: c.batch, Cores: 1, Result: res,
-			},
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
-}
-
 // VstoreTable renders the sweep as the comparison table: one row per grid
 // cell with the barrier-count evidence (serving pcommits per completed
 // request) next to goodput and tail latency.
-func VstoreTable(points []VstorePoint) *report.Table {
+func VstoreTable(points []SweepPoint) *report.Table {
 	t := &report.Table{
 		Title: "Per-op WAL vs changeset commit: barriers, goodput and tail latency",
 		Columns: []string{"structure", "commit", "variant", "K", "offered(req/Mc)",
@@ -126,7 +52,7 @@ func VstoreTable(points []VstorePoint) *report.Table {
 		if r.Stats.Completed > 0 {
 			perReq = float64(r.Stats.Pcommits) / float64(r.Stats.Completed)
 		}
-		t.AddRow(p.Structure, p.Commit, p.Variant, fmt.Sprint(p.Batch),
+		t.AddRow(p.Structure, commitProtocol(p.Structure), p.Variant, fmt.Sprint(p.Batch),
 			fmt.Sprintf("%.0f", p.Rate), fmt.Sprintf("%.1f", r.Throughput),
 			fmt.Sprint(r.P50), fmt.Sprint(r.P99),
 			fmt.Sprint(r.Stats.Dropped), fmt.Sprintf("%.2f", perReq))
@@ -141,7 +67,7 @@ func VstoreTable(points []VstorePoint) *report.Table {
 // per-op-WAL sustained-load gap (this figure's axis), shared across
 // structures within the K so the capacities are comparable, and the max
 // sustained load per structure and variant under it.
-func VstoreCapacityTable(points []VstorePoint) *report.Table {
+func VstoreCapacityTable(points []SweepPoint) *report.Table {
 	t := &report.Table{
 		Title:   "p99 SLO capacity by commit protocol: max offered load (req/Mcycle)",
 		Columns: []string{"K", "p99 SLO", "structure", "commit", "Log+P+Sf", "SP", "SP gain"},
@@ -161,7 +87,7 @@ func VstoreCapacityTable(points []VstorePoint) *report.Table {
 			if p.Batch == batch &&
 				(structure == "" || p.Structure == structure) &&
 				(variant == "" || p.Variant == variant) {
-				out = append(out, p.SweepPoint)
+				out = append(out, p)
 			}
 		}
 		return out
@@ -177,8 +103,8 @@ func VstoreCapacityTable(points []VstorePoint) *report.Table {
 	changeset := func(batch int, want bool) []SweepPoint {
 		var out []SweepPoint
 		for _, p := range points {
-			if p.Batch == batch && (p.Commit == "changeset") == want {
-				out = append(out, p.SweepPoint)
+			if p.Batch == batch && (commitProtocol(p.Structure) == "changeset") == want {
+				out = append(out, p)
 			}
 		}
 		return out

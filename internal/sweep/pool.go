@@ -49,3 +49,21 @@ func Pool(workers, n int, fn func(i int) error) error {
 	wg.Wait()
 	return firstErr
 }
+
+// Cross extends a grid by one axis: each cell of grid, in order, becomes
+// one copy per value of axis, set into the copy by set. The first axis
+// crossed in thus varies slowest. An empty axis leaves grid as it is, so
+// every cell keeps the value it already has.
+func Cross[C, V any](grid []C, axis []V, set func(*C, V)) []C {
+	if len(axis) == 0 {
+		return grid
+	}
+	out := make([]C, 0, len(grid)*len(axis))
+	for _, c := range grid {
+		for _, v := range axis {
+			set(&c, v)
+			out = append(out, c)
+		}
+	}
+	return out
+}

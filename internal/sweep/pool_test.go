@@ -47,3 +47,20 @@ func TestPoolStopsOnError(t *testing.T) {
 		t.Errorf("pool did not stop early: %d items ran", got)
 	}
 }
+
+func TestCrossOrderAndEmptyAxis(t *testing.T) {
+	type cell struct{ a, b int }
+	grid := []cell{{a: 7, b: 9}}
+	grid = Cross(grid, []int{1, 2}, func(c *cell, v int) { c.a = v })
+	grid = Cross(grid, nil, func(*cell, int) { t.Fatal("empty axis set a value") })
+	grid = Cross(grid, []int{3, 4, 5}, func(c *cell, v int) { c.b = v })
+	want := []cell{{1, 3}, {1, 4}, {1, 5}, {2, 3}, {2, 4}, {2, 5}}
+	if len(grid) != len(want) {
+		t.Fatalf("%d cells, want %d", len(grid), len(want))
+	}
+	for i := range want {
+		if grid[i] != want[i] {
+			t.Fatalf("cell %d = %+v, want %+v", i, grid[i], want[i])
+		}
+	}
+}
