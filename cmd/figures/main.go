@@ -70,15 +70,21 @@ func main() {
 	}
 	s := workload.NewSuite(*scale, *seed)
 	s.Runner = eng
+	// done reports on stderr the time since the previous output: a sweep
+	// runs before the first table drawn from it, so its time lands there.
+	last := time.Now()
+	done := func(name string) {
+		fmt.Fprintf(os.Stderr, "[%s in %s]\n", name, time.Since(last).Round(time.Millisecond))
+		last = time.Now()
+	}
 	emit := func(name string, f func() *report.Table) {
-		start := time.Now()
 		tbl := f()
 		if *csv {
 			fmt.Printf("# %s\n%s\n", tbl.Title, tbl.CSV())
 		} else {
 			fmt.Println(tbl.String())
 		}
-		fmt.Fprintf(os.Stderr, "[%s in %s]\n", name, time.Since(start).Round(time.Millisecond))
+		done(name)
 	}
 
 	wantTable := func(n int) bool {
@@ -195,8 +201,7 @@ func main() {
 		emit("cluster-capacity", func() *report.Table { return cluster.CapacityTable(points) })
 		points = clusterSweep(cluster.DefaultRTTSweepConfig())
 		emit("cluster-rtt", func() *report.Table { return cluster.CapacityTable(points) })
-		start := time.Now()
 		fmt.Println(cluster.RejoinCurve(clusterSweep(cluster.DefaultRejoinConfig())).String())
-		fmt.Fprintf(os.Stderr, "[cluster-rejoin in %s]\n", time.Since(start).Round(time.Millisecond))
+		done("cluster-rejoin")
 	}
 }

@@ -157,15 +157,17 @@ func TestHitMissCounters(t *testing.T) {
 func TestL2HitLatency(t *testing.T) {
 	h, _ := newH()
 	h.Load(0x0, 0) // fill everywhere
-	// Evict from L1 only: lines 512 bytes apart share an L1 set (4 sets).
-	h.Load(512, 1000)
-	h.Load(1024, 2000)
-	// If 0x0 left L1 but not L2, a reload is an L2 hit: 2 + 11 = 13.
+	// Evict from L1 only: lines 256 and 768 share line 0's L1 set (4
+	// sets, so every 256 bytes) but not its L2 set (8 sets, every 512
+	// bytes; both land in set 4).
+	h.Load(256, 1000)
+	h.Load(768, 2000)
+	// 0x0 left L1 but not L2, so a reload is an L2 hit: 2 + 11 = 13.
 	if h.l1.lookup(0) >= 0 {
-		t.Skip("line still in L1 under this pattern")
+		t.Fatal("line still in L1 under this pattern")
 	}
 	if h.l2.lookup(0) < 0 {
-		t.Skip("line not in L2")
+		t.Fatal("line not in L2")
 	}
 	if done := h.Load(0x0, 5000); done != 5013 {
 		t.Errorf("L2 hit done = %d, want 5013", done)

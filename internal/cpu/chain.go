@@ -87,10 +87,20 @@ func (c *CPU) robSlot(m int) int {
 	return (c.robHead + m) % len(c.rob)
 }
 
-// linkRun returns how many instructions from blkPos on are chain links of
-// their predecessors, extending the cached scan only when fetch has passed
-// it, so each block instruction is examined once.
+// linkRun returns how many instructions from the fetch position on are
+// chain links of their predecessors. At a chain record it is the record's
+// unfetched length (or 0 when its next link does not follow the last
+// fetched instruction); otherwise it extends the cached scan of plain
+// instructions only when fetch has passed it, so each one is examined
+// once. A run ends at the next record boundary either way.
 func (c *CPU) linkRun() int {
+	if c.blkPos < len(c.blk) && c.blk[c.blkPos].Op == isa.Chain {
+		rec := c.blk[c.blkPos]
+		if !chainLink(c.fetchDst, rec.Link(c.blkSub)) {
+			return 0
+		}
+		return rec.Links() - c.blkSub
+	}
 	if c.linkEnd <= c.blkPos {
 		prev, i := c.fetchDst, c.blkPos
 		for i < len(c.blk) && chainLink(prev, c.blk[i]) {
@@ -128,7 +138,7 @@ func (c *CPU) commitEngineNext() uint64 {
 
 // chainAdvance applies k steady-state cycles at once. Number the in-flight
 // links s_0 (the ROB head) to s_{r-1} (the ROB tail), then the fetch queue,
-// then the block from blkPos. After k cycles s_0..s_{k-1} have retired;
+// then the stream ahead of fetch. After k cycles s_0..s_{k-1} have retired;
 // s_k heads the ROB, issued at cycle t+k-1; s_{k+1} is armed for t+k;
 // s_{k+2}..s_{k+r-1} wait on their predecessors; and the fetch queue holds
 // the next FetchQ links. Only entries whose state differs from the current
@@ -149,7 +159,7 @@ func (c *CPU) chainAdvance(k int) {
 	c.stats.Committed += uint64(k)
 
 	// link returns s_m, m < last: the ROB, then the fetch queue (read
-	// before it is refilled below), then the block.
+	// before it is refilled below), then the stream ahead of fetch.
 	link := func(m, sl int) isa.Instr {
 		if m < r {
 			return c.rob[sl].in
@@ -157,7 +167,7 @@ func (c *CPU) chainAdvance(k int) {
 		if i := m - r; i < f {
 			return c.fq[ringAdd(c.fqHead, i, f)]
 		}
-		return c.blk[c.blkPos+m-r-f]
+		return c.ahead(m - r - f)
 	}
 	// set writes s_m's final ROB entry at slot sl: issued (m == k), armed
 	// at t+k (m == k+1) or waiting on s_{m-1}, and threaded on the
@@ -211,18 +221,34 @@ func (c *CPU) chainAdvance(k int) {
 	// fetched ones (all f of them when k >= f).
 	j := max(0, k-f)
 	for i := ringAdd(c.fqHead, j%f, f); j < k; j++ {
-		c.fq[i] = c.blk[c.blkPos+j]
+		c.fq[i] = c.ahead(j)
 		c.fqLink[i] = true
 		i = ringNext(i, f)
 	}
 	c.fqHead = ringAdd(c.fqHead, k%f, f)
-	c.fetchDst = c.blk[c.blkPos+k-1].Dst
-	c.blkPos += k
+	c.fetchDst = c.ahead(k - 1).Dst
+	if rec := c.blk[c.blkPos]; rec.Op == isa.Chain {
+		if c.blkSub += k; c.blkSub == rec.Links() {
+			c.blkPos, c.blkSub = c.blkPos+1, 0
+		}
+	} else {
+		c.blkPos += k
+	}
 	c.fetchPos += uint64(k)
 
 	c.now += uint64(k)
 	c.idleSteps = 0
 	c.lastStall = nil
+}
+
+// ahead returns the instruction j places past the fetch position, j below
+// linkRun(): a link synthesized from the chain record there, or a plain
+// instruction of the block.
+func (c *CPU) ahead(j int) isa.Instr {
+	if rec := c.blk[c.blkPos]; rec.Op == isa.Chain {
+		return rec.Link(c.blkSub + j)
+	}
+	return c.blk[c.blkPos+j]
 }
 
 // ringNext, ringPrev and ringAdd step ring index i (below n) by one, back

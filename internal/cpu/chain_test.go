@@ -16,7 +16,10 @@ import (
 // lockstep against single Steps of the same fast path, comparing the whole
 // scheduler state after every StepTo (so a batch must leave exactly what
 // its cycles would); and at the end against the reference scheduler
-// (Stats, commit log, metric snapshot).
+// (Stats, commit log, metric snapshot). The lockstep runs twice: once with
+// the fast path reading the expanded stream in cut blocks, and once reading
+// the trace.Buffer's chain records, so a record and its expansion must
+// leave identical core state.
 
 // cutSource is a seekable block source that splits its stream into blocks
 // at the given positions, so chains can end exactly at a block boundary.
@@ -54,7 +57,8 @@ func (s *cutSource) Seek(pos uint64) { s.pos = int(pos) }
 // period (0 = no probes) at which every store line is probed.
 type chainProg struct {
 	cfg        Config
-	ins        []isa.Instr
+	ins        []isa.Instr // the expanded stream
+	recs       []isa.Instr // the buffer's records: chains as isa.Chain
 	cuts       []int
 	lines      []uint64
 	probeEvery uint64
@@ -124,10 +128,20 @@ func decodeChainProg(data []byte) chainProg {
 		}
 	}
 	p.ins = buf.Instrs()
+	p.recs = append([]isa.Instr(nil), buf.NextBlock()...)
 	return p
 }
 
 func (p chainProg) source() *cutSource { return &cutSource{ins: p.ins, cuts: p.cuts} }
+
+// records returns a buffer holding the program's chain records.
+func (p chainProg) records() *trace.Buffer {
+	b := &trace.Buffer{}
+	for _, r := range p.recs {
+		b.Emit(r)
+	}
+	return b
+}
 
 // newChainCore builds a core over a private memory system with its
 // counters registered and its commit log on.
@@ -198,20 +212,45 @@ func probeLines(c *CPU, lines []uint64) {
 }
 
 // runChainProg checks one program and returns how many StepTo calls and
-// how many single Steps the run took.
+// how many single Steps the run over cut blocks took.
 func runChainProg(t *testing.T, p chainProg) (calls, steps int) {
 	t.Helper()
-	a, aReg := newChainCore(p.cfg)
-	b, _ := newChainCore(p.cfg)
-	a.Start(p.source())
-	b.Start(p.source())
-	next := func(fire uint64) uint64 {
-		if p.probeEvery == 0 {
-			return math.MaxUint64
+	a, aReg, calls, steps := lockstep(t, p, p.source())
+	lockstep(t, p, p.records())
+	ref, refReg := newChainCore(p.cfg)
+	ref.SetReferenceStepping(true)
+	ref.Start(p.source())
+	for fire := p.next(0); ref.StepTo(fire); {
+		if ref.now >= fire {
+			probeLines(ref, p.lines)
+			fire = p.next(fire)
 		}
-		return fire + p.probeEvery
 	}
-	fire := next(0)
+	if as, rs := a.Stats(), ref.Stats(); as != rs {
+		t.Fatalf("stats diverge from the reference scheduler:\nfast %+v\nref  %+v", as, rs)
+	}
+	if !reflect.DeepEqual(a.CommitLog(), ref.CommitLog()) {
+		t.Fatalf("commit logs diverge (fast %d events, ref %d)", len(a.CommitLog()), len(ref.CommitLog()))
+	}
+	if !reflect.DeepEqual(aReg.Snapshot(), refReg.Snapshot()) {
+		t.Fatal("metric snapshots diverge from the reference scheduler")
+	}
+	return calls, steps
+}
+
+// lockstep runs the program through StepTo over src and through single
+// Steps over the expanded stream in cut blocks, probing both at the same
+// cycles, and requires identical scheduler state after every StepTo. The
+// block position is compared only when src is cut blocks too: a chain
+// record covers many positions of the expansion.
+func lockstep(t *testing.T, p chainProg, src trace.Source) (a *CPU, aReg *obs.Registry, calls, steps int) {
+	t.Helper()
+	a, aReg = newChainCore(p.cfg)
+	b, _ := newChainCore(p.cfg)
+	a.Start(src)
+	b.Start(p.source())
+	_, cut := src.(*cutSource)
+	fire := p.next(0)
 	for {
 		calls++
 		if !a.StepTo(fire) {
@@ -226,35 +265,28 @@ func runChainProg(t *testing.T, p chainProg) (calls, steps int) {
 			}
 			steps++
 		}
-		if sa, sb := snapChain(a), snapChain(b); !reflect.DeepEqual(sa, sb) {
-			t.Fatalf("state diverges at cycle %d (after %d StepTo calls):\nstepTo %+v\nstep   %+v", a.now, calls, sa, sb)
+		sa, sb := snapChain(a), snapChain(b)
+		if !cut {
+			sa.BlkPos, sb.BlkPos = 0, 0
+		}
+		if !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("state diverges at cycle %d (after %d StepTo calls over %T):\nstepTo %+v\nstep   %+v", a.now, calls, src, sa, sb)
 		}
 		if a.now >= fire {
 			probeLines(a, p.lines)
 			probeLines(b, p.lines)
-			fire = next(fire)
+			fire = p.next(fire)
 		}
 	}
+	return a, aReg, calls, steps
+}
 
-	ref, refReg := newChainCore(p.cfg)
-	ref.SetReferenceStepping(true)
-	ref.Start(p.source())
-	for fire = next(0); ref.StepTo(fire); {
-		if ref.now >= fire {
-			probeLines(ref, p.lines)
-			fire = next(fire)
-		}
+// next returns the probe cycle after fire (never, without probes).
+func (p chainProg) next(fire uint64) uint64 {
+	if p.probeEvery == 0 {
+		return math.MaxUint64
 	}
-	if as, rs := a.Stats(), ref.Stats(); as != rs {
-		t.Fatalf("stats diverge from the reference scheduler:\nfast %+v\nref  %+v", as, rs)
-	}
-	if !reflect.DeepEqual(a.CommitLog(), ref.CommitLog()) {
-		t.Fatalf("commit logs diverge (fast %d events, ref %d)", len(a.CommitLog()), len(ref.CommitLog()))
-	}
-	if !reflect.DeepEqual(aReg.Snapshot(), refReg.Snapshot()) {
-		t.Fatal("metric snapshots diverge from the reference scheduler")
-	}
-	return calls, steps
+	return fire + p.probeEvery
 }
 
 // chainSeed builds a fuzz input from a header and (op, arg) pairs.
@@ -309,12 +341,17 @@ func FuzzChainFastForward(f *testing.F) {
 }
 
 // TestChainFastForwardBatches runs the scenario seeds and requires the
-// long-chain ones to actually batch: far fewer StepTo calls than Steps.
+// long-chain ones to actually batch, over cut blocks and over chain
+// records: far fewer StepTo calls than Steps.
 func TestChainFastForwardBatches(t *testing.T) {
 	for i, s := range chainSeeds {
-		calls, steps := runChainProg(t, decodeChainProg(s))
+		p := decodeChainProg(s)
+		calls, steps := runChainProg(t, p)
 		if i == 2 && calls*4 > steps {
 			t.Errorf("seed %d: %d StepTo calls for %d steps; the 1,600-link chains did not batch", i, calls, steps)
+		}
+		if _, _, calls, steps := lockstep(t, p, p.records()); i == 2 && calls*4 > steps {
+			t.Errorf("seed %d: %d StepTo calls for %d steps; the 1,600-link chain records did not batch", i, calls, steps)
 		}
 	}
 }
@@ -342,45 +379,51 @@ func TestStepToHonoursCycleHook(t *testing.T) {
 // TestChainForwardRollbackMidChain probes the speculating SP core right
 // after a fast-forward, while every in-flight instruction is a chain link,
 // so the rollback squashes a batched chain and the core refetches it from
-// the checkpoint. Single Steps of the fast path and the reference
-// scheduler, probed at the same cycles, must end identically.
+// the checkpoint; the fast core reads cut blocks, then chain records.
+// Single Steps of the fast path and the reference scheduler, probed at the
+// same cycles, must end identically.
 func TestChainForwardRollbackMidChain(t *testing.T) {
 	p := decodeChainProg(chainSeed(wideSP, 2, 0, 1, 5, 2, 1, 1, 4, 2, 2, 1, 5, 2, 3, 1, 4))
-	fast, fastReg := newChainCore(p.cfg)
-	fast.Start(p.source())
-	var fires []uint64
-	for {
-		before := fast.now
-		if !fast.StepTo(math.MaxUint64) {
-			break
-		}
-		if len(fires) < 3 && fast.now-before > 1 && fast.unlinked == 0 && fast.speculating() {
-			fires = append(fires, fast.now)
-			probeLines(fast, p.lines)
-		}
-	}
-	if fast.stats.Rollbacks == 0 {
-		t.Fatalf("no mid-chain rollback (%d probes)", len(fires))
-	}
-	for _, ref := range []bool{false, true} {
-		c, reg := newChainCore(p.cfg)
-		c.SetReferenceStepping(ref)
-		c.Start(p.source())
-		i := 0
-		for c.Step() {
-			if i < len(fires) && c.now >= fires[i] {
-				probeLines(c, p.lines)
-				i++
+	for _, src := range []func() trace.Source{
+		func() trace.Source { return p.source() },
+		func() trace.Source { return p.records() },
+	} {
+		fast, fastReg := newChainCore(p.cfg)
+		fast.Start(src())
+		var fires []uint64
+		for {
+			before := fast.now
+			if !fast.StepTo(math.MaxUint64) {
+				break
+			}
+			if len(fires) < 3 && fast.now-before > 1 && fast.unlinked == 0 && fast.speculating() {
+				fires = append(fires, fast.now)
+				probeLines(fast, p.lines)
 			}
 		}
-		if fs, cs := fast.Stats(), c.Stats(); fs != cs {
-			t.Errorf("ref=%v: stats diverge:\nfast %+v\nstep %+v", ref, fs, cs)
+		if fast.stats.Rollbacks == 0 {
+			t.Fatalf("%T: no mid-chain rollback (%d probes)", src(), len(fires))
 		}
-		if !reflect.DeepEqual(fast.CommitLog(), c.CommitLog()) {
-			t.Errorf("ref=%v: commit logs diverge", ref)
-		}
-		if !reflect.DeepEqual(fastReg.Snapshot(), reg.Snapshot()) {
-			t.Errorf("ref=%v: metric snapshots diverge", ref)
+		for _, ref := range []bool{false, true} {
+			c, reg := newChainCore(p.cfg)
+			c.SetReferenceStepping(ref)
+			c.Start(p.source())
+			i := 0
+			for c.Step() {
+				if i < len(fires) && c.now >= fires[i] {
+					probeLines(c, p.lines)
+					i++
+				}
+			}
+			if fs, cs := fast.Stats(), c.Stats(); fs != cs {
+				t.Errorf("%T, ref=%v: stats diverge:\nfast %+v\nstep %+v", src(), ref, fs, cs)
+			}
+			if !reflect.DeepEqual(fast.CommitLog(), c.CommitLog()) {
+				t.Errorf("%T, ref=%v: commit logs diverge", src(), ref)
+			}
+			if !reflect.DeepEqual(fastReg.Snapshot(), reg.Snapshot()) {
+				t.Errorf("%T, ref=%v: metric snapshots diverge", src(), ref)
+			}
 		}
 	}
 }

@@ -239,7 +239,8 @@ type CPU struct {
 	src      trace.Source
 	bsrc     trace.BlockSource // src's bulk-read path, when it has one
 	blk      []isa.Instr       // current block borrowed from bsrc
-	blkPos   int
+	blkPos   int               // next record of blk
+	blkSub   int               // links of blk[blkPos] already fetched (chain records)
 	srcDone  bool
 	fetchPos uint64 // instructions fetched so far
 
@@ -295,7 +296,7 @@ type CPU struct {
 	// fetch-queue and ROB entries that are not chain links, so the
 	// steady-state screen is O(1); fetchDst is the destination of the last
 	// fetched instruction, the predecessor the next fetch is linked to.
-	// blk[blkPos:linkEnd] is the scanned run of links ahead of fetch
+	// blk[blkPos:linkEnd] is the scanned run of plain links ahead of fetch
 	// (stale once blkPos reaches linkEnd; zeroed whenever fetch takes a new
 	// block, the only way blk becomes non-empty).
 	unlinked int

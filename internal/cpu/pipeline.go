@@ -32,7 +32,7 @@ func (c *CPU) Start(src trace.Source) {
 		c.bsrc, _ = src.(trace.BlockSource)
 	}
 	c.blk = nil
-	c.blkPos = 0
+	c.blkPos, c.blkSub = 0, 0
 	c.fetchDst = isa.NoReg
 	c.srcDone = false
 	c.idleSteps = 0
@@ -147,19 +147,20 @@ func (c *CPU) fetch() bool {
 	}
 	fetched := false
 	for i := 0; i < c.cfg.FetchWidth && c.fqLen < c.cfg.FetchQ; i++ {
-		var in isa.Instr
-		if c.blkPos < len(c.blk) {
-			in = c.blk[c.blkPos]
-			c.blkPos++
-		} else if c.bsrc != nil {
-			c.blk = c.bsrc.NextBlock()
-			c.linkEnd = 0
+		if c.blkPos == len(c.blk) && c.bsrc != nil {
+			c.blk, c.blkPos, c.linkEnd = c.bsrc.NextBlock(), 0, 0
 			if len(c.blk) == 0 {
 				c.srcDone = true
 				break
 			}
-			in = c.blk[0]
-			c.blkPos = 1
+		}
+		var in isa.Instr
+		if c.blkPos < len(c.blk) {
+			if in = c.blk[c.blkPos]; in.Op == isa.Chain {
+				in = c.nextLink(in)
+			} else {
+				c.blkPos++
+			}
 		} else {
 			var ok bool
 			in, ok = c.src.Next()
@@ -184,6 +185,16 @@ func (c *CPU) fetch() bool {
 		fetched = true
 	}
 	return fetched
+}
+
+// nextLink returns the next link of rec, the chain record at the block
+// position, and moves fetch past it.
+func (c *CPU) nextLink(rec isa.Instr) isa.Instr {
+	l := rec.Link(c.blkSub)
+	if c.blkSub++; c.blkSub == rec.Links() {
+		c.blkPos, c.blkSub = c.blkPos+1, 0
+	}
+	return l
 }
 
 // dispatch moves instructions from the fetch queue into the ROB, bounded by

@@ -57,7 +57,7 @@ func (c *CPU) SetReferenceStepping(on bool) {
 	// already-started source to the per-instruction path.
 	c.bsrc = nil
 	c.blk = nil
-	c.blkPos = 0
+	c.blkPos, c.blkSub = 0, 0
 }
 
 // refStep is Step under the reference scheduler.

@@ -328,7 +328,7 @@ func (c *CPU) rollback() {
 		// entries are harmless: squashed stores' sequences compare below
 		// any store dispatched after the rollback.
 		c.blk = nil
-		c.blkPos = 0
+		c.blkPos, c.blkSub = 0, 0
 		c.unlinked = 0
 		c.fetchDst = isa.NoReg
 	}

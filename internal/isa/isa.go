@@ -42,12 +42,21 @@ const (
 	Mfence
 
 	numOps
+
+	// Chain is a trace record, not an instruction: it stands for Addr
+	// dependent default-latency ALU links, where link i writes Dst+i and
+	// reads Dst+i-1 (link 0 reads Src1). An in-memory trace stores the
+	// workload preamble this way; everything that reads a stream one
+	// instruction at a time sees the links (Link), and Validate rejects
+	// the record itself.
+	Chain = numOps
 )
 
-var opNames = [numOps]string{
+var opNames = [numOps + 1]string{
 	ALU: "alu", Load: "ld", Store: "st", Clwb: "clwb",
 	Clflushopt: "clflushopt", Clflush: "clflush",
 	Pcommit: "pcommit", Sfence: "sfence", Mfence: "mfence",
+	Chain: "chain",
 }
 
 // String returns the mnemonic for the opcode.
@@ -74,15 +83,42 @@ type Reg uint32
 // NoReg is the absent-operand marker.
 const NoReg Reg = 0
 
-// Instr is one dynamic instruction in a trace.
+// Instr is one dynamic instruction in a trace. The fields are ordered by
+// size, so an Instr is 24 bytes: the simulator copies one per fetched
+// instruction.
 type Instr struct {
-	Op   Op
 	Addr uint64 // effective address for Load/Store/Clwb/Clflushopt/Clflush
-	Size uint8  // access size in bytes for Load/Store (1..8)
 	Dst  Reg    // register produced (Load, ALU); NoReg otherwise
 	Src1 Reg    // first source dependence (data for stores)
 	Src2 Reg    // second source dependence (address for loads/stores)
-	Lat  uint8  // execution latency for ALU ops; 0 means default (1 cycle)
+	Op   Op
+	Size uint8 // access size in bytes for Load/Store (1..8)
+	Lat  uint8 // execution latency for ALU ops; 0 means default (1 cycle)
+}
+
+// Links reports how many stream positions in covers: Addr for a Chain
+// record, 1 for an instruction.
+func (in Instr) Links() int {
+	if in.Op == Chain {
+		return int(in.Addr)
+	}
+	return 1
+}
+
+// Link returns link i (0 <= i < Links()) of Chain record in: the ALU
+// instruction at that position of the stream.
+func (in Instr) Link(i int) Instr {
+	src := in.Src1
+	if i > 0 {
+		src = in.Dst + Reg(i) - 1
+	}
+	return Instr{Op: ALU, Dst: in.Dst + Reg(i), Src1: src}
+}
+
+// Tail returns the Chain record for links i.. of Chain record in.
+func (in Instr) Tail(i int) Instr {
+	l := in.Link(i)
+	return Instr{Op: Chain, Addr: in.Addr - uint64(i), Dst: l.Dst, Src1: l.Src1}
 }
 
 // String renders the instruction for debugging.
@@ -96,6 +132,8 @@ func (in Instr) String() string {
 		return fmt.Sprintf("st [%#x]%d <- r%d (addr r%d)", in.Addr, in.Size, in.Src1, in.Src2)
 	case Clwb, Clflushopt, Clflush:
 		return fmt.Sprintf("%s [%#x]", in.Op, in.Addr)
+	case Chain:
+		return fmt.Sprintf("chain %d: r%d.. <- r%d", in.Addr, in.Dst, in.Src1)
 	default:
 		return in.Op.String()
 	}
@@ -130,6 +168,8 @@ func (in Instr) Validate() error {
 		if in.Dst != NoReg || in.Src1 != NoReg || in.Src2 != NoReg || in.Addr != 0 {
 			return fmt.Errorf("isa: %s carries no operands", in.Op)
 		}
+	case Chain:
+		return fmt.Errorf("isa: a chain record is not an instruction: %v", in)
 	default:
 		return fmt.Errorf("isa: unknown opcode %d", in.Op)
 	}

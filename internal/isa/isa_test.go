@@ -3,7 +3,46 @@ package isa
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestInstrSize pins the instruction's layout: the simulator copies one
+// per fetched instruction, and field order decides its padding.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want 24", got)
+	}
+}
+
+// TestChainRecordLinks checks a chain record against the links it stands
+// for, and that every tail expands to the matching suffix.
+func TestChainRecordLinks(t *testing.T) {
+	rec := Instr{Op: Chain, Addr: 5, Dst: 10, Src1: 3}
+	if rec.Links() != 5 || (Instr{Op: Load}).Links() != 1 {
+		t.Fatalf("Links: record %d, load %d", rec.Links(), (Instr{Op: Load}).Links())
+	}
+	want := []Instr{
+		{Op: ALU, Dst: 10, Src1: 3},
+		{Op: ALU, Dst: 11, Src1: 10},
+		{Op: ALU, Dst: 12, Src1: 11},
+		{Op: ALU, Dst: 13, Src1: 12},
+		{Op: ALU, Dst: 14, Src1: 13},
+	}
+	for i := range want {
+		tail := rec.Tail(i)
+		if tail.Links() != len(want)-i {
+			t.Fatalf("Tail(%d) covers %d links, want %d", i, tail.Links(), len(want)-i)
+		}
+		for j := 0; j < tail.Links(); j++ {
+			if got := tail.Link(j); got != want[i+j] {
+				t.Fatalf("Tail(%d).Link(%d) = %+v, want %+v", i, j, got, want[i+j])
+			}
+			if err := tail.Link(j).Validate(); err != nil {
+				t.Fatalf("link %d: %v", i+j, err)
+			}
+		}
+	}
+}
 
 func TestOpStrings(t *testing.T) {
 	want := map[Op]string{
@@ -75,6 +114,7 @@ func TestValidate(t *testing.T) {
 		{Op: Pcommit, Addr: 4},           // pcommit with addr
 		{Op: Sfence, Dst: 1},             // fence with dst
 		{Op: Op(99)},                     // unknown
+		{Op: Chain, Dst: 1, Addr: 4},     // a record, not an instruction
 	}
 	for _, in := range invalid {
 		if err := in.Validate(); err == nil {

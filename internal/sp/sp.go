@@ -245,30 +245,26 @@ func (c *Checkpoints) Stalls() uint64 { return c.stalls }
 // are checked against it; a hit aborts speculation. The design does not
 // distinguish epochs: any conflict rolls back to the oldest checkpoint.
 type BLT struct {
-	blocks map[uint64]struct{}
+	blocks mem.LineSet
 	max    int
 }
 
 // NewBLT returns an empty table.
-func NewBLT() *BLT { return &BLT{blocks: make(map[uint64]struct{})} }
+func NewBLT() *BLT { return &BLT{} }
 
 // Record notes a speculative access to the block containing addr.
 func (b *BLT) Record(addr uint64) {
-	b.blocks[mem.LineAddr(addr)] = struct{}{}
-	if len(b.blocks) > b.max {
-		b.max = len(b.blocks)
+	if b.blocks.Add(addr) && b.blocks.Len() > b.max {
+		b.max = b.blocks.Len()
 	}
 }
 
 // Conflicts reports whether an external access to addr hits speculative
 // state.
-func (b *BLT) Conflicts(addr uint64) bool {
-	_, ok := b.blocks[mem.LineAddr(addr)]
-	return ok
-}
+func (b *BLT) Conflicts(addr uint64) bool { return b.blocks.Has(addr) }
 
 // Len returns the live block count.
-func (b *BLT) Len() int { return len(b.blocks) }
+func (b *BLT) Len() int { return b.blocks.Len() }
 
 // Max returns the lifetime size high-water mark: the largest speculative
 // footprint any single speculation episode reached. It deliberately
@@ -276,9 +272,9 @@ func (b *BLT) Len() int { return len(b.blocks) }
 // worst case across a whole run, not one episode — so it only ever grows.
 func (b *BLT) Max() int { return b.max }
 
-// Reset clears the live block set (speculation ended or rolled back). The
-// Max high-water mark is NOT cleared; see Max.
-func (b *BLT) Reset() { clear(b.blocks) }
+// Reset clears the live block set (speculation ended or rolled back) in
+// O(1). The Max high-water mark is NOT cleared; see Max.
+func (b *BLT) Reset() { b.blocks.Clear() }
 
 // String summarizes the table for debugging.
-func (b *BLT) String() string { return fmt.Sprintf("BLT{%d blocks}", len(b.blocks)) }
+func (b *BLT) String() string { return fmt.Sprintf("BLT{%d blocks}", b.blocks.Len()) }

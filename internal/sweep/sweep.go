@@ -50,18 +50,12 @@ type Spec struct {
 	MaxTraceOps int `json:"max_trace_ops,omitempty"`
 }
 
-func orDefault[T any](xs []T, def T) []T {
-	if len(xs) == 0 {
-		return []T{def}
-	}
-	return xs
-}
-
 // Plan expands the spec into its job list. The expansion is deterministic
-// (nested loops in declaration order: bench, variant, seed, ssb,
-// checkpoints, banks, op-overhead), normalized (knobs a variant ignores
-// are zeroed), deduplicated (the first occurrence of each distinct job
-// wins), and validated (unknown names and degenerate scales are errors).
+// (the axes crossed in declaration order, the first varying slowest:
+// bench, variant, seed, ssb, checkpoints, banks, op-overhead), normalized
+// (knobs a variant ignores are zeroed), deduplicated (the first occurrence
+// of each distinct job wins), and validated (unknown names and degenerate
+// scales are errors).
 func Plan(spec Spec) ([]workload.Job, error) {
 	benchNames := spec.Benches
 	if len(benchNames) == 0 {
@@ -107,55 +101,53 @@ func Plan(spec Spec) ([]workload.Job, error) {
 		}
 	}
 
-	seeds := orDefault(spec.Seeds, 1)
-	ssbs := orDefault(spec.SSB, 0)
-	ckpts := orDefault(spec.Checkpoints, 0)
-	banks := orDefault(spec.Banks, 0)
-	overheads := orDefault(spec.OpOverhead, 0)
+	// One cell per job before normalization; an empty axis keeps the
+	// cell's default (seed 1, zero knobs).
+	type cell struct {
+		b                  workload.Bench
+		v                  core.Variant
+		seed               int64
+		ssb, ck, bank, ovh int
+	}
+	grid := Cross([]cell{{seed: 1}}, benches, func(c *cell, b workload.Bench) { c.b = b })
+	grid = Cross(grid, variants, func(c *cell, v core.Variant) { c.v = v })
+	grid = Cross(grid, spec.Seeds, func(c *cell, seed int64) { c.seed = seed })
+	grid = Cross(grid, spec.SSB, func(c *cell, n int) { c.ssb = n })
+	grid = Cross(grid, spec.Checkpoints, func(c *cell, n int) { c.ck = n })
+	grid = Cross(grid, spec.Banks, func(c *cell, n int) { c.bank = n })
+	grid = Cross(grid, spec.OpOverhead, func(c *cell, n int) { c.ovh = n })
 
 	var jobs []workload.Job
 	seen := make(map[string]bool)
-	for _, b := range benches {
-		for _, v := range variants {
-			for _, seed := range seeds {
-				for _, ssb := range ssbs {
-					for _, ck := range ckpts {
-						for _, bank := range banks {
-							for _, oh := range overheads {
-								opts := core.DefaultOptions().For(v)
-								if ssb > 0 {
-									opts.CPU.SP.SSBEntries = ssb
-								}
-								if ck > 0 {
-									opts.CPU.SP.Checkpoints = ck
-								}
-								if bank > 0 {
-									opts.Mem.Banks = bank
-								}
-								rc := workload.RunConfig{
-									Variant:     v,
-									Scale:       spec.Scale,
-									Seed:        seed,
-									Options:     &opts,
-									OpOverhead:  oh,
-									MaxTraceOps: spec.MaxTraceOps,
-								}
-								j := workload.Job{Bench: b, Config: rc}.Normalize()
-								if err := j.Validate(); err != nil {
-									return nil, err
-								}
-								fp := j.Fingerprint()
-								if seen[fp] {
-									continue
-								}
-								seen[fp] = true
-								jobs = append(jobs, j)
-							}
-						}
-					}
-				}
-			}
+	for _, c := range grid {
+		opts := core.DefaultOptions().For(c.v)
+		if c.ssb > 0 {
+			opts.CPU.SP.SSBEntries = c.ssb
 		}
+		if c.ck > 0 {
+			opts.CPU.SP.Checkpoints = c.ck
+		}
+		if c.bank > 0 {
+			opts.Mem.Banks = c.bank
+		}
+		rc := workload.RunConfig{
+			Variant:     c.v,
+			Scale:       spec.Scale,
+			Seed:        c.seed,
+			Options:     &opts,
+			OpOverhead:  c.ovh,
+			MaxTraceOps: spec.MaxTraceOps,
+		}
+		j := workload.Job{Bench: c.b, Config: rc}.Normalize()
+		if err := j.Validate(); err != nil {
+			return nil, err
+		}
+		fp := j.Fingerprint()
+		if seen[fp] {
+			continue
+		}
+		seen[fp] = true
+		jobs = append(jobs, j)
 	}
 	return jobs, nil
 }

@@ -44,8 +44,16 @@ func NewWriter(w io.Writer) (*Writer, error) {
 func zigzag(v int64) uint64   { return uint64((v << 1) ^ (v >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Emit encodes one instruction. Errors are sticky and surface at Flush.
+// Emit encodes one instruction; a chain record is written as its links,
+// so a file holds instructions only and needs no record of its own.
+// Errors are sticky and surface at Flush.
 func (w *Writer) Emit(in isa.Instr) {
+	if in.Op == isa.Chain {
+		for i := 0; i < in.Links(); i++ {
+			w.Emit(in.Link(i))
+		}
+		return
+	}
 	if w.err != nil {
 		return
 	}

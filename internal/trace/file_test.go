@@ -68,6 +68,41 @@ func TestFileRoundTripBasic(t *testing.T) {
 	}
 }
 
+// TestWriterExpandsChainRecords: a buffer's records written to a file
+// decode as the expanded stream, so a file never holds a chain record.
+func TestWriterExpandsChainRecords(t *testing.T) {
+	var recs Buffer
+	b := NewBuilder(&recs)
+	b.Store(0x40, 8, b.Chain(4), isa.NoReg)
+	b.Chain(3)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range recs.NextBlock() {
+		w.Emit(in)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Count() != uint64(recs.Len()) {
+		t.Fatalf("Count = %d, want %d", w.Count(), recs.Len())
+	}
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range recs.Instrs() {
+		if in, ok := r.Next(); !ok || in != want {
+			t.Fatalf("record %d: %+v (%v), want %+v", i, in, ok, want)
+		}
+	}
+	if _, ok := r.Next(); ok || r.Err() != nil {
+		t.Fatalf("stream did not end cleanly (err %v)", r.Err())
+	}
+}
+
 func TestFileRoundTripEmpty(t *testing.T) {
 	if out := roundTrip(t, nil); len(out) != 0 {
 		t.Fatalf("decoded %d from empty trace", len(out))

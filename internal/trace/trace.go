@@ -14,7 +14,7 @@ package trace
 import (
 	"fmt"
 	"math"
-	"slices"
+	"sort"
 
 	"specpersist/internal/isa"
 )
@@ -31,13 +31,14 @@ type Source interface {
 }
 
 // BlockSource is the batched bulk-read path of a Source. NextBlock returns
-// the next run of instructions in stream order; an empty slice means the
-// stream is exhausted. The returned slice is only valid until the next
-// NextBlock, Next, Seek, Rewind or Reset call on the source — block sources
-// hand out views of an internal, reusable slab, so the simulator consumes
-// instructions without a per-instruction interface call and without the
-// source allocating per read. Mixing Next and NextBlock is allowed; both
-// consume from the same position.
+// the next run of records in stream order — instructions, and isa.Chain
+// records standing for their links (Buffer's preamble chains); an empty
+// slice means the stream is exhausted. The returned slice is only valid
+// until the next NextBlock, Next, Seek, Rewind or Reset call on the
+// source — block sources hand out views of an internal, reusable slab, so
+// the simulator consumes instructions without a per-instruction interface
+// call and without the source allocating per read. Mixing Next and
+// NextBlock is allowed; both consume from the same position.
 type BlockSource interface {
 	Source
 	NextBlock() []isa.Instr
@@ -79,54 +80,130 @@ var (
 
 // Buffer is an in-memory instruction stream; it implements both Sink and
 // Source. The zero value is an empty, usable buffer.
+//
+// A Buffer stores records: an instruction, or an isa.Chain record that
+// Builder.Chain appends for a whole preamble chain. Positions (Len, Seek)
+// count instructions, so a chain record covers as many positions as it
+// has links. Next and Instrs hand out instructions; NextBlock hands out
+// the records themselves, and the CPU model expands them as it fetches.
 type Buffer struct {
-	ins []isa.Instr
-	pos int
+	recs   []isa.Instr
+	chains []chainAt // every chain record, in stream order
+	n      int       // instruction positions covered
+	pos    int       // next record
+	sub    int       // links of recs[pos] already read (chain records)
+	part   [1]isa.Instr
 }
 
-// Emit appends an instruction.
-func (b *Buffer) Emit(in isa.Instr) { b.ins = append(b.ins, in) }
+// chainAt places one chain record: its index in recs and the stream
+// position of its first link.
+type chainAt struct {
+	rec int
+	at  int
+}
 
-// Next returns the next unread instruction.
+// Emit appends an instruction, or a chain record.
+func (b *Buffer) Emit(in isa.Instr) {
+	if in.Op == isa.Chain {
+		b.emitChain(in)
+		return
+	}
+	b.recs = append(b.recs, in)
+	b.n++
+}
+
+func (b *Buffer) emitChain(rec isa.Instr) {
+	b.chains = append(b.chains, chainAt{rec: len(b.recs), at: b.n})
+	b.recs = append(b.recs, rec)
+	b.n += rec.Links()
+}
+
+// Next returns the next unread instruction, expanding chain records.
 func (b *Buffer) Next() (isa.Instr, bool) {
-	if b.pos >= len(b.ins) {
+	if b.pos >= len(b.recs) {
 		return isa.Instr{}, false
 	}
-	in := b.ins[b.pos]
-	b.pos++
-	return in, true
+	in := b.recs[b.pos]
+	if in.Op != isa.Chain {
+		b.pos++
+		return in, true
+	}
+	l := in.Link(b.sub)
+	if b.sub++; b.sub == in.Links() {
+		b.pos, b.sub = b.pos+1, 0
+	}
+	return l, true
 }
 
-// NextBlock returns every unread instruction as one block and marks them
+// NextBlock returns every unread record as one block and marks them
 // consumed. The slice aliases the buffer's storage: it stays valid until
-// the buffer is next written to (Emit/Reset), per the BlockSource contract.
+// the buffer is next written to (Emit/Reset), per the BlockSource
+// contract. After a Seek into the middle of a chain record, the block is
+// that record's unread tail alone.
 func (b *Buffer) NextBlock() []isa.Instr {
-	blk := b.ins[b.pos:]
-	b.pos = len(b.ins)
+	if b.sub > 0 {
+		b.part[0] = b.recs[b.pos].Tail(b.sub)
+		b.pos, b.sub = b.pos+1, 0
+		return b.part[:]
+	}
+	blk := b.recs[b.pos:]
+	b.pos = len(b.recs)
 	return blk
 }
 
 // Len reports the total number of instructions emitted.
-func (b *Buffer) Len() int { return len(b.ins) }
+func (b *Buffer) Len() int { return b.n }
 
 // Rewind restarts reading from the beginning.
-func (b *Buffer) Rewind() { b.pos = 0 }
+func (b *Buffer) Rewind() { b.pos, b.sub = 0, 0 }
 
 // Seek moves the read position to an absolute instruction index. The CPU
 // model uses this to restart execution from a checkpoint after a
 // speculation abort.
 func (b *Buffer) Seek(pos uint64) {
-	if pos > uint64(len(b.ins)) {
+	if pos > uint64(b.n) {
 		panic("trace: seek past end of buffer")
 	}
-	b.pos = int(pos)
+	p := int(pos)
+	// Every record between two chain records covers one position.
+	j := sort.Search(len(b.chains), func(j int) bool { return b.chains[j].at > p }) - 1
+	if j < 0 {
+		b.pos, b.sub = p, 0
+		return
+	}
+	c := b.chains[j]
+	off, n := p-c.at, b.recs[c.rec].Links()
+	if off < n {
+		b.pos, b.sub = c.rec, off
+	} else {
+		b.pos, b.sub = c.rec+1+off-n, 0
+	}
 }
 
 // Reset discards all contents.
-func (b *Buffer) Reset() { b.ins = b.ins[:0]; b.pos = 0 }
+func (b *Buffer) Reset() {
+	b.recs, b.chains = b.recs[:0], b.chains[:0]
+	b.n, b.pos, b.sub = 0, 0, 0
+}
 
-// Instrs exposes the underlying slice (read-only use).
-func (b *Buffer) Instrs() []isa.Instr { return b.ins }
+// Instrs returns the whole stream, chain records expanded (read-only use;
+// it aliases the buffer's storage when the buffer holds no chain record).
+func (b *Buffer) Instrs() []isa.Instr {
+	if len(b.chains) == 0 {
+		return b.recs
+	}
+	out := make([]isa.Instr, 0, b.n)
+	for _, in := range b.recs {
+		if in.Op != isa.Chain {
+			out = append(out, in)
+			continue
+		}
+		for i := 0; i < in.Links(); i++ {
+			out = append(out, in.Link(i))
+		}
+	}
+	return out
+}
 
 // FuncSource adapts a function to the Source interface.
 type FuncSource func() (isa.Instr, bool)
@@ -134,10 +211,10 @@ type FuncSource func() (isa.Instr, bool)
 // Next calls the wrapped function.
 func (f FuncSource) Next() (isa.Instr, bool) { return f() }
 
-// SliceSource returns a Source reading from ins.
+// SliceSource returns a Source reading from ins, which holds instructions
+// only.
 func SliceSource(ins []isa.Instr) Source {
-	b := &Buffer{ins: ins}
-	return b
+	return &Buffer{recs: ins, n: len(ins)}
 }
 
 // CountSink tallies emitted instructions by opcode; useful in tests and for
@@ -208,12 +285,24 @@ func (v *Validator) Emit(in isa.Instr) {
 // builder during fast-forward (functional-only) execution.
 type Builder struct {
 	sink    Sink
+	buf     *Buffer // sink, when it is a Buffer: appended to directly
 	nextReg isa.Reg
 }
 
 // NewBuilder returns a Builder emitting into sink.
 func NewBuilder(sink Sink) *Builder {
-	return &Builder{sink: sink, nextReg: 1}
+	buf, _ := sink.(*Buffer)
+	return &Builder{sink: sink, buf: buf, nextReg: 1}
+}
+
+// emit hands one instruction to the sink, without an interface call when
+// the sink is a Buffer (the workload's hot emit path).
+func (b *Builder) emit(in isa.Instr) {
+	if b.buf != nil {
+		b.buf.Emit(in)
+		return
+	}
+	b.sink.Emit(in)
 }
 
 // Enabled reports whether the builder actually emits.
@@ -232,7 +321,7 @@ func (b *Builder) Load(addr uint64, size int, addrDep isa.Reg) isa.Reg {
 		return isa.NoReg
 	}
 	dst := b.alloc()
-	b.sink.Emit(isa.Instr{Op: isa.Load, Addr: addr, Size: uint8(size), Dst: dst, Src2: addrDep})
+	b.emit(isa.Instr{Op: isa.Load, Addr: addr, Size: uint8(size), Dst: dst, Src2: addrDep})
 	return dst
 }
 
@@ -242,7 +331,7 @@ func (b *Builder) Store(addr uint64, size int, dataDep, addrDep isa.Reg) {
 	if b == nil {
 		return
 	}
-	b.sink.Emit(isa.Instr{Op: isa.Store, Addr: addr, Size: uint8(size), Src1: dataDep, Src2: addrDep})
+	b.emit(isa.Instr{Op: isa.Store, Addr: addr, Size: uint8(size), Src1: dataDep, Src2: addrDep})
 }
 
 // ALU emits a compute chain consuming all deps (two per instruction) with
@@ -273,14 +362,14 @@ func (b *Builder) ALU(lat int, deps ...isa.Reg) isa.Reg {
 		n++
 	}
 	dst := b.alloc()
-	b.sink.Emit(isa.Instr{Op: isa.ALU, Dst: dst, Src1: s1, Src2: s2, Lat: uint8(lat)})
+	b.emit(isa.Instr{Op: isa.ALU, Dst: dst, Src1: s1, Src2: s2, Lat: uint8(lat)})
 	// Fold any remaining operands into a dependence chain.
 	for ; i < len(deps); i++ {
 		if deps[i] == isa.NoReg {
 			continue
 		}
 		next := b.alloc()
-		b.sink.Emit(isa.Instr{Op: isa.ALU, Dst: next, Src1: dst, Src2: deps[i], Lat: uint8(lat)})
+		b.emit(isa.Instr{Op: isa.ALU, Dst: next, Src1: dst, Src2: deps[i], Lat: uint8(lat)})
 		dst = next
 	}
 	return dst
@@ -290,25 +379,21 @@ func (b *Builder) ALU(lat int, deps ...isa.Reg) isa.Reg {
 // application preamble the workloads put before each operation — and
 // returns the last one's register: the first link has no source, and link
 // i reads link i-1. It emits exactly what ALU(0) followed by n-1 calls of
-// ALU(0, previous) would, appending straight into a Buffer sink in one
-// growth. Chain(0) emits nothing and returns NoReg.
+// ALU(0, previous) would. A Buffer sink receives them as one isa.Chain
+// record; any other sink receives each link. Chain(0) emits nothing and
+// returns NoReg.
 func (b *Builder) Chain(n int) isa.Reg {
 	if b == nil || n <= 0 {
 		return isa.NoReg
 	}
-	first := b.nextReg
+	rec := isa.Instr{Op: isa.Chain, Addr: uint64(n), Dst: b.nextReg}
 	b.nextReg += isa.Reg(n)
-	if buf, ok := b.sink.(*Buffer); ok {
-		buf.ins = slices.Grow(buf.ins, n)
-		buf.ins = append(buf.ins, isa.Instr{Op: isa.ALU, Dst: first})
-		for r := first + 1; r < b.nextReg; r++ {
-			buf.ins = append(buf.ins, isa.Instr{Op: isa.ALU, Dst: r, Src1: r - 1})
-		}
+	if b.buf != nil {
+		b.buf.emitChain(rec)
 		return b.nextReg - 1
 	}
-	b.sink.Emit(isa.Instr{Op: isa.ALU, Dst: first})
-	for r := first + 1; r < b.nextReg; r++ {
-		b.sink.Emit(isa.Instr{Op: isa.ALU, Dst: r, Src1: r - 1})
+	for i := 0; i < n; i++ {
+		b.emit(rec.Link(i))
 	}
 	return b.nextReg - 1
 }
@@ -318,7 +403,7 @@ func (b *Builder) Clwb(addr uint64) {
 	if b == nil {
 		return
 	}
-	b.sink.Emit(isa.Instr{Op: isa.Clwb, Addr: addr})
+	b.emit(isa.Instr{Op: isa.Clwb, Addr: addr})
 }
 
 // Clflushopt emits a clflushopt of the line containing addr.
@@ -326,7 +411,7 @@ func (b *Builder) Clflushopt(addr uint64) {
 	if b == nil {
 		return
 	}
-	b.sink.Emit(isa.Instr{Op: isa.Clflushopt, Addr: addr})
+	b.emit(isa.Instr{Op: isa.Clflushopt, Addr: addr})
 }
 
 // Pcommit emits a pcommit.
@@ -334,7 +419,7 @@ func (b *Builder) Pcommit() {
 	if b == nil {
 		return
 	}
-	b.sink.Emit(isa.Instr{Op: isa.Pcommit})
+	b.emit(isa.Instr{Op: isa.Pcommit})
 }
 
 // Sfence emits an sfence.
@@ -342,7 +427,7 @@ func (b *Builder) Sfence() {
 	if b == nil {
 		return
 	}
-	b.sink.Emit(isa.Instr{Op: isa.Sfence})
+	b.emit(isa.Instr{Op: isa.Sfence})
 }
 
 // Mfence emits an mfence.
@@ -350,7 +435,7 @@ func (b *Builder) Mfence() {
 	if b == nil {
 		return
 	}
-	b.sink.Emit(isa.Instr{Op: isa.Mfence})
+	b.emit(isa.Instr{Op: isa.Mfence})
 }
 
 // RegCount reports how many registers have been allocated.

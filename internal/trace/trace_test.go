@@ -15,8 +15,8 @@ func TestBufferRoundTrip(t *testing.T) {
 	var b Buffer
 	b.Emit(isa.Instr{Op: isa.Sfence})
 	b.Emit(isa.Instr{Op: isa.Pcommit})
-	if b.Len() != 2 || len(b.ins)-b.pos != 2 {
-		t.Fatalf("Len=%d unread=%d", b.Len(), len(b.ins)-b.pos)
+	if b.Len() != 2 || len(b.recs)-b.pos != 2 {
+		t.Fatalf("Len=%d unread=%d", b.Len(), len(b.recs)-b.pos)
 	}
 	in, ok := b.Next()
 	if !ok || in.Op != isa.Sfence {
@@ -30,12 +30,64 @@ func TestBufferRoundTrip(t *testing.T) {
 		t.Fatal("expected exhausted stream")
 	}
 	b.Rewind()
-	if len(b.ins)-b.pos != 2 {
+	if len(b.recs)-b.pos != 2 {
 		t.Fatal("Rewind did not restore position")
 	}
 	b.Reset()
 	if b.Len() != 0 {
 		t.Fatal("Reset did not clear")
+	}
+}
+
+// TestBufferChainRecords checks a buffer holding chain records against
+// the same stream emitted one instruction at a time: Len, Instrs, and from
+// every Seek position both Next and NextBlock (its records expanded) must
+// give the expanded stream's suffix.
+func TestBufferChainRecords(t *testing.T) {
+	emit := func(sink Sink) {
+		b := NewBuilder(sink)
+		b.Chain(3)
+		r := b.Load(0x40, 8, isa.NoReg)
+		b.Chain(1)
+		b.Chain(5)
+		b.Store(0x40, 8, b.ALU(0, r), isa.NoReg)
+		b.Chain(4)
+	}
+	var recs, flat Buffer
+	emit(&recs)
+	emit(NewValidator(&flat))
+	want := flat.Instrs()
+	if recs.Len() != len(want) || len(recs.recs) != 7 {
+		t.Fatalf("Len %d over %d records, want %d over 7", recs.Len(), len(recs.recs), len(want))
+	}
+	if !slices.Equal(recs.Instrs(), want) {
+		t.Fatal("Instrs differs from the expanded stream")
+	}
+	for p := 0; p <= len(want); p++ {
+		recs.Seek(uint64(p))
+		var got []isa.Instr
+		for in, ok := recs.Next(); ok; in, ok = recs.Next() {
+			got = append(got, in)
+		}
+		if !slices.Equal(got, want[p:]) {
+			t.Fatalf("Seek(%d) then Next: %v, want %v", p, got, want[p:])
+		}
+		recs.Seek(uint64(p))
+		got = got[:0]
+		for blk := recs.NextBlock(); len(blk) > 0; blk = recs.NextBlock() {
+			for _, rec := range blk {
+				for i := 0; i < rec.Links(); i++ {
+					if rec.Op == isa.Chain {
+						got = append(got, rec.Link(i))
+					} else {
+						got = append(got, rec)
+					}
+				}
+			}
+		}
+		if !slices.Equal(got, want[p:]) {
+			t.Fatalf("Seek(%d) then NextBlock: %v, want %v", p, got, want[p:])
+		}
 	}
 }
 

@@ -47,6 +47,17 @@ type Manager struct {
 	active   *Tx
 	stats    Stats
 	scratch  [mem.LineSize]byte // pre-image staging for Log (no per-line alloc)
+	sets     lineSets           // the active transaction's lines
+}
+
+// lineSets is a transaction's line bookkeeping. The Manager owns one and
+// every transaction reuses it: Begin clears the sets in O(1), and each set
+// is sized by the largest transaction so far, not by the heap it spans.
+type lineSets struct {
+	logged  mem.LineSet // line bases already logged
+	fresh   mem.LineSet // line bases allocated inside the transaction
+	touched mem.LineSet // line bases modified in step 3
+	order   []uint64    // the touched lines, in first-touch order
 }
 
 // Stats returns a copy of the activity counters.
@@ -79,14 +90,17 @@ func NewManager(env *exec.Env, capacity int) *Manager {
 
 // Fork returns a copy of the manager bound to env, which must be a fork of
 // the manager's own env (exec.Env.Fork): the log region's addresses, the
-// capacity and the stats carry over. Forking inside a transaction is a bug
-// (the transaction's Go-side state would be shared) and panics.
+// capacity and the stats carry over. The copy gets line sets of its own,
+// so forks run concurrently with each other and with m. Forking inside a
+// transaction is a bug (the transaction's Go-side state would be shared)
+// and panics.
 func (m *Manager) Fork(env *exec.Env) *Manager {
 	if m.active != nil {
 		panic("txn: Fork inside a transaction")
 	}
 	c := *m
 	c.env = env
+	c.sets = lineSets{}
 	return &c
 }
 
@@ -101,10 +115,11 @@ func (m *Manager) Begin() (*Tx, error) {
 	if m.active != nil {
 		return nil, fmt.Errorf("txn: transaction already active")
 	}
-	t := &Tx{
-		m:      m,
-		logged: make(map[uint64]struct{}),
-	}
+	m.sets.logged.Clear()
+	m.sets.fresh.Clear()
+	m.sets.touched.Clear()
+	m.sets.order = m.sets.order[:0]
+	t := &Tx{m: m}
 	m.active = t
 	return t, nil
 }
@@ -121,16 +136,23 @@ func (m *Manager) MustBegin() *Tx {
 
 // Tx is an in-flight transaction. All methods are safe on a nil receiver,
 // which lets non-transactional (Base-variant) code share the transactional
-// code path by passing a nil *Tx.
+// code path by passing a nil *Tx. Its lines live in the Manager's reused
+// sets, so a Tx is usable only while it is the Manager's active one.
 type Tx struct {
-	m        *Manager
-	n        int                 // entries written so far
-	logged   map[uint64]struct{} // line bases already logged
-	fresh    map[uint64]struct{} // line bases allocated inside this tx
-	touched  []uint64            // line bases modified in step 3, in order
-	touchSet map[uint64]struct{}
-	sealed   bool
-	done     bool
+	m      *Manager
+	n      int // entries written so far
+	sealed bool
+	done   bool
+}
+
+// lines returns the transaction's line sets, panicking when the Tx has
+// committed or a crash recovery discarded it: its sets may already belong
+// to the next transaction.
+func (t *Tx) lines() *lineSets {
+	if t.m.active != t {
+		panic("txn: use of a finished transaction")
+	}
+	return &t.m.sets
 }
 
 // Log records the pre-image of every cache line spanned by
@@ -144,17 +166,17 @@ func (t *Tx) Log(addr uint64, size int, dep isa.Reg) {
 	if t.sealed {
 		panic("txn: Log after SetLogged")
 	}
-	env := t.m.env
+	env, ls := t.m.env, t.lines()
 	base := mem.LineAddr(addr)
 	for i := 0; i < mem.LinesSpanned(addr, size); i++ {
 		line := base + uint64(i*mem.LineSize)
-		if _, ok := t.logged[line]; ok {
+		if ls.logged.Has(line) {
 			continue
 		}
 		if t.n >= t.m.capacity {
 			panic(&CapacityError{Capacity: t.m.capacity})
 		}
-		t.logged[line] = struct{}{}
+		ls.logged.Add(line)
 		// Copy the pre-image into the entry's data line and record the
 		// original address in the packed metadata array, then write the
 		// data line back so step 1's barrier can make it durable.
@@ -201,12 +223,10 @@ func (t *Tx) Fresh(addr uint64, size int) {
 	if t == nil {
 		return
 	}
-	if t.fresh == nil {
-		t.fresh = make(map[uint64]struct{})
-	}
+	ls := t.lines()
 	base := mem.LineAddr(addr)
 	for i := 0; i < mem.LinesSpanned(addr, size); i++ {
-		t.fresh[base+uint64(i*mem.LineSize)] = struct{}{}
+		ls.fresh.Add(base + uint64(i*mem.LineSize))
 	}
 }
 
@@ -218,16 +238,13 @@ func (t *Tx) Covered(addr uint64, size int) bool {
 	if t == nil {
 		return true
 	}
+	ls := t.lines()
 	base := mem.LineAddr(addr)
 	for i := 0; i < mem.LinesSpanned(addr, size); i++ {
 		line := base + uint64(i*mem.LineSize)
-		if _, ok := t.logged[line]; ok {
-			continue
+		if !ls.logged.Has(line) && !ls.fresh.Has(line) {
+			return false
 		}
-		if _, ok := t.fresh[line]; ok {
-			continue
-		}
-		return false
 	}
 	return true
 }
@@ -262,17 +279,12 @@ func (t *Tx) Touch(addr uint64, size int) {
 	if t == nil {
 		return
 	}
-	if t.touchSet == nil {
-		t.touchSet = make(map[uint64]struct{})
-	}
+	ls := t.lines()
 	base := mem.LineAddr(addr)
 	for i := 0; i < mem.LinesSpanned(addr, size); i++ {
-		line := base + uint64(i*mem.LineSize)
-		if _, ok := t.touchSet[line]; ok {
-			continue
+		if line := base + uint64(i*mem.LineSize); ls.touched.Add(line) {
+			ls.order = append(ls.order, line)
 		}
-		t.touchSet[line] = struct{}{}
-		t.touched = append(t.touched, line)
 	}
 }
 
@@ -288,10 +300,10 @@ func (t *Tx) Commit() {
 	if t.done {
 		panic("txn: Commit called twice")
 	}
+	env, ls := t.m.env, t.lines()
 	t.done = true
-	env := t.m.env
 	// Step 3: make the updates durable.
-	for _, line := range t.touched {
+	for _, line := range ls.order {
 		env.Clwb(line)
 	}
 	env.PersistBarrier()

@@ -113,3 +113,26 @@ func TestCapacityAccessors(t *testing.T) {
 		t.Error("Env accessor broken")
 	}
 }
+
+// TestFinishedTxPanics: a committed transaction's lines live in sets the
+// next transaction reuses, so touching it again is refused rather than
+// corrupting the next one.
+func TestFinishedTxPanics(t *testing.T) {
+	env := newEnv(exec.LevelFull)
+	m := NewManager(env, 4)
+	a := env.AllocLines(1)
+	tx := m.MustBegin()
+	tx.Log(a, 8, isa.NoReg)
+	tx.SetLogged()
+	tx.Commit()
+	next := m.MustBegin()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Touch on a committed transaction did not panic")
+		}
+		if next.Covered(a, 8) {
+			t.Fatal("the committed transaction's line leaked into the next one")
+		}
+	}()
+	tx.Touch(a, 8)
+}

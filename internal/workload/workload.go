@@ -181,16 +181,14 @@ func keyFor(b Bench, rng *rand.Rand, keyspace uint64) uint64 {
 // functionally executing the next operation, so the full trace never
 // materializes in memory.
 type opSource struct {
-	buf   trace.Buffer
-	next  func() bool // emit one more op into buf; false when done
-	count uint64
+	buf  trace.Buffer
+	next func() bool // emit one more op into buf; false when done
 }
 
 // Next implements trace.Source.
 func (o *opSource) Next() (isa.Instr, bool) {
 	for {
 		if in, ok := o.buf.Next(); ok {
-			o.count++
 			return in, true
 		}
 		o.buf.Reset()
@@ -201,13 +199,12 @@ func (o *opSource) Next() (isa.Instr, bool) {
 }
 
 // NextBlock implements trace.BlockSource: the simulator consumes each
-// generated operation's instructions as one slab. The returned slice
-// aliases the regeneration buffer and is invalidated by the next refill,
-// per the BlockSource contract.
+// generated operation's records (its preamble as one chain record) as one
+// slab. The returned slice aliases the regeneration buffer and is
+// invalidated by the next refill, per the BlockSource contract.
 func (o *opSource) NextBlock() []isa.Instr {
 	for {
 		if blk := o.buf.NextBlock(); len(blk) > 0 {
-			o.count += uint64(len(blk))
 			return blk
 		}
 		o.buf.Reset()
