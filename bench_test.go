@@ -300,9 +300,9 @@ func BenchmarkFig14(b *testing.B) {
 }
 
 // BenchmarkClusterFleet measures the replicated-fleet engine's own speed
-// on a kind network — the chaos fabric, client timers and pending-set
-// machinery compiled in but disabled — as offered requests simulated per
-// wall-clock second. scripts/bench_core.sh appends the metric to
+// on a kind network — the chaos fabric compiled in but disabled, the
+// default request deadlines and heartbeats running — as offered requests
+// simulated per wall-clock second. scripts/bench_core.sh appends the metric to
 // BENCH_core.json, so chaos-off overhead creeping into the fleet hot loop
 // fails the benchtrend regression gate.
 func BenchmarkClusterFleet(b *testing.B) {

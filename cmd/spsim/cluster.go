@@ -110,8 +110,8 @@ func runCluster(w io.Writer, o options) error {
 		res.Config.Quorum, st.Ranges)
 	fmt.Fprintf(w, "network              RTT %d cycles, jitter %.0f%%\n",
 		res.Config.NetRTT, res.Config.NetJitter*100)
-	fmt.Fprintf(w, "offered/completed    %d / %d (dropped %d, failed %d, unavailable %d)\n",
-		st.Offered, st.Completed, st.Dropped, st.Failed, st.Unavailable)
+	fmt.Fprintf(w, "offered/completed    %d / %d (dropped %d, unavailable %d)\n",
+		st.Offered, st.Completed, st.Dropped, st.Unavailable)
 	fmt.Fprintf(w, "goodput              %.1f req/Mcycle over %d cycles\n", res.Throughput, st.SpanCycles)
 	fmt.Fprintf(w, "latency p50/p95      %d / %d cycles (to the W-th durable ack)\n", res.P50, res.P95)
 	fmt.Fprintf(w, "latency p99/p99.9    %d / %d cycles (mean %.0f, max %d)\n", res.P99, res.P999, res.Mean, res.Hist.Max)
@@ -126,14 +126,10 @@ func runCluster(w io.Writer, o options) error {
 		fmt.Fprintf(w, "chaos fabric         %d dropped, %d cut, %d dupped, %d delayed, %d reordered\n",
 			st.NetChaosDropped, st.NetChaosCut, st.NetChaosDupped, st.NetChaosDelayed, st.NetChaosReordered)
 	}
-	if res.Config.ReqDeadline > 0 {
-		fmt.Fprintf(w, "client robustness    %d shed, %d timed out, %d retries, %d hedges\n",
-			st.Shed, st.TimedOut, st.Retries, st.Hedges)
-	}
-	if res.Config.HeartbeatEvery > 0 {
-		fmt.Fprintf(w, "failure detection    %d heartbeats, %d suspicions (%d wrong), %d repair ops\n",
-			st.Heartbeats, st.Suspicions, st.WrongSuspicions, st.RepairOps)
-	}
+	fmt.Fprintf(w, "client robustness    %d shed, %d timed out, %d retries, %d hedges\n",
+		st.Shed, st.TimedOut, st.Retries, st.Hedges)
+	fmt.Fprintf(w, "failure detection    %d heartbeats, %d suspicions (%d wrong), %d repair ops\n",
+		st.Heartbeats, st.Suspicions, st.WrongSuspicions, st.RepairOps)
 	if res.Audit != nil {
 		fmt.Fprintf(w, "audit                %d acked updates checked, %d violations\n",
 			res.Audit.Checked, res.Audit.Total)

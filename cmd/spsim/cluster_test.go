@@ -91,9 +91,7 @@ func TestBuildClusterConfigRejectsBadFlags(t *testing.T) {
 		{"negative keyspace", []string{"-keyspace", "-1"}, "keyspace"},
 		{"negative catch-up batch", []string{"-catchup-batch", "-1"}, "catch-up batch"},
 		{"drop fraction out of range", []string{"-chaos-drop", "1.5"}, "drop"},
-		{"lossy chaos without deadline", []string{"-chaos-drop", "0.1"}, "deadline"},
-		{"heartbeats without deadline", []string{"-heartbeat-every", "4000"}, "deadline"},
-		{"lease not past heartbeat", []string{"-req-deadline", "100000", "-heartbeat-every", "4000", "-lease-cycles", "4000"}, "lease"},
+		{"lease not past heartbeat", []string{"-heartbeat-every", "4000", "-lease-cycles", "4000"}, "lease"},
 		{"plan file plus inline dials", []string{"-chaos-plan", "plan.json", "-chaos-dup", "0.1"}, "-chaos-plan"},
 		{"missing plan file", []string{"-chaos-plan", "does-not-exist.json"}, "-chaos-plan"},
 	}
@@ -231,9 +229,10 @@ func TestClusterModeExitCodes(t *testing.T) {
 		{"audited run reports", []string{
 			"-cluster", "-rate", "400", "-requests", "24", "-warmup", "24", "-audit",
 		}, true, "audit"},
-		{"lossy chaos needs a deadline", []string{
-			"-cluster", "-chaos-drop", "0.05",
-		}, false, "deadline"},
+		{"lossy chaos alone runs and audits clean", []string{
+			"-cluster", "-rate", "400", "-requests", "24", "-warmup", "24",
+			"-chaos-drop", "0.1", "-audit",
+		}, true, "0 violations"},
 		{"chaos plan file clashes with dials", []string{
 			"-cluster", "-chaos-plan", "p.json", "-chaos-drop", "0.05",
 		}, false, "-chaos-plan"},

@@ -203,11 +203,11 @@ func newFlags(o *options) *cli.Set {
 	fs.Float64(&o.Chaos.DelayMult, "chaos-delay-mult", 0, clusterMode, "cluster: delay-spike latency multiplier (0 with -chaos-delay = 10)")
 	fs.Float64(&o.Chaos.Reorder, "chaos-reorder", 0, clusterMode, "cluster: per-message reorder fraction in [0, 1)")
 
-	fs.Int64(&o.ReqDeadline, "req-deadline", 0, clusterMode, "cluster: per-request deadline in cycles (0 = none; required under lossy chaos)").Min(0)
+	fs.Int64(&o.ReqDeadline, "req-deadline", 0, clusterMode, "cluster: per-request deadline in cycles (0 = 150x the RTT)").Min(0)
 	fs.Int(&o.RetryMax, "retry-max", 0, clusterMode, "cluster: idempotent retransmits per update (0 = off)").Min(0)
 	fs.Float64(&o.HedgeQuantile, "hedge-quantile", 0, clusterMode, "cluster: hedge updates at this completion-latency quantile (0 = off)")
 	fs.Int(&o.ShedHighWater, "shed-high-water", 0, clusterMode, "cluster: shed new requests when the primary queue reaches this depth (0 = off)").Min(0)
-	fs.Int64(&o.HeartbeatEvery, "heartbeat-every", 0, clusterMode, "cluster: heartbeat period in cycles (0 = oracle failure detection)").Min(0)
+	fs.Int64(&o.HeartbeatEvery, "heartbeat-every", 0, clusterMode, "cluster: failure-detector heartbeat period in cycles (0 = 5x the RTT, coarsened so a run ticks at most 65,536 times)").Min(0)
 	fs.Int64(&o.LeaseCycles, "lease-cycles", 0, clusterMode, "cluster: failover after this long without hearing from a primary (0 = 4x heartbeat)").Min(0)
 	fs.Bool(&o.Audit, "audit", false, clusterMode, "cluster: report the end-of-run audit's violations in the result instead of failing the run on the first")
 

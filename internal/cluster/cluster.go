@@ -99,11 +99,11 @@ type Config struct {
 	// the hottest node's hottest range moves its primaryship to the
 	// least-loaded live owner (replica placement never changes).
 	RebalanceEvery uint64 `json:"rebalance_every,omitempty"`
-	// ReqDeadline, when > 0, bounds each request's wait for completion: a
-	// request still pending that many cycles after arrival times out,
-	// counted separately and never acknowledged (so it carries no
-	// durability obligation). Required under lossy chaos and with
-	// heartbeat failure detection.
+	// ReqDeadline bounds each request's wait for completion (0 =
+	// 150*NetRTT): a request still pending that many cycles after arrival
+	// times out, counted separately and never acknowledged (so it carries
+	// no durability obligation). A request stranded by a crash or a lossy
+	// network ends this way.
 	ReqDeadline uint64 `json:"req_deadline,omitempty"`
 	// RetryMax, when > 0, re-replicates an un-acknowledged update to its
 	// unheard owners up to this many times with capped exponential
@@ -126,13 +126,13 @@ type Config struct {
 	// the hard QueueCap drop, counted separately. Replication and
 	// catch-up traffic is never shed.
 	ShedHighWater int `json:"shed_high_water,omitempty"`
-	// HeartbeatEvery, when > 0, replaces oracle failover with
-	// heartbeat/lease failure detection: every tick each up node beats
-	// every other up node through the (chaos-afflicted) fabric, and a
-	// range fails over only when a live owner has heard nothing from its
-	// primary for LeaseCycles. Partitions and gray nodes can therefore
-	// cause wrong suspicions, and crashes are detected late rather than
-	// instantly. Requires ReqDeadline.
+	// HeartbeatEvery is the failure detector's period (0 = 5*NetRTT, or
+	// coarser on a run that would tick more than maxTicks times): every
+	// tick each up node beats every other up node through the
+	// (chaos-afflicted) fabric, and a range fails over only when a live
+	// owner has heard nothing from its primary for LeaseCycles. No node
+	// learns of a crash any other way, so crashes are detected a lease
+	// late, and partitions and gray nodes can cause wrong suspicions.
 	HeartbeatEvery uint64 `json:"heartbeat_every,omitempty"`
 	// LeaseCycles is the suspicion threshold (0 = 4*HeartbeatEvery; must
 	// exceed HeartbeatEvery). It also paces catch-up fetch retries.
@@ -145,7 +145,6 @@ type Config struct {
 	// Chaos, when non-nil and enabled, layers a deterministic fault plan
 	// over the network fabric: per-message drop/duplicate/delay/reorder
 	// fates, cycle-windowed partitions and gray nodes (internal/chaos).
-	// Lossy plans require ReqDeadline and HeartbeatEvery to be set.
 	Chaos *chaos.Plan `json:"chaos,omitempty"`
 }
 
@@ -197,7 +196,19 @@ func (c Config) withDefaults() Config {
 			c.RetryCap = 8 * c.RetryBase
 		}
 	}
-	if c.HeartbeatEvery > 0 && c.LeaseCycles == 0 {
+	if c.ReqDeadline == 0 {
+		c.ReqDeadline = 150 * c.NetRTT
+	}
+	if c.HeartbeatEvery == 0 {
+		// Five round trips outlast the longest one-way delay. A run whose
+		// worst-case span would tick more than maxTicks times at that
+		// period gets the coarsest period that stays within the bound.
+		c.HeartbeatEvery = 5 * c.NetRTT
+		if p := math.Ceil(c.worstSpan() / maxTicks); p > float64(c.HeartbeatEvery) && p < 1<<60 {
+			c.HeartbeatEvery = uint64(p)
+		}
+	}
+	if c.LeaseCycles == 0 {
 		c.LeaseCycles = 4 * c.HeartbeatEvery
 	}
 	return c
@@ -206,6 +217,15 @@ func (c Config) withDefaults() Config {
 // maxTicks bounds how often one periodic knob (heartbeat-every,
 // rebalance-every) may tick over a run's worst-case span (see Validate).
 const maxTicks = 1 << 16
+
+// worstSpan bounds how long a run's periodic ticks keep firing, in
+// cycles: they fire for as long as any work is pending, so until the
+// later of the expected last arrival and the crash/recovery events, plus
+// a deadline for each try of a request.
+func (c Config) worstSpan() float64 {
+	return max(float64(c.Requests)*1e6/c.Rate, float64(c.CrashAt)+float64(c.RecoverAfter)) +
+		float64(c.ReqDeadline)*float64(c.RetryMax+1)
+}
 
 // Validate rejects configurations the engine would mis-simulate, or whose
 // periodic ticks would make a run's work unbounded, on the
@@ -280,24 +300,17 @@ func (c Config) Validate() error {
 	if d.ShedHighWater < 0 || d.ShedHighWater > d.QueueCap {
 		return fmt.Errorf("cluster: shed high-water mark must be in [0, queue cap %d], got %d", d.QueueCap, d.ShedHighWater)
 	}
-	if d.HeartbeatEvery > 0 {
-		if d.LeaseCycles <= d.HeartbeatEvery {
-			return fmt.Errorf("cluster: lease %d must exceed the heartbeat period %d", d.LeaseCycles, d.HeartbeatEvery)
-		}
-		if d.ReqDeadline == 0 {
-			return fmt.Errorf("cluster: heartbeat failure detection needs request deadlines (set req-deadline)")
-		}
-	} else if d.LeaseCycles > 0 {
-		return fmt.Errorf("cluster: lease cycles need heartbeats (set heartbeat-every)")
+	if d.LeaseCycles <= d.HeartbeatEvery {
+		return fmt.Errorf("cluster: lease %d must exceed the heartbeat period %d", d.LeaseCycles, d.HeartbeatEvery)
 	}
 	oneWay := float64(d.NetRTT) / 2 * (1 + d.NetJitter) // the longest one-way delay
-	if d.HeartbeatEvery > 0 && oneWay >= float64(d.HeartbeatEvery) {
+	if oneWay >= float64(d.HeartbeatEvery) {
 		// A tick wins its cycle's ties, so beats still in flight at every
 		// tick would keep a drained fleet ticking forever.
 		return fmt.Errorf("cluster: heartbeat-every %d must exceed the longest one-way network delay, %g cycles",
 			d.HeartbeatEvery, oneWay)
 	}
-	if d.HeartbeatEvery > 0 && d.Chaos != nil {
+	if d.Chaos != nil {
 		// Beats in flight keep a drained fleet ticking, and every tick
 		// sends N(N-1) more, so a run ends only at a tick whose beats all
 		// land within the period: about (1-late)^-N(N-1) ticks after the
@@ -315,12 +328,8 @@ func (c Config) Validate() error {
 				d.Chaos.Delay, d.Chaos.DelayMult, d.Chaos.Reorder, d.HeartbeatEvery, d.Nodes, tail, maxTicks)
 		}
 	}
-	// Periodic ticks fire for as long as any work is pending, so they cost
-	// in proportion to the span over the period. The worst-case span is
-	// the later of the expected last arrival and the crash/recovery
-	// events, plus a deadline for each try of a request.
-	span := max(float64(d.Requests)*1e6/d.Rate, float64(d.CrashAt)+float64(d.RecoverAfter)) +
-		float64(d.ReqDeadline)*float64(d.RetryMax+1)
+	// Periodic ticks cost in proportion to the span over the period.
+	span := d.worstSpan()
 	for _, t := range []struct {
 		knob  string
 		every uint64
@@ -328,14 +337,6 @@ func (c Config) Validate() error {
 		if t.every > 0 && span/float64(t.every) > maxTicks {
 			return fmt.Errorf("cluster: %s %d ticks %.3g times over the worst-case span of %.3g cycles, more than %d",
 				t.knob, t.every, span/float64(t.every), span, maxTicks)
-		}
-	}
-	if d.Chaos.Lossy() {
-		if d.ReqDeadline == 0 {
-			return fmt.Errorf("cluster: lossy chaos (drops or partitions) needs request deadlines (set req-deadline)")
-		}
-		if d.HeartbeatEvery == 0 {
-			return fmt.Errorf("cluster: lossy chaos needs heartbeat failure detection (set heartbeat-every)")
 		}
 	}
 	return nil
@@ -379,7 +380,6 @@ type pendingReq struct {
 	collector int // node gathering acks (primary at arrival)
 	need      int
 	got       int
-	possible  int // owners that could still ack
 	ackedBy   []int
 	get       bool
 	retries   int  // backoff retransmissions issued
@@ -455,9 +455,9 @@ type node struct {
 
 	hist hist.Histogram // completions collected here (as primary)
 
-	// Failure detection (heartbeat mode): last cycle anything was heard
-	// from each peer, raised by every delivered message and by every beat
-	// folded in at a tick (see foldBeats).
+	// Failure detection: last cycle anything was heard from each peer,
+	// raised by every delivered message and by every beat folded in at a
+	// tick (see foldBeats).
 	lastBeat []uint64
 
 	// Catch-up state (stateRecovering only).
@@ -480,11 +480,11 @@ type Stats struct {
 	Offered     uint64 `json:"offered"`
 	Completed   uint64 `json:"completed"`   // quorum-acknowledged requests
 	Dropped     uint64 `json:"dropped"`     // shed by the primary's bounded FIFO
-	Failed      uint64 `json:"failed"`      // un-acknowledged at a crash (quorum became impossible)
+	Failed      uint64 `json:"failed"`      // always 0: a request stranded by a crash times out (kept for readers that sum it)
 	Unavailable uint64 `json:"unavailable"` // no live primary, or quorum impossible at arrival
 	Acks        uint64 `json:"acks"`        // durable-apply acknowledgements (all owners)
 	ReplMsgs    uint64 `json:"repl_msgs"`   // replication messages sent
-	NetMsgs     uint64 `json:"net_msgs"`    // all messages sent
+	NetMsgs     uint64 `json:"net_msgs"`    // all messages sent, liveness beats included (NetMsgs-Heartbeats is the rest)
 	CatchupOps  uint64 `json:"catchup_ops"` // updates streamed to recovering nodes
 	Groups      uint64 `json:"groups"`      // commit groups issued fleet-wide
 	Crashes     uint64 `json:"crashes"`
@@ -494,7 +494,8 @@ type Stats struct {
 	Ranges      int    `json:"ranges"`
 	SpanCycles  uint64 `json:"span_cycles"`
 
-	// Robustness counters (zero in kind, oracle-failover runs).
+	// Robustness and failure-detection counters (all but Heartbeats stay
+	// zero on a kind network without crashes).
 	Shed            uint64 `json:"shed,omitempty"`             // load-shed at the high-water mark
 	TimedOut        uint64 `json:"timed_out,omitempty"`        // deadline expired before the quorum
 	Retries         uint64 `json:"retries,omitempty"`          // backoff retransmission rounds
@@ -506,7 +507,6 @@ type Stats struct {
 	Suspicions      uint64 `json:"suspicions,omitempty"`       // lease expiries that moved a primaryship
 	WrongSuspicions uint64 `json:"wrong_suspicions,omitempty"` // ... whose suspect was alive (partition/gray)
 	RepairOps       uint64 `json:"repair_ops,omitempty"`       // gap-repair updates fetched by live nodes
-	Misapplies      uint64 `json:"misapplies,omitempty"`       // out-of-order durable applies (broken dedup)
 
 	// Network chaos accounting (from the fabric).
 	NetChaosDropped   uint64 `json:"net_chaos_dropped,omitempty"`
@@ -568,7 +568,7 @@ type fleet struct {
 
 	rangeLog  [][]logEntry
 	rangeHeat []uint64 // arrivals since the last rebalance tick
-	pending   *pendingSet
+	pending   map[int]*pendingReq
 	completed []completedRec
 
 	crashDone   bool
@@ -582,10 +582,6 @@ type fleet struct {
 	stats Stats
 	err   error
 }
-
-// detection reports whether failover is heartbeat/lease-driven rather
-// than oracle-instant.
-func (s *fleet) detection() bool { return s.cfg.HeartbeatEvery > 0 }
 
 // event kinds, in tie-break priority order at equal cycles. The periodic
 // heartbeat and rebalance ticks win every tie. A delivery beats a timer at
@@ -692,7 +688,7 @@ func newFleet(cfg Config) (*fleet, error) {
 		net:     newNetwork(cfg.Seed+0x5eed, cfg.NetRTT, cfg.NetJitter, cfg.Chaos),
 		tl:      cfg.Timeline,
 		reg:     obs.NewRegistry(),
-		pending: newPendingSet(),
+		pending: map[int]*pendingReq{},
 	}
 	s.rangeLog = make([][]logEntry, s.ring.numRanges())
 	s.rangeHeat = make([]uint64, s.ring.numRanges())
@@ -839,9 +835,7 @@ func (s *fleet) loop(arrivals []service.Arrival) error {
 		if s.cfg.RebalanceEvery > 0 {
 			p.Add(sched.Key{T: s.nextRebal, Kind: evRebalance, Idx: -1})
 		}
-		if s.cfg.HeartbeatEvery > 0 {
-			p.Add(sched.Key{T: s.nextBeat, Kind: evHeartbeat, Idx: -1})
-		}
+		p.Add(sched.Key{T: s.nextBeat, Kind: evHeartbeat, Idx: -1})
 		switch best := p.Best(); best.Kind {
 		case evArrival:
 			s.arrive(idx, arrivals[idx])
@@ -879,13 +873,13 @@ func (s *fleet) loop(arrivals []service.Arrival) error {
 	s.stats.NetChaosDupped = s.net.chDupped
 	s.stats.NetChaosDelayed = s.net.chDelayed
 	s.stats.NetChaosReordered = s.net.chReordered
-	acct := s.stats.Completed + s.stats.Dropped + s.stats.Shed + s.stats.TimedOut + s.stats.Failed + s.stats.Unavailable
+	acct := s.stats.Completed + s.stats.Dropped + s.stats.Shed + s.stats.TimedOut + s.stats.Unavailable
 	if acct != s.stats.Offered {
-		return fmt.Errorf("cluster: request accounting broken: %d completed + %d dropped + %d shed + %d timed-out + %d failed + %d unavailable != %d offered",
-			s.stats.Completed, s.stats.Dropped, s.stats.Shed, s.stats.TimedOut, s.stats.Failed, s.stats.Unavailable, s.stats.Offered)
+		return fmt.Errorf("cluster: request accounting broken: %d completed + %d dropped + %d shed + %d timed-out + %d unavailable != %d offered",
+			s.stats.Completed, s.stats.Dropped, s.stats.Shed, s.stats.TimedOut, s.stats.Unavailable, s.stats.Offered)
 	}
-	if s.pending.len() > 0 {
-		return fmt.Errorf("cluster: %d requests still pending after the fleet drained", s.pending.len())
+	if len(s.pending) > 0 {
+		return fmt.Errorf("cluster: %d requests still pending after the fleet drained", len(s.pending))
 	}
 	return nil
 }
@@ -905,10 +899,10 @@ func (s *fleet) arrive(id int, r service.Arrival) {
 		s.tl.Instant(obs.TrackCluster, "cluster.unavailable", r.At)
 		return
 	}
-	need, possible := 1, 1
+	need := 1
 	if !r.Get {
 		need = s.cfg.Quorum
-		possible = 0
+		possible := 0
 		for _, o := range s.ring.ownersOf(rid) {
 			if s.nodes[o].state != stateCrashed {
 				possible++
@@ -933,11 +927,9 @@ func (s *fleet) arrive(id int, r service.Arrival) {
 		s.tl.Instant(obs.TrackCluster, "cluster.drop", r.At)
 		return
 	}
-	pd := &pendingReq{reqID: id, rid: rid, at: r.At, collector: p, need: need, possible: possible, get: r.Get}
-	s.pending.put(id, pd)
-	if s.cfg.ReqDeadline > 0 {
-		s.addTimer(r.At+s.cfg.ReqDeadline, timerDeadline, id)
-	}
+	pd := &pendingReq{reqID: id, rid: rid, at: r.At, collector: p, need: need, get: r.Get}
+	s.pending[id] = pd
+	s.addTimer(r.At+s.cfg.ReqDeadline, timerDeadline, id)
 	if r.Get {
 		// Primary-only, unsequenced: straight into the FIFO.
 		pn.queue = append(pn.queue, item{rid: rid, key: r.Key, get: true, reqID: id, enq: r.At})
@@ -968,17 +960,17 @@ func (s *fleet) arrive(id int, r service.Arrival) {
 }
 
 // fireTimer pops and dispatches the earliest client-side timer. Timers
-// for requests that already completed (or failed, or timed out) are
-// no-ops — completion does not unschedule them, it just empties them.
+// for requests that already completed (or timed out) are no-ops —
+// completion does not unschedule them, it just empties them.
 func (s *fleet) fireTimer(t uint64) {
 	tm := heap.Pop(&s.timers).(timer)
-	p, ok := s.pending.get(tm.reqID)
+	p, ok := s.pending[tm.reqID]
 	if !ok {
 		return
 	}
 	switch tm.kind {
 	case timerDeadline:
-		s.pending.del(tm.reqID)
+		delete(s.pending, tm.reqID)
 		s.stats.TimedOut++
 		s.span(t)
 		s.tl.Instant(obs.TrackCluster, "cluster.timeout", t)
@@ -1179,7 +1171,7 @@ func (s *fleet) gateDeliver(n *node, it item, t uint64) {
 			return
 		}
 		if it.reqID >= 0 && it.seq < n.appliedDur[it.rid] {
-			if p, ok := s.pending.get(it.reqID); ok && !p.get {
+			if p, ok := s.pending[it.reqID]; ok && !p.get {
 				s.stats.ReAcks++
 				if n.idx == p.collector {
 					s.ackArrived(p, n.idx, t)
@@ -1227,9 +1219,9 @@ func (s *fleet) deliver(m *message) {
 		}
 		s.gateDeliver(to, m.item, m.at)
 	case msgAck:
-		p, ok := s.pending.get(m.reqID)
+		p, ok := s.pending[m.reqID]
 		if !ok {
-			return // completed, failed or timed out meanwhile; late acks are harmless
+			return // completed or timed out meanwhile; late acks are harmless
 		}
 		s.ackArrived(p, m.from, m.at)
 	case msgFetch:
@@ -1294,7 +1286,7 @@ func (s *fleet) ackArrived(p *pendingReq, from int, t uint64) {
 	if p.got < p.need {
 		return
 	}
-	s.pending.del(p.reqID)
+	delete(s.pending, p.reqID)
 	if t < p.at {
 		s.err = fmt.Errorf("cluster: request %d completed at %d before its arrival %d", p.reqID, t, p.at)
 		return
@@ -1371,22 +1363,18 @@ func (s *fleet) sentinelCommit(n *node, now uint64) {
 	n.inflight = n.inflight[1:]
 	for _, it := range group {
 		if !it.get {
+			// Only a broken dedup applies out of order. The durable log
+			// keeps the duplicate, so the audit, not the engine, catches
+			// the negative control.
 			if it.seq == n.appliedDur[it.rid] {
 				n.appliedDur[it.rid]++
-			} else {
-				// Out-of-order durable apply: only a broken dedup can cause
-				// this. Count it (the durable log keeps the duplicate, so
-				// the audit sees the double apply) instead of erroring, so
-				// the negative control is caught by the audit, not the
-				// engine.
-				s.stats.Misapplies++
 			}
 			n.durableOps = append(n.durableOps, durOp{rid: it.rid, seq: it.seq, key: it.key})
 		}
 		if it.reqID < 0 {
-			continue // catch-up replay: the client was answered (or failed) long ago
+			continue // catch-up replay: the client was answered (or timed out) long ago
 		}
-		p, ok := s.pending.get(it.reqID)
+		p, ok := s.pending[it.reqID]
 		if !ok {
 			continue
 		}
@@ -1407,22 +1395,13 @@ func (s *fleet) sentinelCommit(n *node, now uint64) {
 	}
 }
 
-// fail abandons one pending request: its quorum became impossible. The
-// update may still be durable on surviving owners — failed means
-// un-acknowledged, never acknowledged-and-lost.
-func (s *fleet) fail(p *pendingReq, t uint64) {
-	s.pending.del(p.reqID)
-	s.stats.Failed++
-	s.span(t)
-	s.tl.Instant(obs.TrackCluster, "cluster.failed", t)
-}
-
 // crashNode kills node idx at cycle t: volatile state (FIFO, gate buffers,
 // sentinel-uncommitted groups) is lost, the durable image is the in-order
 // committed prefix. The bit-level image is crash-recovered through
 // internal/fault's sampled line fates and invariant-checked as a
-// validation pass, pending quorums are repaired, and primaryships fail
-// over to live owners.
+// validation pass. Nothing else learns of the crash: stranded quorums run
+// into their deadlines, and primaryships move only when leases expire at
+// a heartbeat tick.
 func (s *fleet) crashNode(idx int, t uint64) {
 	c := s.nodes[idx]
 	if c.state != stateLive {
@@ -1449,50 +1428,6 @@ func (s *fleet) crashNode(idx int, t uint64) {
 	// startRun), so every effect it recorded has already been applied.
 	c.queue, c.inflight, c.busy, c.effects = nil, nil, false, nil
 	clear(c.gates)
-
-	if s.detection() {
-		// No oracle knowledge: stranded quorums run into their deadlines,
-		// and primaryships move only when leases expire at the heartbeat
-		// tick.
-		return
-	}
-
-	// Repair pending quorums: requests collected here can no longer be
-	// acknowledged; elsewhere, this node's ack is off the table unless the
-	// update was already durable here (its ack survives in flight).
-	// possible counts every owner that was up at arrival, the ones that
-	// have acked included, so it alone bounds the acks the request can
-	// end with.
-	for _, id := range s.pending.sortedIDs() {
-		p, ok := s.pending.get(id)
-		if !ok {
-			continue
-		}
-		if p.collector == idx {
-			s.fail(p, t)
-			continue
-		}
-		if !p.get && s.ring.isOwner(p.rid, idx) && p.seq >= c.appliedDur[p.rid] {
-			p.possible--
-			if p.possible < p.need {
-				s.fail(p, t)
-			}
-		}
-	}
-
-	// Failover: promote the first live owner of every range this node led.
-	for _, rid := range s.ring.rangesOwnedBy(idx) {
-		if s.ring.primary(rid) != idx {
-			continue
-		}
-		for _, o := range s.ring.ownersOf(rid) {
-			if s.nodes[o].state == stateLive {
-				s.ring.setPrimary(rid, o)
-				s.stats.Failovers++
-				break
-			}
-		}
-	}
 }
 
 // recoverNode restarts the crashed node at cycle t: a fresh machine
@@ -1536,11 +1471,10 @@ func (s *fleet) recoverNode(idx int, t uint64) {
 
 // scheduleFetch issues the next catch-up batch (one outstanding at a
 // time): the lowest-numbered range still behind its target, fetched from
-// its current primary. catchupNext advances only when a response lands
-// (see deliver), so a batch lost to the network is re-fetched, not
-// skipped. In detection mode a range without a live primary is skipped
-// and retried at the next heartbeat tick; with an oracle that state is a
-// bug.
+// a live owner (see catchupSource). catchupNext advances only when a
+// response lands (see deliver), so a batch lost to the network is
+// re-fetched, not skipped. A range with no live source is skipped and
+// retried at the next heartbeat tick.
 func (s *fleet) scheduleFetch(c *node, t uint64) {
 	if c.fetchOutstanding {
 		return
@@ -1559,19 +1493,34 @@ func (s *fleet) scheduleFetch(c *node, t uint64) {
 		if n > s.cfg.CatchupBatch {
 			n = s.cfg.CatchupBatch
 		}
-		src := s.ring.primary(rid)
-		if src == c.idx || s.nodes[src].state != stateLive {
-			if s.detection() {
-				continue // retried at the next heartbeat tick
-			}
-			s.err = fmt.Errorf("cluster: node %d cannot catch up range %d: no live primary", c.idx, rid)
-			return
+		src := s.catchupSource(c, rid)
+		if src < 0 {
+			continue
 		}
 		c.fetchOutstanding = true
 		c.fetchAt = t
 		s.net.send(&message{from: c.idx, to: src, kind: msgFetch, rid: rid, lo: lo, n: n}, t)
 		return
 	}
+}
+
+// catchupSource picks the live node recovering node c fetches range rid
+// from: its primary, or, while c still leads the range because it came
+// back before any peer's lease on it expired, the first other live owner.
+// -1 means none is live now; the next heartbeat tick retries.
+func (s *fleet) catchupSource(c *node, rid int) int {
+	if p := s.ring.primary(rid); p != c.idx {
+		if s.nodes[p].state == stateLive {
+			return p
+		}
+		return -1
+	}
+	for _, o := range s.ring.ownersOf(rid) {
+		if o != c.idx && s.nodes[o].state == stateLive {
+			return o
+		}
+	}
+	return -1
 }
 
 // maybeRejoin promotes a caught-up recovering node back to live

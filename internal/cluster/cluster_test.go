@@ -375,3 +375,38 @@ func TestSweepWorkerIndependence(t *testing.T) {
 		t.Fatal("sweep output depends on the worker count")
 	}
 }
+
+// TestRecoveryBeforeLeaseExpiry: a node that restarts before any peer's
+// lease on it expires beats again, so nobody takes its primaryships. It
+// must still catch up the ranges it leads — from another live owner —
+// and rejoin, or the updates it sequenced but had not made durable at the
+// crash would never reach it.
+func TestRecoveryBeforeLeaseExpiry(t *testing.T) {
+	sawLed := false
+	for node := 0; node < 3; node++ {
+		cfg := DefaultConfig()
+		cfg.CrashAt = 120_000
+		cfg.CrashNode = node
+		cfg.RecoverAfter = 5_000
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("node %d: %v", node, err)
+		}
+		st := res.Stats
+		if st.Rejoins != 1 || res.PerNode[node].State != "live" {
+			t.Fatalf("node %d: rejoins %d, ended %s; want 1, live", node, st.Rejoins, res.PerNode[node].State)
+		}
+		if st.Suspicions != 0 {
+			t.Fatalf("node %d: %d suspicions of a node back before its lease expired", node, st.Suspicions)
+		}
+		if st.Completed+st.Dropped+st.Shed+st.TimedOut+st.Unavailable != st.Offered {
+			t.Fatalf("node %d: accounting broken: %+v", node, st)
+		}
+		if res.PerNode[node].CatchupOps > 0 {
+			sawLed = true
+		}
+	}
+	if !sawLed {
+		t.Fatal("no crash left a node behind on its ranges; the test is not exercising catch-up")
+	}
+}

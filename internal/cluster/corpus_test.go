@@ -13,6 +13,7 @@ import (
 
 	"specpersist/internal/chaos"
 	"specpersist/internal/core"
+	"specpersist/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens (fleet corpus, figure renderings)")
@@ -259,27 +260,41 @@ func TestFleetCorpusDigests(t *testing.T) {
 	}
 }
 
-// TestCrashRepairCountsAckOnce replays corpus entry 3 (BT, R=W=2, node 1
-// crashes mid-run and recovers, rebalancing on). At the crash, request 31
-// holds node 0's ack and node 1 has not applied it durably. Its quorum is
-// then out of reach, so the oracle repair must fail it. Counting node 0's
-// ack both as got and as a possible ack left it pending, and the run
-// ended with its request accounting broken.
-func TestCrashRepairCountsAckOnce(t *testing.T) {
-	r, err := RunAudited(corpusConfig(3))
+// TestCrashDetectedByLease replays corpus entry 3 (BT, R=W=2, node 1
+// crashes mid-run and recovers, rebalancing on) with a timeline. No node
+// learns of the crash but through its leases: the requests it strands
+// time out, and the first failover after the crash lands within a lease
+// and one heartbeat period of it.
+func TestCrashDetectedByLease(t *testing.T) {
+	cfg := corpusConfig(3)
+	cfg.Timeline = obs.NewTimeline(0)
+	r, err := RunAudited(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Audit.Clean() {
 		t.Errorf("audit found %d violations: %+v", r.Audit.Total, r.Audit.Violations)
 	}
-	st := r.Stats
+	st, d := r.Stats, r.Config
 	if sum := st.Completed + st.Dropped + st.Shed + st.TimedOut + st.Failed + st.Unavailable; sum != st.Offered {
 		t.Errorf("%d completed + %d dropped + %d shed + %d timed-out + %d failed + %d unavailable = %d, offered %d",
 			st.Completed, st.Dropped, st.Shed, st.TimedOut, st.Failed, st.Unavailable, sum, st.Offered)
 	}
-	if st.Failed == 0 {
-		t.Error("no request failed at the crash")
+	if st.TimedOut == 0 || st.Failed != 0 {
+		t.Errorf("%d requests timed out and %d failed; the crash should strand some into their deadlines", st.TimedOut, st.Failed)
+	}
+	var failover uint64
+	for _, e := range cfg.Timeline.Events() {
+		switch {
+		case e.Name == "cluster.timeout" && e.Start-d.ReqDeadline >= d.CrashAt:
+			t.Errorf("a request that arrived at %d, after the crash at %d, timed out", e.Start-d.ReqDeadline, d.CrashAt)
+		case e.Name == "cluster.failover" && e.Start >= d.CrashAt && failover == 0:
+			failover = e.Start
+		}
+	}
+	if failover == 0 || failover > d.CrashAt+d.LeaseCycles+d.HeartbeatEvery {
+		t.Errorf("first failover after the crash at %d came at %d, want by crash + lease %d + period %d",
+			d.CrashAt, failover, d.LeaseCycles, d.HeartbeatEvery)
 	}
 }
 

@@ -2,10 +2,10 @@
 // factors, group-commit sizes and network RTTs, and reduce the results to
 // the tables cmd/figures -cluster emits. The headline is the
 // quorum-capacity table — the highest offered load each configuration
-// sustains while meeting a p99 target with zero drops, failures or
-// unavailability — because a quorum write pays every replica's persist
-// barriers plus the network, and the table shows how much of that cost
-// speculation and group commit buy back at each R. The replica-rejoin
+// sustains while meeting a p99 target with every offered request
+// quorum-acknowledged — because a quorum write pays every replica's
+// persist barriers plus the network, and the table shows how much of that
+// cost speculation and group commit buy back at each R. The replica-rejoin
 // curve prices failover: how long a crashed replica takes to rejoin as a
 // function of the updates it missed.
 package cluster
@@ -166,18 +166,11 @@ func Sweep(sc SweepConfig) ([]SweepPoint, error) {
 	return points, nil
 }
 
-// Sustains reports whether one sweep point meets a p99 SLO: every offered
-// request quorum-acknowledged (no drops, failures or unavailability —
-// shed load would flatter the tail) and the 99th percentile within
-// target.
-func (p SweepPoint) Sustains(slo uint64) bool {
+// SLO reduces the point to what the SLO rule reads (service.SLOPoint).
+func (p SweepPoint) SLO() service.SLOSample {
 	st := p.Result.Stats
-	return st.Dropped == 0 && st.Failed == 0 && st.Unavailable == 0 && p.Result.P99 <= slo
+	return service.SLOSample{Rate: p.Rate, P99: p.Result.P99, Offered: st.Offered, Completed: st.Completed}
 }
-
-// RateP99 returns the point's offered rate and observed p99
-// (service.SLOPoint).
-func (p SweepPoint) RateP99() (float64, uint64) { return p.Rate, p.Result.P99 }
 
 // CapacityTable reduces a sweep to the quorum-capacity figure: per
 // (R, W, K, RTT) cell, the p99 SLO separating the variants most clearly
@@ -231,7 +224,7 @@ func CapacityTable(points []SweepPoint) *report.Table {
 			fmt.Sprint(slo), fmt.Sprintf("%.0f", b), fmt.Sprintf("%.0f", s), gain)
 	}
 	t.AddNote("latency = arrival at the primary to the W-th durable ack; W = majority of R")
-	t.AddNote("a rate counts as sustained only with zero drops, failures and unavailability")
+	t.AddNote("a rate counts as sustained only when every offered request was quorum-acknowledged")
 	t.AddNote("SLO chosen per row from observed p99 values to maximize the SP vs Log+P+Sf load gap")
 	return t
 }

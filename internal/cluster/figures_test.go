@@ -109,3 +109,19 @@ func TestSweepFailsUnrejoinedRecovery(t *testing.T) {
 		t.Fatalf("Sweep error %v, want node 1 never rejoined", err)
 	}
 }
+
+// TestSustainsNeedsEveryRequest: a capacity point meets its SLO only when
+// every offered request was quorum-acknowledged, so requests that timed
+// out or were shed cannot flatter the tail.
+func TestSustainsNeedsEveryRequest(t *testing.T) {
+	p := SweepPoint{Rate: 100, Result: Result{P99: 1000, Stats: Stats{Offered: 10, Completed: 10}}}
+	if !p.SLO().Sustains(1000) {
+		t.Fatal("a point that completed every request within the SLO is not sustained")
+	}
+	for _, st := range []Stats{{Offered: 10, Completed: 9, TimedOut: 1}, {Offered: 10, Completed: 9, Shed: 1}} {
+		p.Result.Stats = st
+		if p.SLO().Sustains(1000) {
+			t.Errorf("%+v counts as sustained", st)
+		}
+	}
+}

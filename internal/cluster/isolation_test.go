@@ -106,9 +106,11 @@ func TestNodeRunIsolation(t *testing.T) {
 						next++
 					}
 				case 1:
-					if ids := b.pending.sortedIDs(); len(ids) > 0 {
-						b.pending.del(ids[len(ids)-1])
+					last := -1
+					for id := range b.pending {
+						last = max(last, id)
 					}
+					delete(b.pending, last)
 				case 2:
 					b.rebalance(c.Now())
 				}

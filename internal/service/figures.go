@@ -110,30 +110,35 @@ func LatencyTable(points []SweepPoint) *report.Table {
 	return t
 }
 
-// Sustains reports whether one sweep point meets a p99 SLO: every offered
-// request completed (a bounded FIFO sheds load under overload, which would
-// otherwise flatter p99) and the 99th percentile is within the target.
-func (p SweepPoint) Sustains(slo uint64) bool {
-	return p.Result.Stats.Dropped == 0 && p.Result.P99 <= slo
+// SLO reduces the point to what the SLO rule reads (SLOPoint).
+func (p SweepPoint) SLO() SLOSample {
+	st := p.Result.Stats
+	return SLOSample{Rate: p.Rate, P99: p.Result.P99, Offered: st.Offered, Completed: st.Completed}
 }
 
-// RateP99 returns the point's offered rate and observed p99 (SLOPoint).
-func (p SweepPoint) RateP99() (float64, uint64) { return p.Rate, p.Result.P99 }
+// SLOPoint is one point of a capacity sweep, in either serving layer.
+type SLOPoint interface{ SLO() SLOSample }
 
-// SLOPoint is one point of a capacity sweep: its offered rate, its
-// observed p99, and its own rule for meeting a p99 SLO.
-type SLOPoint interface {
-	RateP99() (rate float64, p99 uint64)
-	Sustains(slo uint64) bool
+// SLOSample is a capacity point's offered rate, observed p99 and request
+// outcome.
+type SLOSample struct {
+	Rate               float64
+	P99                uint64
+	Offered, Completed uint64
 }
+
+// Sustains is both serving layers' one SLO rule: every offered request
+// completed (a request dropped, shed, timed out or refused would
+// otherwise flatter the tail) and the 99th percentile is within target.
+func (s SLOSample) Sustains(slo uint64) bool { return s.Completed == s.Offered && s.P99 <= slo }
 
 // MaxSustainedRate returns the highest offered rate among points (already
 // filtered to one configuration) that meets the SLO, or 0 if none does.
 func MaxSustainedRate[P SLOPoint](points []P, slo uint64) float64 {
 	best := 0.0
 	for _, p := range points {
-		if rate, _ := p.RateP99(); p.Sustains(slo) && rate > best {
-			best = rate
+		if s := p.SLO(); s.Sustains(slo) && s.Rate > best {
+			best = s.Rate
 		}
 	}
 	return best
@@ -207,8 +212,7 @@ func SLOTable(points []SweepPoint) *report.Table {
 func ChooseSLO[P SLOPoint](sp, base []P) uint64 {
 	var candidates []uint64
 	for _, p := range append(append([]P{}, sp...), base...) {
-		_, p99 := p.RateP99()
-		candidates = append(candidates, p99)
+		candidates = append(candidates, p.SLO().P99)
 	}
 	if len(candidates) == 0 {
 		return 0
