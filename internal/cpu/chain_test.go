@@ -159,32 +159,33 @@ func newChainCore(cfg Config) (*CPU, *obs.Registry) {
 
 // chainSnap is the scheduler state a fast-forward must reproduce: the live
 // fetch-queue and ROB windows, the scoreboard by register, the wake heap,
-// the unissued list, the counters and the fetch position.
+// the unissued list, the counters, the fetch position and the open
+// barrier-stall span.
 type chainSnap struct {
-	Now, Seq, FetchPos                  uint64
-	BlkPos, FqHead, RobHead, RobLen     int
-	Unissued, ReadyCount, Unlinked, LSQ int
-	UnissHead, UnissTail                int32
-	FetchDst                            isa.Reg
-	SrcDone                             bool
-	Fq                                  []isa.Instr
-	FqLink                              []bool
-	Rob                                 []robEntry
-	Sbrd                                map[uint32]sbdSlot
-	Wakes                               []wake
-	Stats                               Stats
-	IdleSteps                           int
+	Now, Seq, FetchPos, FenceBlockedAt       uint64
+	BlkPos, FqHead, RobHead, RobLen          int
+	Unissued, ReadyCount, PlainUnissued, LSQ int
+	UnissHead, UnissTail                     int32
+	FetchDst                                 isa.Reg
+	SrcDone                                  bool
+	Fq                                       []isa.Instr
+	FqLink                                   []bool
+	Rob                                      []robEntry
+	Sbrd                                     map[uint32]sbdSlot
+	Wakes                                    []wake
+	Stats                                    Stats
+	IdleSteps                                int
 }
 
 func snapChain(c *CPU) chainSnap {
 	s := chainSnap{
 		Now: c.now, Seq: c.seq, FetchPos: c.fetchPos,
 		BlkPos: c.blkPos, FqHead: c.fqHead, RobHead: c.robHead, RobLen: c.robLen,
-		Unissued: c.unissued, ReadyCount: c.readyCount, Unlinked: c.unlinked, LSQ: c.lsqCount,
+		Unissued: c.unissued, ReadyCount: c.readyCount, PlainUnissued: c.plainUnissued, LSQ: c.lsqCount,
 		UnissHead: c.unissHead, UnissTail: c.unissTail, FetchDst: c.fetchDst, SrcDone: c.srcDone,
 		Sbrd:  map[uint32]sbdSlot{},
 		Wakes: append([]wake(nil), c.wakes...),
-		Stats: c.Stats(), IdleSteps: c.idleSteps,
+		Stats: c.Stats(), IdleSteps: c.idleSteps, FenceBlockedAt: c.fenceBlockedAt,
 	}
 	for i := 0; i < c.fqLen; i++ {
 		j := (c.fqHead + i) % len(c.fq)
@@ -302,56 +303,110 @@ var (
 	shrunkSP = [6]byte{14, 5, 7, 0x15, 0xE7, 1}
 )
 
-// chainSeeds are the scenarios the fast-forward must get right, as fuzz
-// inputs: chains shorter than the issue queue, a chain cut at a block
-// boundary, a fence stall followed by a chain, a pcommit whose ack lands
-// mid-chain, one-wide and tiny cores, and probes under SP.
-var chainSeeds = [][]byte{
-	// Chains shorter than the issue queue, between barriers.
-	chainSeed(wideLogP, 0, 5, 2, 0, 0, 20, 2, 1, 0, 9),
-	// A long chain cut by a block boundary, then another chain.
-	chainSeed(wideLogP, 0, 200, 3, 0, 0, 120, 0, 90),
-	// Fence stall (barrier) then a 1,600-link chain, twice.
-	chainSeed(wideLogP, 2, 0, 1, 5, 2, 1, 1, 5),
-	// The pcommit ack lands mid-chain under SP.
-	chainSeed(wideSP, 2, 0, 1, 4, 2, 1, 1, 3, 6, 2, 0, 250),
-	// All chain lengths of the equivalence suite, under SP.
-	chainSeed(wideSP, 1, 0, 2, 0, 1, 1, 2, 1, 1, 2, 2, 2, 1, 3, 2, 3, 1, 4, 2, 0, 1, 5),
-	// One-wide core with a two-entry ROB.
-	chainSeed([6]byte{0, 0, 0, 0, 0, 0}, 0, 60, 2, 0, 0, 30, 5, 2, 0, 40),
-	// Issue queue much smaller than the ROB, long latency ALUs between.
-	chainSeed([6]byte{30, 3, 10, 0x55, 7, 1}, 0, 100, 5, 3, 0, 100, 2, 1, 0, 100),
-	// SP with probes every 16*5 cycles over mid-chain speculation.
-	chainSeed([6]byte{126, 47, 47, 0xFF, 0xFF, 11}, 6, 1, 2, 1, 1, 4, 6, 3, 2, 3, 1, 4, 2, 0, 1, 3),
-	// A shrunk SP core: chains longer and shorter than its queues.
-	chainSeed(shrunkSP, 2, 0, 0, 3, 1, 2, 2, 1, 0, 9, 3, 0, 1, 4, 7, 0, 0, 200),
+// chainScenario is one program the fast-forward must get right, as a fuzz
+// input. batches marks the ones it must also batch: under a quarter as
+// many StepTo calls as Steps, over cut blocks and over chain records.
+type chainScenario struct {
+	name    string
+	batches bool
+	data    []byte
+}
+
+// chainSeeds are the scenarios: chains shorter than the issue queue, a
+// chain cut at a block boundary, a pcommit whose ack lands mid-chain,
+// one-wide and tiny cores, probes under SP, and one program per regime of
+// the chain's lifetime.
+var chainSeeds = []chainScenario{
+	{"short chains between barriers", false,
+		chainSeed(wideLogP, 0, 5, 2, 0, 0, 20, 2, 1, 0, 9)},
+	{"chain cut by a block boundary", false,
+		chainSeed(wideLogP, 0, 200, 3, 0, 0, 120, 0, 90)},
+	{"fence stall then a 1,600-link chain, twice", true,
+		chainSeed(wideLogP, 2, 0, 1, 5, 2, 1, 1, 5)},
+	{"pcommit ack mid-chain under SP", false,
+		chainSeed(wideSP, 2, 0, 1, 4, 2, 1, 1, 3, 6, 2, 0, 250)},
+	{"every equivalence-suite chain length under SP", false,
+		chainSeed(wideSP, 1, 0, 2, 0, 1, 1, 2, 1, 1, 2, 2, 2, 1, 3, 2, 3, 1, 4, 2, 0, 1, 5)},
+	{"one-wide core, two-entry ROB", false,
+		chainSeed([6]byte{0, 0, 0, 0, 0, 0}, 0, 60, 2, 0, 0, 30, 5, 2, 0, 40)},
+	{"issue queue far below the ROB, long-latency ALUs between", false,
+		chainSeed([6]byte{30, 3, 10, 0x55, 7, 1}, 0, 100, 5, 3, 0, 100, 2, 1, 0, 100)},
+	{"SP probes every 80 cycles over mid-chain speculation", false,
+		chainSeed([6]byte{126, 47, 47, 0xFF, 0xFF, 11}, 6, 1, 2, 1, 1, 4, 6, 3, 2, 3, 1, 4, 2, 0, 1, 3)},
+	{"shrunk SP core, chains longer and shorter than its queues", false,
+		chainSeed(shrunkSP, 2, 0, 0, 3, 1, 2, 2, 1, 0, 9, 3, 0, 1, 4, 7, 0, 0, 200)},
 	// Fetch 4-wide, issue 2-wide into an 8-entry fetch queue: the queue
 	// is full while dispatch still moves two links a cycle, until the
 	// issue queue fills.
-	chainSeed([6]byte{126, 47, 7, 0x37, 0xFF, 0}, 1, 4, 2, 0, 1, 5),
+	{"full fetch queue, two-wide dispatch", false,
+		chainSeed([6]byte{126, 47, 7, 0x37, 0xFF, 0}, 1, 4, 2, 0, 1, 5)},
+
+	// Regimes, over barriers whose instructions issue at once. A 32-entry
+	// ROB under a 48-entry issue queue fills behind the barrier's blocked
+	// sfence, the fetch queue full behind it.
+	{"fill: full ROB behind a blocked sfence, Log+P+Sf", true,
+		chainSeed([6]byte{30, 47, 47, 0xFF, 0xFF, 0}, regimeBody(0, 250, 0, 250, 0, 250, 0, 250)...)},
+	{"fill: full ROB behind a blocked sfence, SP", true,
+		chainSeed([6]byte{30, 47, 47, 0xFF, 0xFF, 1}, regimeBody(0, 250, 0, 250, 0, 250, 0, 250)...)},
+	// The Table 2 ROB fills one link a cycle under a 16-entry issue queue.
+	{"fill: ROB not yet full", true,
+		chainSeed([6]byte{126, 15, 47, 0xFF, 0xFF, 0}, regimeBody(0, 250, 0, 250, 0, 250, 0, 250)...)},
+	// Six stores to one line sit in the store buffer; the clflushopt of
+	// that line waits at the ROB head while it drains and links fill.
+	{"fill: flush head behind a non-empty store buffer", true,
+		chainSeed(wideLogP, append([]byte{6, 1, 6, 5, 6, 9, 6, 13, 6, 17, 6, 21, 7, 1, 0, 250},
+			regimeBody(0, 250, 0, 250)...)...)},
+	// After each barrier releases, the links behind it retire one or four
+	// a cycle until the steady state.
+	{"catch-up at RetireWidth 1", true,
+		chainSeed([6]byte{126, 47, 47, 0x0F, 0xFF, 0}, regimeBody(0, 250, 0, 250, 0, 250)...)},
+	{"catch-up at RetireWidth 4", true,
+		chainSeed([6]byte{126, 47, 47, 0x3F, 0xFF, 0}, regimeBody(0, 250, 0, 250, 0, 250)...)},
+	// Eight speculative stores wait in the SSB; the commit engine drains
+	// one a cycle while the 1,600-link chain behind them runs.
+	{"SP commit engine acting every cycle mid-chain", true,
+		chainSeed(wideSP, append(regimeBody(0, 50),
+			append([]byte{6, 1, 6, 5, 6, 9, 6, 13, 6, 17, 6, 21, 6, 25, 6, 29, 1, 5},
+				regimeBody(1, 5)...)...)...)},
+	// The body after each 1,600-link chain waits in the fetch queue while
+	// the chain drains; its store then waits in the ROB on the last link.
+	{"drain with the body behind the chain unissued", true,
+		chainSeed(wideLogP, append([]byte{1, 5}, regimeBody(1, 5, 1, 5)...)...)},
+}
+
+// regimeBody returns, for each chain op (op, arg) given, the fuzz ops of a
+// barrier with no register operands (clflushopt, sfence, pcommit, sfence)
+// followed by that chain.
+func regimeBody(chains ...byte) []byte {
+	var ops []byte
+	for i := 0; i+1 < len(chains); i += 2 {
+		ops = append(ops, 7, 1, 4, 0, 7, 0, 4, 0, chains[i], chains[i+1])
+	}
+	return ops
 }
 
 func FuzzChainFastForward(f *testing.F) {
 	for _, s := range chainSeeds {
-		f.Add(s)
+		f.Add(s.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runChainProg(t, decodeChainProg(data))
 	})
 }
 
-// TestChainFastForwardBatches runs the scenario seeds and requires the
-// long-chain ones to actually batch, over cut blocks and over chain
-// records: far fewer StepTo calls than Steps.
+// TestChainFastForwardBatches runs every scenario and requires the ones
+// marked to batch, over cut blocks and over chain records.
 func TestChainFastForwardBatches(t *testing.T) {
-	for i, s := range chainSeeds {
-		p := decodeChainProg(s)
+	for _, s := range chainSeeds {
+		p := decodeChainProg(s.data)
 		calls, steps := runChainProg(t, p)
-		if i == 2 && calls*4 > steps {
-			t.Errorf("seed %d: %d StepTo calls for %d steps; the 1,600-link chains did not batch", i, calls, steps)
+		_, _, rcalls, rsteps := lockstep(t, p, p.records())
+		t.Logf("%s: %d StepTo calls for %d steps (records: %d for %d)", s.name, calls, steps, rcalls, rsteps)
+		if s.batches && calls*4 >= steps {
+			t.Errorf("%s: %d StepTo calls for %d steps over cut blocks did not batch", s.name, calls, steps)
 		}
-		if _, _, calls, steps := lockstep(t, p, p.records()); i == 2 && calls*4 > steps {
-			t.Errorf("seed %d: %d StepTo calls for %d steps; the 1,600-link chain records did not batch", i, calls, steps)
+		if s.batches && rcalls*4 >= rsteps {
+			t.Errorf("%s: %d StepTo calls for %d steps over chain records did not batch", s.name, rcalls, rsteps)
 		}
 	}
 }
@@ -376,12 +431,29 @@ func TestStepToHonoursCycleHook(t *testing.T) {
 	}
 }
 
+// inFlightLinks reports whether every fetch-queue and ROB entry is a chain
+// link.
+func inFlightLinks(c *CPU) bool {
+	for i := 0; i < c.fqLen; i++ {
+		if !c.fqLink[(c.fqHead+i)%len(c.fq)] {
+			return false
+		}
+	}
+	for i := 0; i < c.robLen; i++ {
+		if !c.rob[c.robSlot(i)].link {
+			return false
+		}
+	}
+	return true
+}
+
 // TestChainForwardRollbackMidChain probes the speculating SP core right
-// after a fast-forward, while every in-flight instruction is a chain link,
-// so the rollback squashes a batched chain and the core refetches it from
-// the checkpoint; the fast core reads cut blocks, then chain records.
-// Single Steps of the fast path and the reference scheduler, probed at the
-// same cycles, must end identically.
+// after each fast-forward (cut every 97 cycles by the horizon) while every
+// in-flight instruction is a chain link, until three probes have rolled it
+// back, so each rollback squashes a batched chain and the core refetches
+// it from the checkpoint; the fast core reads cut blocks, then chain
+// records. Single Steps of the fast path and the reference scheduler,
+// probed at the same cycles, must end identically.
 func TestChainForwardRollbackMidChain(t *testing.T) {
 	p := decodeChainProg(chainSeed(wideSP, 2, 0, 1, 5, 2, 1, 1, 4, 2, 2, 1, 5, 2, 3, 1, 4))
 	for _, src := range []func() trace.Source{
@@ -393,10 +465,10 @@ func TestChainForwardRollbackMidChain(t *testing.T) {
 		var fires []uint64
 		for {
 			before := fast.now
-			if !fast.StepTo(math.MaxUint64) {
+			if !fast.StepTo((before/97 + 1) * 97) {
 				break
 			}
-			if len(fires) < 3 && fast.now-before > 1 && fast.unlinked == 0 && fast.speculating() {
+			if fast.stats.Rollbacks < 3 && fast.now-before > 1 && inFlightLinks(fast) && fast.speculating() {
 				fires = append(fires, fast.now)
 				probeLines(fast, p.lines)
 			}

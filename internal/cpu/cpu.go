@@ -9,6 +9,7 @@ package cpu
 
 import (
 	"math"
+	"math/bits"
 
 	"specpersist/internal/cache"
 	"specpersist/internal/isa"
@@ -292,16 +293,19 @@ type CPU struct {
 	ssqLen    int
 	seq       uint64
 
-	// Chain fast-forward state (chain.go). unlinked counts the in-flight
-	// fetch-queue and ROB entries that are not chain links, so the
-	// steady-state screen is O(1); fetchDst is the destination of the last
-	// fetched instruction, the predecessor the next fetch is linked to.
+	// Chain fast-forward state (chain.go). plainUnissued counts the
+	// unissued ROB entries that are not chain links, so the batch screen is
+	// O(1); linkDone records, by stream position modulo its length (a
+	// power of two above the ROB size), the completion cycle of each link a
+	// batch issues; fetchDst is the destination of the last fetched
+	// instruction, the predecessor the next fetch is linked to.
 	// blk[blkPos:linkEnd] is the scanned run of plain links ahead of fetch
 	// (stale once blkPos reaches linkEnd; zeroed whenever fetch takes a new
 	// block, the only way blk becomes non-empty).
-	unlinked int
-	fetchDst isa.Reg
-	linkEnd  int
+	plainUnissued int
+	linkDone      []uint64
+	fetchDst      isa.Reg
+	linkEnd       int
 
 	// ref, when non-nil, switches Step to the straight-line reference
 	// scheduler (maps plus linear scans) the indexed fast path is verified
@@ -366,6 +370,7 @@ func New(cfg Config, h *cache.Hierarchy, mc memctl.Memory) *CPU {
 	c := &CPU{cfg: cfg, h: h, mc: mc,
 		fq:             make([]isa.Instr, cfg.FetchQ),
 		fqLink:         make([]bool, cfg.FetchQ),
+		linkDone:       make([]uint64, 1<<bits.Len(uint(cfg.ROB))),
 		rob:            make([]robEntry, cfg.ROB),
 		sbuf:           make([]sbEntry, cfg.StoreBuf),
 		storeSeqQ:      make([]uint64, cfg.ROB),

@@ -175,11 +175,7 @@ func (c *CPU) fetch() bool {
 			j -= len(c.fq)
 		}
 		c.fq[j] = in
-		link := chainLink(c.fetchDst, in)
-		c.fqLink[j] = link
-		if !link {
-			c.unlinked++
-		}
+		c.fqLink[j] = chainLink(c.fetchDst, in)
 		c.fetchDst = in.Dst
 		c.fqLen++
 		fetched = true
@@ -231,6 +227,9 @@ func (c *CPU) dispatch() bool {
 		e.in, e.seq, e.done, e.rdy, e.blockSeq = in, c.seq, notIssued, 0, 0
 		e.next, e.prev, e.waitNext = -1, -1, [2]int32{-1, -1}
 		e.waiting, e.armed, e.link = 0, false, link
+		if !link {
+			c.plainUnissued++
+		}
 		// Destination before sources: a self-dependent instruction must
 		// wait on itself, as it would under the always-re-read map.
 		if in.Dst != isa.NoReg {
@@ -309,6 +308,9 @@ func (c *CPU) issue() bool {
 		examined++
 		if e.armed && (e.in.Op != isa.Load || c.memReadyFast(e)) {
 			c.execute(e)
+			if !e.link {
+				c.plainUnissued--
+			}
 			c.unlinkUnissued(n, e)
 			e.armed = false
 			c.readyCount--
@@ -401,9 +403,6 @@ func (c *CPU) retire() bool {
 		if e.in.Op.IsMemAccess() {
 			c.lsqCount--
 		}
-		if !e.link {
-			c.unlinked--
-		}
 		if e.in.Op == isa.Store {
 			if c.ssqLen == 0 || c.storeSeqQ[c.ssqHead] != e.seq {
 				panic("cpu: store retirement out of line order")
@@ -431,8 +430,8 @@ func (c *CPU) retire() bool {
 // retireOne applies one instruction's retirement semantics; it returns
 // false if the instruction must stay at the ROB head this cycle.
 func (c *CPU) retireOne(in isa.Instr) bool {
-	if c.retireHoldTil > c.now && (in.Op == isa.Store || in.Op.IsPMEM()) {
-		c.lastStall = &c.stats.StallHoldCycles
+	if s := c.stallOf(in); s != nil {
+		c.noteStall(s)
 		return false
 	}
 	switch in.Op {
@@ -452,6 +451,79 @@ func (c *CPU) retireOne(in isa.Instr) bool {
 		return c.retireFence()
 	default:
 		panic("cpu: unknown opcode at retirement")
+	}
+}
+
+// stallOf returns the retirement-stall counter the ROB head in is charged
+// at this cycle when only time, the store buffer or the commit engine holds
+// it: the post-rollback hold, a full store buffer, a flush ordered behind a
+// buffered store to its line, a non-speculative fence waiting for stores,
+// flushes, the SSB or (without SP) pcommits, or a barrier that needs a
+// checkpoint while all are taken. It returns nil when retireOne would
+// retire in or change any other state, so a stall it names repeats,
+// changing nothing else, until one of those inputs moves (the chain
+// fast-forward covers such cycles).
+func (c *CPU) stallOf(in isa.Instr) *uint64 {
+	if c.retireHoldTil > c.now && (in.Op == isa.Store || in.Op.IsPMEM()) {
+		return &c.stats.StallHoldCycles
+	}
+	// Every checkpoint is taken: a barrier boundary cannot finalize and
+	// speculation cannot start.
+	ckptsFull := c.spEnabled && c.ckpts.Used() >= c.cfg.SP.Checkpoints
+	switch in.Op {
+	case isa.Store, isa.Clwb, isa.Clflushopt, isa.Clflush:
+		if c.buffering() {
+			if c.boundaryState != 0 && ckptsFull {
+				return &c.stats.StallCheckpointCycles
+			}
+			break
+		}
+		if in.Op == isa.Store && c.storeBufLen() >= c.cfg.StoreBuf {
+			return &c.stats.StallStoreBufCycles
+		}
+		// clwb is ordered after older stores to the same line: the
+		// writeback must carry their data.
+		if in.Op != isa.Store && c.storeBufHasLine(in.Addr) {
+			return &c.stats.StallFlushOrderCycles
+		}
+	case isa.Sfence, isa.Mfence:
+		switch {
+		case c.speculating():
+			if c.boundaryState != 0 && ckptsFull {
+				return &c.stats.StallCheckpointCycles
+			}
+		case !c.fenceDrained():
+			return &c.stats.StallFenceCycles
+		case c.pcommitMax > c.now && ckptsFull:
+			return &c.stats.StallCheckpointCycles
+		}
+	}
+	return nil
+}
+
+// fenceDrained reports whether a non-speculative fence may leave the ROB
+// head: stores, flushes and the SSB have drained, and so have pcommits
+// unless SP can speculate past them (§4.2.1).
+func (c *CPU) fenceDrained() bool {
+	return c.storeBufLen() == 0 && c.storeVisibleMax <= c.now &&
+		(!c.spEnabled || c.ssb.Len() == 0) && c.flushAckMax <= c.now &&
+		(c.spEnabled || c.pcommitMax <= c.now)
+}
+
+// noteStall records a blocked retirement attempt charged to counter s (the
+// caller adds the cycle): a fence's first blocked cycle opens a
+// persist-barrier stall span, and a checkpoint stall is a refused Take.
+func (c *CPU) noteStall(s *uint64) {
+	c.lastStall = s
+	switch s {
+	case &c.stats.StallFenceCycles:
+		if c.fenceBlockedAt == notIssued {
+			c.fenceBlockedAt = c.now
+		}
+	case &c.stats.StallCheckpointCycles:
+		if c.ckpts.Take() {
+			panic("cpu: checkpoint stall with a free checkpoint")
+		}
 	}
 }
 
@@ -485,10 +557,6 @@ func (c *CPU) retireStore(in isa.Instr) bool {
 		c.noteStoreWhilePcommit()
 		return true
 	}
-	if c.storeBufLen() >= c.cfg.StoreBuf {
-		c.lastStall = &c.stats.StallStoreBufCycles
-		return false
-	}
 	c.pushStoreBuf(sbEntry{addr: in.Addr, size: in.Size})
 	c.stats.Stores++
 	c.noteStoreWhilePcommit()
@@ -519,12 +587,6 @@ func (c *CPU) retireFlush(in isa.Instr) bool {
 		c.countFlush(in)
 		c.noteStoreWhilePcommit()
 		return true
-	}
-	// clwb is ordered after older stores to the same line: the writeback
-	// must carry their data.
-	if c.storeBufHasLine(in.Addr) {
-		c.lastStall = &c.stats.StallFlushOrderCycles
-		return false
 	}
 	ack := c.h.Flush(in.Addr, c.lineVisibleAt(in.Addr), in.Op != isa.Clwb)
 	if ack > c.flushAckMax {
@@ -623,51 +685,40 @@ func (c *CPU) retireFence() bool {
 		}
 	}
 
-	// Non-speculative (or tail-draining) fence: wait for stores, flushes
-	// and the SSB to drain.
-	storesDone := c.storeBufLen() == 0 && c.storeVisibleMax <= c.now
-	ssbDone := !c.spEnabled || c.ssb.Len() == 0
-	flushesDone := c.flushAckMax <= c.now
-	pcommitsDone := c.pcommitMax <= c.now
-	if storesDone && ssbDone && flushesDone && pcommitsDone {
+	// Non-speculative (or tail-draining) fence: stallOf held it until
+	// stores, flushes and the SSB drained.
+	if c.pcommitMax <= c.now {
 		c.closeFenceStall()
 		c.stats.Sfences++
 		return true
 	}
 	// Speculation triggers when the fence is blocked only on a pending
-	// pcommit (§4.2.1).
-	if c.spEnabled && storesDone && ssbDone && flushesDone && !pcommitsDone {
-		if !c.ckpts.Take() {
-			c.lastStall = &c.stats.StallCheckpointCycles
-			return false
-		}
-		c.closeFenceStall()
-		if c.specSince == notIssued {
-			c.specSince = c.now
-		}
-		c.stats.SpecEntries++
-		c.stats.SpecEpochs++
-		ep := &epoch{
-			id:          c.nextEpoch,
-			waitUntil:   c.pcommitMax,
-			checkpoints: 1,
-			openedAt:    c.now,
-			// The entry fence itself replays on rollback; it carries no
-			// unissued pcommit (the one it blocked on already issued), so
-			// both resume positions coincide.
-			fetchPos:   c.retirePos(),
-			barrierPos: c.retirePos(),
-		}
-		c.nextEpoch++
-		c.epochs = append(c.epochs, ep)
-		c.stats.Sfences++
-		return true
+	// pcommit (§4.2.1); without SP, or with every checkpoint taken,
+	// stallOf holds it.
+	if !c.ckpts.Take() {
+		panic("cpu: speculation entry without a free checkpoint")
 	}
-	if c.fenceBlockedAt == notIssued {
-		c.fenceBlockedAt = c.now
+	c.closeFenceStall()
+	if c.specSince == notIssued {
+		c.specSince = c.now
 	}
-	c.lastStall = &c.stats.StallFenceCycles
-	return false
+	c.stats.SpecEntries++
+	c.stats.SpecEpochs++
+	ep := &epoch{
+		id:          c.nextEpoch,
+		waitUntil:   c.pcommitMax,
+		checkpoints: 1,
+		openedAt:    c.now,
+		// The entry fence itself replays on rollback; it carries no
+		// unissued pcommit (the one it blocked on already issued), so
+		// both resume positions coincide.
+		fetchPos:   c.retirePos(),
+		barrierPos: c.retirePos(),
+	}
+	c.nextEpoch++
+	c.epochs = append(c.epochs, ep)
+	c.stats.Sfences++
+	return true
 }
 
 // closeFenceStall ends an open persist-barrier stall span: the fence that

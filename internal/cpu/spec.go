@@ -329,7 +329,7 @@ func (c *CPU) rollback() {
 		// any store dispatched after the rollback.
 		c.blk = nil
 		c.blkPos, c.blkSub = 0, 0
-		c.unlinked = 0
+		c.plainUnissued = 0
 		c.fetchDst = isa.NoReg
 	}
 	c.unissued = 0

@@ -2,6 +2,7 @@ package specpersist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -257,5 +258,37 @@ func multicoreEquiv(t *testing.T, chain int) {
 	}
 	if !reflect.DeepEqual(fastM, refM) {
 		t.Errorf("multicore metric snapshots diverge")
+	}
+}
+
+// TestStepToCallsPerInstruction replays every Table 1 structure behind the
+// paper-suite's 1,600-link preamble through StepTo with no horizon, the way
+// Run drives the core, and bounds the StepTo calls per committed
+// instruction: the chain fast-forward must cover the preamble's whole
+// lifetime (filling behind a blocked barrier, catching up after it and
+// running past the commit engine), not only its steady state. The counts
+// are deterministic, so the bound is exact.
+func TestStepToCallsPerInstruction(t *testing.T) {
+	const maxCallsPerKInstr = 120
+	var calls, committed uint64
+	for _, name := range pstruct.Names() {
+		buf, _ := materializeEquivTrace(t, name, 41, 64, 24, 1600)
+		for _, v := range []core.Variant{core.VariantLogPSf, core.VariantSP} {
+			sys := core.New(core.DefaultOptions().For(v), nil)
+			buf.Rewind()
+			sys.CPU.Start(buf)
+			n := uint64(1)
+			for sys.CPU.StepTo(math.MaxUint64) {
+				n++
+			}
+			st := sys.CPU.Stats()
+			t.Logf("%s/%v: %d StepTo calls for %d committed instructions (%d cycles)", name, v, n, st.Committed, st.Cycles)
+			calls += n
+			committed += st.Committed
+		}
+	}
+	t.Logf("total: %d StepTo calls for %d committed instructions", calls, committed)
+	if calls*1000 > committed*maxCallsPerKInstr {
+		t.Errorf("%d StepTo calls for %d committed instructions: over %d per thousand", calls, committed, maxCallsPerKInstr)
 	}
 }
