@@ -119,7 +119,7 @@ func runCluster(w io.Writer, o options) error {
 		st.ReplMsgs, st.Acks, st.NetMsgs)
 	fmt.Fprintf(w, "group commit         K=%d: %d commit groups\n", res.Config.BatchMax, st.Groups)
 	writeChangesets(w, res.Config.Structure, res.Metrics)
-	fmt.Fprintf(w, "faults               %d crashes, %d failovers, %d rejoins (%d catch-up ops)\n",
+	fmt.Fprintf(w, "faults               %d crashes, %d failovers, %d rejoins (%d repair ops fetched)\n",
 		st.Crashes, st.Failovers, st.Rejoins, st.CatchupOps)
 	fmt.Fprintf(w, "rebalancing          %d primaryship moves\n", st.Rebalances)
 	if res.Config.Chaos.Enabled() {
@@ -128,8 +128,8 @@ func runCluster(w io.Writer, o options) error {
 	}
 	fmt.Fprintf(w, "client robustness    %d shed, %d timed out, %d retries, %d hedges\n",
 		st.Shed, st.TimedOut, st.Retries, st.Hedges)
-	fmt.Fprintf(w, "failure detection    %d heartbeats, %d suspicions (%d wrong), %d repair ops\n",
-		st.Heartbeats, st.Suspicions, st.WrongSuspicions, st.RepairOps)
+	fmt.Fprintf(w, "failure detection    %d heartbeats, %d suspicions (%d wrong)\n",
+		st.Heartbeats, st.Suspicions, st.WrongSuspicions)
 	if res.Audit != nil {
 		fmt.Fprintf(w, "audit                %d acked updates checked, %d violations\n",
 			res.Audit.Checked, res.Audit.Total)

@@ -9,6 +9,7 @@ import (
 
 	"specpersist/internal/chaos"
 	"specpersist/internal/core"
+	"specpersist/internal/obs"
 )
 
 // quickConfig returns a small fleet that still exercises replication.
@@ -20,6 +21,12 @@ func quickConfig() Config {
 	return cfg
 }
 
+// accounted reports whether every offered request has exactly one
+// outcome: the identity loop enforces at the end of every run.
+func accounted(st Stats) bool {
+	return st.Completed+st.Dropped+st.Shed+st.TimedOut+st.Unavailable == st.Offered
+}
+
 func TestRunAccounting(t *testing.T) {
 	res, err := Run(quickConfig())
 	if err != nil {
@@ -29,7 +36,7 @@ func TestRunAccounting(t *testing.T) {
 	if st.Offered != uint64(128) {
 		t.Fatalf("offered %d, want 128", st.Offered)
 	}
-	if st.Completed+st.Dropped+st.Failed+st.Unavailable != st.Offered {
+	if !accounted(st) {
 		t.Fatalf("accounting broken: %+v", st)
 	}
 	if st.Completed == 0 {
@@ -135,8 +142,13 @@ func TestCrashFailoverRecovery(t *testing.T) {
 				t.Fatalf("crash at %d: caught up %d ops in zero cycles", crashAt, nd.CatchupOps)
 			}
 		}
-		if st.Completed+st.Dropped+st.Failed+st.Unavailable != st.Offered {
+		if !accounted(st) {
 			t.Fatalf("crash at %d: accounting broken: %+v", crashAt, st)
+		}
+		// The requests that reach the crashed primary before its owners'
+		// leases expire are lost with it and time out; none is refused.
+		if st.TimedOut == 0 || st.Unavailable != 0 {
+			t.Fatalf("crash at %d: %d timed out, %d unavailable; want some timed out, none unavailable", crashAt, st.TimedOut, st.Unavailable)
 		}
 	}
 	if !sawCatchup {
@@ -178,7 +190,7 @@ func TestRebalanceUnderZipf(t *testing.T) {
 	if res.Stats.Rebalances == 0 {
 		t.Fatal("no primaryship moved under zipfian load")
 	}
-	if res.Stats.Completed+res.Stats.Dropped+res.Stats.Failed+res.Stats.Unavailable != res.Stats.Offered {
+	if !accounted(res.Stats) {
 		t.Fatalf("accounting broken after rebalancing: %+v", res.Stats)
 	}
 }
@@ -408,5 +420,50 @@ func TestRecoveryBeforeLeaseExpiry(t *testing.T) {
 	}
 	if !sawLed {
 		t.Fatal("no crash left a node behind on its ranges; the test is not exercising catch-up")
+	}
+}
+
+// TestCrashedPrimaryLosesArrivals: a request that reaches a crashed
+// primary is lost with it and times out. Until a lease can have expired
+// (a lease less one heartbeat period after the crash, on a kind network)
+// no node knows of the crash, so no request arriving in that window is
+// counted unavailable: not one at the crashed primary, and, at W=2, not
+// one whose quorum needs the crashed replica either.
+func TestCrashedPrimaryLosesArrivals(t *testing.T) {
+	for _, tc := range []struct {
+		quorum       int
+		recoverAfter uint64
+	}{{1, 5_000}, {1, 0}, {2, 0}} {
+		cfg := DefaultConfig()
+		cfg.Replicas, cfg.Quorum = 2, tc.quorum
+		cfg.Rate, cfg.Requests, cfg.Warmup = 300, 96, 48
+		cfg.BatchMax, cfg.BatchDeadline = 4, 4000
+		cfg.CrashAt, cfg.CrashNode, cfg.RecoverAfter = 120_000, 1, tc.recoverAfter
+		cfg.Timeline = obs.NewTimeline(0)
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		d := r.Config
+		end := d.CrashAt + d.LeaseCycles - d.HeartbeatEvery
+		if d.RecoverAfter > 0 {
+			end = min(end, d.CrashAt+d.RecoverAfter)
+		}
+		lost := 0
+		for _, e := range cfg.Timeline.Events() {
+			switch {
+			case e.Name == "cluster.unavailable" && e.Start >= d.CrashAt && e.Start < end:
+				t.Errorf("%+v: a request arriving at %d, before any lease on node %d could expire, counted unavailable",
+					tc, e.Start, d.CrashNode)
+			case e.Name == "cluster.timeout" && e.Start-d.ReqDeadline >= d.CrashAt && e.Start-d.ReqDeadline < end:
+				lost++
+			}
+		}
+		if lost == 0 {
+			t.Errorf("%+v: no request arriving in [%d, %d) timed out; the test lands none on the crashed node", tc, d.CrashAt, end)
+		}
+		if !accounted(r.Stats) {
+			t.Errorf("%+v: accounting broken: %+v", tc, r.Stats)
+		}
 	}
 }

@@ -263,8 +263,9 @@ func TestFleetCorpusDigests(t *testing.T) {
 // TestCrashDetectedByLease replays corpus entry 3 (BT, R=W=2, node 1
 // crashes mid-run and recovers, rebalancing on) with a timeline. No node
 // learns of the crash but through its leases: the requests it strands
-// time out, and the first failover after the crash lands within a lease
-// and one heartbeat period of it.
+// time out, none that arrived after the crash's detection bound (a lease
+// and one heartbeat period) does, and the first failover after the crash
+// lands within that bound.
 func TestCrashDetectedByLease(t *testing.T) {
 	cfg := corpusConfig(3)
 	cfg.Timeline = obs.NewTimeline(0)
@@ -283,16 +284,18 @@ func TestCrashDetectedByLease(t *testing.T) {
 	if st.TimedOut == 0 || st.Failed != 0 {
 		t.Errorf("%d requests timed out and %d failed; the crash should strand some into their deadlines", st.TimedOut, st.Failed)
 	}
+	detected := d.CrashAt + d.LeaseCycles + d.HeartbeatEvery
 	var failover uint64
 	for _, e := range cfg.Timeline.Events() {
 		switch {
-		case e.Name == "cluster.timeout" && e.Start-d.ReqDeadline >= d.CrashAt:
-			t.Errorf("a request that arrived at %d, after the crash at %d, timed out", e.Start-d.ReqDeadline, d.CrashAt)
+		case e.Name == "cluster.timeout" && e.Start-d.ReqDeadline >= detected:
+			t.Errorf("a request that arrived at %d, after crash %d + lease %d + period %d, timed out",
+				e.Start-d.ReqDeadline, d.CrashAt, d.LeaseCycles, d.HeartbeatEvery)
 		case e.Name == "cluster.failover" && e.Start >= d.CrashAt && failover == 0:
 			failover = e.Start
 		}
 	}
-	if failover == 0 || failover > d.CrashAt+d.LeaseCycles+d.HeartbeatEvery {
+	if failover == 0 || failover > detected {
 		t.Errorf("first failover after the crash at %d came at %d, want by crash + lease %d + period %d",
 			d.CrashAt, failover, d.LeaseCycles, d.HeartbeatEvery)
 	}

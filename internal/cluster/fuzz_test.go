@@ -22,6 +22,12 @@ func FuzzChaosReplay(f *testing.F) {
 		`{"structure":"QQ","variant":9,"rate":-1}`,
 		`{"structure":"HM","variant":4,"rate":40,"requests":8,"warmup":8,"req_deadline":120000,"heartbeat_every":400}`,
 		`{"structure":"HM","variant":4,"nodes":4,"replicas":3,"rate":400,"requests":24,"warmup":24,"req_deadline":120000,"heartbeat_every":4000,"chaos":{"seed":1,"delay":0.9,"delay_mult":20}}`,
+		// A primary that crashes and restarts inside its lease, under drops:
+		// it catches its ranges up from another owner and rejoins.
+		`{"structure":"HM","variant":4,"nodes":3,"replicas":2,"quorum":1,"rate":300,"requests":24,"warmup":16,"batch_max":4,"batch_deadline":4000,"req_deadline":120000,"retry_max":4,"heartbeat_every":4000,"lease_cycles":16000,"crash_at":40000,"crash_node":1,"recover_after":5000,"chaos":{"seed":8,"drop":0.15},"seed":9}`,
+		// Live nodes with a gap in a range whose primary is down and not
+		// yet suspected: their first repair fetches go to the crashed node.
+		`{"structure":"LL","variant":4,"nodes":3,"replicas":3,"quorum":2,"rate":2000,"requests":24,"warmup":16,"req_deadline":120000,"retry_max":2,"heartbeat_every":4000,"lease_cycles":16000,"crash_at":9000,"crash_node":0,"chaos":{"seed":6,"drop":0.2,"reorder":0.3},"seed":11}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -31,8 +31,12 @@ func TestVTreeFleetCrashRecovery(t *testing.T) {
 	if res.PerNode[1].State != "live" {
 		t.Fatalf("node 1 ended %s, want live", res.PerNode[1].State)
 	}
-	if st.Completed+st.Dropped+st.Failed+st.Unavailable != st.Offered {
+	if !accounted(st) {
 		t.Fatalf("accounting broken: %+v", st)
+	}
+	// What the crash strands at its primary times out; nothing is refused.
+	if st.TimedOut == 0 || st.Unavailable != 0 {
+		t.Fatalf("%d timed out, %d unavailable; want some timed out, none unavailable", st.TimedOut, st.Unavailable)
 	}
 	if res.Metrics["node0.core0.vstore.commits"] == 0 {
 		t.Fatal("fleet nodes issued no changeset commits")
