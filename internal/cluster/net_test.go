@@ -128,7 +128,7 @@ func TestBeatRoutesLikeSend(t *testing.T) {
 		Grays:      []chaos.Gray{{From: 900, To: 1400, Node: 2, Slow: 6}}}
 	a := newNetwork(42, 800, 0.3, plan)
 	b := newNetwork(42, 800, 0.3, plan)
-	var latest uint64
+	var latest, nbeats uint64
 	for i := 0; i < 2000; i++ {
 		from, to, at := i%3, (i+1)%3, uint64(i)
 		if i%2 == 0 {
@@ -138,10 +138,14 @@ func TestBeatRoutesLikeSend(t *testing.T) {
 		}
 		a.send(&message{from: from, to: to}, at)
 		b.beat(from, to, at)
+		nbeats++
 	}
-	if a.seq != b.seq || a.sent != b.sent || a.chDropped != b.chDropped || a.chCut != b.chCut ||
+	if a.seq != b.seq || a.chDropped != b.chDropped || a.chCut != b.chCut ||
 		a.chDupped != b.chDupped || a.chDelayed != b.chDelayed || a.chReordered != b.chReordered {
 		t.Fatalf("beats and messages drew different fates:\n%+v\n%+v", a, b)
+	}
+	if b.sent != a.sent-nbeats {
+		t.Fatalf("%d messages counted sent beside %d beats, want %d: a beat is not a message", b.sent, nbeats, a.sent-nbeats)
 	}
 	// Every message b sent pops at a's cycle and sequence; every beat
 	// stands for one of a's messages, in send order.
