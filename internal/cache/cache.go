@@ -61,10 +61,12 @@ type line struct {
 
 // A level's sets are built on first fill: a nil set holds no valid line,
 // so construction costs O(sets) and a machine pays only for the sets its
-// program touches.
+// program touches. built lists the sets built so far, so a reset clears
+// those and nothing else.
 type level struct {
 	cfg     LevelConfig
 	sets    [][]line
+	built   []uint32
 	setMask uint64
 	shift   uint // log2(set count): tag = block >> shift
 	tick    uint64
@@ -77,8 +79,19 @@ func newLevel(cfg LevelConfig, stats *LevelStats) *level {
 	if nsets <= 0 || nsets&(nsets-1) != 0 {
 		panic("cache: set count must be a positive power of two")
 	}
-	return &level{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1),
+	l := &level{cfg: cfg, sets: make([][]line, nsets), setMask: uint64(nsets - 1),
 		shift: uint(bits.TrailingZeros(uint(nsets))), stats: stats}
+	l.reset()
+	return l
+}
+
+// reset invalidates every line and restarts the LRU clock. A built set
+// stays built, emptied: an empty set behaves as a nil one.
+func (l *level) reset() {
+	for _, i := range l.built {
+		clear(l.sets[i])
+	}
+	l.tick = 0
 }
 
 func (l *level) index(lineAddr uint64) (set uint64, tag uint64) {
@@ -112,6 +125,7 @@ func (l *level) insert(lineAddr uint64, dirty bool) (victimAddr uint64, victimDi
 	if ways == nil {
 		ways = make([]line, l.cfg.Ways)
 		l.sets[set] = ways
+		l.built = append(l.built, uint32(set))
 	}
 	victim := 0
 	for w := range ways {
@@ -170,7 +184,17 @@ func New(cfg Config, mc memctl.Memory) *Hierarchy {
 	h.l1 = newLevel(cfg.L1, &h.stats.L1)
 	h.l2 = newLevel(cfg.L2, &h.stats.L2)
 	h.l3 = newLevel(cfg.L3, &h.stats.L3)
+	h.Reset()
 	return h
+}
+
+// Reset returns the hierarchy to the state New left it in: every line
+// invalid and zero counters. The memory behind it is reset by its owner.
+func (h *Hierarchy) Reset() {
+	for _, l := range h.levels() {
+		l.reset()
+	}
+	h.stats = Stats{}
 }
 
 // levels returns the hierarchy outward from the core.

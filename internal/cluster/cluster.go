@@ -716,15 +716,6 @@ func newFleet(cfg Config) (*fleet, error) {
 	return s, nil
 }
 
-// MustRun is Run panicking on error (experiment drivers).
-func MustRun(cfg Config) Result {
-	r, err := Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // buildMachine (re)constructs node n's simulated machine and backend and
 // binds the sentinel commit hook. Used at fleet build and at post-crash
 // rebuild; the durable structure replay is the caller's job.

@@ -365,26 +365,22 @@ type CPU struct {
 	stats Stats
 }
 
-// New builds a core over the given cache hierarchy and memory.
+// New builds a core over the given cache hierarchy and memory: it
+// allocates the core's storage and resets it.
 func New(cfg Config, h *cache.Hierarchy, mc memctl.Memory) *CPU {
 	c := &CPU{cfg: cfg, h: h, mc: mc,
-		fq:             make([]isa.Instr, cfg.FetchQ),
-		fqLink:         make([]bool, cfg.FetchQ),
-		linkDone:       make([]uint64, 1<<bits.Len(uint(cfg.ROB))),
-		rob:            make([]robEntry, cfg.ROB),
-		sbuf:           make([]sbEntry, cfg.StoreBuf),
-		storeSeqQ:      make([]uint64, cfg.ROB),
-		sbrd:           newScoreboard(cfg.ROB),
-		lineVisT:       newU64Table(64),
-		lineSeq:        newU64Table(64),
-		wakes:          make(wakeHeap, 0, cfg.ROB),
-		unissHead:      -1,
-		unissTail:      -1,
-		fenceBlockedAt: notIssued,
-		specSince:      notIssued,
+		fq:        make([]isa.Instr, cfg.FetchQ),
+		fqLink:    make([]bool, cfg.FetchQ),
+		linkDone:  make([]uint64, 1<<bits.Len(uint(cfg.ROB))),
+		rob:       make([]robEntry, cfg.ROB),
+		sbuf:      make([]sbEntry, cfg.StoreBuf),
+		storeSeqQ: make([]uint64, cfg.ROB),
+		sbrd:      newScoreboard(cfg.ROB),
+		lineVisT:  newU64Table(64),
+		lineSeq:   newU64Table(64),
+		wakes:     make(wakeHeap, 0, cfg.ROB),
 	}
 	if cfg.SP.Enabled {
-		c.spEnabled = true
 		c.ssb = sp.NewSSB(cfg.SP.SSBEntries)
 		c.ckpts = sp.NewCheckpoints(cfg.SP.Checkpoints)
 		c.blt = sp.NewBLT()
@@ -392,7 +388,41 @@ func New(cfg Config, h *cache.Hierarchy, mc memctl.Memory) *CPU {
 			c.bloom = sp.NewBloom(cfg.SP.BloomBytes)
 		}
 	}
+	c.Reset()
 	return c
+}
+
+// Reset returns the core to the state New left it in, keeping its storage
+// (rings, tables and SP structures, all cleared) and the hierarchy and
+// memory it was built over, which their owner resets. Like New, it leaves
+// no hooks, no timeline, no reference stepping and no commit log; the log
+// is handed off, not truncated, so a caller may keep the last run's.
+func (c *CPU) Reset() {
+	*c = CPU{cfg: c.cfg, h: c.h, mc: c.mc,
+		fq: c.fq, fqLink: c.fqLink, linkDone: c.linkDone, rob: c.rob,
+		sbuf: c.sbuf, storeSeqQ: c.storeSeqQ,
+		sbrd: c.sbrd, lineVisT: c.lineVisT, lineSeq: c.lineSeq,
+		wakes: c.wakes[:0], pcommitDones: c.pcommitDones[:0], epochs: c.epochs[:0],
+		spEnabled: c.cfg.SP.Enabled, ssb: c.ssb, bloom: c.bloom, ckpts: c.ckpts, blt: c.blt,
+		unissHead: -1, unissTail: -1, fenceBlockedAt: notIssued, specSince: notIssued,
+	}
+	clear(c.fq)
+	clear(c.fqLink)
+	clear(c.linkDone)
+	clear(c.rob)
+	clear(c.sbuf)
+	clear(c.storeSeqQ)
+	c.sbrd.clear()
+	c.lineVisT.clear()
+	c.lineSeq.clear()
+	if c.spEnabled {
+		c.ssb.Reset()
+		c.ckpts.Reset()
+		c.blt.Reset()
+		if c.bloom != nil {
+			c.bloom.Reset()
+		}
+	}
 }
 
 // Now returns the current cycle.

@@ -222,9 +222,9 @@ func (c *CPU) exitSpeculation() {
 		c.specSince = notIssued
 	}
 	if c.bloom != nil {
-		c.bloom.Reset()
+		c.bloom.Clear()
 	}
-	c.blt.Reset()
+	c.blt.Clear()
 	c.boundaryState = 0
 }
 

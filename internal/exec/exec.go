@@ -125,23 +125,34 @@ func (e *Env) SeedReorder(seed int64) {
 // clwbs and draw position, and the group-commit state. The fork starts
 // without a hook. An env emitting a trace cannot be forked (the builder
 // would be shared), nor can one whose adversary was installed other than by
-// SeedReorder (its position is unknown).
-func (e *Env) Fork() *Env {
+// SeedReorder (its position is unknown). It is ForkInto of an empty env.
+func (e *Env) Fork() *Env { return e.ForkInto(&Env{}) }
+
+// ForkInto makes dst the fork Fork would return, reusing the persistence
+// model (pmem.Model.CloneInto), pending-clwb slice and adversary source dst
+// already holds, and returns dst. Nothing of dst's previous run survives.
+func (e *Env) ForkInto(dst *Env) *Env {
 	if e.B != nil {
 		panic("exec: Fork of an env that emits a trace")
 	}
-	c := *e
-	c.M = e.M.Clone()
-	c.Hook = nil
-	c.pendingClwb = append([]uint64(nil), e.pendingClwb...)
+	m, pending, src := dst.M, dst.pendingClwb, dst.reorderSrc
+	*dst = *e
+	if m == nil {
+		dst.M = e.M.Clone()
+	} else {
+		dst.M = e.M.CloneInto(m)
+	}
+	dst.Hook = nil
+	dst.pendingClwb = append(pending[:0], e.pendingClwb...)
+	dst.reorderSrc = src
 	if e.Reorder != nil {
 		if e.reorderSrc == nil {
 			panic("exec: Fork needs an adversary installed by SeedReorder")
 		}
-		c.reorderSrc = e.reorderSrc.fork()
-		c.Reorder = rand.New(c.reorderSrc)
+		dst.reorderSrc = e.reorderSrc.forkInto(src)
+		dst.Reorder = rand.New(dst.reorderSrc)
 	}
-	return &c
+	return dst
 }
 
 // countingSource is a math/rand source that counts its draws. A
@@ -173,13 +184,18 @@ func (s *countingSource) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
-// fork returns a fresh source at the same position as s.
-func (s *countingSource) fork() *countingSource {
-	c := newCountingSource(s.seed)
-	for c.n < s.n {
-		c.Uint64()
+// forkInto moves dst (a new source when nil) to the position of s and
+// returns it.
+func (s *countingSource) forkInto(dst *countingSource) *countingSource {
+	if dst == nil {
+		dst = newCountingSource(s.seed)
+	} else {
+		dst.Seed(s.seed)
 	}
-	return c
+	for dst.n < s.n {
+		dst.Uint64()
+	}
+	return dst
 }
 
 // SetBuilder installs (or removes, with nil) the trace builder.

@@ -17,7 +17,8 @@
 //   - Shared prefixes: the counting pass keeps the state before each probed
 //     operation (built, warmed up, persisted, completed operations applied),
 //     and every trial runs on a deep-copy fork of it instead of rebuilding
-//     it, which yields the identical outcome.
+//     it, which yields the identical outcome. The fork lands in a recycled
+//     image (exec.Env.ForkInto), so a trial allocates no image of its own.
 //
 // Campaigns fan trials out over internal/sweep's worker pool and publish
 // fault.* counters through internal/obs.
@@ -26,6 +27,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"specpersist/internal/core"
 	"specpersist/internal/exec"
@@ -272,11 +274,20 @@ type machine struct {
 }
 
 // fork returns an independent deep copy of the machine.
-func (m machine) fork() machine {
-	env := m.env.Fork()
+func (m machine) fork() machine { return m.forkInto(&exec.Env{}) }
+
+// forkInto is fork with the copy's environment and persistence image built
+// in env, reusing the storage env already holds.
+func (m machine) forkInto(env *exec.Env) machine {
+	env = m.env.ForkInto(env)
 	mgr := m.mgr.Fork(env)
 	return machine{env: env, mgr: mgr, s: pstruct.Fork(m.s, env, mgr)}
 }
+
+// images recycles the trial environments, so a campaign stops allocating a
+// whole crash image per trial. ForkInto leaves nothing of a recycled env's
+// last trial, so an outcome does not depend on which env its trial draws.
+var images = sync.Pool{New: func() any { return new(exec.Env) }}
 
 // recoverFn returns the machine's recovery pass. Structures owning their
 // recovery (the versioned COW store) dispatch there; the WAL structures
@@ -352,11 +363,13 @@ func prefixes(p Plan, from, nops int) (pres []prefix, counts []int, err error) {
 	return pres, counts, nil
 }
 
-// runTrial runs one trial on a fork of its prefix. primary decides the
-// primary crash's line fates (nil = strict); a crash inside recovery
-// replays p.RecoveryFates.
+// runTrial runs one trial on a fork of its prefix into a recycled env.
+// primary decides the primary crash's line fates (nil = strict); a crash
+// inside recovery replays p.RecoveryFates.
 func runTrial(pf *prefix, p Plan, primary fateFunc) Outcome {
-	return probe(pf.m.fork(), pf.key, pf.pre, p, primary)
+	env := images.Get().(*exec.Env)
+	defer images.Put(env)
+	return probe(pf.m.forkInto(env), pf.key, pf.pre, p, primary)
 }
 
 // probe is a trial's tail on a machine positioned just before the probed

@@ -3,6 +3,7 @@ package litmus
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"specpersist/internal/core"
 	"specpersist/internal/cpu"
@@ -119,15 +120,47 @@ func buildTraces(pl *plan) []*trace.Buffer {
 	return bufs
 }
 
-// runMachine executes the program once under a mode on the multicore
-// engine (one core per thread, shared memory controller, real coherence
-// probes between cores) and extracts each core's canonical effect stream.
-func runMachine(pl *plan, m Mode) (*machineRun, error) {
+// machines recycles the litmus machines, one pool per shape (core count,
+// SP hardware or not), so a mode run resets a machine instead of building
+// one. A pooled machine is reset when it is put back, and Reset returns
+// exactly the state New builds, so a run does not depend on which machine
+// it draws.
+var machines [MaxThreads + 1][2]sync.Pool
+
+// newMachine builds the machine a program runs on under a mode: one core
+// per thread, with SP hardware or without.
+func newMachine(pl *plan, m Mode) *multicore.Sim {
 	v := core.VariantLogPSf
 	if m.SP {
 		v = core.VariantSP
 	}
-	sim := multicore.New(multicore.Config{Cores: len(pl.p.Threads), Options: core.DefaultOptions().For(v)})
+	return multicore.New(multicore.Config{Cores: len(pl.p.Threads), Options: core.DefaultOptions().For(v)})
+}
+
+// runMachine executes the program once under a mode on a recycled machine
+// of its shape (see runOn).
+func runMachine(pl *plan, m Mode) (*machineRun, error) {
+	shape := 0
+	if m.SP {
+		shape = 1
+	}
+	pool := &machines[len(pl.p.Threads)][shape]
+	sim, _ := pool.Get().(*multicore.Sim)
+	if sim == nil {
+		sim = newMachine(pl, m)
+	}
+	defer func() {
+		sim.Reset()
+		pool.Put(sim)
+	}()
+	return runOn(sim, pl, m)
+}
+
+// runOn executes the program once under a mode on sim, a machine in the
+// state New builds, on the multicore engine (one core per thread, shared
+// memory controller, real coherence probes between cores) and extracts
+// each core's canonical effect stream.
+func runOn(sim *multicore.Sim, pl *plan, m Mode) (*machineRun, error) {
 	for i := 0; i < sim.Cores(); i++ {
 		sim.Core(i).EnableCommitLog()
 	}

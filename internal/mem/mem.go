@@ -15,7 +15,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 const (
@@ -97,16 +96,6 @@ func (s *Space) AllocLines(n int) uint64 { return s.Alloc(n*LineSize, LineSize) 
 // allocations so far).
 func (s *Space) Brk() uint64 { return s.brk }
 
-// SetBrk advances the allocation cursor. It only moves forward: after a
-// simulated crash the persistence model restores the pre-crash cursor so
-// that addresses allocated by lost transactions are never reused.
-func (s *Space) SetBrk(b uint64) {
-	if b < s.brk {
-		panic("mem: SetBrk may not move the allocator backwards")
-	}
-	s.brk = b
-}
-
 // readPage returns the page holding addr, or nil if it was never written.
 func (s *Space) readPage(addr uint64) *[PageSize]byte { return s.pages.Get(addr >> PageShift) }
 
@@ -177,47 +166,78 @@ func (s *Space) WriteU64(addr uint64, v uint64) {
 	s.Write(addr, b[:])
 }
 
-// Clone returns a deep copy of the space: the table and every
-// materialized page, the pages copied into one backing allocation.
-func (s *Space) Clone() *Space {
-	c := &Space{pages: Table[*[PageSize]byte]{Lo: s.pages.Lo, S: make([]*[PageSize]byte, len(s.pages.S))}, brk: s.brk}
-	slab := make([][PageSize]byte, s.materialized())
-	for i, p := range s.pages.S {
-		if p != nil {
-			slab[0] = *p
-			c.pages.S[i] = &slab[0]
-			slab = slab[1:]
-		}
-	}
-	return c
+// Clone returns a deep copy of the space: CloneInto of an empty space, so
+// every page lands in one backing allocation.
+func (s *Space) Clone() *Space { return s.CloneInto(new(Space)) }
+
+// CloneInto makes dst a deep copy of s, allocation cursor included, reusing
+// the table and pages dst already holds, and returns dst. The fault engine
+// forks every crash trial into a recycled image this way.
+func (s *Space) CloneInto(dst *Space) *Space {
+	dst.copyPages(s)
+	dst.brk = s.brk
+	return dst
 }
 
 // CopyFrom makes the contents and materialized pages of s equal to those
 // of src, reusing the pages s already holds; the allocation cursor of s is
 // left alone. The persistence model resets its volatile view to the
 // durable image this way at a crash.
-func (s *Space) CopyFrom(src *Space) {
-	for i := range s.pages.S {
-		if src.pages.Get(s.pages.Lo+uint64(i)) == nil {
+func (s *Space) CopyFrom(src *Space) { s.copyPages(src) }
+
+// copyPages is the one copy routine of a space: it makes s's pages equal
+// to src's. A page src lacks is dropped from s, so a never-written page
+// stays nil; a page src holds is copied into a page s already holds (at
+// the same index, else one s dropped), and the pages still missing come
+// from one new backing allocation.
+func (s *Space) copyPages(src *Space) {
+	if len(src.pages.S) > 0 {
+		// Cover src's run up front, so the table grows at most twice.
+		s.pages.Ref(src.pages.Lo)
+		s.pages.Ref(src.pages.Lo + uint64(len(src.pages.S)) - 1)
+	}
+	var spare []*[PageSize]byte
+	need := 0
+	for i, p := range s.pages.S {
+		switch q := src.pages.Get(s.pages.Lo + uint64(i)); {
+		case q == nil && p != nil:
+			spare = append(spare, p)
 			s.pages.S[i] = nil
+		case q != nil && p == nil:
+			need++
 		}
 	}
+	var slab [][PageSize]byte
+	if need > len(spare) {
+		slab = make([][PageSize]byte, need-len(spare))
+	}
 	for i, q := range src.pages.S {
-		if q != nil {
-			*s.writePage((src.pages.Lo + uint64(i)) << PageShift) = *q
+		if q == nil {
+			continue
 		}
+		p := s.pages.Ref(src.pages.Lo + uint64(i))
+		if *p == nil {
+			if n := len(spare); n > 0 {
+				*p, spare = spare[n-1], spare[:n-1]
+			} else {
+				*p, slab = &slab[0], slab[1:]
+			}
+		}
+		**p = *q
 	}
 }
 
-// materialized returns the number of pages ever written.
-func (s *Space) materialized() int {
-	n := 0
-	for _, p := range s.pages.S {
+// Materialized returns the numbers of the pages ever written, ascending.
+// A page a copy dropped is not among them: it reads as zeros, like one
+// never written.
+func (s *Space) Materialized() []uint64 {
+	var out []uint64
+	for i, p := range s.pages.S {
 		if p != nil {
-			n++
+			out = append(out, s.pages.Lo+uint64(i))
 		}
 	}
-	return n
+	return out
 }
 
 // Table is a dense table over a run of indexes that grows in either
@@ -258,5 +278,9 @@ func (t *Table[T]) Ref(i uint64) *T {
 	return &t.S[i-t.Lo]
 }
 
-// Clone returns a copy of the table that shares no memory with t.
-func (t *Table[T]) Clone() Table[T] { return Table[T]{Lo: t.Lo, S: slices.Clone(t.S)} }
+// CloneInto makes dst a copy of t that shares no memory with it, reusing
+// dst's storage when it is large enough.
+func (t *Table[T]) CloneInto(dst *Table[T]) {
+	dst.Lo = t.Lo
+	dst.S = append(dst.S[:0], t.S...)
+}

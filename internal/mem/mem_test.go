@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,7 +150,7 @@ func TestCrossPageAccess(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Errorf("cross-page round trip failed: %v vs %v", got, data)
 	}
-	if n := s.materialized(); n != 2 {
+	if n := len(s.Materialized()); n != 2 {
 		t.Errorf("%d pages materialized, want 2", n)
 	}
 }
@@ -298,7 +299,7 @@ func TestCopyFrom(t *testing.T) {
 			t.Errorf("ReadU64(%#x) = %d, want %d", addr, got, want)
 		}
 	}
-	if n := dst.materialized(); n != 2 {
+	if n := len(dst.Materialized()); n != 2 {
 		t.Errorf("%d pages materialized, want src's 2", n)
 	}
 	if dst.Brk() != DefaultBase+100 {
@@ -307,5 +308,37 @@ func TestCopyFrom(t *testing.T) {
 	src.WriteU64(DefaultBase, 9)
 	if dst.ReadU64(DefaultBase) != 1 {
 		t.Error("CopyFrom shares a page with its source")
+	}
+}
+
+// TestCloneInto checks that CloneInto leaves dst equal to s, allocation
+// cursor included: a page s lacks is dropped from dst even though dst
+// wrote it, and dst shares no page with s afterwards.
+func TestCloneInto(t *testing.T) {
+	src, dst := NewSpace(DefaultBase), NewSpace(DefaultBase)
+	src.WriteU64(DefaultBase, 1)
+	src.WriteU64(DefaultBase+5*PageSize, 5)
+	src.Alloc(300, 1)
+	dst.WriteU64(DefaultBase, 7)
+	dst.WriteU64(DefaultBase+PageSize, 2) // a page src lacks
+	dst.WriteU64(8*PageSize, 3)           // below src's table
+	if got := src.CloneInto(dst); got != dst {
+		t.Fatal("CloneInto did not return its destination")
+	}
+	want := src.Clone()
+	if got, w := dst.Materialized(), want.Materialized(); !slices.Equal(got, w) {
+		t.Errorf("pages %v, want %v", got, w)
+	}
+	for _, addr := range []uint64{DefaultBase, DefaultBase + PageSize, 8 * PageSize, DefaultBase + 5*PageSize} {
+		if got, w := dst.ReadU64(addr), want.ReadU64(addr); got != w {
+			t.Errorf("ReadU64(%#x) = %d, want %d", addr, got, w)
+		}
+	}
+	if dst.Brk() != src.Brk() {
+		t.Errorf("brk = %#x, want %#x", dst.Brk(), src.Brk())
+	}
+	src.WriteU64(DefaultBase, 9)
+	if dst.ReadU64(DefaultBase) != 1 {
+		t.Error("CloneInto shares a page with its source")
 	}
 }

@@ -78,11 +78,21 @@ func New(cfg Config) *Controller {
 	if cfg.Banks <= 0 || cfg.WPQCap <= 0 {
 		panic("memctl: banks and WPQ capacity must be positive")
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:       cfg,
 		readFree:  make([]uint64, cfg.Banks),
 		writeFree: make([]uint64, cfg.Banks),
 	}
+	c.Reset()
+	return c
+}
+
+// Reset returns the controller to the state New left it in: idle banks,
+// an empty WPQ, zero counters and no timeline, keeping its storage.
+func (c *Controller) Reset() {
+	clear(c.readFree)
+	clear(c.writeFree)
+	*c = Controller{cfg: c.cfg, readFree: c.readFree, writeFree: c.writeFree, pending: c.pending[:0]}
 }
 
 // Config returns the controller's configuration.

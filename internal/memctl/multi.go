@@ -24,6 +24,9 @@ type Memory interface {
 	// SetTimeline attaches an event recorder to every controller (nil
 	// disables recording).
 	SetTimeline(tl *obs.Timeline)
+	// Reset returns every controller to the state its constructor left
+	// it in.
+	Reset()
 }
 
 var (
@@ -50,6 +53,13 @@ func NewMulti(n int, cfg Config) *Multi {
 		m.ctrls[i] = New(cfg)
 	}
 	return m
+}
+
+// Reset returns every controller to the state New left it in.
+func (m *Multi) Reset() {
+	for _, c := range m.ctrls {
+		c.Reset()
+	}
 }
 
 // Controllers returns the number of controllers.

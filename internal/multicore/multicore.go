@@ -99,7 +99,8 @@ type Sim struct {
 }
 
 // New assembles the machine: one shared memory controller, and per core a
-// private cache hierarchy and CPU with its own metric registry.
+// private cache hierarchy and CPU with its own metric registry. It builds
+// the parts and resets them.
 func New(cfg Config) *Sim {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("multicore: core count must be positive, got %d", cfg.Cores))
@@ -110,23 +111,40 @@ func New(cfg Config) *Sim {
 	} else {
 		mc = memctl.New(cfg.Options.Mem)
 	}
-	mc.SetTimeline(cfg.Timeline)
 	s := &Sim{cfg: cfg, mc: mc, tl: cfg.Timeline, reg: obs.NewRegistry()}
 	for i := 0; i < cfg.Cores; i++ {
 		h := cache.New(cfg.Options.Cache, mc)
 		c := cpu.New(cfg.Options.CPU, h, mc)
-		c.SetTimeline(cfg.Timeline)
 		reg := obs.NewRegistry()
 		c.Register(reg)
 		h.Register(reg)
-		cs := &coreState{cpu: c, h: h, reg: reg, deferredAt: make(map[uint64]struct{})}
-		s.cores = append(s.cores, cs)
+		s.cores = append(s.cores, &coreState{cpu: c, h: h, reg: reg, deferredAt: make(map[uint64]struct{})})
 	}
 	mc.Register(s.reg)
 	s.registerCounters()
-	// Each core's committed stores become probe traffic at every other
-	// core (write-invalidate coherence at commit time).
+	s.Reset()
+	return s
+}
+
+// Reset returns the machine to the state New(cfg) left it in: the
+// controller, each core's hierarchy and CPU, the conflict counters and
+// pending probes, each keeping its storage. Sources, commit observers,
+// injected probe campaigns and commit logs are dropped; a log already
+// taken from a core stays its caller's. The registries are kept: the
+// machine's own counters read zero again, and a counter a caller
+// registered (Registry) still reads what it registered.
+func (s *Sim) Reset() {
+	s.mc.Reset()
+	s.mc.SetTimeline(s.tl)
+	s.stats = Stats{}
 	for i, cs := range s.cores {
+		cs.h.Reset()
+		cs.cpu.Reset()
+		cs.cpu.SetTimeline(s.tl)
+		cs.src, cs.done, cs.userCommit, cs.deferred = nil, false, nil, nil
+		clear(cs.deferredAt)
+		// Each core's committed stores become probe traffic at every
+		// other core (write-invalidate coherence at commit time).
 		src, cs := i, cs
 		cs.cpu.OnCommit(func(e cpu.CommitEvent) {
 			if e.Op == isa.Store {
@@ -137,7 +155,6 @@ func New(cfg Config) *Sim {
 			}
 		})
 	}
-	return s
 }
 
 // OnCoreCommit installs fn to observe core i's commit events (a store or

@@ -395,22 +395,30 @@ func (m *Model) PersistAll() {
 
 // Clone returns a deep copy of the model: the volatile and durable images,
 // the dirty set, the WPQ snapshots and the stats. The copy shares no memory
-// with m, so either can run on (and crash) without disturbing the other —
-// the fault engine forks every crash trial from one shared prefix this way.
+// with m, so either can run on (and crash) without disturbing the other.
+// It is CloneInto of an empty model.
 func (m *Model) Clone() *Model {
-	c := &Model{
-		volatile: m.volatile.Clone(),
-		durable:  m.durable.Clone(),
-		dirty:    bitset{m.dirty.Clone()},
-		wpq:      slices.Clone(m.wpq),
-		stats:    m.stats,
-	}
+	return m.CloneInto(&Model{volatile: new(mem.Space), durable: new(mem.Space)})
+}
+
+// CloneInto makes dst a deep copy of m, as Clone does, reusing the pages,
+// bitset words, WPQ and slot blocks dst already holds, and returns dst.
+// The fault engine forks every crash trial from one shared prefix into a
+// recycled model this way.
+func (m *Model) CloneInto(dst *Model) *Model {
+	// Clear dst's own slots first: its queued lines need not be m's.
+	dst.dropWPQ()
+	m.volatile.CloneInto(dst.volatile)
+	m.durable.CloneInto(dst.durable)
+	m.dirty.CloneInto(&dst.dirty.Table)
+	dst.wpq = append(dst.wpq[:0], m.wpq...)
+	dst.stats = m.stats
 	// The slot index is rebuilt, not copied: it covers only the lines
 	// queued now, usually none.
-	for i := range c.wpq {
-		*c.slotOf(c.wpq[i].line / mem.LineSize) = int32(i + 1)
+	for i := range dst.wpq {
+		*dst.slotOf(dst.wpq[i].line / mem.LineSize) = int32(i + 1)
 	}
-	return c
+	return dst
 }
 
 // Stats returns a copy of the event counters.

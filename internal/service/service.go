@@ -279,15 +279,6 @@ func Run(cfg Config) (_ Result, err error) {
 	return s.result(), nil
 }
 
-// MustRun is Run panicking on error (experiment drivers).
-func MustRun(cfg Config) Result {
-	r, err := Run(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // registerCounters publishes the service.* key space.
 func (s *server) registerCounters() {
 	s.reg.RegisterFunc("service.offered", func() uint64 { return s.stats.Offered })

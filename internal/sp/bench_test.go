@@ -34,7 +34,7 @@ func BenchmarkBloomAddQuery(b *testing.B) {
 		f.Add(a)
 		f.MayContain(a + 64)
 		if i%256 == 255 {
-			f.Reset()
+			f.Clear()
 		}
 	}
 }
@@ -46,7 +46,7 @@ func BenchmarkBLTRecordConflict(b *testing.B) {
 		t.Record(a)
 		t.Conflicts(a + 32)
 		if i%4096 == 4095 {
-			t.Reset()
+			t.Clear()
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // TestBloomNeverFalseNegative drives randomized add/reset/query sequences
 // against an exact shadow set and asserts the filter's one hard guarantee:
-// an address added since the last Reset is always reported as possibly
+// an address added since the last Clear is always reported as possibly
 // present. False positives are allowed (and counted); false negatives are
 // a correctness bug in the speculation hardware (a load would skip an SSB
 // lookup that holds its forwarding data).
@@ -43,11 +43,11 @@ func TestBloomNeverFalseNegative(t *testing.T) {
 							size, seed, step, a)
 					}
 				default: // reset (exiting speculation)
-					b.Reset()
+					b.Clear()
 					clear(exact)
 				}
 			}
-			// Accounting: Queries/Hits are lifetime counters — Reset
+			// Accounting: Queries/Hits are lifetime counters — Clear
 			// clears the bit array, never the statistics.
 			if b.queries != wantQueries {
 				t.Errorf("size=%d seed=%d: Queries()=%d, observed %d calls",
@@ -65,26 +65,26 @@ func TestBloomNeverFalseNegative(t *testing.T) {
 	}
 }
 
-// TestBloomResetClearsBits checks Reset actually empties the filter: a
-// fresh query for an address added only before the Reset may still hit
+// TestBloomResetClearsBits checks Clear actually empties the filter: a
+// fresh query for an address added only before the Clear may still hit
 // (false positive), but a full sweep of previously added addresses must
 // show at least one definite absence for a sparsely loaded filter — and,
-// more strongly, the bit array must be all zero immediately after Reset.
+// more strongly, the bit array must be all zero immediately after Clear.
 func TestBloomResetClearsBits(t *testing.T) {
 	b := NewBloom(512)
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 100; i++ {
 		b.Add(rng.Uint64())
 	}
-	b.Reset()
+	b.Clear()
 	for i, w := range b.bits {
 		if w != 0 {
-			t.Fatalf("bit word %d nonzero after Reset: %#x", i, w)
+			t.Fatalf("bit word %d nonzero after Clear: %#x", i, w)
 		}
 	}
 }
 
-// TestBLTMaxLifetimeHighWater pins the documented Reset semantics: Reset
+// TestBLTMaxLifetimeHighWater pins the documented Clear semantics: Clear
 // clears the live block set (Len, Conflicts) but Max is the lifetime
 // high-water mark across speculation episodes and survives.
 func TestBLTMaxLifetimeHighWater(t *testing.T) {
@@ -95,15 +95,15 @@ func TestBLTMaxLifetimeHighWater(t *testing.T) {
 	if b.Len() != 10 || b.Max() != 10 {
 		t.Fatalf("after 10 records: Len=%d Max=%d, want 10/10", b.Len(), b.Max())
 	}
-	b.Reset()
+	b.Clear()
 	if b.Len() != 0 {
-		t.Fatalf("Len=%d after Reset, want 0", b.Len())
+		t.Fatalf("Len=%d after Clear, want 0", b.Len())
 	}
 	if b.Conflicts(0) {
-		t.Fatal("Conflicts(0) true after Reset")
+		t.Fatal("Conflicts(0) true after Clear")
 	}
 	if b.Max() != 10 {
-		t.Fatalf("Max=%d after Reset, want lifetime high-water 10", b.Max())
+		t.Fatalf("Max=%d after Clear, want lifetime high-water 10", b.Max())
 	}
 	// A smaller second episode leaves the high-water; a bigger one grows it.
 	for i := 0; i < 3; i++ {
@@ -112,7 +112,7 @@ func TestBLTMaxLifetimeHighWater(t *testing.T) {
 	if b.Max() != 10 {
 		t.Fatalf("Max=%d after smaller episode, want 10", b.Max())
 	}
-	b.Reset()
+	b.Clear()
 	for i := 0; i < 12; i++ {
 		b.Record(uint64(i * 64))
 	}

@@ -68,8 +68,14 @@ func NewSSB(capacity int) *SSB {
 	if capacity <= 0 {
 		panic("sp: SSB capacity must be positive")
 	}
-	return &SSB{cap: capacity, lat: SSBLatency(capacity)}
+	s := &SSB{cap: capacity, lat: SSBLatency(capacity)}
+	s.Reset()
+	return s
 }
+
+// Reset returns the buffer to the state NewSSB left it in: empty, with no
+// high-water mark, keeping its storage.
+func (s *SSB) Reset() { *s = SSB{cap: s.cap, lat: s.lat, entries: s.entries[:0]} }
 
 // Latency returns the CAM+RAM access latency in cycles.
 func (s *SSB) Latency() uint64 { return s.lat }
@@ -149,7 +155,16 @@ func NewBloom(bytes int) *Bloom {
 	if bytes <= 0 || bytes%8 != 0 {
 		panic("sp: bloom size must be a positive multiple of 8 bytes")
 	}
-	return &Bloom{bits: make([]uint64, bytes/8), nbits: uint64(bytes * 8), hashes: 2}
+	b := &Bloom{bits: make([]uint64, bytes/8), nbits: uint64(bytes * 8), hashes: 2}
+	b.Reset()
+	return b
+}
+
+// Reset returns the filter to the state NewBloom left it in: no bits set
+// and no events counted.
+func (b *Bloom) Reset() {
+	*b = Bloom{bits: b.bits, nbits: b.nbits, hashes: b.hashes}
+	b.Clear()
 }
 
 func (b *Bloom) hash(addr uint64, i int) uint64 {
@@ -183,12 +198,9 @@ func (b *Bloom) MayContain(addr uint64) bool {
 	return true
 }
 
-// Reset clears the filter (on exiting speculation).
-func (b *Bloom) Reset() {
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
-}
+// Clear clears the filter's bits (on exiting speculation); the event
+// counters run on.
+func (b *Bloom) Clear() { clear(b.bits) }
 
 // Hits reports how many queries returned "may contain".
 func (b *Bloom) Hits() uint64 { return b.hits }
@@ -206,8 +218,13 @@ func NewCheckpoints(capacity int) *Checkpoints {
 	if capacity <= 0 {
 		panic("sp: checkpoint capacity must be positive")
 	}
-	return &Checkpoints{cap: capacity}
+	c := &Checkpoints{cap: capacity}
+	c.Reset()
+	return c
 }
+
+// Reset returns the buffer to the state NewCheckpoints left it in.
+func (c *Checkpoints) Reset() { *c = Checkpoints{cap: c.cap} }
 
 // Take reserves a checkpoint; false means none is free (the processor must
 // stall until one is released).
@@ -250,7 +267,18 @@ type BLT struct {
 }
 
 // NewBLT returns an empty table.
-func NewBLT() *BLT { return &BLT{} }
+func NewBLT() *BLT {
+	b := &BLT{}
+	b.Reset()
+	return b
+}
+
+// Reset returns the table to the state NewBLT left it in: empty, with no
+// high-water mark, keeping its storage.
+func (b *BLT) Reset() {
+	b.Clear()
+	b.max = 0
+}
 
 // Record notes a speculative access to the block containing addr.
 func (b *BLT) Record(addr uint64) {
@@ -268,13 +296,13 @@ func (b *BLT) Len() int { return b.blocks.Len() }
 
 // Max returns the lifetime size high-water mark: the largest speculative
 // footprint any single speculation episode reached. It deliberately
-// survives Reset — the figure the paper sizes the table from is the
+// survives Clear — the figure the paper sizes the table from is the
 // worst case across a whole run, not one episode — so it only ever grows.
 func (b *BLT) Max() int { return b.max }
 
-// Reset clears the live block set (speculation ended or rolled back) in
+// Clear clears the live block set (speculation ended or rolled back) in
 // O(1). The Max high-water mark is NOT cleared; see Max.
-func (b *BLT) Reset() { b.blocks.Clear() }
+func (b *BLT) Clear() { b.blocks.Clear() }
 
 // String summarizes the table for debugging.
 func (b *BLT) String() string { return fmt.Sprintf("BLT{%d blocks}", b.blocks.Len()) }

@@ -1,6 +1,7 @@
 package sp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -114,7 +115,7 @@ func TestSSBFront(t *testing.T) {
 func TestBloomNoFalseNegatives(t *testing.T) {
 	b := NewBloom(512)
 	f := func(addrs []uint64) bool {
-		b.Reset()
+		b.Clear()
 		for _, a := range addrs {
 			b.Add(a)
 		}
@@ -135,7 +136,7 @@ func TestBloomResetClears(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		b.Add(i * 64)
 	}
-	b.Reset()
+	b.Clear()
 	hits := 0
 	for i := uint64(0); i < 100; i++ {
 		if b.MayContain(i * 64) {
@@ -220,12 +221,12 @@ func TestBLT(t *testing.T) {
 	if b.Len() != 2 || b.Max() != 2 {
 		t.Errorf("Len=%d Max=%d", b.Len(), b.Max())
 	}
-	b.Reset()
+	b.Clear()
 	if b.Len() != 0 || b.Conflicts(0x1000) {
-		t.Error("Reset did not clear")
+		t.Error("Clear did not clear")
 	}
 	if b.Max() != 2 {
-		t.Error("Reset cleared the high-water mark")
+		t.Error("Clear cleared the high-water mark")
 	}
 }
 
@@ -244,5 +245,48 @@ func TestConstructorsPanicOnBadArgs(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestResetMatchesNew checks that each structure's Reset returns the state
+// its constructor builds, counters and high-water marks included, however
+// much it ran before.
+func TestResetMatchesNew(t *testing.T) {
+	ssb := NewSSB(32)
+	for i := 0; i < 20; i++ {
+		ssb.Push(Entry{Op: isa.Store, Addr: uint64(i) * 64, Size: 8, Epoch: i})
+	}
+	ssb.Pop()
+	ssb.Reset()
+	if fresh := NewSSB(32); ssb.Len() != 0 || ssb.MaxUsed() != 0 || ssb.cap != fresh.cap || ssb.lat != fresh.lat {
+		t.Errorf("SSB after Reset: len %d, max %d, cap %d, lat %d", ssb.Len(), ssb.MaxUsed(), ssb.cap, ssb.lat)
+	}
+
+	bl := NewBloom(512)
+	for i := uint64(0); i < 100; i++ {
+		bl.Add(i * 64)
+		bl.MayContain(i * 128)
+	}
+	bl.Reset()
+	if fresh := NewBloom(512); !reflect.DeepEqual(bl, fresh) {
+		t.Errorf("Bloom after Reset = %+v, want %+v", *bl, *fresh)
+	}
+
+	ck := NewCheckpoints(4)
+	for i := 0; i < 6; i++ {
+		ck.Take()
+	}
+	ck.Reset()
+	if fresh := NewCheckpoints(4); *ck != *fresh {
+		t.Errorf("Checkpoints after Reset = %+v, want %+v", *ck, *fresh)
+	}
+
+	blt := NewBLT()
+	for i := uint64(0); i < 10; i++ {
+		blt.Record(i * 64)
+	}
+	blt.Reset()
+	if blt.Len() != 0 || blt.Max() != 0 || blt.Conflicts(0) {
+		t.Errorf("BLT after Reset: len %d, max %d", blt.Len(), blt.Max())
 	}
 }
