@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"specpersist/internal/splitmix"
 )
 
 // MaxSlow bounds a gray window's link-latency multiplier.
@@ -94,17 +96,6 @@ func (p *Plan) Lossy() bool {
 	return p.Drop > 0 || len(p.Partitions) > 0
 }
 
-// splitmix64 is the shared key-spreading finalizer (same constants as the
-// cluster ring and network, kept local to avoid the import).
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // unit maps a hash to [0, 1).
 func unit(h uint64) float64 { return float64(h>>11) / float64(1<<53) }
 
@@ -135,14 +126,14 @@ func (k FateKind) String() string {
 }
 
 // Fate draws message seq's fate: a single uniform number from
-// splitmix64(seed, seq) tested against the cumulative fraction ranges.
+// splitmix.Mix of (seed, seq) tested against the cumulative fraction ranges.
 // The extra value returned with FateReorder is a second uniform in [0, 1)
 // for the caller to scale into added latency.
 func (p *Plan) Fate(seq uint64) (FateKind, float64) {
 	if p == nil {
 		return FateNone, 0
 	}
-	u := unit(splitmix64(uint64(p.Seed)*0x9e3779b97f4a7c15 + seq*2 + 1))
+	u := unit(splitmix.Mix(uint64(p.Seed)*0x9e3779b97f4a7c15 + seq*2 + 1))
 	switch {
 	case u < p.Drop:
 		return FateDrop, 0
@@ -151,7 +142,7 @@ func (p *Plan) Fate(seq uint64) (FateKind, float64) {
 	case u < p.Drop+p.Dup+p.Delay:
 		return FateDelay, 0
 	case u < p.Drop+p.Dup+p.Delay+p.Reorder:
-		return FateReorder, unit(splitmix64(uint64(p.Seed)*0x9e3779b97f4a7c15 + seq*2 + 2))
+		return FateReorder, unit(splitmix.Mix(uint64(p.Seed)*0x9e3779b97f4a7c15 + seq*2 + 2))
 	}
 	return FateNone, 0
 }
@@ -307,7 +298,7 @@ func (p Plan) Normalize() Plan {
 // of n nodes. Everything is a pure function of the seed, so trial i of a
 // campaign is the same plan on every machine and worker count.
 func GenPlan(seed int64, nodes int, span uint64) Plan {
-	h := func(k uint64) uint64 { return splitmix64(uint64(seed)*0x9e3779b97f4a7c15 + k) }
+	h := func(k uint64) uint64 { return splitmix.Mix(uint64(seed)*0x9e3779b97f4a7c15 + k) }
 	u := func(k uint64) float64 { return unit(h(k)) }
 	p := Plan{
 		Seed:  int64(h(0)),

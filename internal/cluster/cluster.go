@@ -1324,10 +1324,10 @@ func (s *fleet) sentinelCommit(n *node, now uint64) {
 // crashNode kills node idx at cycle t: volatile state (FIFO, gate buffers,
 // sentinel-uncommitted groups) is lost, the durable image is the in-order
 // committed prefix. The bit-level image is crash-recovered through
-// internal/fault's sampled line fates and invariant-checked as a
-// validation pass. Nothing else learns of the crash: stranded quorums run
-// into their deadlines, and primaryships move only when leases expire at
-// a heartbeat tick.
+// internal/fault's sampled line fates and the machine's own recovery, and
+// invariant-checked as a validation pass. Nothing else learns of the
+// crash: stranded quorums run into their deadlines, and primaryships move
+// only when leases expire at a heartbeat tick.
 func (s *fleet) crashNode(idx int, t uint64) {
 	c := s.nodes[idx]
 	if c.state != stateLive {
@@ -1340,11 +1340,16 @@ func (s *fleet) crashNode(idx int, t uint64) {
 	s.tl.Instant(obs.TrackCluster, "cluster.crash", t)
 
 	// Validation pass: cut power on the functional memory image with
-	// sampled line fates (torn writes included), run undo-log recovery,
-	// and check structure invariants.
+	// sampled line fates (torn writes included), run the recovery the
+	// structure's logging calls for (the undo log, or the versioned
+	// store's header, selector and manifest), and check structure
+	// invariants.
 	var fates []fault.LineFate
 	c.be.Env.Crash(fault.CrashOptionsSampled(s.cfg.Seed+int64(idx)*131+17, true, &fates))
-	c.be.Mgr.Recover()
+	if _, err := c.be.Recover(); err != nil {
+		s.err = fmt.Errorf("cluster: node %d crash recovery: %w", idx, err)
+		return
+	}
 	if err := c.be.St.Check(); err != nil {
 		s.err = fmt.Errorf("cluster: node %d invariants broken after crash recovery: %w", idx, err)
 		return
@@ -1359,8 +1364,8 @@ func (s *fleet) crashNode(idx int, t uint64) {
 
 // recoverNode restarts the crashed node at cycle t: a fresh machine
 // replays the durable log (warmup plus the committed prefix, in commit
-// order), then its fetch loop catches each owned range up to the log
-// length it has now.
+// order, as a second warm-up), then its fetch loop catches each owned
+// range up to the log length it has now.
 func (s *fleet) recoverNode(idx int, t uint64) {
 	c := s.nodes[idx]
 	if c.state != stateCrashed {
@@ -1371,10 +1376,8 @@ func (s *fleet) recoverNode(idx int, t uint64) {
 		s.err = err
 		return
 	}
-	for _, op := range c.durableOps {
-		c.be.St.Apply(op.key)
-	}
-	c.be.FinishReplay()
+	ops := c.durableOps
+	c.be.Warm(len(ops), func() uint64 { k := ops[0].key; ops = ops[1:]; return k })
 	if err := c.be.St.Check(); err != nil {
 		s.err = fmt.Errorf("cluster: node %d invariants broken after durable replay: %w", idx, err)
 		return

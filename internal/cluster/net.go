@@ -1,6 +1,6 @@
 // Seeded inter-node network model. Every message is assigned a one-way
 // latency of RTT/2 scaled by a deterministic per-message jitter factor in
-// [1-J, 1+J), drawn from splitmix64(seed + message sequence number) — no
+// [1-J, 1+J), drawn from splitmix.Mix(seed + message sequence number) — no
 // shared rand.Source whose draw order could depend on scheduling. Delivery
 // order is a total order on (deliver-at cycle, send sequence), so two runs
 // of one configuration drain the network identically, byte for byte, at
@@ -22,6 +22,7 @@ import (
 	"container/heap"
 
 	"specpersist/internal/chaos"
+	"specpersist/internal/splitmix"
 )
 
 // msgKind discriminates network payloads.
@@ -99,7 +100,7 @@ func newNetwork(seed int64, rtt uint64, jitter float64, plan *chaos.Plan) *netwo
 func (n *network) oneWay(seq uint64) uint64 {
 	base := float64(n.rtt) / 2
 	// u in [0, 1) from the message's own hash; latency in [base*(1-J), base*(1+J)).
-	u := float64(splitmix64(uint64(n.seed)+seq)>>11) / float64(1<<53)
+	u := float64(splitmix.Mix(uint64(n.seed)+seq)>>11) / float64(1<<53)
 	d := base * (1 - n.jitter + 2*n.jitter*u)
 	if d < 1 {
 		d = 1

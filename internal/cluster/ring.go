@@ -12,6 +12,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"specpersist/internal/splitmix"
 )
 
 // ringPoint is one virtual node on the hash circle.
@@ -29,16 +31,6 @@ type Ring struct {
 	primaries []int   // per range: current primary (always an owner)
 }
 
-// splitmix64 is the shared key-spreading finalizer.
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // newRing builds the partition map for nodes physical nodes with vnodes
 // virtual nodes each and replication factor replicas (1 <= replicas <=
 // nodes). The layout is a pure function of its arguments.
@@ -49,7 +41,7 @@ func newRing(nodes, vnodes, replicas int) *Ring {
 	r := &Ring{owned: make([][]int, nodes)}
 	for n := 0; n < nodes; n++ {
 		for v := 0; v < vnodes; v++ {
-			h := splitmix64(uint64(n)<<32 | uint64(v) + 0x9e3779b97f4a7c15)
+			h := splitmix.Mix(uint64(n)<<32 | uint64(v) + 0x9e3779b97f4a7c15)
 			r.points = append(r.points, ringPoint{hash: h, node: n})
 		}
 	}
@@ -88,7 +80,7 @@ func (r *Ring) numRanges() int { return len(r.points) }
 // rangeOf maps a key to its range: the first ring point at or after the
 // key's hash, wrapping at the top of the circle.
 func (r *Ring) rangeOf(key uint64) int {
-	h := splitmix64(key)
+	h := splitmix.Mix(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0

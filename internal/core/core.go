@@ -128,6 +128,15 @@ func (o Options) For(v Variant) Options {
 	return o
 }
 
+// NewMemory builds o's memory system: Controllers interleaved controllers,
+// or a single one when Controllers is 0 or 1.
+func (o Options) NewMemory() memctl.Memory {
+	if o.Controllers > 1 {
+		return memctl.NewMulti(o.Controllers, o.Mem)
+	}
+	return memctl.New(o.Mem)
+}
+
 // System is one simulated machine instance.
 type System struct {
 	MC    memctl.Memory
@@ -143,12 +152,7 @@ type System struct {
 // Registry, and into tl when it is non-nil (nil leaves cycle-resolved
 // event recording off).
 func New(o Options, tl *obs.Timeline) *System {
-	var mc memctl.Memory
-	if o.Controllers > 1 {
-		mc = memctl.NewMulti(o.Controllers, o.Mem)
-	} else {
-		mc = memctl.New(o.Mem)
-	}
+	mc := o.NewMemory()
 	h := cache.New(o.Cache, mc)
 	c := cpu.New(o.CPU, h, mc)
 	mc.SetTimeline(tl)

@@ -764,7 +764,7 @@ type CommitEvent struct {
 }
 
 // OnCycle installs fn to run once per simulation step of Run; nil removes
-// it. The hook may call CoherenceProbe.
+// it. The hook may call Probe.
 func (c *CPU) OnCycle(fn func(*CPU)) { c.cycleHook = fn }
 
 // OnCommit installs fn to observe every commit event as it reaches the

@@ -306,7 +306,7 @@ func TestCoherenceProbeRollsBack(t *testing.T) {
 			c.now = c.nextEvent()
 		}
 		if !probed && c.speculating() && c.blt.Conflicts(0x3000) {
-			if !c.CoherenceProbe(0x3000) {
+			if c.Probe(0x3000) != ProbeRollback {
 				t.Fatal("probe with BLT conflict did not roll back")
 			}
 			probed = true
@@ -326,7 +326,7 @@ func TestCoherenceProbeRollsBack(t *testing.T) {
 
 func TestProbeWithoutConflictIsNoop(t *testing.T) {
 	c, _ := newSystem(DefaultSPConfig())
-	if c.CoherenceProbe(0x9999) {
+	if c.Probe(0x9999) == ProbeRollback {
 		t.Error("probe on idle core rolled back")
 	}
 }

@@ -259,7 +259,7 @@ func TestRollbackWithMultipleEpochs(t *testing.T) {
 			c.now = c.nextEvent()
 		}
 		if !probed && len(c.epochs) >= 2 && c.blt.Conflicts(0x4000) {
-			if !c.CoherenceProbe(0x4000) {
+			if c.Probe(0x4000) != ProbeRollback {
 				t.Fatal("multi-epoch probe did not roll back")
 			}
 			probed = true

@@ -263,12 +263,6 @@ func (c *CPU) Probe(addr uint64) ProbeResult {
 	return ProbeRollback
 }
 
-// CoherenceProbe is Probe reduced to the rollback question; kept for
-// callers that fire probes at points where deferral cannot arise.
-func (c *CPU) CoherenceProbe(addr uint64) bool {
-	return c.Probe(addr) == ProbeRollback
-}
-
 // Draining reports whether the oldest speculative epoch has begun
 // committing its SSB entries — the window in which a conflicting probe is
 // NACKed (ProbeDeferred) instead of rolling the core back. Harnesses that

@@ -34,7 +34,6 @@ import (
 	"specpersist/internal/mem"
 	"specpersist/internal/pmem"
 	"specpersist/internal/pstruct"
-	"specpersist/internal/txn"
 )
 
 // LineFate is the serialized fate of one line at a crash: which 8-byte
@@ -265,46 +264,18 @@ func Run(p Plan) (Outcome, error) {
 	return runTrial(&pres[0], p, replayFates(p.Fates)), nil
 }
 
-// machine is one trial's live state: the environment, its undo-log manager
-// and the structure built on both.
-type machine struct {
-	env *exec.Env
-	mgr *txn.Manager
-	s   pstruct.Structure
-}
-
-// fork returns an independent deep copy of the machine.
-func (m machine) fork() machine { return m.forkInto(&exec.Env{}) }
-
-// forkInto is fork with the copy's environment and persistence image built
-// in env, reusing the storage env already holds.
-func (m machine) forkInto(env *exec.Env) machine {
-	env = m.env.ForkInto(env)
-	mgr := m.mgr.Fork(env)
-	return machine{env: env, mgr: mgr, s: pstruct.Fork(m.s, env, mgr)}
-}
-
-// images recycles the trial environments, so a campaign stops allocating a
-// whole crash image per trial. ForkInto leaves nothing of a recycled env's
-// last trial, so an outcome does not depend on which env its trial draws.
-var images = sync.Pool{New: func() any { return new(exec.Env) }}
-
-// recoverFn returns the machine's recovery pass. Structures owning their
-// recovery (the versioned COW store) dispatch there; the WAL structures
-// recover through the undo log.
-func (m machine) recoverFn() func() bool {
-	if vr, ok := m.s.(interface{ Recover() bool }); ok {
-		return vr.Recover
-	}
-	return m.mgr.Recover
-}
+// images recycles the trial machines, so a campaign stops allocating a
+// whole crash image and undo-log line sets per trial. ForkInto leaves
+// nothing of a recycled machine's last trial, so an outcome does not
+// depend on which machine its trial draws.
+var images = sync.Pool{New: func() any { return new(pstruct.Machine) }}
 
 // prefix is the state every trial probing one operation starts from: the
 // structure built, warmed up, persisted wholesale and advanced through the
 // completed operations, with the probed key and the pre-op snapshot. It is
 // shared read-only by concurrent trials; each trial runs on a fork.
 type prefix struct {
-	m   machine
+	m   *pstruct.Machine
 	key uint64
 	pre []uint64
 }
@@ -335,14 +306,9 @@ func prefixes(p Plan, from, nops int) (pres []prefix, counts []int, err error) {
 		// fences permit; its seed is part of the plan's determinism.
 		env.SeedReorder(p.Seed + 99)
 	}
-	mgr := txn.NewManager(env, p.LogCapacity)
-	m := machine{env: env, mgr: mgr, s: pstruct.Build(p.Structure, env, mgr, p.config())}
-
+	m := pstruct.NewMachine(env, p.Structure, p.LogCapacity, p.config())
 	rng := rand.New(rand.NewSource(p.Seed))
-	for i := 0; i < p.Warmup; i++ {
-		m.s.Apply(uint64(rng.Intn(p.Keyspace)))
-	}
-	env.M.PersistAll()
+	m.Warm(p.Warmup, func() uint64 { return uint64(rng.Intn(p.Keyspace)) })
 
 	counts = make([]int, nops)
 	for i := range counts {
@@ -351,65 +317,80 @@ func prefixes(p Plan, from, nops int) (pres []prefix, counts []int, err error) {
 			// Snapshot the fork, not the walked machine, so the walk's
 			// later operations see exactly the state a straight-line run
 			// would.
-			f := m.fork()
-			pres = append(pres, prefix{m: f, key: key, pre: snapshot(f.s, p)})
+			f := m.Fork()
+			pres = append(pres, prefix{m: f, key: key, pre: snapshot(f.St, p)})
 		}
 		n := 0
 		restore := env.WithHook(func() { n++ })
-		m.s.Apply(key)
+		m.St.Apply(key)
 		restore()
 		counts[i] = n
 	}
 	return pres, counts, nil
 }
 
-// runTrial runs one trial on a fork of its prefix into a recycled env.
-// primary decides the primary crash's line fates (nil = strict); a crash
-// inside recovery replays p.RecoveryFates.
+// runTrial runs one trial on a fork of its prefix into a recycled
+// machine. primary decides the primary crash's line fates (nil = strict);
+// a crash inside recovery replays p.RecoveryFates.
 func runTrial(pf *prefix, p Plan, primary fateFunc) Outcome {
-	env := images.Get().(*exec.Env)
-	defer images.Put(env)
-	return probe(pf.m.forkInto(env), pf.key, pf.pre, p, primary)
+	m := images.Get().(*pstruct.Machine)
+	defer images.Put(m)
+	return probe(pf.m.ForkInto(m), pf.key, pf.pre, p, primary)
 }
 
 // probe is a trial's tail on a machine positioned just before the probed
 // operation: apply key up to the crash point, crash, recover (possibly
 // crashing again inside recovery) and check the recovered state against
 // the pre-op snapshot pre and its post-op image.
-func probe(m machine, key uint64, pre []uint64, p Plan, primary fateFunc) Outcome {
-	env, s := m.env, m.s
-	recoverFn := m.recoverFn()
+func probe(m *pstruct.Machine, key uint64, pre []uint64, p Plan, primary fateFunc) Outcome {
+	env, s := m.Env, m.St
 	var out Outcome
-	out.Crashed, out.Events = applyWithCrash(env, s, key, p.CrashIndex)
+	out.Crashed, out.Events = crashAt(env, p.CrashIndex, func() { s.Apply(key) })
 
 	base := env.M.Stats().TornLines
 	env.Crash(crashOptions(primary))
 
 	// Recovery, possibly interrupted by a second crash. Recovery running on
-	// a corrupted log may itself panic (e.g. a torn entry count): that is an
-	// unrecoverable state, i.e. a violation, not a harness error.
+	// a corrupted log may itself panic (e.g. a torn entry count), which the
+	// machine returns as its error: that is an unrecoverable state, i.e. a
+	// violation, not a harness error. A panic in the checks that follow
+	// reads the same way.
 	violation := func() (violation string) {
 		defer func() {
 			if r := recover(); r != nil {
 				violation = fmt.Sprintf("recovery panicked: %v", r)
 			}
 		}()
+		var err error
 		if p.RecoveryCrash >= 0 {
-			if crashed, _ := recoverWithCrash(env, recoverFn, p.RecoveryCrash); crashed {
+			// The crash aborts recovery by the panic the machine returns
+			// as err, so err counts only when the crash did not fire.
+			crashed, _ := crashAt(env, p.RecoveryCrash, func() { _, err = m.Recover() })
+			if crashed {
 				env.Crash(crashOptions(replayFates(p.RecoveryFates)))
+			} else if err != nil {
+				return err.Error()
 			}
 			// The machine reboots once more; this recovery must finish.
-			out.Recovered = recoverFn() || out.Recovered
+			var rolled bool
+			if rolled, err = m.Recover(); err != nil {
+				return err.Error()
+			}
+			out.Recovered = rolled || out.Recovered
 		} else {
-			n := 0
-			restore := env.WithHook(func() { n++ })
-			out.Recovered = recoverFn()
+			restore := env.WithHook(func() { out.RecoveryEvents++ })
+			out.Recovered, err = m.Recover()
 			restore()
-			out.RecoveryEvents = n
+			if err != nil {
+				out.RecoveryEvents = 0
+				return err.Error()
+			}
 		}
 		// Idempotence: a recovery that ran to completion retired the log;
 		// running it again must be a no-op.
-		if recoverFn() {
+		if again, err := m.Recover(); err != nil {
+			return err.Error()
+		} else if again {
 			return "recovery is not idempotent: second pass rolled back again"
 		}
 		if err := s.Check(); err != nil {
@@ -428,12 +409,12 @@ func probe(m machine, key uint64, pre []uint64, p Plan, primary fateFunc) Outcom
 	return out
 }
 
-// applyWithCrash runs s.Apply(key), cutting power before persistence event
-// number `at`. It reports whether the crash fired and how many events were
-// seen.
-func applyWithCrash(env *exec.Env, s pstruct.Structure, key uint64, at int) (crashed bool, events int) {
+// crashAt runs fn, cutting power before persistence event number at. It
+// reports whether the crash fired and how many events were seen.
+func crashAt(env *exec.Env, at int, fn func()) (crashed bool, events int) {
 	restore := env.WithHook(func() {
 		if events >= at {
+			crashed = true
 			panic(crashSignal{})
 		}
 		events++
@@ -444,33 +425,10 @@ func applyWithCrash(env *exec.Env, s pstruct.Structure, key uint64, at int) (cra
 			if _, ok := r.(crashSignal); !ok {
 				panic(r)
 			}
-			crashed = true
 		}
 	}()
-	s.Apply(key)
-	return false, events
-}
-
-// recoverWithCrash runs the recovery function, cutting power before its
-// persistence event number `at`.
-func recoverWithCrash(env *exec.Env, recoverFn func() bool, at int) (crashed bool, events int) {
-	restore := env.WithHook(func() {
-		if events >= at {
-			panic(crashSignal{})
-		}
-		events++
-	})
-	defer func() {
-		restore()
-		if r := recover(); r != nil {
-			if _, ok := r.(crashSignal); !ok {
-				panic(r)
-			}
-			crashed = true
-		}
-	}()
-	recoverFn()
-	return false, events
+	fn()
+	return crashed, events
 }
 
 // snapshot captures the observable state: membership over the keyspace for

@@ -26,17 +26,17 @@ func refRun(p Plan, primary fateFunc) (Outcome, error) {
 		env.Reorder = rand.New(rand.NewSource(p.Seed + 99))
 	}
 	mgr := txn.NewManager(env, p.LogCapacity)
-	m := machine{env: env, mgr: mgr, s: pstruct.Build(p.Structure, env, mgr, p.config())}
+	m := &pstruct.Machine{Env: env, Mgr: mgr, St: pstruct.Build(p.Structure, env, mgr, p.config())}
 	rng := rand.New(rand.NewSource(p.Seed))
 	for i := 0; i < p.Warmup; i++ {
-		m.s.Apply(uint64(rng.Intn(p.Keyspace)))
+		m.St.Apply(uint64(rng.Intn(p.Keyspace)))
 	}
 	env.M.PersistAll()
 	for i := 0; i < p.Op; i++ {
-		m.s.Apply(uint64(rng.Intn(p.Keyspace)))
+		m.St.Apply(uint64(rng.Intn(p.Keyspace)))
 	}
 	key := uint64(rng.Intn(p.Keyspace))
-	return probe(m, key, snapshot(m.s, p), p, primary), nil
+	return probe(m, key, snapshot(m.St, p), p, primary), nil
 }
 
 // TestForkedTrialsMatchReference runs every plan of small exhaustive

@@ -13,7 +13,6 @@ import (
 	"specpersist/internal/multicore"
 	"specpersist/internal/pstruct"
 	"specpersist/internal/trace"
-	"specpersist/internal/txn"
 )
 
 // SPDifferential verifies the §4.2.2 rollback contract: running the same
@@ -50,7 +49,7 @@ func SPDifferential(structure string, seed int64, warmup, ops int) error {
 			return
 		}
 		for _, a := range candidates {
-			if c.CoherenceProbe(a) {
+			if c.Probe(a) == cpu.ProbeRollback {
 				rolled = true
 				return
 			}
@@ -83,16 +82,13 @@ func materializeTrace(structure string, seed int64, warmup, ops int) (*trace.Buf
 	buf := &trace.Buffer{}
 	env := exec.New()
 	env.Level = exec.LevelFull
-	mgr := txn.NewManager(env, p.LogCapacity)
-	s := pstruct.Build(structure, env, mgr, p.config())
+	m := pstruct.NewMachine(env, structure, p.LogCapacity, p.config())
 	rng := rand.New(rand.NewSource(p.Seed))
-	for i := 0; i < p.Warmup; i++ {
-		s.Apply(uint64(rng.Intn(p.Keyspace)))
-	}
-	env.M.PersistAll()
+	key := func() uint64 { return uint64(rng.Intn(p.Keyspace)) }
+	m.Warm(p.Warmup, key)
 	env.SetBuilder(trace.NewBuilder(buf))
 	for i := 0; i < ops; i++ {
-		s.Apply(uint64(rng.Intn(p.Keyspace)))
+		m.St.Apply(key())
 	}
 	env.SetBuilder(nil)
 

@@ -105,12 +105,7 @@ func New(cfg Config) *Sim {
 	if cfg.Cores <= 0 {
 		panic(fmt.Sprintf("multicore: core count must be positive, got %d", cfg.Cores))
 	}
-	var mc memctl.Memory
-	if cfg.Options.Controllers > 1 {
-		mc = memctl.NewMulti(cfg.Options.Controllers, cfg.Options.Mem)
-	} else {
-		mc = memctl.New(cfg.Options.Mem)
-	}
+	mc := cfg.Options.NewMemory()
 	s := &Sim{cfg: cfg, mc: mc, tl: cfg.Timeline, reg: obs.NewRegistry()}
 	for i := 0; i < cfg.Cores; i++ {
 		h := cache.New(cfg.Options.Cache, mc)

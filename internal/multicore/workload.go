@@ -158,25 +158,22 @@ func buildCoreTrace(w Workload, k int, reg *obs.Registry) (*trace.Buffer, error)
 	// identical table addresses — the only overlap across cores.
 	tableLines := w.Cores * w.SharedLines
 	tableBase := env.AllocLines(tableLines)
+	// Seed the shared table's image (functionally; values are per-core —
+	// the timing model only shares addresses). The warm-up's PersistAll
+	// makes it durable.
+	for i := 0; i < tableLines; i++ {
+		env.M.WriteU64(tableBase+uint64(i*mem.LineSize), uint64(i))
+	}
 	// Displace everything else (undo log, private structure) into core
 	// k's own window so private traffic can never conflict.
 	env.AllocLines(k * coreRegionLines)
 
-	mgr := txn.NewManager(env, w.effLogCap())
-	scfg := pstruct.Config{HashCapacity: 64, GraphVerts: 32, Strings: 16}
-	st := pstruct.Build(w.Structure, env, mgr, scfg)
-
+	m := pstruct.NewMachine(env, w.Structure, w.effLogCap(),
+		pstruct.Config{HashCapacity: 64, GraphVerts: 32, Strings: 16})
+	st := m.St
 	rng := rand.New(rand.NewSource(w.Seed + int64(k)*7919))
 	key := func() uint64 { return uint64(rng.Intn(w.Keyspace)) }
-	for i := 0; i < w.Warmup; i++ {
-		st.Apply(key())
-	}
-	// Seed the shared table's durable image too (functionally; values are
-	// per-core — the timing model only shares addresses).
-	for i := 0; i < tableLines; i++ {
-		env.M.WriteU64(tableBase+uint64(i*mem.LineSize), uint64(i))
-	}
-	env.M.PersistAll()
+	m.Warm(w.Warmup, key)
 	if err := st.Check(); err != nil {
 		return nil, fmt.Errorf("multicore: core %d after warmup: %w", k, err)
 	}
@@ -194,7 +191,7 @@ func buildCoreTrace(w Workload, k int, reg *obs.Registry) (*trace.Buffer, error)
 			} else {
 				line = rng.Intn(tableLines)
 			}
-			sharedRMW(env, mgr, tableBase+uint64(line*mem.LineSize))
+			sharedRMW(env, m.Mgr, tableBase+uint64(line*mem.LineSize))
 		} else {
 			st.Apply(key())
 		}
@@ -204,8 +201,9 @@ func buildCoreTrace(w Workload, k int, reg *obs.Registry) (*trace.Buffer, error)
 		return nil, fmt.Errorf("multicore: core %d after ops: %w", k, err)
 	}
 
+	// A versioned store's vstore.* counters stay out of the core's key set.
 	env.M.Register(reg)
-	mgr.Register(reg)
+	m.Mgr.Register(reg)
 	return buf, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"specpersist/internal/exec"
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
+	"specpersist/internal/splitmix"
 	"specpersist/internal/txn"
 )
 
@@ -68,7 +69,7 @@ func (h *HashMap) probe(key uint64) (entry uint64, found bool, dep isa.Reg) {
 	// Hash computation: a short ALU chain dependent on nothing (the key is
 	// an immediate) feeding the index computation.
 	hr := h.env.Compute(tr, cr)
-	idx := mix64(key) & (capa - 1)
+	idx := splitmix.Mix(key) & (capa - 1)
 	var firstTomb uint64
 	for i := uint64(0); i < capa; i++ {
 		e := table + ((idx+i)&(capa-1))*mem.LineSize
@@ -124,7 +125,7 @@ func (h *HashMap) Apply(key uint64) {
 	tx.Log(h.hdr, 32, isa.NoReg)
 	tx.SetLogged()
 	h.st(tx, entry+hmKey, key, isa.NoReg, dep)
-	h.st(tx, entry+hmValue, mix64(key), isa.NoReg, dep)
+	h.st(tx, entry+hmValue, splitmix.Mix(key), isa.NoReg, dep)
 	h.st(tx, entry+hmState, hmOccupied, isa.NoReg, dep)
 	count, cr := h.ld(h.hdr+16, isa.NoReg)
 	h.st(tx, h.hdr+16, count+1, h.cmp(cr), isa.NoReg)
@@ -155,7 +156,7 @@ func (h *HashMap) resize() {
 		k, kr := h.ld(e+hmKey, sr)
 		v, vr := h.ld(e+hmValue, sr)
 		// Probe the new table (functional; no tombstones yet).
-		idx := mix64(k) & (newCap - 1)
+		idx := splitmix.Mix(k) & (newCap - 1)
 		for {
 			ne := newTable + idx*mem.LineSize
 			st, nr := h.ld(ne+hmState, kr)
@@ -207,12 +208,12 @@ func (h *HashMap) Check() error {
 			live++
 			occ++
 			k := m.ReadU64(e + hmKey)
-			if m.ReadU64(e+hmValue) != mix64(k) {
+			if m.ReadU64(e+hmValue) != splitmix.Mix(k) {
 				return fmt.Errorf("hashmap: value corrupt for key %d", k)
 			}
 			// The record must be reachable: every slot from its hash home
 			// to its position must be non-empty.
-			home := mix64(k) & (capa - 1)
+			home := splitmix.Mix(k) & (capa - 1)
 			for j := home; j != i; j = (j + 1) & (capa - 1) {
 				if m.ReadU64(table+j*mem.LineSize+hmState) == hmEmpty {
 					return fmt.Errorf("hashmap: key %d unreachable (hole at %d)", k, j)

@@ -6,6 +6,7 @@ import (
 	"specpersist/internal/exec"
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
+	"specpersist/internal/splitmix"
 	"specpersist/internal/txn"
 )
 
@@ -237,7 +238,7 @@ func (t *RBTree) insert(tx *txn.Tx, addr, key uint64, dep isa.Reg) uint64 {
 	if addr == 0 {
 		n := t.allocNode(tx)
 		t.st(tx, n+rbKey, key, isa.NoReg, isa.NoReg)
-		t.st(tx, n+rbValue, mix64(key), isa.NoReg, isa.NoReg)
+		t.st(tx, n+rbValue, splitmix.Mix(key), isa.NoReg, isa.NoReg)
 		t.st(tx, n+rbColor, rbRed, isa.NoReg, isa.NoReg)
 		return n
 	}
@@ -383,7 +384,7 @@ func (t *RBTree) Check() error {
 		if hasHi && k >= hi {
 			return 0, fmt.Errorf("rbtree: key %d violates upper bound %d", k, hi)
 		}
-		if v := m.ReadU64(addr + rbValue); v != mix64(k) {
+		if v := m.ReadU64(addr + rbValue); v != splitmix.Mix(k) {
 			return 0, fmt.Errorf("rbtree: node %d value corrupt", k)
 		}
 		l := m.ReadU64(addr + rbLeft)

@@ -12,40 +12,31 @@ import (
 // entirely: durability comes from vstore's two-barrier changeset commit,
 // not undo logging.
 //
-// By default every Apply commits its own changeset (auto-commit 1), which
-// matches the per-op atomicity contract the fault harness checks. The
-// serving layers switch to manual mode (SetAutoCommit(0)) and call Commit
+// By default every Apply commits its own changeset, which matches the
+// per-op atomicity contract the fault harness checks. The serving layers
+// commit by group instead (Machine.CommitByGroup): the machine commits
 // once per admission group, turning the whole group into one changeset
 // behind a single barrier pair.
 type VTree struct {
 	S *vstore.Store
 
-	auto    int
-	pending int
+	byGroup bool // Apply leaves the changeset open for Commit
 }
 
 // NewVTree builds a versioned tree store over env.
 func NewVTree(env *exec.Env, cfg vstore.Config) *VTree {
-	return &VTree{S: vstore.New(env, cfg), auto: 1}
+	return &VTree{S: vstore.New(env, cfg)}
 }
-
-// SetAutoCommit sets how many Apply calls form one changeset; 0 disables
-// automatic commits (the caller owns the commit boundary).
-func (t *VTree) SetAutoCommit(n int) { t.auto, t.pending = n, 0 }
 
 // Name returns the structure abbreviation.
 func (t *VTree) Name() string { return "VT" }
 
-// Apply performs the benchmark toggle on the working set, committing the
-// changeset every auto-commit operations.
+// Apply performs the benchmark toggle on the working set and commits it,
+// unless the tree commits by group.
 func (t *VTree) Apply(key uint64) {
 	t.S.Toggle(key)
-	if t.auto > 0 {
-		t.pending++
-		if t.pending >= t.auto {
-			t.S.Commit()
-			t.pending = 0
-		}
+	if !t.byGroup {
+		t.S.Commit()
 	}
 }
 
@@ -67,11 +58,8 @@ func (t *VTree) Check() error { return t.S.Check() }
 func (t *VTree) Commit() { t.S.Commit() }
 
 // Recover discards any in-flight changeset and lands on the durable
-// committed version; the fault harness dispatches recovery here instead of
-// txn.Manager when a structure implements it.
-func (t *VTree) Recover() bool {
-	t.pending = 0
-	return t.S.Recover()
-}
+// committed version; Machine.Recover dispatches here instead of to the
+// undo log.
+func (t *VTree) Recover() bool { return t.S.Recover() }
 
 var _ Structure = (*VTree)(nil)

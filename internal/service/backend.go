@@ -19,7 +19,6 @@ import (
 	"specpersist/internal/obs"
 	"specpersist/internal/pstruct"
 	"specpersist/internal/trace"
-	"specpersist/internal/txn"
 )
 
 // Op is one keyed storage operation, the request payload shared by the
@@ -30,11 +29,10 @@ type Op struct {
 	Get bool   `json:"get,omitempty"`
 }
 
-// Backend is one shard's (or cluster node's) machine-side state.
+// Backend is one shard's (or cluster node's) machine-side state: its
+// functional machine and the trace its groups are built into.
 type Backend struct {
-	Env *exec.Env
-	Mgr *txn.Manager
-	St  pstruct.Structure
+	*pstruct.Machine
 	Buf trace.Buffer
 
 	// Sentinel is the private line whose stores mark commit-group
@@ -46,8 +44,7 @@ type Backend struct {
 	// construction; serving-phase counters report the delta.
 	WarmupPcommits uint64
 
-	coalesce bool
-	bld      *trace.Builder
+	bld *trace.Builder
 }
 
 // NewBackend constructs the backend of shard or node idx of the
@@ -61,55 +58,33 @@ func NewBackend(s Serving, idx, window int, reg *obs.Registry) (*Backend, error)
 	env.Level = s.Variant.Level()
 	env.AllocLines(window * shardRegionLines)
 	sentinel := env.AllocLines(1)
-	mgr := txn.NewManager(env, s.LogCap)
-	scfg := pstruct.Config{HashCapacity: 64, GraphVerts: 32, Strings: 16}
-	st := pstruct.Build(s.Structure, env, mgr, scfg)
-
-	vt, isVT := st.(*pstruct.VTree)
-	if isVT {
-		// The versioned store serves in manual group-commit mode: the
-		// whole warmup becomes one changeset sealed by a single commit
-		// below, and each serving commit group commits once in AppendGroup.
-		vt.SetAutoCommit(0)
-	}
-
+	m := pstruct.NewMachine(env, s.Structure, s.LogCap,
+		pstruct.Config{HashCapacity: 64, GraphVerts: 32, Strings: 16})
+	// The versioned store serves in manual group-commit mode: the whole
+	// warmup becomes one changeset, and each serving commit group commits
+	// once in AppendGroup.
+	m.CommitByGroup()
 	rng := rand.New(rand.NewSource(s.Seed + int64(idx)*7919 + 1))
-	for i := 0; i < s.Warmup; i++ {
-		st.Apply(uint64(rng.Intn(s.Keyspace)))
-	}
-	if isVT {
-		vt.Commit()
-	}
-	env.M.PersistAll()
-	if err := st.Check(); err != nil {
+	m.Warm(s.Warmup, func() uint64 { return uint64(rng.Intn(s.Keyspace)) })
+	if err := m.St.Check(); err != nil {
 		return nil, fmt.Errorf("service: backend after warmup: %w", err)
 	}
-	// Group commit (K > 1) coalesces each group's persist barriers. VT's
-	// Commit already batches the whole changeset behind two barriers;
-	// coalescing (which would defer and reorder them) stays off for it.
-	coalesce := s.BatchMax > 1 && !isVT
-	if coalesce {
-		env.SetBarrierCoalescing(true)
+	// Group commit (K > 1) coalesces each group's persist barriers.
+	if s.BatchMax > 1 {
+		m.CoalesceBarriers()
 	}
 	if reg != nil {
-		env.M.Register(reg)
-		mgr.Register(reg)
-		if isVT {
-			vt.S.Register(reg)
-		}
+		m.Register(reg)
 	}
-	return &Backend{
-		Env: env, Mgr: mgr, St: st, Sentinel: sentinel,
-		WarmupPcommits: env.M.Stats().Pcommits,
-		coalesce:       coalesce,
-	}, nil
+	return &Backend{Machine: m, Sentinel: sentinel, WarmupPcommits: env.M.Stats().Pcommits}, nil
 }
 
 // AppendGroup appends one commit group to the run Admit is building: per
 // op an overhead-long dependent-ALU application preamble (none when
 // overhead is not positive) then the structure operation, and at the group
-// boundary the coalesced persist trio (when coalescing is on) followed by
-// the sentinel store that marks the group's durability point.
+// boundary the machine's group close (the versioned store's commit, or
+// the coalesced persist trio) followed by the sentinel store that marks
+// the group's durability point.
 func (b *Backend) AppendGroup(ops []Op, overhead int) {
 	for _, op := range ops {
 		b.bld.Chain(overhead)
@@ -119,14 +94,7 @@ func (b *Backend) AppendGroup(ops []Op, overhead int) {
 			b.St.Apply(op.Key)
 		}
 	}
-	if vt, ok := b.St.(*pstruct.VTree); ok {
-		// Group commit for the versioned store: the whole group's changeset
-		// persists behind the commit's own two barriers — no per-op WAL
-		// records, nothing to coalesce.
-		vt.Commit()
-	} else if b.coalesce {
-		b.Env.FlushBarriers()
-	}
+	b.CloseGroup()
 	b.bld.Store(b.Sentinel, 8, isa.NoReg, isa.NoReg)
 }
 
@@ -161,14 +129,4 @@ func (b *Backend) BindSentinel(sim *multicore.Sim, core int, fn func()) {
 			fn()
 		}
 	})
-}
-
-// FinishReplay seals a functional crash-recovery replay: the versioned
-// store commits the replayed changeset (making the restored root durable
-// again), then all residual dirty lines are persisted.
-func (b *Backend) FinishReplay() {
-	if vt, ok := b.St.(*pstruct.VTree); ok {
-		vt.Commit()
-	}
-	b.Env.M.PersistAll()
 }

@@ -50,6 +50,7 @@ import (
 	"specpersist/internal/multicore"
 	"specpersist/internal/obs"
 	"specpersist/internal/sched"
+	"specpersist/internal/splitmix"
 	"specpersist/internal/txn"
 )
 
@@ -124,16 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("service: burst ON fraction must be in (0,1], got %g", d.BurstOnFrac)
 	}
 	return nil
-}
-
-// splitmix64 spreads keys across shards (SplitMix64 finalizer).
-func splitmix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // arrivals is the server's request schedule: the shared generator over
@@ -357,7 +348,7 @@ func (s *server) loop(arrivals []Arrival) error {
 // arrive offers one request to its shard's FIFO.
 func (s *server) arrive(r Arrival) {
 	s.stats.Offered++
-	sh := s.shards[splitmix64(r.Key)%uint64(len(s.shards))]
+	sh := s.shards[splitmix.Mix(r.Key)%uint64(len(s.shards))]
 	if len(sh.queue) >= s.cfg.QueueCap {
 		s.stats.Dropped++
 		if r.At > s.stats.SpanCycles {

@@ -93,15 +93,25 @@ func NewManager(env *exec.Env, capacity int) *Manager {
 // capacity and the stats carry over. The copy gets line sets of its own,
 // so forks run concurrently with each other and with m. Forking inside a
 // transaction is a bug (the transaction's Go-side state would be shared)
-// and panics.
-func (m *Manager) Fork(env *exec.Env) *Manager {
+// and panics. It is ForkInto of a new manager.
+func (m *Manager) Fork(env *exec.Env) *Manager { return m.ForkInto(env, nil) }
+
+// ForkInto makes dst (a new manager when nil) the fork Fork would return
+// and returns it. dst keeps the line-set tables it has grown, since Begin
+// empties them without shrinking, so a recycled manager stops regrowing
+// them for every fork.
+func (m *Manager) ForkInto(env *exec.Env, dst *Manager) *Manager {
 	if m.active != nil {
 		panic("txn: Fork inside a transaction")
 	}
-	c := *m
-	c.env = env
-	c.sets = lineSets{}
-	return &c
+	if dst == nil {
+		dst = &Manager{}
+	}
+	sets := dst.sets
+	*dst = *m
+	dst.env = env
+	dst.sets = sets
+	return dst
 }
 
 // Env returns the execution environment the manager runs on.

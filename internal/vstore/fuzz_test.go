@@ -6,6 +6,7 @@ import (
 
 	"specpersist/internal/exec"
 	"specpersist/internal/pmem"
+	"specpersist/internal/splitmix"
 )
 
 // FuzzVstoreOps drives arbitrary op/commit/branch/snapshot/crash sequences
@@ -47,11 +48,11 @@ func FuzzVstoreOps(f *testing.F) {
 					s.Delete(key)
 					delete(model, key)
 				} else {
-					s.Put(key, mix64(key)+uint64(op))
-					model[key] = mix64(key) + uint64(op)
+					s.Put(key, splitmix.Mix(key)+uint64(op))
+					model[key] = splitmix.Mix(key) + uint64(op)
 				}
 			case 2:
-				val := mix64(key ^ uint64(op))
+				val := splitmix.Mix(key ^ uint64(op))
 				s.Put(key, val)
 				model[key] = val
 			case 3:

@@ -34,6 +34,7 @@ import (
 	"specpersist/internal/isa"
 	"specpersist/internal/mem"
 	"specpersist/internal/obs"
+	"specpersist/internal/splitmix"
 )
 
 // Node field offsets (identical to the pstruct 2-3 B-tree layout).
@@ -70,7 +71,7 @@ type Config struct {
 	// Versions caps how many versions the manifest can hold (0 = DefaultVersions).
 	Versions int
 	// FreeValues permits arbitrary Put values. By default values carry the
-	// benchmark invariant value = mix64(key), which Check verifies per leaf
+	// benchmark invariant value = splitmix.Mix(key), which Check verifies per leaf
 	// so torn value chunks are detectable.
 	FreeValues bool
 	// UnsafeFlip is the fault campaign's negative control: Commit issues
@@ -311,13 +312,13 @@ func (s *Store) GetCommitted(key uint64) (uint64, bool) {
 }
 
 // Toggle applies the paper's benchmark operation to the working set:
-// delete key if present, insert it (value mix64(key)) otherwise.
+// delete key if present, insert it (value splitmix.Mix(key)) otherwise.
 func (s *Store) Toggle(key uint64) {
 	if _, ok := s.Get(key); ok {
 		s.deleteKnown(key)
 		return
 	}
-	s.Put(key, mix64(key))
+	s.Put(key, splitmix.Mix(key))
 }
 
 // Put inserts or updates key in the working set.
@@ -706,7 +707,7 @@ func (s *Store) checkTree(root, count uint64) error {
 			leaves++
 			k := m.ReadU64(addr + ndKey0)
 			if !s.cfg.FreeValues {
-				if v := m.ReadU64(addr + ndKey1); v != mix64(k) {
+				if v := m.ReadU64(addr + ndKey1); v != splitmix.Mix(k) {
 					return 0, 0, 0, fmt.Errorf("leaf %d value corrupt", k)
 				}
 			}
@@ -752,15 +753,4 @@ func (s *Store) checkTree(root, count uint64) error {
 		return fmt.Errorf("walked %d leaves, manifest says %d", leaves, count)
 	}
 	return nil
-}
-
-// mix64 is the benchmark value hash (SplitMix64 finalizer), matching
-// pstruct's leaf-value convention so torn value chunks are detectable.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }

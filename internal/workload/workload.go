@@ -221,9 +221,7 @@ func (o *opSource) NextBlock() []isa.Instr {
 // update — into the generator's sink. cmd/tracer records the same stream to
 // a file, so a recording replays the run spsim simulates.
 type Generator struct {
-	env      *exec.Env
-	mgr      *txn.Manager // nil for the Base variant
-	st       pstruct.Structure
+	m        *pstruct.Machine // its Mgr is nil for the Base variant
 	bld      *trace.Builder
 	rng      *rand.Rand
 	b        Bench
@@ -234,13 +232,10 @@ type Generator struct {
 }
 
 // image is a populated structure, the state NewGenerator forks for every
-// run: the env after the fast-forward and its PersistAll, the undo-log
-// manager (nil for the Base variant), the structure and its keyspace. Once
-// built it is read-only; each run works on a fork of it.
+// run: the machine after the fast-forward and its PersistAll, and its
+// keyspace. Once built it is read-only; each run works on a fork of it.
 type image struct {
-	env      *exec.Env
-	mgr      *txn.Manager
-	st       pstruct.Structure
+	m        *pstruct.Machine
 	keyspace uint64
 }
 
@@ -250,13 +245,12 @@ func populate(b Bench, rc RunConfig) (*image, error) {
 	s := rc.EffectiveScale()
 	env := exec.New()
 	env.Level = rc.Variant.Level()
-
-	var mgr *txn.Manager
+	logCap := 0
 	if rc.Variant.Transactional() {
-		mgr = txn.NewManager(env, b.LogCap)
+		logCap = b.LogCap
 	}
-	st := pstruct.Build(b.Name, env, mgr, structConfig(b, s))
-	if bt, ok := st.(*pstruct.BTree); ok && rc.IncrementalBT {
+	m := pstruct.NewMachine(env, b.Name, logCap, structConfig(b, s))
+	if bt, ok := m.St.(*pstruct.BTree); ok && rc.IncrementalBT {
 		bt.SetIncremental(true)
 	}
 
@@ -273,17 +267,14 @@ func populate(b Bench, rc RunConfig) (*image, error) {
 	if b.Name == "LL" {
 		initOps = b.InitOps // tiny already; paper value unscaled
 	}
-	for i := 0; i < initOps; i++ {
-		st.Apply(keyFor(b, rng, keyspace))
-	}
-	env.M.PersistAll()
+	m.Warm(initOps, func() uint64 { return keyFor(b, rng, keyspace) })
 	// Check reads through the model, so its pmem.loads land in the
 	// image's counters, which every fork carries. It is not repeated on a
 	// fork: a second check would add its loads to the run's metrics.
-	if err := st.Check(); err != nil {
+	if err := m.St.Check(); err != nil {
 		return nil, fmt.Errorf("workload %s: after init: %w", b.Name, err)
 	}
-	return &image{env: env, mgr: mgr, st: st, keyspace: keyspace}, nil
+	return &image{m: m, keyspace: keyspace}, nil
 }
 
 // imageKey is everything populate reads from its arguments. Base and Log
@@ -350,21 +341,16 @@ func NewGenerator(b Bench, rc RunConfig, sink trace.Sink) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := img.env.Fork()
-	var mgr *txn.Manager
-	if img.mgr != nil {
-		mgr = img.mgr.Fork(env)
-	}
-	st := pstruct.Fork(img.st, env, mgr)
+	m := img.m.Fork()
 
 	simOps := scaled(b.SimOps, rc.EffectiveScale(), 8)
 	if rc.MaxTraceOps > 0 && simOps > rc.MaxTraceOps {
 		simOps = rc.MaxTraceOps
 	}
 	bld := trace.NewBuilder(sink)
-	env.SetBuilder(bld)
+	m.Env.SetBuilder(bld)
 	return &Generator{
-		env: env, mgr: mgr, st: st, bld: bld, b: b, keyspace: img.keyspace,
+		m: m, bld: bld, b: b, keyspace: img.keyspace,
 		rng:      rand.New(rand.NewSource(rc.Seed + 2)),
 		overhead: rc.EffectiveOpOverhead(),
 		simOps:   simOps,
@@ -381,7 +367,7 @@ func (g *Generator) Next() bool {
 	// Application preamble: serial dependent work (key generation,
 	// allocation, frame setup).
 	g.bld.Chain(g.overhead)
-	g.st.Apply(keyFor(g.b, g.rng, g.keyspace))
+	g.m.St.Apply(keyFor(g.b, g.rng, g.keyspace))
 	return true
 }
 
@@ -389,7 +375,7 @@ func (g *Generator) Next() bool {
 func (g *Generator) SimOps() int { return g.simOps }
 
 // Check verifies the structure's invariants.
-func (g *Generator) Check() error { return g.st.Check() }
+func (g *Generator) Check() error { return g.m.St.Check() }
 
 // Run executes one benchmark under one configuration and returns the
 // timing statistics.
@@ -406,18 +392,15 @@ func Run(b Bench, rc RunConfig) (Result, error) {
 	sys := core.New(rc.Machine(), rc.Timeline)
 	// Fold the functional layers into the system registry so one snapshot
 	// covers the whole run.
-	gen.env.M.Register(sys.Obs())
-	if gen.mgr != nil {
-		gen.mgr.Register(sys.Obs())
-	}
+	gen.m.Register(sys.Obs())
 	stats := sys.Run(src)
 
 	if err := gen.Check(); err != nil {
 		return Result{}, fmt.Errorf("workload %s: after sim: %w", b.Name, err)
 	}
 	res := Result{Bench: b.Name, Variant: rc.Variant, SimOps: gen.simOps, Stats: stats, Metrics: sys.Metrics()}
-	if gen.mgr != nil {
-		res.Txn = gen.mgr.Stats()
+	if gen.m.Mgr != nil {
+		res.Txn = gen.m.Mgr.Stats()
 	}
 	return res, nil
 }

@@ -135,7 +135,7 @@ func TestSteppingEquivalenceChainRollback(t *testing.T) {
 					}
 					fire += period
 					for _, a := range lines {
-						if rolled < 3 && sys.CPU.CoherenceProbe(a) {
+						if rolled < 3 && sys.CPU.Probe(a) == cpu.ProbeRollback {
 							rolled++
 							break
 						}
@@ -177,7 +177,7 @@ func TestSteppingEquivalenceForcedRollback(t *testing.T) {
 				return
 			}
 			for _, a := range lines {
-				if c.CoherenceProbe(a) {
+				if c.Probe(a) == cpu.ProbeRollback {
 					rolled = true
 					return
 				}
