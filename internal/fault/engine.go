@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 
 	"specpersist/internal/core"
@@ -152,7 +153,10 @@ func (e *Engine) runTrials(pres []prefix, plans []Plan, sampled []int64) []trial
 		var o Outcome
 		if sampled != nil && sampled[i] != 0 {
 			var rec []LineFate
-			o = runTrial(&pres[p.Op], p, samplingFates(sampled[i], e.Torn, &rec))
+			rng := rngs.Get().(*rand.Rand)
+			rng.Seed(sampled[i])
+			o = runTrial(&pres[p.Op], p, samplingFates(rng, e.Torn, &rec))
+			rngs.Put(rng)
 			p.Fates = rec
 		} else {
 			o = runTrial(&pres[p.Op], p, replayFates(p.Fates))

@@ -212,10 +212,10 @@ func replayFates(fates []LineFate) fateFunc {
 }
 
 // samplingFates returns a fate function drawing random fates (the
-// historical EvictFrac/DrainFrac behaviour, plus torn masks) and recording
-// every decision into *out so the trial becomes a replayable plan.
-func samplingFates(seed int64, torn bool, out *[]LineFate) fateFunc {
-	rng := rand.New(rand.NewSource(seed))
+// historical EvictFrac/DrainFrac behaviour, plus torn masks) from rng and
+// recording every decision into *out so the trial becomes a replayable
+// plan.
+func samplingFates(rng *rand.Rand, torn bool, out *[]LineFate) fateFunc {
 	return func(line uint64, src pmem.CrashSource) uint8 {
 		frac := 0.3 // cache evictions
 		if src == pmem.SourceWPQ {
@@ -249,8 +249,12 @@ func crashOptions(f fateFunc) pmem.CrashOptions {
 // when torn is set — and every decision is recorded into *out, so a fleet
 // crash remains a replayable plan fragment.
 func CrashOptionsSampled(seed int64, torn bool, out *[]LineFate) pmem.CrashOptions {
-	return crashOptions(samplingFates(seed, torn, out))
+	return crashOptions(samplingFates(rand.New(rand.NewSource(seed)), torn, out))
 }
+
+// rngs recycles the sampled trials' generators: re-seeding one gives the
+// stream a new generator of that seed gives, without allocating its state.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // Run executes the plan exactly as recorded and reports the outcome. It is
 // the execution path for replay of serialized plans and for shrinking: it

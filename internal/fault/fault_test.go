@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -85,7 +86,7 @@ func TestRunIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := runTrial(&pres[0], p, samplingFates(12345, true, &rec))
+	first := runTrial(&pres[0], p, samplingFates(rand.New(rand.NewSource(12345)), true, &rec))
 	p.Fates = rec
 	for i := 0; i < 2; i++ {
 		again, err := Run(p)

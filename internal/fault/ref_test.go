@@ -82,7 +82,7 @@ func TestForkedTrialsMatchReference(t *testing.T) {
 			fates := replayFates(p.Fates)
 			var rec []LineFate
 			if i < len(sampled) && sampled[i] != 0 {
-				fates = samplingFates(sampled[i], e.Torn, &rec)
+				fates = samplingFates(rand.New(rand.NewSource(sampled[i])), e.Torn, &rec)
 			}
 			want, err := refRun(p, fates)
 			if err != nil {

@@ -3,6 +3,7 @@ package litmus
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // explorer is the breadth-first kernel behind the reference, drain-slack
@@ -16,6 +17,13 @@ import (
 // collected. The queue keeps every state enqueued, in BFS order, so it
 // doubles as the visited set: index is an open-addressing table of queue
 // positions plus one (zero: empty), kept at most half full.
+//
+// Explorers are recycled, one free list per key type: a recycled explorer
+// keeps the storage of its tables but none of their contents, and its
+// index starts empty and grows through the same sizes as a fresh one's,
+// so states, verdicts and outcome sets never depend on which explorer a
+// BFS draws. Only the outcome set is new on every call: the caller owns
+// it.
 type explorer[K stateKey] struct {
 	pl    *plan
 	nAct  int
@@ -38,15 +46,30 @@ type stateKey interface {
 func (pl *plan) flushAct(li int) int { return len(pl.stores) + li }
 func (pl *plan) drainAct() int       { return len(pl.stores) + len(pl.lines) }
 
-// explore runs the BFS from the all-zero state and returns the crash
-// outcomes of every reachable image and the number of states visited.
-// The cap is checked before each dequeue, so an error reports the
-// visited count at the moment the budget was first exceeded.
-func explore[K stateKey](pl *plan, maxStates int, who string, succ func(x *explorer[K], k K)) (map[string]struct{}, int, error) {
+// The explorers' free lists, one per key type.
+var (
+	refExplorers     freeList[*explorer[refKey]]
+	slackExplorers   freeList[*explorer[slackKey]]
+	machineExplorers freeList[*explorer[machineKey]]
+)
+
+// explore runs the BFS from the all-zero state on an explorer drawn from
+// free and returns the crash outcomes of every reachable image and the
+// number of states visited. The cap is checked before each dequeue, so an
+// error reports the visited count at the moment the budget was first
+// exceeded.
+func explore[K stateKey](free *freeList[*explorer[K]], pl *plan, maxStates int, who string, succ func(x *explorer[K], k K)) (map[string]struct{}, int, error) {
 	if maxStates <= 0 {
 		maxStates = DefaultMaxStates
 	}
-	x := &explorer[K]{pl: pl, nAct: pl.drainAct() + 1, set: make(map[string]struct{}), ids: make(map[memState]uint32)}
+	x, ok := free.get()
+	if !ok {
+		x = &explorer[K]{ids: make(map[memState]uint32)}
+	}
+	defer free.put(x)
+	x.pl, x.nAct, x.set = pl, pl.drainAct()+1, make(map[string]struct{})
+	x.imgs, x.trans, x.queue, x.index = x.imgs[:0], x.trans[:0], x.queue[:0], x.index[:0]
+	clear(x.ids)
 	x.intern(&memState{})
 	x.push(*new(K)) // the all-zero start state
 	for head := 0; head < len(x.queue); head++ {
@@ -85,7 +108,9 @@ func (x *explorer[K]) intern(m *memState) uint32 {
 	id := uint32(len(x.imgs))
 	x.imgs = append(x.imgs, *m)
 	x.ids[*m] = id
-	x.trans = append(x.trans, make([]uint32, x.nAct)...)
+	n := len(x.trans)
+	x.trans = slices.Grow(x.trans, x.nAct)[:n+x.nAct]
+	clear(x.trans[n:])
 	x.pl.crashOutcomes(m, x.set)
 	return id
 }
@@ -113,9 +138,15 @@ func (x *explorer[K]) find(k K) (int, bool) {
 	return i, false
 }
 
-// rehash rebuilds index at size slots (a power of two) from the queue.
+// rehash rebuilds index at size slots (a power of two) from the queue,
+// reusing its storage when that is large enough.
 func (x *explorer[K]) rehash(size int) {
-	x.index = make([]uint32, size)
+	if cap(x.index) >= size {
+		x.index = x.index[:size]
+		clear(x.index)
+	} else {
+		x.index = make([]uint32, size)
+	}
 	x.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for j, k := range x.queue {
 		i, _ := x.find(k)

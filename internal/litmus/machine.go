@@ -3,7 +3,6 @@ package litmus
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"specpersist/internal/core"
 	"specpersist/internal/cpu"
@@ -120,12 +119,12 @@ func buildTraces(pl *plan) []*trace.Buffer {
 	return bufs
 }
 
-// machines recycles the litmus machines, one pool per shape (core count,
-// SP hardware or not), so a mode run resets a machine instead of building
-// one. A pooled machine is reset when it is put back, and Reset returns
-// exactly the state New builds, so a run does not depend on which machine
-// it draws.
-var machines [MaxThreads + 1][2]sync.Pool
+// machines recycles the litmus machines, one free list per shape (core
+// count, SP hardware or not), so a mode run resets a machine instead of
+// building one. A recycled machine is reset when it is put back, and Reset
+// returns exactly the state New builds, so a run does not depend on which
+// machine it draws.
+var machines [MaxThreads + 1][2]freeList[*multicore.Sim]
 
 // newMachine builds the machine a program runs on under a mode: one core
 // per thread, with SP hardware or without.
@@ -144,14 +143,14 @@ func runMachine(pl *plan, m Mode) (*machineRun, error) {
 	if m.SP {
 		shape = 1
 	}
-	pool := &machines[len(pl.p.Threads)][shape]
-	sim, _ := pool.Get().(*multicore.Sim)
-	if sim == nil {
+	free := &machines[len(pl.p.Threads)][shape]
+	sim, ok := free.get()
+	if !ok {
 		sim = newMachine(pl, m)
 	}
 	defer func() {
 		sim.Reset()
-		pool.Put(sim)
+		free.put(sim)
 	}()
 	return runOn(sim, pl, m)
 }
@@ -342,7 +341,7 @@ func (k machineKey) hash() uint64 {
 // produce — makes the observed set a pure function of the streams, so
 // SP-vs-plain set equality is meaningful and timing-independent.
 func machineOutcomes(pl *plan, streams [][]mevent, maxStates int) (map[string]struct{}, int, error) {
-	return explore(pl, maxStates, "machine", func(x *explorer[machineKey], k machineKey) {
+	return explore(&machineExplorers, pl, maxStates, "machine", func(x *explorer[machineKey], k machineKey) {
 		for c := range streams {
 			if int(k.pos[c]) >= len(streams[c]) {
 				continue

@@ -138,7 +138,7 @@ func (s Semantics) Enumerate(p *Program, maxStates int) (map[string]struct{}, in
 
 func (s Semantics) enumerate(pl *plan, maxStates int) (map[string]struct{}, int, error) {
 	threads := buildRefThreads(pl)
-	return explore(pl, maxStates, "reference", func(x *explorer[refKey], k refKey) {
+	return explore(&refExplorers, pl, maxStates, "reference", func(x *explorer[refKey], k refKey) {
 		for t := range pl.p.Threads {
 			th := &threads[t]
 			// Asynchronous flush completions: any single in-flight flush

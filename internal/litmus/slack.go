@@ -86,7 +86,7 @@ func (s slackKey) hash() uint64 {
 // removes a volatile value a crash fate could drop anyway).
 func slackOutcomes(pl *plan, maxStates int) (map[string]struct{}, int, error) {
 	threads := buildSlack(pl)
-	return explore(pl, maxStates, "slack-envelope", func(x *explorer[slackKey], s slackKey) {
+	return explore(&slackExplorers, pl, maxStates, "slack-envelope", func(x *explorer[slackKey], s slackKey) {
 		for t := range threads {
 			th := &threads[t]
 			if k := int(s.k[t]); k < len(th.stores) && th.storeMinJ[k] <= int(s.j[t]) {

@@ -1,7 +1,6 @@
 package pstruct
 
 import (
-	"bytes"
 	"fmt"
 
 	"specpersist/internal/exec"
@@ -49,15 +48,15 @@ func NewStringSwap(env *exec.Env, mgr *txn.Manager, n int) *StringSwap {
 	env.M.WriteU64(s.hdr+8, uint64(n))
 	env.M.WriteU64(s.hdr+16, s.idx)
 	for i := 0; i < n; i++ {
-		env.M.Write(s.slot(uint64(i)), canonicalString(uint64(i)))
+		canonicalString(&s.bufI, uint64(i))
+		env.M.Write(s.slot(uint64(i)), s.bufI[:])
 		env.M.WriteU64(s.idx+uint64(i)*8, uint64(i))
 	}
 	return s
 }
 
-// canonicalString returns the content identifying string id.
-func canonicalString(id uint64) []byte {
-	b := make([]byte, StringLen)
+// canonicalString fills b with the content identifying string id.
+func canonicalString(b *[StringLen]byte, id uint64) {
 	x := splitmix.Mix(id)
 	for i := range b {
 		b[i] = byte(x >> (8 * (uint(i) % 8)))
@@ -65,7 +64,6 @@ func canonicalString(id uint64) []byte {
 			x = splitmix.Mix(x)
 		}
 	}
-	return b
 }
 
 func (s *StringSwap) slot(i uint64) uint64 { return s.arr + i*StringLen }
@@ -119,11 +117,11 @@ func (s *StringSwap) stBytes(tx *txn.Tx, addr uint64, src []byte, dep isa.Reg) {
 // Contains reports whether the canonical string for identity key%n is
 // present somewhere in the array.
 func (s *StringSwap) Contains(key uint64) bool {
-	want := canonicalString(key % s.n)
-	buf := make([]byte, StringLen)
+	var want, buf [StringLen]byte
+	canonicalString(&want, key%s.n)
 	for i := uint64(0); i < s.n; i++ {
-		s.env.M.Read(s.slot(i), buf)
-		if bytes.Equal(buf, want) {
+		s.env.M.Read(s.slot(i), buf[:])
+		if buf == want {
 			return true
 		}
 	}
@@ -134,19 +132,19 @@ func (s *StringSwap) Contains(key uint64) bool {
 // each physical slot holds exactly the canonical string of its index entry.
 func (s *StringSwap) Check() error {
 	m := s.env.M
-	seen := make(map[uint64]struct{}, s.n)
-	buf := make([]byte, StringLen)
+	seen := make([]bool, s.n)
+	var want, buf [StringLen]byte
 	for i := uint64(0); i < s.n; i++ {
 		id := m.ReadU64(s.idx + i*8)
 		if id >= s.n {
 			return fmt.Errorf("stringswap: slot %d has invalid identity %d", i, id)
 		}
-		if _, dup := seen[id]; dup {
+		if seen[id] {
 			return fmt.Errorf("stringswap: identity %d appears twice", id)
 		}
-		seen[id] = struct{}{}
-		m.Read(s.slot(i), buf)
-		if !bytes.Equal(buf, canonicalString(id)) {
+		seen[id] = true
+		m.Read(s.slot(i), buf[:])
+		if canonicalString(&want, id); buf != want {
 			return fmt.Errorf("stringswap: slot %d content does not match identity %d", i, id)
 		}
 	}

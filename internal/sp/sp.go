@@ -55,11 +55,14 @@ type Entry struct {
 }
 
 // SSB is the FIFO speculative store buffer. It preserves program order of
-// stores and PMEM instructions within and across epochs.
+// stores and PMEM instructions within and across epochs. Its entries live
+// in a fixed ring of cap slots, allocated at the first Push and kept by
+// Reset.
 type SSB struct {
 	cap     int
 	lat     uint64
-	entries []Entry
+	ring    []Entry // len 0 until the first Push, then cap
+	head, n int     // oldest entry's slot; occupancy
 	maxUsed int
 }
 
@@ -75,47 +78,58 @@ func NewSSB(capacity int) *SSB {
 
 // Reset returns the buffer to the state NewSSB left it in: empty, with no
 // high-water mark, keeping its storage.
-func (s *SSB) Reset() { *s = SSB{cap: s.cap, lat: s.lat, entries: s.entries[:0]} }
+func (s *SSB) Reset() { *s = SSB{cap: s.cap, lat: s.lat, ring: s.ring} }
 
 // Latency returns the CAM+RAM access latency in cycles.
 func (s *SSB) Latency() uint64 { return s.lat }
 
 // Len returns the current occupancy.
-func (s *SSB) Len() int { return len(s.entries) }
+func (s *SSB) Len() int { return s.n }
 
 // MaxUsed returns the occupancy high-water mark.
 func (s *SSB) MaxUsed() int { return s.maxUsed }
 
 // Full reports whether no slot is free.
-func (s *SSB) Full() bool { return len(s.entries) >= s.cap }
+func (s *SSB) Full() bool { return s.n >= s.cap }
+
+// slot returns the ring index of the i-th oldest entry.
+func (s *SSB) slot(i int) int {
+	if i += s.head; i >= s.cap {
+		i -= s.cap
+	}
+	return i
+}
 
 // Push appends an entry; it returns false if the buffer is full.
 func (s *SSB) Push(e Entry) bool {
 	if s.Full() {
 		return false
 	}
-	s.entries = append(s.entries, e)
-	if len(s.entries) > s.maxUsed {
-		s.maxUsed = len(s.entries)
+	if s.ring == nil {
+		s.ring = make([]Entry, s.cap)
 	}
+	s.ring[s.slot(s.n)] = e
+	s.n++
+	s.maxUsed = max(s.maxUsed, s.n)
 	return true
 }
 
 // Front returns the oldest entry without removing it.
 func (s *SSB) Front() (Entry, bool) {
-	if len(s.entries) == 0 {
+	if s.n == 0 {
 		return Entry{}, false
 	}
-	return s.entries[0], true
+	return s.ring[s.head], true
 }
 
 // Pop removes and returns the oldest entry.
 func (s *SSB) Pop() (Entry, bool) {
-	if len(s.entries) == 0 {
+	if s.n == 0 {
 		return Entry{}, false
 	}
-	e := s.entries[0]
-	s.entries = s.entries[1:]
+	e := s.ring[s.head]
+	s.head = s.slot(1)
+	s.n--
 	return e, true
 }
 
@@ -123,13 +137,19 @@ func (s *SSB) Pop() (Entry, bool) {
 // [addr, addr+size) — a store-to-load forwarding hit. The youngest match
 // wins in hardware; for timing only existence matters.
 func (s *SSB) MatchLoad(addr uint64, size int) bool {
+	// The entries, oldest first, are older then wrapped.
+	older := s.ring[s.head:min(s.head+s.n, s.cap)]
+	wrapped := s.ring[:s.n-len(older)]
 	end := addr + uint64(size)
-	for i := len(s.entries) - 1; i >= 0; i-- {
-		e := s.entries[i]
-		if e.Op != isa.Store {
-			continue
-		}
-		if e.Addr < end && addr < e.Addr+uint64(e.Size) {
+	return overlapsStore(wrapped, addr, end) || overlapsStore(older, addr, end)
+}
+
+// overlapsStore reports whether a store among es, scanned youngest first,
+// overlaps [addr, end).
+func overlapsStore(es []Entry, addr, end uint64) bool {
+	for i := len(es) - 1; i >= 0; i-- {
+		e := &es[i]
+		if e.Op == isa.Store && e.Addr < end && addr < e.Addr+uint64(e.Size) {
 			return true
 		}
 	}
@@ -137,7 +157,7 @@ func (s *SSB) MatchLoad(addr uint64, size int) bool {
 }
 
 // Flush discards all entries (rollback).
-func (s *SSB) Flush() { s.entries = s.entries[:0] }
+func (s *SSB) Flush() { s.head, s.n = 0, 0 }
 
 // Bloom is the 512-byte Bloom filter summarizing SSB store addresses
 // (§4.2.2, as in CPR). It produces false positives but never false

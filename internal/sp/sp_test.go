@@ -1,6 +1,7 @@
 package sp
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,70 @@ func TestSSBFront(t *testing.T) {
 	}
 	if s.Len() != 1 {
 		t.Error("Front consumed the entry")
+	}
+}
+
+// TestSSBWrapAround drives a 5-slot SSB around its ring many times and
+// checks it against a slice model: FIFO order, Front, MatchLoad (a store
+// matches even when it sits in the wrapped part, and a PMEM entry at the
+// same address never does), Flush and Reset mid-wrap.
+func TestSSBWrapAround(t *testing.T) {
+	const capacity = 5
+	s := NewSSB(capacity)
+	var model []Entry
+	high, wraps := 0, 0
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 5000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 50:
+			op := isa.Store
+			if rng.Intn(4) == 0 {
+				op = isa.Clwb
+			}
+			e := Entry{Op: op, Addr: uint64(rng.Intn(16)) * 8, Size: 8, Epoch: step}
+			if got, want := s.Push(e), len(model) < capacity; got != want {
+				t.Fatalf("step %d: Push = %v with %d entries", step, got, len(model))
+			}
+			if len(model) < capacity {
+				model = append(model, e)
+				high = max(high, len(model))
+			}
+		case r < 90:
+			e, ok := s.Pop()
+			if ok != (len(model) > 0) || ok && e != model[0] {
+				t.Fatalf("step %d: Pop = %+v, %v; model %v", step, e, ok, model)
+			}
+			if ok {
+				model = model[1:]
+			}
+		case r < 95:
+			s.Flush()
+			model = nil
+		default:
+			s.Reset()
+			model, high = nil, 0
+		}
+		if s.Len() != len(model) || s.Full() != (len(model) == capacity) || s.MaxUsed() != high {
+			t.Fatalf("step %d: len %d full %v max %d; model len %d max %d", step, s.Len(), s.Full(), s.MaxUsed(), len(model), high)
+		}
+		if e, ok := s.Front(); ok != (len(model) > 0) || ok && e != model[0] {
+			t.Fatalf("step %d: Front = %+v, %v; model %v", step, e, ok, model)
+		}
+		if s.head+s.Len() > capacity {
+			wraps++
+		}
+		for a := uint64(0); a < 16*8; a += 4 {
+			want := false
+			for _, e := range model {
+				want = want || e.Op == isa.Store && e.Addr < a+8 && a < e.Addr+8
+			}
+			if got := s.MatchLoad(a, 8); got != want {
+				t.Fatalf("step %d: MatchLoad(%#x) = %v; model %v (head %d)", step, a, got, model, s.head)
+			}
+		}
+	}
+	if wraps < 500 {
+		t.Errorf("only %d of 5000 steps held entries across the wrap", wraps)
 	}
 }
 

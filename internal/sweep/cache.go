@@ -5,9 +5,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strings"
+	"sync"
 
 	"specpersist/internal/workload"
 )
@@ -36,18 +39,50 @@ const schemaVersion = 5
 const DefaultCacheDir = ".sweepcache"
 
 // moduleVersion identifies the build embedded in cache keys: results are
-// only reusable across runs of the same module version. A development
-// build reports "(devel)", which still separates cached results from any
-// tagged release.
-func moduleVersion() string {
+// only reusable across runs of the same build. It is computed once per
+// process.
+var moduleVersion = sync.OnceValue(func() string {
+	path, version := "unknown", "(devel)"
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		return bi.Main.Path + "@" + bi.Main.Version
+		path, version = bi.Main.Path, bi.Main.Version
 	}
-	return "unknown"
+	return buildIdentity(path, version, executableHash)
+})
+
+// buildIdentity names a build by its module path and version. Go gives
+// every uncommitted edit of one commit the same "+dirty" pseudo-version
+// and every build outside version control "(devel)", so for those the
+// name also carries exeHash(), the hash of the running executable: an
+// edited simulator never reads what another build cached.
+func buildIdentity(path, version string, exeHash func() string) string {
+	id := path + "@" + version
+	if version == "(devel)" || strings.HasSuffix(version, "+dirty") {
+		id += "+exe." + exeHash()
+	}
+	return id
+}
+
+// executableHash returns the SHA-256 of the running executable, or
+// "unreadable" when it cannot be read.
+func executableHash() string {
+	path, err := os.Executable()
+	if err != nil {
+		return "unreadable"
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return "unreadable"
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "unreadable"
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Key returns the job's content address: a SHA-256 over the canonical job
-// fingerprint, the cache schema version, and the module version. Equal
+// fingerprint, the cache schema version, and the build's identity. Equal
 // keys imply equal Results.
 func Key(j workload.Job) string {
 	h := sha256.New()

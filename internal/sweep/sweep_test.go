@@ -103,6 +103,34 @@ func TestKeyMatchesFingerprint(t *testing.T) {
 	}
 }
 
+// TestBuildIdentity pins the cache's build rule: a committed or tagged
+// build is named by its module version alone, while a "+dirty" or
+// "(devel)" build, whose version every edit shares, also carries the
+// hash of its executable, read only for those builds.
+func TestBuildIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		version, want string
+		hashed        bool
+	}{
+		{"v1.2.0", "m@v1.2.0", false},
+		{"v0.0.0-20261020110627-05c89b68d01c", "m@v0.0.0-20261020110627-05c89b68d01c", false},
+		{"v0.0.0-20261020110627-05c89b68d01c+dirty", "m@v0.0.0-20261020110627-05c89b68d01c+dirty+exe.h", true},
+		{"(devel)", "m@(devel)+exe.h", true},
+	} {
+		hashed := false
+		got := buildIdentity("m", tc.version, func() string { hashed = true; return "h" })
+		if got != tc.want || hashed != tc.hashed {
+			t.Errorf("buildIdentity(%q) = %q (hashed %v), want %q (hashed %v)", tc.version, got, hashed, tc.want, tc.hashed)
+		}
+	}
+	if a, b := buildIdentity("m", "(devel)", func() string { return "1" }), buildIdentity("m", "(devel)", func() string { return "2" }); a == b {
+		t.Errorf("two (devel) executables share the identity %q", a)
+	}
+	if h := executableHash(); len(h) != 64 {
+		t.Errorf("executableHash() = %q, want a sha256 hex digest", h)
+	}
+}
+
 func TestCacheRoundTrip(t *testing.T) {
 	c, err := OpenCache(t.TempDir())
 	if err != nil {
